@@ -6,18 +6,23 @@ identity D Q_j = a_j Q_{j-1}, the terminating product identity, and
 infinitesimal equivariance) can be decided as exact zero polynomials, not
 by tolerances.
 
-Scalars are finite sums  sum_d q_d * sqrt(d)  with q_d Gaussian rational
-and d a square-free positive integer (radicand 1 means the rational part).
-The ladder entries of the generators are single such terms; sums of
-different radicands only appear transiently inside products and the domain
-is closed under them.  Rationals are gmpy2.mpq when available (much faster
-than fractions.Fraction), falling back to the stdlib otherwise.
+The one scalar type is GaussianRational.  The weight-basis generators have
+ladder entries proportional to sqrt((m-mu)(m+mu+1)), so the exact layer
+works in a rescaled, rational basis: conjugating by the constant diagonal
+matrix D = diag(d_p), d_p = prod_{q<p} sqrt(n_q), makes every generator
+entry Gaussian rational (see exact_generators).  Every identity above is
+invariant under a constant similarity.  Only numerical evaluation and the
+JSON form return to the weight basis, where entry (a, b) carries the single
+factor d_a/d_b = c*sqrt(f) with c rational and f square-free.  Rationals are
+gmpy2.mpq when available (much faster than fractions.Fraction), falling
+back to the stdlib otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +33,8 @@ try:
 except ImportError:  # pragma: no cover
     from fractions import Fraction as _Q
 
-# exact mode is capped: radicand bookkeeping and mpq sizes stay small here
+# exact mode is capped: the cost of build_Q and of the exact identity checks
+# grows steeply with m, and m <= 4 keeps them to seconds
 M_MAX_EXACT = 4
 
 Monomial = tuple[int, int, int]
@@ -63,8 +69,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = _Q(re)
-        self.im = _Q(im)
+        self.re = re if type(re) is _Q else _Q(re)
+        self.im = im if type(im) is _Q else _Q(im)
 
     def __add__(self, other):
         return GaussianRational(self.re + other.re, self.im + other.im)
@@ -93,11 +99,8 @@ class GaussianRational:
             return self * GaussianRational(other.re / n, -other.im / n)
         return GaussianRational(self.re / other, self.im / other)
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def __eq__(self, other):
         return self.re == other.re and self.im == other.im
@@ -113,135 +116,22 @@ class GaussianRational:
 
 
 _GR_ZERO = GaussianRational()
+_GR_ONE = GaussianRational(1)
 
-
-class RadicalScalar:
-    """Finite sum of Gaussian-rational multiples of square roots of integers.
-
-    Stored as a map radicand -> GaussianRational with square-free radicands
-    and no zero coefficients.  Closed under ring operations: a product of
-    two radicals reduces through gcd factoring of the radicand product.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = terms if terms is not None else {}
-
-    # -- constructors -------------------------------------------------
-    @staticmethod
-    def from_rational(re, im=0) -> "RadicalScalar":
-        g = GaussianRational(re, im)
-        return RadicalScalar({} if g.is_zero() else {1: g})
-
-    @staticmethod
-    def sqrt_int(n: int, coeff=1, imag=False) -> "RadicalScalar":
-        """coeff * sqrt(n), optionally times i."""
-        a, d = _square_free(n)
-        g = GaussianRational(0, coeff * a) if imag else GaussianRational(coeff * a, 0)
-        return RadicalScalar({} if g.is_zero() else {d: g})
-
-    # -- ring operations ----------------------------------------------
-    def __add__(self, other):
-        out = dict(self.terms)
-        for d, g in other.terms.items():
-            cur = out.get(d)
-            s = g if cur is None else cur + g
-            if s.is_zero():
-                out.pop(d, None)
-            else:
-                out[d] = s
-        return RadicalScalar(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return RadicalScalar({d: -g for d, g in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, RadicalScalar):
-            out = {}
-            for d1, g1 in self.terms.items():
-                for d2, g2 in other.terms.items():
-                    if d1 == d2:
-                        d, g = 1, (g1 * g2) * d1
-                    else:
-                        c = math.gcd(d1, d2)
-                        d, g = (d1 // c) * (d2 // c), (g1 * g2) * c
-                    cur = out.get(d)
-                    s = g if cur is None else cur + g
-                    if s.is_zero():
-                        out.pop(d, None)
-                    else:
-                        out[d] = s
-            return RadicalScalar(out)
-        # rational or GaussianRational scale
-        if not isinstance(other, GaussianRational):
-            other = GaussianRational(other)
-        if other.is_zero():
-            return RadicalScalar()
-        return RadicalScalar({d: g * other for d, g in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def div_rational(self, q):
-        q = _Q(q)
-        return RadicalScalar({d: g * GaussianRational(1 / q) for d, g in self.terms.items()})
-
-    def conjugate(self):
-        return RadicalScalar({d: g.conjugate() for d, g in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_gaussian(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and 1 in self.terms)
-
-    def gaussian_part(self) -> GaussianRational:
-        if not self.terms:
-            return _GR_ZERO
-        if not self.is_gaussian():
-            raise ValueError("scalar has irrational radicand terms")
-        return self.terms[1]
-
-    def __eq__(self, other):
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __complex__(self):
-        return sum(
-            (complex(g) * math.sqrt(d) for d, g in self.terms.items()), complex(0)
-        )
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"{g!r}" if d == 1 else f"{g!r}*sqrt({d})" for d, g in sorted(self.terms.items())
-        )
-
-
-_RS_ZERO = RadicalScalar()
-_RS_ONE = RadicalScalar.from_rational(1)
-
-ExactMatrix = tuple  # tuple of row tuples of RadicalScalar
-
-
-def _mat_zero(dim: int) -> ExactMatrix:
-    return tuple(tuple(_RS_ZERO for _ in range(dim)) for _ in range(dim))
+ExactMatrix = tuple  # tuple of row tuples of GaussianRational, in the rational basis
 
 
 def _mat_eye(dim: int) -> ExactMatrix:
     return tuple(
-        tuple(_RS_ONE if i == j else _RS_ZERO for j in range(dim)) for i in range(dim)
+        tuple(_GR_ONE if i == j else _GR_ZERO for j in range(dim)) for i in range(dim)
     )
 
 
 def _mat_add(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(
+        tuple(y if x.is_zero() else x if y.is_zero() else x + y for x, y in zip(ra, rb))
+        for ra, rb in zip(a, b)
+    )
 
 
 def _mat_neg(a: ExactMatrix) -> ExactMatrix:
@@ -249,21 +139,24 @@ def _mat_neg(a: ExactMatrix) -> ExactMatrix:
 
 
 def _mat_scale(a: ExactMatrix, s) -> ExactMatrix:
-    return tuple(tuple(x * s for x in row) for row in a)
+    return tuple(tuple(x if x.is_zero() else x * s for x in row) for row in a)
 
 
 def _mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    dim = len(a)
-    bt = tuple(zip(*b))
+    # zero entries are skipped: only the nonzero (index, entry) pairs of each
+    # column of b meet the nonzero entries of each row of a
+    cols = [[(k, y) for k, y in enumerate(cb) if not y.is_zero()] for cb in zip(*b)]
     rows = []
     for ra in a:
+        nz = {k: x for k, x in enumerate(ra) if not x.is_zero()}
         row = []
-        for cb in bt:
-            acc = _RS_ZERO
-            for x, y in zip(ra, cb):
-                if x.terms and y.terms:
-                    acc = acc + x * y
-            row.append(acc)
+        for cb in cols:
+            acc = None
+            for k, y in cb:
+                x = nz.get(k)
+                if x is not None:
+                    acc = x * y if acc is None else acc + x * y
+            row.append(_GR_ZERO if acc is None else acc)
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -272,8 +165,31 @@ def _mat_is_zero(a: ExactMatrix) -> bool:
     return all(x.is_zero() for row in a for x in row)
 
 
-def _mat_to_complex(a: ExactMatrix) -> np.ndarray:
-    return np.array([[complex(x) for x in row] for row in a], dtype=np.complex128)
+@lru_cache(maxsize=None)
+def _weight_factors(dim: int) -> tuple:
+    """The factor d_a/d_b of every entry (a, b) as a pair (c, f) standing for
+    c*sqrt(f), with c rational and f square-free.  d_a/d_b is sqrt(N) below
+    the diagonal and 1/sqrt(N) above it, N the product of n_q over
+    min(a, b) <= q < max(a, b)."""
+    m = (dim - 1) // 2
+    n = [(m - mu) * (m + mu + 1) for mu in range(-m, m)]
+    rows = []
+    for a in range(dim):
+        row = []
+        for b in range(dim):
+            s, f = _square_free(math.prod(n[min(a, b):max(a, b)]))
+            row.append((_Q(s) if a >= b else _Q(1, s * f), f))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _weight_basis(a: ExactMatrix) -> list:
+    """The weight-basis entries of D a D^-1, each as a pair (g, f) standing
+    for g*sqrt(f), with g Gaussian rational and f square-free."""
+    return [
+        [(x * c, f) for x, (c, f) in zip(row, frow)]
+        for row, frow in zip(a, _weight_factors(len(a)))
+    ]
 
 
 @dataclass(frozen=True)
@@ -344,12 +260,9 @@ class MatPoly:
         return MatPoly(self.dim, {e: m for e, m in out.items() if not _mat_is_zero(m)})
 
     def scale(self, s) -> "MatPoly":
-        """Multiply by a scalar (rational, GaussianRational or RadicalScalar)."""
-        if isinstance(s, GaussianRational):
-            s = RadicalScalar({} if s.is_zero() else {1: s})
-        elif not isinstance(s, RadicalScalar):
-            s = RadicalScalar.from_rational(s)
-        if s.is_zero():
+        """Multiply by a scalar (rational or GaussianRational)."""
+        zero = s.is_zero() if isinstance(s, GaussianRational) else s == 0
+        if zero:
             return MatPoly.zero(self.dim)
         out = {e: _mat_scale(m, s) for e, m in self.terms.items()}
         return MatPoly(self.dim, {e: m for e, m in out.items() if not _mat_is_zero(m)})
@@ -359,7 +272,7 @@ class MatPoly:
         out = {}
         for e, m in self.terms.items():
             key = (e[0] + mono[0], e[1] + mono[1], e[2] + mono[2])
-            s = _mat_scale(m, RadicalScalar.from_rational(coeff)) if coeff != 1 else m
+            s = _mat_scale(m, coeff) if coeff != 1 else m
             cur = out.get(key)
             out[key] = s if cur is None else _mat_add(cur, s)
         return MatPoly(self.dim, {e: m for e, m in out.items() if not _mat_is_zero(m)})
@@ -380,7 +293,7 @@ class MatPoly:
                 continue
             ne = list(e)
             ne[axis] -= 1
-            scaled = _mat_scale(m, RadicalScalar.from_rational(e[axis]))
+            scaled = _mat_scale(m, e[axis])
             key = tuple(ne)
             cur = out.get(key)
             out[key] = scaled if cur is None else _mat_add(cur, scaled)
@@ -400,16 +313,25 @@ class MatPoly:
         return self.dim == other.dim and self.terms == other.terms
 
     def eval(self, x) -> np.ndarray:
-        """Numerical evaluation; exact-to-float conversion happens last."""
+        """Numerical evaluation in the weight basis; exact-to-float
+        conversion happens last."""
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
         for e, m in self.terms.items():
-            out += (x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2]) * _mat_to_complex(m)
+            mat = np.array(
+                [
+                    [complex(0) + complex(g) * math.sqrt(f) for g, f in row]
+                    for row in _weight_basis(m)
+                ],
+                dtype=np.complex128,
+            )
+            out += (x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2]) * mat
         return out
 
     def to_json_obj(self):
-        """JSON form: one record per monomial; each matrix entry is a list
-        of [re, im, radicand] term triples (rationals as strings)."""
+        """JSON form in the weight basis: one record per monomial; each
+        matrix entry is a list of [re, im, radicand] term triples (rationals
+        as strings), with one triple for a nonzero entry and none for zero."""
         records = []
         for e in sorted(self.terms):
             mat = self.terms[e]
@@ -418,10 +340,10 @@ class MatPoly:
                     "exponents": list(e),
                     "matrix": [
                         [
-                            [[str(g.re), str(g.im), d] for d, g in sorted(entry.terms.items())]
-                            for entry in row
+                            [] if g.is_zero() else [[str(g.re), str(g.im), f]]
+                            for g, f in row
                         ]
-                        for row in mat
+                        for row in _weight_basis(mat)
                     ],
                 }
             )
@@ -444,30 +366,35 @@ def _check_m(m: int, m_max: int):
 
 
 def exact_generators(m: int, m_max: int = M_MAX_EXACT):
-    """Exact weight-basis generators (A_1, A_2, A_3) of the type-m irrep.
+    """Exact generators of the type-m irrep in the rational basis.
 
-    A_1 is diagonal with entries i*mu; the ladder entries of A_2, A_3 are
-    Gaussian-rational multiples of sqrt((m-mu)(m+mu+1)).
+    Returns D^-1 A_i D for the weight-basis generators (A_1, A_2, A_3),
+    where D = diag(d_p), d_p = prod_{q<p} sqrt(n_q) and
+    n_q = (m - mu_q)(m + mu_q + 1).  A_1 = diag(i*mu) is unchanged; the
+    ladder entries become 1/2 below the diagonal and +-n_q/2 above it
+    (times i for A_2), so every entry is a GaussianRational.  For the
+    weight-basis values, evaluate MatPoly.constant(g) (MatPoly.eval and
+    MatPoly.to_json_obj both undo the similarity).
     """
     _check_m(m, m_max)
     d = 2 * m + 1
     half = _Q(1, 2)
-    a1 = [[_RS_ZERO] * d for _ in range(d)]
-    a2 = [[_RS_ZERO] * d for _ in range(d)]
-    a3 = [[_RS_ZERO] * d for _ in range(d)]
+    a1 = [[_GR_ZERO] * d for _ in range(d)]
+    a2 = [[_GR_ZERO] * d for _ in range(d)]
+    a3 = [[_GR_ZERO] * d for _ in range(d)]
     for p in range(d):
         mu = p - m
         if mu:
-            a1[p][p] = RadicalScalar.from_rational(0, mu)
+            a1[p][p] = GaussianRational(0, mu)
     for p in range(d - 1):
         mu = p - m
         n = (m - mu) * (m + mu + 1)
-        # A_2 = i Jx: (i/2) sqrt(n) on both ladder entries
-        # A_3 = i Jy: +(1/2) sqrt(n) below, -(1/2) sqrt(n) above the diagonal
-        a2[p + 1][p] = RadicalScalar.sqrt_int(n, half, imag=True)
-        a2[p][p + 1] = a2[p + 1][p]
-        a3[p + 1][p] = RadicalScalar.sqrt_int(n, half)
-        a3[p][p + 1] = -a3[p + 1][p]
+        # A_2 = i Jx: (i/2) sqrt(n) on both ladder entries -> i/2 below, i n/2 above
+        # A_3 = i Jy: +(1/2) sqrt(n) below, -(1/2) sqrt(n) above -> 1/2 below, -n/2 above
+        a2[p + 1][p] = GaussianRational(0, half)
+        a2[p][p + 1] = GaussianRational(0, half * n)
+        a3[p + 1][p] = GaussianRational(half)
+        a3[p][p + 1] = GaussianRational(-half * n)
     return (
         tuple(tuple(r) for r in a1),
         tuple(tuple(r) for r in a2),
@@ -599,7 +526,7 @@ def expand_in_q1_powers(qs: list[MatPoly], j: int) -> list:
         val = _GR_ZERO
         for e, mat in qs[j].terms.items():
             if e[1] == 0 and e[2] == 0:  # only pure x1 monomials survive at e_1
-                val = val + mat[p][p].gaussian_part()
+                val = val + mat[p][p]
         diag_lhs.append(val)
     # Vandermonde rows in (i*mu)^{j-2k}; for odd j the mu = 0 row vanishes
     rows, rhs = [], []

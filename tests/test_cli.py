@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -84,6 +85,25 @@ def test_qpoly_json(capsys):
     rec = json.loads(out)
     assert len(rec["Q"]) == 3
     assert rec["Q"][2]["terms"]
+
+
+# sha256 of the full stdout (trailing newline included).  The JSON holds only
+# exact rationals and integer radicands, so the bytes do not depend on the
+# platform.
+_QPOLY_SHA256 = {
+    0: "7587a7a570a1d789e5c1e4983f5890d69b3e3674babb2f87502d1a730b734cb1",
+    1: "6aab1f706f2a356aac3e20f03ecc06b6b762f24d2fc9d04acb8449f244e29e52",
+    2: "0741b7e10ebee50506d841df3b59ca4e4629ad27943de41efb44a47f37682b60",
+    3: "74c96478ab3e9df772b16ccbf1fabf69c54bd58b901a4ea810fa8d6f58a402ba",
+    4: "a9234cfa9fe30082a54e9b5f1ac478143f7dafca1e444f5434cb29e5ca405068",
+}
+
+
+@pytest.mark.parametrize("m", sorted(_QPOLY_SHA256))
+def test_qpoly_golden_bytes(capsys, m):
+    code, out, _ = run_cli(capsys, "qpoly", "--m", str(m))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _QPOLY_SHA256[m]
 
 
 def test_transform_pipeline(capsys, tmp_path):
