@@ -6,7 +6,6 @@ independent constructions, and applies the associated Fourier transform
 (with inversion) to sampled matrix-valued fields.
 """
 
-from ._kernels import backend
 from .errors import (
     CapabilityError,
     ChecksumMismatchError,
@@ -55,7 +54,6 @@ from .transform import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "backend",
     "build_irrep",
     "dtau",
     "tau",

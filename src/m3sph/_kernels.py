@@ -1,25 +1,12 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels, vectorized with numpy.
 
-Every public function here has two backends with identical semantics:
-
-* a ``@njit``-compiled scalar-loop version (default), and
-* a vectorized pure-numpy fallback.
-
-The fallback is selected automatically when numba is unavailable, or
-explicitly by setting the environment variable ``M3S_NO_NUMBA`` to a
-non-empty value before import.  ``backend()`` reports which one is live.
-
-Determinism: the jitted kernels parallelize only across independent
-output slots (one point or frequency per thread, no cross-thread
-reductions), and each slot accumulates in a fixed order - results are
-bit-for-bit reproducible across runs and thread counts on a given
-backend.
+One implementation per kernel: the radial kernel table, the matrix
+Q-series assembly, the plane-wave and lattice Fourier sums and the
+reference grid convolution.  Every kernel accumulates in a fixed order,
+so results are bit-for-bit reproducible from run to run.
 """
 
 from __future__ import annotations
-
-import os
-import warnings
 
 import numpy as np
 
@@ -27,94 +14,22 @@ _SERIES_CUTOFF = 0.5  # switch between Taylor series and trig recurrences
 _MILLER_EXTRA = 25    # extra start orders for the downward recurrence
 _RESCALE_LIMIT = 1e250
 
-# numba probes TBB at threading-layer init and warns loudly when the system
-# copy is old; any layer works for our per-slot parallelism, so silence that
-# one specific message
-warnings.filterwarnings(
-    "ignore", message="The TBB threading layer requires TBB version"
-)
-
-try:
-    from numba import njit, prange
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
-    prange = range
-
-
-_USE_NUMBA = NUMBA_AVAILABLE and not os.environ.get("M3S_NO_NUMBA")
-
-
-def backend() -> str:
-    """Name of the active kernel backend: ``"numba"`` or ``"numpy"``."""
-    return "numba" if _USE_NUMBA else "numpy"
-
 
 # ---------------------------------------------------------------------------
 # normalized half-integer Bessel kernels f_j(t) = (2j+1)!! j_j(t) / t^j
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True, parallel=True)
-def _f_table_nb(jmax, t, out):
-    # out has shape (jmax+1, t.size); each column is independent
-    nstart = jmax + _MILLER_EXTRA
-    for p in prange(t.size):
-        work = np.empty(nstart + 2)
-        tt = t[p]
-        if tt < _SERIES_CUTOFF:
-            x2 = 0.25 * tt * tt
-            for j in range(jmax + 1):
-                term = 1.0
-                acc = 1.0
-                for k in range(1, 14):
-                    term *= -x2 / (k * (j + k + 0.5))
-                    acc += term
-                out[j, p] = acc
-        else:
-            sj = np.empty(jmax + 1)
-            s = np.sin(tt)
-            c = np.cos(tt)
-            j0 = s / tt
-            j1 = s / (tt * tt) - c / tt
-            if tt >= jmax + 2.0:
-                # upward recurrence is stable once t clears the top order
-                sj[0] = j0
-                if jmax >= 1:
-                    sj[1] = j1
-                for l in range(1, jmax):
-                    sj[l + 1] = (2 * l + 1) / tt * sj[l] - sj[l - 1]
-            else:
-                # Miller downward recurrence, normalized against j_0 or j_1
-                work[nstart + 1] = 0.0
-                work[nstart] = 1e-30
-                for l in range(nstart, 0, -1):
-                    work[l - 1] = (2 * l + 1) / tt * work[l] - work[l + 1]
-                    if abs(work[l - 1]) > _RESCALE_LIMIT:
-                        for i in range(l - 1, nstart + 2):
-                            work[i] *= 1e-250
-                if abs(j0) >= abs(j1):
-                    scale = j0 / work[0]
-                else:
-                    scale = j1 / work[1]
-                for l in range(jmax + 1):
-                    sj[l] = work[l] * scale
-            mult = 1.0
-            out[0, p] = sj[0]
-            for j in range(1, jmax + 1):
-                mult *= (2 * j + 1) / tt
-                out[j, p] = mult * sj[j]
+def f_table(jmax: int, t) -> np.ndarray:
+    """Evaluate f_j(t) for all j = 0..jmax at each point of ``t``.
 
-
-def _f_table_np(jmax, t, out):
+    f_j is the radial kernel normalized to f_j(0) = 1; values are bounded
+    by 1 in modulus.  Returns an array of shape ``(jmax+1,) + t.shape``.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    shape = t.shape
+    t = np.ascontiguousarray(t.reshape(-1))
+    out = np.empty((jmax + 1, t.size))
     small = t < _SERIES_CUTOFF
     if small.any():
         ts = t[small]
@@ -136,6 +51,7 @@ def _f_table_np(jmax, t, out):
         sj = np.empty((jmax + 1, tb.size))
         up = tb >= jmax + 2.0
         if up.any():
+            # upward recurrence is stable once t clears the top order
             tu = tb[up]
             sj[0, up] = j0[up]
             if jmax >= 1:
@@ -144,6 +60,7 @@ def _f_table_np(jmax, t, out):
                 sj[l + 1, up] = (2 * l + 1) / tu * sj[l, up] - sj[l - 1, up]
         down = ~up
         if down.any():
+            # Miller downward recurrence, normalized against j_0 or j_1
             td = tb[down]
             nstart = jmax + _MILLER_EXTRA
             work = np.zeros((nstart + 2, td.size))
@@ -161,22 +78,7 @@ def _f_table_np(jmax, t, out):
         for j in range(1, jmax + 1):
             mult = mult * ((2 * j + 1) / tb)
             out[j, big] = mult * sj[j]
-
-
-def f_table(jmax: int, t) -> np.ndarray:
-    """Evaluate f_j(t) for all j = 0..jmax at each point of ``t``.
-
-    f_j is the radial kernel normalized to f_j(0) = 1; values are bounded
-    by 1 in modulus.  Returns an array of shape ``(jmax+1,) + t.shape``.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    flat = np.ascontiguousarray(t.reshape(-1))
-    out = np.empty((jmax + 1, flat.size))
-    if _USE_NUMBA:
-        _f_table_nb(jmax, flat, out)
-    else:
-        _f_table_np(jmax, flat, out)
-    return out.reshape((jmax + 1,) + t.shape)
+    return out.reshape((jmax + 1,) + shape)
 
 
 # ---------------------------------------------------------------------------
@@ -184,48 +86,17 @@ def f_table(jmax: int, t) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True, parallel=True)
-def _q_series_nb(gens, ajs, coeffs, xs, out):
-    n, nq = coeffs.shape
-    d = gens.shape[1]
-    for p in prange(n):
-        q1 = np.empty((d, d), dtype=np.complex128)
-        qprev = np.empty((d, d), dtype=np.complex128)
-        qcur = np.empty((d, d), dtype=np.complex128)
-        qnext = np.empty((d, d), dtype=np.complex128)
-        x0 = xs[p, 0]
-        x1 = xs[p, 1]
-        x2 = xs[p, 2]
-        r2 = x0 * x0 + x1 * x1 + x2 * x2
-        c0 = coeffs[p, 0]
-        for a in range(d):
-            for b in range(d):
-                out[p, a, b] = 0.0
-            out[p, a, a] = c0
-        if nq > 1:
-            c1 = coeffs[p, 1]
-            for a in range(d):
-                for b in range(d):
-                    v = x0 * gens[0, a, b] + x1 * gens[1, a, b] + x2 * gens[2, a, b]
-                    q1[a, b] = v
-                    qcur[a, b] = v
-                    out[p, a, b] += c1 * v
-                    qprev[a, b] = 0.0
-                qprev[a, a] = 1.0
-            for j in range(1, nq - 1):
-                cj = r2 * ajs[j - 1] / (2 * j + 1)
-                cc = coeffs[p, j + 1]
-                for a in range(d):
-                    for b in range(d):
-                        acc = -cj * qprev[a, b]
-                        for g in range(d):
-                            acc += q1[a, g] * qcur[g, b]
-                        qnext[a, b] = acc
-                        out[p, a, b] += cc * acc
-                qprev, qcur, qnext = qcur, qnext, qprev
+def q_series(gens: np.ndarray, ajs: np.ndarray, coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Assemble sum_l coeffs[p, l] * Q_l(x_p) for a batch of points.
 
-
-def _q_series_np(gens, ajs, coeffs, xs, out):
+    ``gens`` is the (3, d, d) generator stack, ``ajs`` the recursion scalars
+    a_1..a_{2m}, ``coeffs`` an (n, 2m+1) complex array and ``xs`` an (n, 3)
+    array of points.  Returns (n, d, d).
+    """
+    gens = np.ascontiguousarray(gens, dtype=np.complex128)
+    ajs = np.ascontiguousarray(ajs, dtype=np.float64)
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
     n, nq = coeffs.shape
     d = gens.shape[1]
     r2 = np.einsum("pi,pi->p", xs, xs)
@@ -241,60 +112,12 @@ def _q_series_np(gens, ajs, coeffs, xs, out):
             acc = acc + coeffs[:, j + 1, None, None] * qnext
             qprev = qcur
             qcur = qnext
-    out[:] = acc
-
-
-def q_series(gens: np.ndarray, ajs: np.ndarray, coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Assemble sum_l coeffs[p, l] * Q_l(x_p) for a batch of points.
-
-    ``gens`` is the (3, d, d) generator stack, ``ajs`` the recursion scalars
-    a_1..a_{2m}, ``coeffs`` an (n, 2m+1) complex array and ``xs`` an (n, 3)
-    array of points.  Returns (n, d, d).
-    """
-    gens = np.ascontiguousarray(gens, dtype=np.complex128)
-    ajs = np.ascontiguousarray(ajs, dtype=np.float64)
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    n = xs.shape[0]
-    d = gens.shape[1]
-    out = np.empty((n, d, d), dtype=np.complex128)
-    if _USE_NUMBA:
-        _q_series_nb(gens, ajs, coeffs, xs, out)
-    else:
-        _q_series_np(gens, ajs, coeffs, xs, out)
-    return out
+    return np.ascontiguousarray(acc)
 
 
 # ---------------------------------------------------------------------------
 # quadrature sums
 # ---------------------------------------------------------------------------
-
-
-@njit(cache=True, parallel=True)
-def _plane_wave_sum_nb(nodes, weights, projs, s, xs, out):
-    n = xs.shape[0]
-    nn = nodes.shape[0]
-    d = projs.shape[1]
-    for p in prange(n):
-        for a in range(d):
-            for b in range(d):
-                out[p, a, b] = 0.0
-        for a in range(nn):
-            dot = (
-                nodes[a, 0] * xs[p, 0]
-                + nodes[a, 1] * xs[p, 1]
-                + nodes[a, 2] * xs[p, 2]
-            )
-            ph = weights[a] * np.exp(-1j * s * dot)
-            for i in range(d):
-                for k in range(d):
-                    out[p, i, k] += ph * projs[a, i, k]
-
-
-def _plane_wave_sum_np(nodes, weights, projs, s, xs, out):
-    phases = np.exp(-1j * s * (xs @ nodes.T)) * weights
-    d = projs.shape[1]
-    out[:] = (phases @ projs.reshape(nodes.shape[0], d * d)).reshape(-1, d, d)
 
 
 def plane_wave_sum(nodes, weights, projs, s: float, xs) -> np.ndarray:
@@ -306,44 +129,9 @@ def plane_wave_sum(nodes, weights, projs, s: float, xs) -> np.ndarray:
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     projs = np.ascontiguousarray(projs, dtype=np.complex128)
     xs = np.ascontiguousarray(np.atleast_2d(xs), dtype=np.float64)
-    out = np.empty((xs.shape[0], projs.shape[1], projs.shape[2]), dtype=np.complex128)
-    if _USE_NUMBA:
-        _plane_wave_sum_nb(nodes, weights, projs, float(s), xs, out)
-    else:
-        _plane_wave_sum_np(nodes, weights, projs, float(s), xs, out)
-    return out
-
-
-@njit(cache=True, parallel=True)
-def _fourier_grid_sum_nb(values, pts, ys, weight, out):
-    npts = pts.shape[0]
-    d = values.shape[1]
-    for q in prange(ys.shape[0]):
-        y0 = ys[q, 0]
-        y1 = ys[q, 1]
-        y2 = ys[q, 2]
-        for a in range(d):
-            for b in range(d):
-                out[q, a, b] = 0.0
-        for a in range(npts):
-            dot = pts[a, 0] * y0 + pts[a, 1] * y1 + pts[a, 2] * y2
-            ph = np.exp(-1j * dot)
-            for i in range(d):
-                for k in range(d):
-                    out[q, i, k] += ph * values[a, i, k]
-        for i in range(d):
-            for k in range(d):
-                out[q, i, k] *= weight
-
-
-def _fourier_grid_sum_np(values, pts, ys, weight, out):
-    d = values.shape[1]
-    flat = values.reshape(pts.shape[0], d * d)
-    # chunk over y to bound the phase-matrix size
-    step = max(1, int(2e7) // max(1, pts.shape[0]))
-    for q0 in range(0, ys.shape[0], step):
-        ph = np.exp(-1j * (ys[q0 : q0 + step] @ pts.T))
-        out[q0 : q0 + step] = weight * (ph @ flat).reshape(-1, d, d)
+    phases = np.exp(-1j * float(s) * (xs @ nodes.T)) * weights
+    d = projs.shape[1]
+    return (phases @ projs.reshape(nodes.shape[0], d * d)).reshape(-1, d, d)
 
 
 def fourier_grid_sum(values, pts, ys, weight: float) -> np.ndarray:
@@ -355,56 +143,21 @@ def fourier_grid_sum(values, pts, ys, weight: float) -> np.ndarray:
     values = np.ascontiguousarray(values, dtype=np.complex128)
     pts = np.ascontiguousarray(pts, dtype=np.float64)
     ys = np.ascontiguousarray(np.atleast_2d(ys), dtype=np.float64)
-    out = np.empty((ys.shape[0], values.shape[1], values.shape[2]), dtype=np.complex128)
-    if _USE_NUMBA:
-        _fourier_grid_sum_nb(values, pts, ys, float(weight), out)
-    else:
-        _fourier_grid_sum_np(values, pts, ys, float(weight), out)
+    weight = float(weight)
+    d = values.shape[1]
+    out = np.empty((ys.shape[0], d, values.shape[2]), dtype=np.complex128)
+    flat = values.reshape(pts.shape[0], d * d)
+    # chunk over y to bound the phase-matrix size
+    step = max(1, int(2e7) // max(1, pts.shape[0]))
+    for q0 in range(0, ys.shape[0], step):
+        ph = np.exp(-1j * (ys[q0 : q0 + step] @ pts.T))
+        out[q0 : q0 + step] = weight * (ph @ flat).reshape(-1, d, d)
     return out
 
 
 # ---------------------------------------------------------------------------
 # direct grid convolution (oracle-grade; used by the homomorphism check)
 # ---------------------------------------------------------------------------
-
-
-@njit(cache=True, parallel=True)
-def _grid_convolution_nb(v1, v2, c0, c1, c2, vol, out):
-    n0, n1, n2, d, _ = v1.shape
-    for i0 in prange(n0):
-        for i1 in range(n1):
-            for i2 in range(n2):
-                acc = np.zeros((d, d), dtype=np.complex128)
-                for m0 in range(n0):
-                    a0 = i0 - m0 + c0
-                    if a0 < 0 or a0 >= n0:
-                        continue
-                    for m1 in range(n1):
-                        a1 = i1 - m1 + c1
-                        if a1 < 0 or a1 >= n1:
-                            continue
-                        for m2 in range(n2):
-                            a2 = i2 - m2 + c2
-                            if a2 < 0 or a2 >= n2:
-                                continue
-                            acc = acc + v1[a0, a1, a2] @ v2[m0, m1, m2]
-                out[i0, i1, i2] = vol * acc
-
-
-def _grid_convolution_np(v1, v2, c0, c1, c2, vol, out):
-    n0, n1, n2 = v1.shape[:3]
-    out[:] = 0
-    for m0 in range(n0):
-        lo0, hi0 = max(0, m0 - c0), min(n0, n0 + m0 - c0)
-        s0 = slice(lo0 - m0 + c0, hi0 - m0 + c0)
-        for m1 in range(n1):
-            lo1, hi1 = max(0, m1 - c1), min(n1, n1 + m1 - c1)
-            s1 = slice(lo1 - m1 + c1, hi1 - m1 + c1)
-            for m2 in range(n2):
-                lo2, hi2 = max(0, m2 - c2), min(n2, n2 + m2 - c2)
-                s2 = slice(lo2 - m2 + c2, hi2 - m2 + c2)
-                out[lo0:hi0, lo1:hi1, lo2:hi2] += v1[s0, s1, s2] @ v2[m0, m1, m2]
-    out *= vol
 
 
 def grid_convolution(v1: np.ndarray, v2: np.ndarray, center, vol: float) -> np.ndarray:
@@ -417,10 +170,18 @@ def grid_convolution(v1: np.ndarray, v2: np.ndarray, center, vol: float) -> np.n
     """
     v1 = np.ascontiguousarray(v1, dtype=np.complex128)
     v2 = np.ascontiguousarray(v2, dtype=np.complex128)
-    out = np.empty_like(v1)
     c0, c1, c2 = (int(c) for c in center)
-    if _USE_NUMBA:
-        _grid_convolution_nb(v1, v2, c0, c1, c2, float(vol), out)
-    else:
-        _grid_convolution_np(v1, v2, c0, c1, c2, float(vol), out)
+    n0, n1, n2 = v1.shape[:3]
+    out = np.zeros_like(v1)
+    for m0 in range(n0):
+        lo0, hi0 = max(0, m0 - c0), min(n0, n0 + m0 - c0)
+        s0 = slice(lo0 - m0 + c0, hi0 - m0 + c0)
+        for m1 in range(n1):
+            lo1, hi1 = max(0, m1 - c1), min(n1, n1 + m1 - c1)
+            s1 = slice(lo1 - m1 + c1, hi1 - m1 + c1)
+            for m2 in range(n2):
+                lo2, hi2 = max(0, m2 - c2), min(n2, n2 + m2 - c2)
+                s2 = slice(lo2 - m2 + c2, hi2 - m2 + c2)
+                out[lo0:hi0, lo1:hi1, lo2:hi2] += v1[s0, s1, s2] @ v2[m0, m1, m2]
+    out *= float(vol)
     return out

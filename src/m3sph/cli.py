@@ -15,7 +15,6 @@ import tempfile
 import numpy as np
 
 from . import polyalg, spherical, transform
-from .checks import run_checks
 from .errors import FieldFormatError, M3sphError
 from .fieldio import Config, read_field, synthesize, write_field
 from .radial import f as radial_f
@@ -60,15 +59,17 @@ def _matrix_json(mat: np.ndarray):
 
 def _load_config(args) -> Config:
     cfg = Config.from_file(args.config) if getattr(args, "config", None) else Config.default()
-    overrides = {}
-    if getattr(args, "smax", None):
-        overrides["s_max"] = args.smax
-    if getattr(args, "nr", None):
-        overrides["radial_nodes_per_panel"] = args.nr
-    if getattr(args, "grid_n", None):
-        overrides["grid_n"] = args.grid_n
-    if getattr(args, "grid_extent", None):
-        overrides["grid_extent"] = args.grid_extent
+    flags = {
+        "s_max": "smax",
+        "radial_nodes_per_panel": "nr",
+        "grid_n": "grid_n",
+        "grid_extent": "grid_extent",
+    }
+    overrides = {
+        key: getattr(args, flag)
+        for key, flag in flags.items()
+        if getattr(args, flag, None) is not None
+    }
     return cfg.replace(**overrides) if overrides else cfg
 
 
@@ -159,6 +160,19 @@ def _phi_table(m: int, s: float, j: int, args) -> int:
     return EXIT_OK
 
 
+def _inverse_on_cube(coeffs, cfg: Config):
+    """Inverse transform sampled on the cube [-grid_extent, grid_extent]^3
+    with grid_n nodes per axis, as a grid-form field."""
+    n = cfg.grid_n
+    ax = np.linspace(-cfg.grid_extent, cfg.grid_extent, n)
+    pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    vals = transform.inverse(coeffs, pts, truncation_tol=cfg.truncation_tol)
+    d = 2 * coeffs.m + 1
+    return transform.MatrixField.grid(
+        coeffs.m, np.array([ax[0]] * 3), ax[1] - ax[0], vals.reshape(n, n, n, d, d)
+    )
+
+
 def cmd_transform(args) -> int:
     cfg = _load_config(args)
     if args.direction == "forward":
@@ -173,17 +187,7 @@ def cmd_transform(args) -> int:
     else:
         with open(args.infile) as fh:
             coeffs = transform.SphericalCoefficients.from_json(fh.read())
-        ax = np.linspace(-cfg.grid_extent, cfg.grid_extent, cfg.grid_n)
-        pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
-        vals = transform.inverse(coeffs, pts, truncation_tol=cfg.truncation_tol)
-        d = 2 * coeffs.m + 1
-        field = transform.MatrixField.grid(
-            coeffs.m,
-            np.array([ax[0]] * 3),
-            ax[1] - ax[0],
-            vals.reshape(cfg.grid_n, cfg.grid_n, cfg.grid_n, d, d),
-        )
-        write_field(field, args.outfile)
+        write_field(_inverse_on_cube(coeffs, cfg), args.outfile)
     return EXIT_OK
 
 
@@ -234,15 +238,7 @@ def cmd_filter(args) -> int:
             vals.reshape(*field.shape, field.dim, field.dim),
         )
     else:
-        ax = np.linspace(-cfg.grid_extent, cfg.grid_extent, cfg.grid_n)
-        pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
-        vals = transform.inverse(filtered, pts, truncation_tol=cfg.truncation_tol)
-        out = transform.MatrixField.grid(
-            field.m,
-            np.array([ax[0]] * 3),
-            ax[1] - ax[0],
-            vals.reshape(cfg.grid_n, cfg.grid_n, cfg.grid_n, field.dim, field.dim),
-        )
+        out = _inverse_on_cube(filtered, cfg)
     write_field(out, args.outfile)
     return EXIT_OK
 
@@ -255,6 +251,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .checks import run_checks  # scipy.special is only needed here
+
     ms = [int(v) for v in args.m.split(",")] if args.m else [0, 1]
     report = run_checks(ms=ms, seed=args.seed, profile=args.profile)
     print(json.dumps(report, sort_keys=True))

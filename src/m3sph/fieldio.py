@@ -31,7 +31,7 @@ from .errors import (
     PayloadLengthError,
     UnsupportedVersionError,
 )
-from .radial import RadialProfile
+from .radial import RadialProfile, _spline_profile
 from .transform import MatrixField
 
 MAGIC = "M3SF"
@@ -43,29 +43,29 @@ class Config:
     """Numerical knobs shared by the CLI; flat key=value file on disk.
 
     The environment variable M3S_CONFIG names a default file.  All
-    tolerances must be positive; a sphere_degree_min of 0 means "use the
-    band-limit heuristic".
+    tolerances must be positive, the lattice needs at least two nodes per
+    axis on a positive extent, and an s_max of 0 means "estimate from the
+    field".
     """
 
-    sphere_degree_min: int = 0
     radial_nodes_per_panel: int = 32
     panel_width: float = 4.0
-    n_radial_samples: int = 257
     s_max: float = 0.0  # 0 = estimate from the field
-    r_max: float = 12.0
     grid_extent: float = 8.0
     grid_n: int = 41
     ingest_tol: float = 1e-6
-    residual_tol: float = 1e-3
     truncation_tol: float = 1e-6
-    threads: int = 0
 
     def __post_init__(self):
-        for name in ("ingest_tol", "residual_tol", "truncation_tol"):
-            if getattr(self, name) <= 0:
+        for name in ("ingest_tol", "truncation_tol", "panel_width", "grid_extent"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.radial_nodes_per_panel < 4:
             raise ValueError("radial_nodes_per_panel must be at least 4")
+        if self.grid_n < 2:
+            raise ValueError("grid_n must be at least 2")
+        if not self.s_max >= 0:
+            raise ValueError("s_max must be non-negative (0 = estimate)")
 
     @staticmethod
     def from_file(path: str) -> "Config":
@@ -155,21 +155,6 @@ def write_field(field: MatrixField, path: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _spline_profile(r_grid: np.ndarray, samples: np.ndarray, label: dict) -> RadialProfile:
-    from scipy.interpolate import CubicSpline
-
-    sre = CubicSpline(r_grid, samples.real)
-    sim = CubicSpline(r_grid, samples.imag)
-    lo, hi = float(r_grid[0]), float(r_grid[-1])
-
-    def ev(r, _re=sre, _im=sim, _lo=lo, _hi=hi):
-        r = np.asarray(r, dtype=np.float64)
-        inside = (r >= _lo) & (r <= _hi)
-        return np.where(inside, _re(r) + 1j * _im(r), 0.0 + 0.0j)
-
-    return RadialProfile(evaluator=ev, label=label)
 
 
 def read_field(path: str, ingest_tol: float = 1e-6) -> MatrixField:

@@ -104,6 +104,23 @@ class RadialProfile:
         return bool(self.label.get("decays", False))
 
 
+def _spline_profile(grid: np.ndarray, samples: np.ndarray, label: dict) -> RadialProfile:
+    """Cubic-spline profile through complex ``samples`` on ``grid``; zero
+    outside the grid."""
+    from scipy.interpolate import CubicSpline
+
+    spline_re = CubicSpline(grid, samples.real)
+    spline_im = CubicSpline(grid, samples.imag)
+    lo, hi = float(grid[0]), float(grid[-1])
+
+    def ev(r):
+        r = np.asarray(r, dtype=np.float64)
+        inside = (r >= lo) & (r <= hi)
+        return np.where(inside, spline_re(r) + 1j * spline_im(r), 0.0 + 0.0j)
+
+    return RadialProfile(evaluator=ev, label=label)
+
+
 def kernel_profile(j: int, s: float) -> RadialProfile:
     """The profile r -> f_j^s(r); value 1 at r = 0, bounded by 1."""
     return RadialProfile(

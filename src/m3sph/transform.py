@@ -28,7 +28,7 @@ import numpy as np
 from . import spherical
 from ._kernels import f_table, fourier_grid_sum, grid_convolution, q_series
 from .errors import DecompositionError
-from .radial import RadialProfile, double_factorial_odd
+from .radial import RadialProfile, _spline_profile, double_factorial_odd
 from .so3rep import Rotation, tau
 
 _E1 = np.array([1.0, 0.0, 0.0])
@@ -347,21 +347,10 @@ class SphericalCoefficients:
     values: np.ndarray
 
     def profile(self, j: int) -> RadialProfile:
-        from scipy.interpolate import CubicSpline
-
-        row = self.values[j + self.m]
-        spline_re = CubicSpline(self.s_grid, row.real)
-        spline_im = CubicSpline(self.s_grid, row.imag)
-        lo, hi = self.s_grid[0], self.s_grid[-1]
-
-        def ev(s, _re=spline_re, _im=spline_im, _lo=lo, _hi=hi):
-            s = np.asarray(s, dtype=np.float64)
-            inside = (s >= _lo) & (s <= _hi)
-            out = np.where(inside, _re(s) + 1j * _im(s), 0.0 + 0.0j)
-            return out
-
-        return RadialProfile(
-            evaluator=ev, label={"kind": "spherical-transform", "j": j, "decays": True}
+        return _spline_profile(
+            self.s_grid,
+            self.values[j + self.m],
+            {"kind": "spherical-transform", "j": j, "decays": True},
         )
 
     def to_json(self) -> str:

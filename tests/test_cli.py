@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -205,3 +208,78 @@ def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["phi", "--m", "1"])  # missing required flags
     assert exc.value.code == 2
+
+
+def test_cli_import_leaves_checks_and_scipy_unloaded():
+    # only `check` needs m3sph.checks and scipy.special; every other command
+    # should not pay for importing them
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = (
+        "import sys, m3sph.cli; "
+        "print(sorted(k for k in sys.modules if k == 'm3sph.checks' or k.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.fixture
+def coeff_file(capsys, tmp_path):
+    field_path = tmp_path / "g.m3sf"
+    coeff_path = tmp_path / "c.json"
+    assert run_cli(capsys, "synth", "gaussian", "--m", "0", "--out", str(field_path))[0] == 0
+    code, _, _ = run_cli(
+        capsys, "transform", "forward", "--in", str(field_path), "--out", str(coeff_path)
+    )
+    assert code == 0
+    return field_path, coeff_path
+
+
+@pytest.mark.parametrize(
+    "direction,flags",
+    [
+        ("inverse", ["--grid-n", "1"]),
+        ("inverse", ["--grid-n", "0"]),
+        ("inverse", ["--grid-extent", "-2"]),
+        ("inverse", ["--grid-extent", "0"]),
+        ("forward", ["--nr", "0"]),
+        ("forward", ["--smax", "-1"]),
+    ],
+)
+def test_degenerate_flag_is_usage_error(capsys, tmp_path, coeff_file, direction, flags):
+    infile = coeff_file[1] if direction == "inverse" else coeff_file[0]
+    out_path = tmp_path / "out"
+    code, _, err = run_cli(
+        capsys, "transform", direction, "--in", str(infile), "--out", str(out_path), *flags
+    )
+    assert code == 2
+    assert err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "direction,line",
+    [
+        ("inverse", "grid_n = 0"),
+        ("inverse", "grid_n = 1"),
+        ("inverse", "grid_extent = -2"),
+        ("forward", "panel_width = 0"),
+        ("forward", "s_max = -1"),
+        ("forward", "threads = 2"),
+    ],
+)
+def test_degenerate_config_is_usage_error(capsys, tmp_path, coeff_file, direction, line):
+    infile = coeff_file[1] if direction == "inverse" else coeff_file[0]
+    conf = tmp_path / "m3s.conf"
+    conf.write_text(line + "\n")
+    out_path = tmp_path / "out"
+    code, _, err = run_cli(
+        capsys, "transform", direction, "--in", str(infile), "--out", str(out_path),
+        "--config", str(conf),
+    )
+    assert code == 2
+    assert err
+    assert not out_path.exists()

@@ -183,6 +183,14 @@ def test_config_validation(tmp_path):
         Config.from_file(str(bad))
 
 
+def test_config_rejects_degenerate_geometry():
+    for bad in ({"grid_n": 1}, {"grid_n": 0}, {"grid_extent": 0.0}, {"grid_extent": -2.0},
+                {"panel_width": 0.0}, {"s_max": -1.0}, {"truncation_tol": float("nan")}):
+        with pytest.raises(ValueError):
+            Config(**bad)
+    assert Config(s_max=0.0, grid_n=2).s_max == 0.0  # 0 still means "estimate"
+
+
 def test_write_is_atomic(tmp_path):
     F = synthesize("gaussian", 0)
     target = tmp_path / "out.m3sf"

@@ -1,34 +1,20 @@
-"""Backend parity: every kernel's numba and numpy paths must agree."""
+"""The numpy kernels against direct references.
+
+``q_series`` is checked point by point against the pointwise recursion
+``spherical.q_stack``; the plane-wave and lattice Fourier sums against
+explicit Python sums over their nodes; the grid convolution against a
+loop over lattice indices.  ``f_table`` is checked against scipy's
+spherical Bessel functions in ``test_radial.py``.
+"""
+
+import cmath
 
 import numpy as np
 import pytest
 
-from m3sph import _kernels
+from m3sph import _kernels, spherical
 from m3sph.polyalg import coeff_table
 from m3sph.so3rep import build_irrep
-
-
-def _numpy_f_table(jmax, t):
-    t = np.ascontiguousarray(np.asarray(t, dtype=np.float64).reshape(-1))
-    out = np.empty((jmax + 1, t.size))
-    _kernels._f_table_np(jmax, t, out)
-    return out
-
-
-def test_f_table_backends_agree():
-    rng = np.random.default_rng(0)
-    t = np.concatenate(
-        [
-            np.array([0.0, 1e-8, 0.499999, 0.5, 0.500001]),
-            rng.uniform(0, 2, 50),
-            rng.uniform(2, 50, 50),
-            rng.uniform(50, 400, 20),
-        ]
-    )
-    for jmax in (0, 1, 5, 14):
-        ours = _kernels.f_table(jmax, t)
-        ref = _numpy_f_table(jmax, t)
-        assert np.max(np.abs(ours - ref)) < 1e-13
 
 
 def test_f_table_shape_handling():
@@ -41,61 +27,51 @@ def test_f_table_shape_handling():
     assert scalar.shape == (3,)
 
 
-def _setups(m, n, seed=0):
-    rng = np.random.default_rng(seed)
-    rep = build_irrep(m)
-    ajs = coeff_table(m).as_floats()
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_q_series_against_q_stack(m):
+    rng = np.random.default_rng(0)
+    n = 17
     coeffs = rng.normal(size=(n, 2 * m + 1)) + 1j * rng.normal(size=(n, 2 * m + 1))
     xs = rng.uniform(-3, 3, size=(n, 3))
-    return rep, ajs, coeffs, xs
+    out = _kernels.q_series(build_irrep(m).generators, coeff_table(m).as_floats(), coeffs, xs)
+    assert out.shape == (n, 2 * m + 1, 2 * m + 1)
+    for p in range(n):
+        qs = spherical.q_stack(m, xs[p])
+        ref = sum(coeffs[p, l] * qs[l] for l in range(2 * m + 1))
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(out[p] - ref)) < 1e-13 * scale
 
 
-@pytest.mark.parametrize("m", [0, 1, 3])
-def test_q_series_backends_agree(m):
-    rep, ajs, coeffs, xs = _setups(m, 17)
-    out_active = _kernels.q_series(rep.generators, ajs, coeffs, xs)
-    ref = np.empty_like(out_active)
-    _kernels._q_series_np(
-        np.ascontiguousarray(rep.generators), ajs, coeffs, xs, ref
-    )
-    scale = max(1.0, float(np.max(np.abs(ref))))
-    assert np.max(np.abs(out_active - ref)) < 1e-13 * scale
-
-
-def test_plane_wave_sum_backends_agree():
+def test_plane_wave_sum_against_node_loop():
     rng = np.random.default_rng(1)
     nodes = rng.normal(size=(40, 3))
     nodes /= np.linalg.norm(nodes, axis=1)[:, None]
     weights = rng.uniform(0.1, 1.0, 40)
     projs = rng.normal(size=(40, 3, 3)) + 1j * rng.normal(size=(40, 3, 3))
     xs = rng.uniform(-2, 2, size=(6, 3))
-    out = _kernels.plane_wave_sum(nodes, weights, projs, 1.7, xs)
-    ref = np.empty_like(out)
-    _kernels._plane_wave_sum_np(nodes, weights, projs, 1.7, xs, ref)
-    assert np.max(np.abs(out - ref)) < 1e-12
+    s = 1.7
+    out = _kernels.plane_wave_sum(nodes, weights, projs, s, xs)
+    assert out.shape == (6, 3, 3)
+    for p, x in enumerate(xs):
+        ref = np.zeros((3, 3), dtype=complex)
+        for a in range(len(nodes)):
+            ref += weights[a] * cmath.exp(-1j * s * float(nodes[a] @ x)) * projs[a]
+        assert np.max(np.abs(out[p] - ref)) < 1e-12
 
 
-def test_fourier_grid_sum_backends_agree():
+def test_fourier_grid_sum_against_node_loop():
     rng = np.random.default_rng(2)
     pts = rng.uniform(-4, 4, size=(300, 3))
     values = rng.normal(size=(300, 2, 2)) + 1j * rng.normal(size=(300, 2, 2))
     ys = rng.uniform(-3, 3, size=(5, 3))
-    out = _kernels.fourier_grid_sum(values, pts, ys, 0.25)
-    ref = np.empty_like(out)
-    _kernels._fourier_grid_sum_np(values, pts, ys, 0.25, ref)
-    assert np.max(np.abs(out - ref)) < 1e-10
-
-
-def test_grid_convolution_backends_agree():
-    rng = np.random.default_rng(3)
-    n = 5
-    v1 = rng.normal(size=(n, n, n, 2, 2)) + 1j * rng.normal(size=(n, n, n, 2, 2))
-    v2 = rng.normal(size=(n, n, n, 2, 2)) + 1j * rng.normal(size=(n, n, n, 2, 2))
-    center = (2, 2, 2)
-    out = _kernels.grid_convolution(v1, v2, center, 0.5)
-    ref = np.empty_like(out)
-    _kernels._grid_convolution_np(v1, v2, *center, 0.5, ref)
-    assert np.max(np.abs(out - ref)) < 1e-12
+    weight = 0.25
+    out = _kernels.fourier_grid_sum(values, pts, ys, weight)
+    assert out.shape == (5, 2, 2)
+    for q, y in enumerate(ys):
+        ref = np.zeros((2, 2), dtype=complex)
+        for a in range(len(pts)):
+            ref += cmath.exp(-1j * float(pts[a] @ y)) * values[a]
+        assert np.max(np.abs(out[q] - weight * ref)) < 1e-10
 
 
 def test_grid_convolution_against_loop_reference():
@@ -119,7 +95,3 @@ def test_grid_convolution_against_loop_reference():
     ref *= vol
     out = _kernels.grid_convolution(v1, v2, c, vol)
     assert np.max(np.abs(out - ref)) < 1e-12
-
-
-def test_backend_reports_a_name():
-    assert _kernels.backend() in ("numba", "numpy")
