@@ -13,6 +13,7 @@ from .errors import (
     DecompositionError,
     FieldFormatError,
     M3sphError,
+    MalformedCoefficientsError,
     MalformedHeaderError,
     PayloadLengthError,
     UnsupportedVersionError,
@@ -101,6 +102,7 @@ __all__ = [
     "ConsistencyError",
     "FieldFormatError",
     "MalformedHeaderError",
+    "MalformedCoefficientsError",
     "UnsupportedVersionError",
     "ChecksumMismatchError",
     "PayloadLengthError",

@@ -138,7 +138,9 @@ def fourier_grid_sum(values, pts, ys, weight: float) -> np.ndarray:
     """Discrete Fourier sum  w * sum_a values_a exp(-i <pt_a, y_q>).
 
     ``values`` is (N, d, d), ``pts`` is (N, 3), ``ys`` is (nq, 3); returns
-    (nq, d, d).
+    (nq, d, d).  This is the lattice transform at arbitrary frequencies
+    (``classical_ft`` of a grid field); the transforms along e_1 factor
+    the lattice into slabs instead.
     """
     values = np.ascontiguousarray(values, dtype=np.complex128)
     pts = np.ascontiguousarray(pts, dtype=np.float64)

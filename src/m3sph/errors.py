@@ -33,6 +33,10 @@ class PayloadLengthError(FieldFormatError):
     pass
 
 
+class MalformedCoefficientsError(FieldFormatError):
+    """A spherical-coefficient JSON document lacks a key or has inconsistent shapes."""
+
+
 class DecompositionError(M3sphError):
     """Field could not be decomposed into radial coefficients.
 

@@ -83,7 +83,12 @@ class Config:
                 if key not in fields:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
                 default = getattr(Config, key)
-                kwargs[key] = type(default)(raw) if not isinstance(default, int) else int(float(raw))
+                value = float(raw)
+                if isinstance(default, int):
+                    if not value.is_integer():
+                        raise ValueError(f"{path}:{lineno}: {key} must be an integer, got {raw!r}")
+                    value = int(value)
+                kwargs[key] = value
         return Config(**kwargs)
 
     @staticmethod

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import spherical
 from ._kernels import f_table, fourier_grid_sum, grid_convolution, q_series
-from .errors import DecompositionError
+from .errors import DecompositionError, MalformedCoefficientsError
 from .radial import RadialProfile, _spline_profile, double_factorial_odd
 from .so3rep import Rotation, tau
 
@@ -166,10 +166,11 @@ class MatrixField:
         if self.form != "radial":
             raise ValueError("pointwise evaluation is for radial-form fields")
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        r = np.linalg.norm(xs, axis=1)
+        # profiles are pointwise in r: evaluate each distinct radius once
+        radii, back = np.unique(np.linalg.norm(xs, axis=1), return_inverse=True)
         coeffs = np.stack(
-            [np.asarray(p(r), dtype=np.complex128) for p in self.profiles], axis=1
-        )
+            [np.asarray(p(radii), dtype=np.complex128) for p in self.profiles], axis=1
+        )[back]
         rep = spherical._rep(self.m)
         return q_series(rep.generators, spherical._ajs(self.m), coeffs, xs)
 
@@ -282,10 +283,19 @@ def classical_ft(F: MatrixField, y, per_panel: int | None = None) -> np.ndarray:
 
 
 def _ft_along_e1(F: MatrixField, s_arr: np.ndarray, per_panel: int | None = None) -> np.ndarray:
-    """Fhat(s e_1) for a batch of scales; returns (n_s, d, d)."""
+    """Fhat(s e_1) for a batch of scales; returns (n_s, d, d).
+
+    Grid form: the phase exp(-i s x_1) does not depend on x_2 and x_3, so
+    the lattice is first summed over them into slabs (O(N)) and the
+    transform is the 1-D sum  h^3 sum_{x_1} exp(-i s x_1) slab(x_1), which
+    holds for any origin and any (n0, n1, n2).  Radial form: the radial
+    kernel coefficients against Q_k(e_1), which are diagonal.
+    """
     if F.form == "grid":
-        ys = np.outer(s_arr, _E1)
-        return fourier_grid_sum(F.values_flat(), F.grid_points(), ys, F.spacing**3)
+        x1 = F.axes()[0]
+        slabs = F.values.sum(axis=(1, 2)).reshape(x1.size, -1)  # (n0, d*d)
+        phases = np.exp(-1j * np.multiply.outer(s_arr, x1))  # (n_s, n0)
+        return (F.spacing**3 * (phases @ slabs)).reshape(-1, F.dim, F.dim)
     c = _radial_ft_coeffs(F, s_arr, per_panel)
     qe1 = spherical.q_stack(F.m, _E1)  # (L, d, d), all diagonal
     return np.tensordot(c, qe1, axes=([1], [0]))
@@ -366,17 +376,34 @@ class SphericalCoefficients:
 
     @staticmethod
     def from_json(text: str) -> "SphericalCoefficients":
+        """Parse the ``to_json`` document.  A missing key, a negative or
+        non-integer m, or values and weights whose shapes do not match
+        (2m+1, len(s_grid)) raise MalformedCoefficientsError."""
         data = json.loads(text)
-        vals = np.array(
-            [[complex(re, im) for re, im in row] for row in data["values"]],
-            dtype=np.complex128,
-        )
-        return SphericalCoefficients(
-            m=int(data["m"]),
-            s_grid=np.array(data["s_grid"], dtype=np.float64),
-            s_weights=np.array(data["s_weights"], dtype=np.float64),
-            values=vals,
-        )
+        try:
+            m = data["m"]
+            s_grid = np.array(data["s_grid"], dtype=np.float64)
+            s_weights = np.array(data["s_weights"], dtype=np.float64)
+            vals = np.array(
+                [[complex(re, im) for re, im in row] for row in data["values"]],
+                dtype=np.complex128,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedCoefficientsError(
+                f"missing or malformed spherical-coefficient entry: {exc!r}"
+            ) from exc
+        if type(m) is not int or m < 0:
+            raise MalformedCoefficientsError(f"m must be a non-negative integer, got {m!r}")
+        if s_grid.ndim != 1 or s_weights.shape != s_grid.shape:
+            raise MalformedCoefficientsError(
+                f"s_weights shape {s_weights.shape} does not match s_grid shape {s_grid.shape}"
+            )
+        if vals.shape != (2 * m + 1, s_grid.size):
+            raise MalformedCoefficientsError(
+                f"values shape {vals.shape} is not (2m+1, len(s_grid)) = "
+                f"{(2 * m + 1, s_grid.size)}"
+            )
+        return SphericalCoefficients(m=m, s_grid=s_grid, s_weights=s_weights, values=vals)
 
 
 def estimate_decay_scale(F: MatrixField) -> float:
@@ -405,14 +432,22 @@ def forward(
     s_max defaults to 12 / (estimated spatial width), where the transform
     of a smooth decaying field is negligible.  For grid fields s_max is
     capped at the lattice Nyquist frequency pi/spacing: beyond it the
-    discrete transform is pure aliasing.
+    discrete transform is pure aliasing.  A given s_max and panel_width
+    must be positive and per_panel at least 1 (ValueError otherwise).
     """
-    if s_max is None:
+    requested = s_max is not None
+    if requested and not s_max > 0:
+        raise ValueError(f"s_max must be positive, got {s_max}")
+    if not panel_width > 0:
+        raise ValueError(f"panel_width must be positive, got {panel_width}")
+    if per_panel < 1:
+        raise ValueError(f"per_panel must be at least 1, got {per_panel}")
+    if not requested:
         s_max = 12.0 / estimate_decay_scale(F)
     if F.form == "grid":
         nyquist = math.pi / F.spacing
         if s_max > nyquist:
-            if s_max != 12.0 / estimate_decay_scale(F):
+            if requested:
                 warnings.warn(
                     f"requested s_max={s_max:.3g} exceeds the grid Nyquist "
                     f"frequency {nyquist:.3g}; capping",
@@ -446,6 +481,11 @@ def inverse(
     F(x) = C sum_j int phi-transform(r, j) Phi_{r,j}(x) r^2 dr with
     C = 1/(2 pi^2 (2m+1)); the radial integral runs over the sampled grid
     (quadrature weights stored with the coefficients).
+
+    The Q_l coefficients of F(x) depend on |x| alone, so they are computed
+    once per distinct radius (exact float radii, no rounding):
+    c_l(r) = sum_q G[l, q] f_l(s_q r) with the r-independent matrix
+    G[l, q] = C s_q^l w_q s_q^2 sum_j u_{j,l} values[j, q].
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     m = coeffs.m
@@ -461,21 +501,16 @@ def inverse(
         )
     u = _unit_eigvecs(m)  # (L_j, L_l)
     powers = s[None, :] ** np.arange(L)[:, None]  # (L_l, n_s)
-    r = np.linalg.norm(xs, axis=1)
-    # inner[j, l] per point: sum_q w_q s_q^2 vals[j, q] s_q^l f_l(s_q r)
     base = vals * (w * s**2)[None, :]  # (L_j, n_s)
-    c = np.empty((xs.shape[0], L), dtype=np.complex128)
-    const = inversion_constant(m)
+    G = inversion_constant(m) * powers * (u.T @ base)  # (L_l, n_s)
+    radii, back = np.unique(np.linalg.norm(xs, axis=1), return_inverse=True)
+    c = np.empty((radii.size, L), dtype=np.complex128)
     block = max(1, int(2e6) // max(1, L * s.size))
-    for b0 in range(0, xs.shape[0], block):
-        rb = r[b0 : b0 + block]
-        fv = f_table(L - 1, np.multiply.outer(rb, s))  # (L, nb, n_s)
-        for p in range(rb.size):
-            wmat = powers * fv[:, p, :]  # (L_l, n_s)
-            inner = base @ wmat.T  # (L_j, L_l)
-            c[b0 + p] = const * np.einsum("jl,jl->l", u, inner)
+    for b0 in range(0, radii.size, block):
+        fv = f_table(L - 1, np.multiply.outer(radii[b0 : b0 + block], s))  # (L, nb, n_s)
+        c[b0 : b0 + block] = np.einsum("lq,lpq->pl", G, fv)
     rep = spherical._rep(m)
-    return q_series(rep.generators, spherical._ajs(m), c, xs)
+    return q_series(rep.generators, spherical._ajs(m), c[back], xs)
 
 
 def apply_multiplier(coeffs: SphericalCoefficients, mu) -> SphericalCoefficients:

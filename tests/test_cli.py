@@ -269,6 +269,7 @@ def test_degenerate_flag_is_usage_error(capsys, tmp_path, coeff_file, direction,
         ("forward", "panel_width = 0"),
         ("forward", "s_max = -1"),
         ("forward", "threads = 2"),
+        ("forward", "grid_n = 2.7"),
     ],
 )
 def test_degenerate_config_is_usage_error(capsys, tmp_path, coeff_file, direction, line):
@@ -281,5 +282,30 @@ def test_degenerate_config_is_usage_error(capsys, tmp_path, coeff_file, directio
         "--config", str(conf),
     )
     assert code == 2
+    assert err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "breakage",
+    ["missing_key", "values_shape", "weights_length", "negative_m"],
+)
+def test_malformed_coefficients_is_format_error(capsys, tmp_path, coeff_file, breakage):
+    doc = json.loads(coeff_file[1].read_text())
+    if breakage == "missing_key":
+        del doc["s_weights"]
+    elif breakage == "values_shape":
+        doc["values"] = [row[:-1] for row in doc["values"]]
+    elif breakage == "weights_length":
+        doc["s_weights"] = doc["s_weights"][:-1]
+    else:
+        doc["m"] = -1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out_path = tmp_path / "out.m3sf"
+    code, _, err = run_cli(
+        capsys, "transform", "inverse", "--in", str(bad), "--out", str(out_path)
+    )
+    assert code == 3
     assert err
     assert not out_path.exists()

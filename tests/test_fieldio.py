@@ -183,6 +183,19 @@ def test_config_validation(tmp_path):
         Config.from_file(str(bad))
 
 
+def test_config_integer_keys_reject_fractions(tmp_path):
+    path = tmp_path / "m3s.conf"
+    for raw, expected in (("5", 5), ("5.0", 5)):
+        path.write_text(f"grid_n = {raw}\nradial_nodes_per_panel = {raw}\n")
+        cfg = Config.from_file(str(path))
+        assert (cfg.grid_n, cfg.radial_nodes_per_panel) == (expected, expected)
+        assert type(cfg.grid_n) is int
+    for line in ("grid_n = 2.7", "radial_nodes_per_panel = 4.9", "grid_n = nan"):
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match="integer"):
+            Config.from_file(str(path))
+
+
 def test_config_rejects_degenerate_geometry():
     for bad in ({"grid_n": 1}, {"grid_n": 0}, {"grid_extent": 0.0}, {"grid_extent": -2.0},
                 {"panel_width": 0.0}, {"s_max": -1.0}, {"truncation_tol": float("nan")}):

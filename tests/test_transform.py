@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from m3sph import fieldio, spherical, transform
+from m3sph import _kernels, fieldio, spherical, transform
 from m3sph.errors import DecompositionError
 from m3sph.so3rep import Rotation, build_irrep, tau
 
@@ -99,6 +99,21 @@ def test_classical_ft_requires_decay_metadata():
         transform.classical_ft(F, np.ones(3))
 
 
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_ft_along_e1_matches_lattice_sum(m):
+    # the slab factorisation holds on any lattice: off-centre, n0 != n1 != n2
+    d = 2 * m + 1
+    rng = np.random.default_rng(10 + m)
+    values = rng.normal(size=(7, 9, 11, d, d)) + 1j * rng.normal(size=(7, 9, 11, d, d))
+    G = transform.MatrixField.grid(m, np.array([-2.3, -1.1, -4.7]), 0.45, values)
+    s_arr = np.linspace(0.05, 6.5, 13)
+    out = transform._ft_along_e1(G, s_arr)
+    ref = _kernels.fourier_grid_sum(
+        G.values_flat(), G.grid_points(), np.outer(s_arr, [1.0, 0.0, 0.0]), G.spacing**3
+    )
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 # ---------------------------------------------------------------------------
 # h decomposition and the spherical transform
 # ---------------------------------------------------------------------------
@@ -179,6 +194,38 @@ def test_gaussian_roundtrip_pointwise():
         assert np.max(np.abs(coeffs.values[:, -1])) < 1e-8 * peak
 
 
+def _inverse_per_point(coeffs, xs):
+    """The inversion formula point by point: c_l(x) = C sum_j u_{j,l}
+    sum_q w_q s_q^2 values[j, q] s_q^l f_l(s_q |x|), then sum_l c_l Q_l(x)."""
+    m = coeffs.m
+    L = 2 * m + 1
+    s, w, vals = coeffs.s_grid, coeffs.s_weights, coeffs.values
+    u = transform._unit_eigvecs(m)
+    powers = s[None, :] ** np.arange(L)[:, None]
+    base = vals * (w * s**2)[None, :]
+    out = []
+    for x in xs:
+        wmat = powers * _kernels.f_table(L - 1, np.linalg.norm(x) * s)
+        c = transform.inversion_constant(m) * np.einsum("jl,jl->l", u, base @ wmat.T)
+        out.append(np.tensordot(c, spherical.q_stack(m, x), axes=1))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_inverse_matches_per_point_reference(m):
+    F = fieldio.synthesize("gaussian", m, {"sigma": 1.0, "component": m})
+    coeffs = transform.forward(F)
+    rng = np.random.default_rng(20 + m)
+    coeffs.values *= (rng.normal(size=2 * m + 1) + 1j * rng.normal(size=2 * m + 1))[:, None]
+    ax = np.linspace(-2.0, 2.0, 9)  # a lattice: many points share a radius
+    lattice = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    scattered = rng.uniform(-2.5, 2.5, size=(40, 3))
+    for pts in (lattice, scattered):
+        rec = transform.inverse(coeffs, pts)
+        ref = _inverse_per_point(coeffs, pts)
+        assert np.max(np.abs(rec - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_roundtrip_validates_constant_analytically():
     # int_0^infty (2pi)^{3/2} e^{-r^2/2} r^2 dr * 1/(2 pi^2) = 1 exactly
     F = fieldio.synthesize("gaussian", 0, {"sigma": 1.0})
@@ -200,6 +247,13 @@ def test_inverse_warns_on_truncation():
     coeffs = transform.forward(F, s_max=1.0)  # artificially truncated
     with pytest.warns(UserWarning, match="truncat"):
         transform.inverse(coeffs, np.zeros((1, 3)))
+
+
+def test_forward_validates_quadrature_geometry(gaussian_m1):
+    for bad in ({"s_max": -1.0}, {"s_max": 0.0}, {"s_max": float("nan")},
+                {"panel_width": -4.0}, {"panel_width": 0.0}, {"per_panel": 0}):
+        with pytest.raises(ValueError):
+            transform.forward(gaussian_m1, **bad)
 
 
 def test_coefficients_json_roundtrip():
