@@ -15,6 +15,7 @@ from .errors import (
     M3sphError,
     MalformedCoefficientsError,
     MalformedHeaderError,
+    NonFinitePayloadError,
     PayloadLengthError,
     UnsupportedVersionError,
 )
@@ -106,5 +107,6 @@ __all__ = [
     "UnsupportedVersionError",
     "ChecksumMismatchError",
     "PayloadLengthError",
+    "NonFinitePayloadError",
     "DecompositionError",
 ]

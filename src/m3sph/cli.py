@@ -163,13 +163,11 @@ def _phi_table(m: int, s: float, j: int, args) -> int:
 def _inverse_on_cube(coeffs, cfg: Config):
     """Inverse transform sampled on the cube [-grid_extent, grid_extent]^3
     with grid_n nodes per axis, as a grid-form field."""
-    n = cfg.grid_n
-    ax = np.linspace(-cfg.grid_extent, cfg.grid_extent, n)
-    pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
-    vals = transform.inverse(coeffs, pts, truncation_tol=cfg.truncation_tol)
-    d = 2 * coeffs.m + 1
-    return transform.MatrixField.grid(
-        coeffs.m, np.array([ax[0]] * 3), ax[1] - ax[0], vals.reshape(n, n, n, d, d)
+    return transform.MatrixField.cube(
+        coeffs.m,
+        cfg.grid_extent,
+        cfg.grid_n,
+        lambda pts: transform.inverse(coeffs, pts, truncation_tol=cfg.truncation_tol),
     )
 
 

@@ -33,6 +33,10 @@ class PayloadLengthError(FieldFormatError):
     pass
 
 
+class NonFinitePayloadError(FieldFormatError):
+    """An M3SF payload holds a NaN or infinite value."""
+
+
 class MalformedCoefficientsError(FieldFormatError):
     """A spherical-coefficient JSON document lacks a key or has inconsistent shapes."""
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -28,6 +29,7 @@ from . import transform
 from .errors import (
     ChecksumMismatchError,
     MalformedHeaderError,
+    NonFinitePayloadError,
     PayloadLengthError,
     UnsupportedVersionError,
 )
@@ -116,8 +118,8 @@ class FieldHeader:
     def expected_payload_bytes(self) -> int:
         d = 2 * self.m + 1
         if self.form == "grid":
-            n = self.geometry["n"]
-            return int(n[0]) * int(n[1]) * int(n[2]) * d * d * 16
+            n0, n1, n2 = self.geometry["n"]
+            return n0 * n1 * n2 * d * d * 16
         return len(self.geometry["r_grid"]) * d * 16
 
 
@@ -162,8 +164,37 @@ def write_field(field: MatrixField, path: str) -> None:
         raise
 
 
+def _finite_number(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _check_geometry(path: str, form: str, geometry: dict) -> None:
+    """Raise MalformedHeaderError unless the geometry describes a lattice
+    (three positive integer sizes, a finite positive spacing, a finite
+    origin) or a radial grid (a list of finite numbers)."""
+    if form == "grid":
+        n, spacing, origin = (geometry.get(k) for k in ("n", "spacing", "origin"))
+        if not (isinstance(n, list) and len(n) == 3 and all(type(v) is int and v > 0 for v in n)):
+            raise MalformedHeaderError(f"{path}: grid n must be three positive integers, got {n!r}")
+        if not (_finite_number(spacing) and spacing > 0):
+            raise MalformedHeaderError(
+                f"{path}: grid spacing must be a finite positive number, got {spacing!r}"
+            )
+        if not (isinstance(origin, list) and len(origin) == 3 and all(map(_finite_number, origin))):
+            raise MalformedHeaderError(
+                f"{path}: grid origin must be three finite numbers, got {origin!r}"
+            )
+    else:
+        r_grid = geometry.get("r_grid")
+        if not (isinstance(r_grid, list) and all(map(_finite_number, r_grid))):
+            raise MalformedHeaderError(f"{path}: radial r_grid must be a list of finite numbers")
+
+
 def read_field(path: str, ingest_tol: float = 1e-6) -> MatrixField:
-    """Read an M3SF file; verifies length and checksum.
+    """Read an M3SF file; verifies the header, the payload length and
+    checksum, and that every payload value is finite.  A malformed header
+    raises MalformedHeaderError, a NaN or infinite value
+    NonFinitePayloadError.
 
     Grid fields get an equivariance diagnostic attached; a defect above
     ``ingest_tol`` (relative) is reported as a warning, not an error -
@@ -185,13 +216,17 @@ def read_field(path: str, ingest_tol: float = 1e-6) -> MatrixField:
     form = head.get("form")
     if form not in ("grid", "radial") or "m" not in head:
         raise MalformedHeaderError(f"{path}: incomplete header")
+    m = head["m"]
+    if type(m) is not int or m < 0:
+        raise MalformedHeaderError(f"{path}: m must be a non-negative integer, got {m!r}")
     geometry = head.get(form)
-    if geometry is None:
+    if not isinstance(geometry, dict):
         raise MalformedHeaderError(f"{path}: missing {form} geometry")
+    _check_geometry(path, form, geometry)
     header = FieldHeader(
         magic=head["magic"],
         version=head["version"],
-        m=int(head["m"]),
+        m=m,
         form=form,
         geometry=geometry,
         checksum=head.get("checksum", ""),
@@ -205,9 +240,10 @@ def read_field(path: str, ingest_tol: float = 1e-6) -> MatrixField:
         raise ChecksumMismatchError(f"{path}: payload checksum mismatch")
     d = 2 * header.m + 1
     data = np.frombuffer(payload, dtype="<c16")
+    if not np.all(np.isfinite(data)):
+        raise NonFinitePayloadError(f"{path}: payload holds NaN or infinite values")
     if form == "grid":
-        n = [int(v) for v in geometry["n"]]
-        values = data.reshape(n[0], n[1], n[2], d, d).copy()
+        values = data.reshape(*geometry["n"], d, d).copy()
         fld = MatrixField.grid(
             header.m,
             np.array(geometry["origin"], dtype=np.float64),

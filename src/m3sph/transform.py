@@ -59,6 +59,19 @@ def gl_panels(a: float, b: float, per_panel: int = DEFAULT_NODES_PER_PANEL,
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def radii(xs: np.ndarray) -> np.ndarray:
+    """|x| for an (n, 3) batch of points, invariant under sign flips and
+    permutations of the coordinates to the last bit.
+
+    The squares of the sorted |x_k| are summed in one fixed order, so the
+    nodes of a lattice with exactly antisymmetric axes that lie on one
+    sphere up to those symmetries share one float radius, and radial work
+    deduplicated by exact float equality runs once per shared radius.
+    """
+    a = np.sort(np.abs(xs), axis=1)
+    return np.sqrt(a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1] + a[:, 2] * a[:, 2])
+
+
 # ---------------------------------------------------------------------------
 # matrix-valued fields
 # ---------------------------------------------------------------------------
@@ -111,6 +124,22 @@ class MatrixField:
         )
 
     @staticmethod
+    def cube(m: int, extent: float, n: int, sample) -> "MatrixField":
+        """A grid field on the cube [-extent, extent]^3 with n nodes per axis.
+
+        ``sample`` maps the (n^3, 3) grid_points() of that lattice to the
+        (n^3, d, d) field values there.  n should be odd so the lattice
+        contains the origin.
+        """
+        ax = np.linspace(-extent, extent, n)
+        lattice = MatrixField(
+            m=m, form="grid", origin=np.full(3, ax[0]), spacing=float(ax[1] - ax[0]), shape=(n,) * 3
+        )
+        vals = sample(lattice.grid_points())
+        d = 2 * m + 1
+        return MatrixField.grid(m, lattice.origin, lattice.spacing, vals.reshape(n, n, n, d, d))
+
+    @staticmethod
     def radial(m: int, profiles, r_grid, samples: np.ndarray | None = None) -> "MatrixField":
         if len(profiles) != 2 * m + 1:
             raise ValueError(f"need {2*m+1} radial profiles for m={m}")
@@ -129,11 +158,23 @@ class MatrixField:
         return 2 * self.m + 1
 
     def axes(self):
-        return [
-            self.origin[i] + self.spacing * np.arange(self.shape[i]) for i in range(3)
-        ]
+        """Node coordinates along each axis.
+
+        On a lattice that contains the spatial origin (see center_index)
+        node i sits at spacing * (i - c), with c the index of the origin,
+        so the axes are exactly antisymmetric about it: on a symmetric cube
+        grid_points()[::-1] == -grid_points() exactly, and radii() gives
+        nodes that differ by signs and axis permutations the same float.
+        Any other lattice has nodes at origin + spacing * i.
+        """
+        try:
+            c = self.center_index()
+        except ValueError:
+            return [self.origin[k] + self.spacing * np.arange(self.shape[k]) for k in range(3)]
+        return [self.spacing * (np.arange(self.shape[k]) - c[k]) for k in range(3)]
 
     def grid_points(self) -> np.ndarray:
+        """The lattice nodes in C order, shape (nx * ny * nz, 3); see axes()."""
         ax = self.axes()
         g = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1)
         return g.reshape(-1, 3)
@@ -167,23 +208,20 @@ class MatrixField:
             raise ValueError("pointwise evaluation is for radial-form fields")
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
         # profiles are pointwise in r: evaluate each distinct radius once
-        radii, back = np.unique(np.linalg.norm(xs, axis=1), return_inverse=True)
+        rs, back = np.unique(radii(xs), return_inverse=True)
         coeffs = np.stack(
-            [np.asarray(p(radii), dtype=np.complex128) for p in self.profiles], axis=1
+            [np.asarray(p(rs), dtype=np.complex128) for p in self.profiles], axis=1
         )[back]
         rep = spherical._rep(self.m)
         return q_series(rep.generators, spherical._ajs(self.m), coeffs, xs)
 
     def to_grid(self, extent: float = DEFAULT_GRID_EXTENT, n: int = DEFAULT_GRID_N) -> "MatrixField":
-        """Rasterize a radial-form field on a symmetric cubic lattice.
+        """Rasterize a radial-form field on the cube [-extent, extent]^3
+        (see cube()).
 
         n should be odd so the lattice contains the origin.
         """
-        ax = np.linspace(-extent, extent, n)
-        spacing = ax[1] - ax[0]
-        pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
-        vals = self.eval_points(pts).reshape(n, n, n, self.dim, self.dim)
-        out = MatrixField.grid(self.m, np.array([ax[0]] * 3), spacing, vals)
+        out = MatrixField.cube(self.m, extent, n, self.eval_points)
         out.equivariance_residual = self.equivariance_residual
         return out
 
@@ -192,7 +230,16 @@ class MatrixField:
         """Relative equivariance defect of a grid field under the
         lattice-preserving quarter-turn rotations; None when the lattice
         is not a symmetric cube.  Radial fields are equivariant by
-        construction (0.0)."""
+        construction (0.0).
+
+        The defect is max_k max_x |tau(k) F(k^-1 x) tau(k)^* - F(x)| over
+        the turns k in _INGEST_ROTATIONS, relative to max |F|; it is also
+        stored as ``equivariance_residual``.  Each k^-1 is a signed
+        permutation of the axes, so F(k^-1 x) is ``values`` with axes
+        flipped and transposed (no point coordinates are rounded), and the
+        transport is one product of the flattened matrices with
+        kron(tau, conj tau)^T.
+        """
         if self.form == "radial":
             return 0.0
         n0, n1, n2 = self.shape
@@ -204,17 +251,18 @@ class MatrixField:
         if not symmetric:
             return None
         rep = spherical._rep(self.m)
-        pts = self.grid_points()
-        flat = self.values_flat()
+        d2 = self.dim * self.dim
+        flat = self.values.reshape(-1, d2)
         scale = float(np.max(np.abs(flat))) or 1.0
         worst = 0.0
         for rot in _INGEST_ROTATIONS:
-            rinv = rot.inverse().matrix
-            src = pts @ rinv.T
-            idx = np.rint((src - self.origin) / self.spacing).astype(int)
-            lin = np.ravel_multi_index(idx.T, self.shape)
+            # source index along axis k: i_{p(k)}, reversed where the sign is -1
+            perm = np.rint(rot.inverse().matrix).astype(int)
+            p = np.argmax(np.abs(perm), axis=1)
+            flipped = np.flip(self.values, axis=tuple(np.flatnonzero(perm[np.arange(3), p] < 0)))
+            src = flipped.transpose(*np.argsort(p), 3, 4).reshape(-1, d2)
             tk = tau(rep, rot)
-            transported = tk @ flat[lin] @ tk.conj().T
+            transported = src @ np.kron(tk, tk.conj()).T
             worst = max(worst, float(np.max(np.abs(transported - flat))) / scale)
         self.equivariance_residual = worst
         return worst
@@ -412,7 +460,7 @@ def estimate_decay_scale(F: MatrixField) -> float:
         r = F.r_grid
         w = np.max(np.abs(F.sample_profiles()), axis=1)
     else:
-        r = np.linalg.norm(F.grid_points(), axis=1)
+        r = radii(F.grid_points())
         w = np.max(np.abs(F.values_flat()), axis=(1, 2))
     num = float(np.sum(w * r**4))
     den = float(np.sum(w * r**2))
@@ -483,7 +531,7 @@ def inverse(
     (quadrature weights stored with the coefficients).
 
     The Q_l coefficients of F(x) depend on |x| alone, so they are computed
-    once per distinct radius (exact float radii, no rounding):
+    once per distinct radius (exact floats from radii(), no rounding):
     c_l(r) = sum_q G[l, q] f_l(s_q r) with the r-independent matrix
     G[l, q] = C s_q^l w_q s_q^2 sum_j u_{j,l} values[j, q].
     """
@@ -503,11 +551,11 @@ def inverse(
     powers = s[None, :] ** np.arange(L)[:, None]  # (L_l, n_s)
     base = vals * (w * s**2)[None, :]  # (L_j, n_s)
     G = inversion_constant(m) * powers * (u.T @ base)  # (L_l, n_s)
-    radii, back = np.unique(np.linalg.norm(xs, axis=1), return_inverse=True)
-    c = np.empty((radii.size, L), dtype=np.complex128)
+    rs, back = np.unique(radii(xs), return_inverse=True)
+    c = np.empty((rs.size, L), dtype=np.complex128)
     block = max(1, int(2e6) // max(1, L * s.size))
-    for b0 in range(0, radii.size, block):
-        fv = f_table(L - 1, np.multiply.outer(radii[b0 : b0 + block], s))  # (L, nb, n_s)
+    for b0 in range(0, rs.size, block):
+        fv = f_table(L - 1, np.multiply.outer(rs[b0 : b0 + block], s))  # (L, nb, n_s)
         c[b0 : b0 + block] = np.einsum("lq,lpq->pl", G, fv)
     rep = spherical._rep(m)
     return q_series(rep.generators, spherical._ajs(m), c[back], xs)
@@ -568,7 +616,7 @@ def schwartz_decompose(
         )
 
     profiles = [make_profile(k) for k in range(L)]
-    rho_max = float(np.max(np.linalg.norm(F.grid_points(), axis=1)))
+    rho_max = float(np.max(radii(F.grid_points())))
     r_grid = np.linspace(0.0, rho_max, n_rho)
     out = MatrixField.radial(m, profiles, r_grid)
 

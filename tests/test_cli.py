@@ -309,3 +309,28 @@ def test_malformed_coefficients_is_format_error(capsys, tmp_path, coeff_file, br
     assert code == 3
     assert err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("breakage", ["short_n", "negative_spacing", "text_spacing", "nan_payload"])
+def test_malformed_field_is_format_error(capsys, tmp_path, breakage):
+    F = fieldio.synthesize("gaussian", 1).to_grid(extent=2.0, n=5)
+    if breakage == "nan_payload":
+        F.values[2, 2, 2, 1, 1] = np.nan
+    path = tmp_path / "f.m3sf"
+    fieldio.write_field(F, str(path))
+    head, payload = path.read_bytes().split(b"\n", 1)
+    h = json.loads(head)
+    if breakage == "short_n":
+        h["grid"]["n"] = [5, 25]
+    elif breakage == "negative_spacing":
+        h["grid"]["spacing"] = -1.0
+    elif breakage == "text_spacing":
+        h["grid"]["spacing"] = "abc"
+    path.write_bytes(json.dumps(h).encode() + b"\n" + payload)
+    out_path = tmp_path / "out.m3sf"
+    code, _, err = run_cli(
+        capsys, "filter", "--in", str(path), "--out", str(out_path), "--multiplier", "laplacian"
+    )
+    assert code == 3
+    assert err
+    assert not out_path.exists()

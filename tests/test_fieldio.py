@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from m3sph import fieldio, transform
 from m3sph.errors import (
     ChecksumMismatchError,
+    FieldFormatError,
     MalformedHeaderError,
+    NonFinitePayloadError,
     PayloadLengthError,
     UnsupportedVersionError,
 )
@@ -89,6 +91,82 @@ def test_error_taxonomy(tmp_path):
     bad.write_bytes(head + b"\n" + bytes(flipped))
     with pytest.raises(ChecksumMismatchError):
         read_field(str(bad))
+
+
+def _rewrite_header(src, dst, edit):
+    head, payload = src.read_bytes().split(b"\n", 1)
+    h = json.loads(head)
+    edit(h)
+    dst.write_bytes(json.dumps(h).encode() + b"\n" + payload)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("n", [5, 25]),
+        ("n", [5, 5, 0]),
+        ("n", [5, 5, -5]),
+        ("n", [5, 5, 5.0]),
+        ("n", "555"),
+        ("spacing", -1.0),
+        ("spacing", 0.0),
+        ("spacing", "abc"),
+        ("spacing", float("nan")),
+        ("spacing", float("inf")),
+        ("origin", [0.0, float("nan"), 0.0]),
+        ("origin", [float("-inf"), 0.0, 0.0]),
+        ("origin", [0.0, 0.0]),
+        ("m", -1),
+        ("m", 1.5),
+        ("m", "1"),
+    ],
+)
+def test_malformed_grid_header_is_format_error(tmp_path, key, value):
+    F = synthesize("gaussian", 1).to_grid(extent=2.0, n=5)
+    path, bad = tmp_path / "f.m3sf", tmp_path / "bad.m3sf"
+    write_field(F, str(path))
+
+    def edit(h):
+        (h if key == "m" else h["grid"])[key] = value
+
+    _rewrite_header(path, bad, edit)
+    with pytest.raises(FieldFormatError):
+        read_field(str(bad))
+
+
+@pytest.mark.parametrize("breakage", ["nan_node", "text_node", "nested"])
+def test_malformed_radial_header_is_format_error(tmp_path, breakage):
+    path, bad = tmp_path / "f.m3sf", tmp_path / "bad.m3sf"
+    write_field(synthesize("gaussian", 0), str(path))
+
+    def edit(h):
+        r_grid = h["radial"]["r_grid"]  # edits keep its length
+        if breakage == "nan_node":
+            r_grid[3] = float("nan")
+        elif breakage == "text_node":
+            r_grid[3] = "abc"
+        else:
+            h["radial"]["r_grid"] = [[r] for r in r_grid]
+
+    _rewrite_header(path, bad, edit)
+    with pytest.raises(FieldFormatError):
+        read_field(str(bad))
+
+
+@pytest.mark.parametrize("form", ["grid", "radial"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_payload_is_format_error(tmp_path, form, bad):
+    F = synthesize("gaussian", 1)
+    if form == "grid":
+        F = F.to_grid(extent=2.0, n=5)
+        F.values[1, 2, 3, 0, 1] = bad
+    else:
+        F.radial_samples = F.sample_profiles().copy()
+        F.radial_samples[3, 1] = bad
+    path = tmp_path / "f.m3sf"
+    write_field(F, str(path))
+    with pytest.raises(NonFinitePayloadError):
+        read_field(str(path))
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -402,3 +404,64 @@ def test_equivariance_diagnostic():
         1, np.array([0.0, 0.0, 0.0]), 0.5, np.zeros((4, 4, 4, 3, 3), dtype=complex)
     )
     assert K.equivariance_diagnostic() is None
+
+
+def _rotate_and_round_diagnostic(F):
+    """The ingest diagnostic written out pointwise: rotate every node by
+    k^-1, round back to lattice indices, transport with tau(k)."""
+    rep = build_irrep(F.m)
+    pts = F.grid_points()
+    flat = F.values_flat()
+    scale = float(np.max(np.abs(flat))) or 1.0
+    worst = 0.0
+    for rot in transform._INGEST_ROTATIONS:
+        src = pts @ rot.inverse().matrix.T
+        idx = np.rint((src - F.origin) / F.spacing).astype(int)
+        lin = np.ravel_multi_index(idx.T, F.shape)
+        tk = tau(rep, rot)
+        worst = max(worst, float(np.max(np.abs(tk @ flat[lin] @ tk.conj().T - flat))) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [5, 6, 7, 9])
+def test_equivariance_diagnostic_matches_rotate_and_round(m, n):
+    rng = np.random.default_rng(100 * m + n)
+    d = 2 * m + 1
+    vals = rng.normal(size=(n, n, n, d, d)) + 1j * rng.normal(size=(n, n, n, d, d))
+    F = transform.MatrixField.grid(m, np.full(3, -1.5), 3.0 / (n - 1), vals)
+    ref = _rotate_and_round_diagnostic(F)
+    assert ref > 0.1  # random fields are far from equivariant
+    got = F.equivariance_diagnostic()
+    assert abs(got - ref) <= 1e-12 * ref
+    assert F.equivariance_residual == got
+    # a near-equivariant field: the defect of one perturbed node
+    G = fieldio.synthesize("gaussian", m, {"component": m}).to_grid(extent=3.0, n=n)
+    G.values[1, 2, 3] += 1e-3 * vals[0, 0, 0]
+    ref = _rotate_and_round_diagnostic(G)
+    assert abs(G.equivariance_diagnostic() - ref) <= 1e-12 * ref
+
+
+def test_symmetric_lattice_is_exactly_antisymmetric():
+    for extent, n in ((8.0, 41), (3.0, 7), (0.7, 9)):
+        pts = transform.MatrixField.cube(0, extent, n, lambda pts: np.zeros(len(pts))).grid_points()
+        assert np.array_equal(pts[::-1], -pts)
+    # a lattice through the origin that is not centred on it
+    K = transform.MatrixField.grid(0, np.array([-0.5, -1.0, 0.0]), 0.1, np.zeros((9, 25, 4, 1, 1)))
+    for a, c in zip(K.axes(), K.center_index()):
+        k = min(c, a.size - 1 - c)
+        assert a[c] == 0.0
+        assert np.array_equal(a[c - k : c][::-1], -a[c + 1 : c + 1 + k])
+
+
+def test_radii_share_exact_floats_under_signs_and_permutations():
+    rng = np.random.default_rng(4)
+    xs = rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-3, 3, size=(200, 1))
+    r = transform.radii(xs)
+    assert np.allclose(r, np.linalg.norm(xs, axis=1), rtol=1e-15, atol=0)
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            assert np.array_equal(transform.radii(np.array(signs) * xs[:, perm]), r)
+    # the default 41^3 lattice: 68 921 nodes on at most 808 distinct float radii
+    G = transform.MatrixField.cube(0, 8.0, 41, lambda pts: np.zeros(len(pts)))
+    assert np.unique(transform.radii(G.grid_points())).size <= 808
