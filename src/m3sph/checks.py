@@ -356,7 +356,7 @@ def suite_transform(ms, rng, profile: str) -> dict:
                     1e-4,
                 )
         hvals = transform.h_decompose(F, 1.3)
-        fam = transform._proj_e1(m)
+        fam = spherical.projections(m, [1.0, 0.0, 0.0])
         fhat = transform.classical_ft(F, np.array([1.3, 0.0, 0.0]))
         recon = sum(hvals[j + m] * fam.P(j) for j in range(-m, m + 1))
         rec.case(f"m={m} h-decomposition", np.max(np.abs(recon - fhat)), 1e-8)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -37,7 +38,10 @@ def _parse_vec(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected 'x,y,z', got {text!r}")
-    return np.array([float(p) for p in parts])
+    vec = np.array([float(p) for p in parts])
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"point coordinates must be finite, got {text!r}")
+    return vec
 
 
 def _atomic_write_text(path: str, text: str):
@@ -73,6 +77,16 @@ def _load_config(args) -> Config:
     return cfg.replace(**overrides) if overrides else cfg
 
 
+def _forward(field, cfg: Config):
+    """The spherical transform of ``field`` on the s-grid that ``cfg`` sizes."""
+    return transform.forward(
+        field,
+        s_max=cfg.s_max or None,
+        per_panel=cfg.radial_nodes_per_panel,
+        panel_width=cfg.panel_width,
+    )
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -94,6 +108,8 @@ def cmd_qpoly(args) -> int:
 def cmd_radial(args) -> int:
     if not args.table:
         raise _Usage("radial currently only emits tables; pass --table")
+    if not (math.isfinite(args.s) and math.isfinite(args.rmax)):
+        raise _Usage("--s and --rmax must be finite")
     jmax = args.jmax if args.jmax is not None else 2 * args.m
     rs = np.linspace(0.0, args.rmax, args.n)
     cols = np.stack([radial_f(j, args.s * rs) for j in range(jmax + 1)])
@@ -174,13 +190,7 @@ def _inverse_on_cube(coeffs, cfg: Config):
 def cmd_transform(args) -> int:
     cfg = _load_config(args)
     if args.direction == "forward":
-        field = read_field(args.infile, ingest_tol=cfg.ingest_tol)
-        coeffs = transform.forward(
-            field,
-            s_max=cfg.s_max or None,
-            per_panel=cfg.radial_nodes_per_panel,
-            panel_width=cfg.panel_width,
-        )
+        coeffs = _forward(read_field(args.infile, ingest_tol=cfg.ingest_tol), cfg)
         _atomic_write_text(args.outfile, coeffs.to_json() + "\n")
     else:
         with open(args.infile) as fh:
@@ -219,13 +229,7 @@ def cmd_filter(args) -> int:
     cfg = _load_config(args)
     field = read_field(args.infile, ingest_tol=cfg.ingest_tol)
     mu = _multiplier_from_spec(args.multiplier)
-    coeffs = transform.forward(
-        field,
-        s_max=cfg.s_max or None,
-        per_panel=cfg.radial_nodes_per_panel,
-        panel_width=cfg.panel_width,
-    )
-    filtered = transform.apply_multiplier(coeffs, mu)
+    filtered = transform.apply_multiplier(_forward(field, cfg), mu)
     if field.form == "grid":
         pts = field.grid_points()
         vals = transform.inverse(filtered, pts, truncation_tol=cfg.truncation_tol)

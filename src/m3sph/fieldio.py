@@ -47,7 +47,9 @@ class Config:
     The environment variable M3S_CONFIG names a default file.  All
     tolerances must be positive, the lattice needs at least two nodes per
     axis on a positive extent, and an s_max of 0 means "estimate from the
-    field".
+    field".  radial_nodes_per_panel and panel_width size forward()'s
+    s-grid; the r-rule of the radial-form transform is fixed at 32 nodes
+    per panel of width 4.
     """
 
     radial_nodes_per_panel: int = 32
@@ -329,26 +331,11 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
         _reject_unknown(kind, params)
         s_nodes, s_w = transform.gl_panels(0.0, s0 + 10.0 * width)
         bump_vals = amp * np.exp(-((s_nodes - s0) ** 2) / (2 * width * width))
-        u = transform._unit_eigvecs(m)
-        const = transform.inversion_constant(m)
-
-        def make_profile(k):
-            weight = s_w * s_nodes ** (k + 2)
-
-            def ev(rho, _k=k, _weight=weight):
-                from ._kernels import f_table
-
-                rho = np.atleast_1d(np.asarray(rho, dtype=np.float64))
-                fk = f_table(_k, np.multiply.outer(rho, s_nodes))[_k]
-                # all 2m+1 transform rows carry the same bump profile
-                usum = np.sum(u[:, _k])
-                return const * usum * (fk @ (bump_vals * _weight))
-
-            return RadialProfile(
-                evaluator=ev, label={"kind": "bump-g", "k": k, "s0": s0, "decays": True}
-            )
-
-        profiles = [make_profile(k) for k in range(L)]
+        # every one of the 2m+1 transform rows carries the same bump
+        bump = transform.SphericalCoefficients(
+            m=m, s_grid=s_nodes, s_weights=s_w, values=np.tile(bump_vals, (L, 1))
+        )
+        profiles = transform.inverse_profiles(bump, {"kind": "bump-g", "s0": s0})
         r_max = max(12.0 / width, 12.0)
     else:
         raise ValueError(f"unknown field kind {kind!r}")

@@ -350,11 +350,6 @@ class MatPoly:
         return records
 
 
-def eval(P: MatPoly, x) -> np.ndarray:  # noqa: A001 - deliberate module-level name
-    """Evaluate a MatPoly at a real 3-vector."""
-    return P.eval(x)
-
-
 def _check_m(m: int, m_max: int):
     if m < 0 or m != int(m):
         raise ValueError("m must be a non-negative integer")

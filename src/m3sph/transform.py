@@ -11,8 +11,10 @@ Conventions (declared once, used everywhere):
 
 A field F decomposes against the spectral projections: Fhat = sum_j h_j P_j
 with h_j radial, and the spherical transform of F at (s, j) equals
-h_{-j}(s) = Tr[P_{-j}(e_1) Fhat(s e_1)] - the "fast" path.  The "direct"
-path integrates Tr[F(x) Phi_{s,j}(x)^*] over a grid; the two must agree.
+h_{-j}(s) = Tr[P_{-j}(e_1) Fhat(s e_1)] - the "fast" path.  In the weight
+basis A_1 = diag(i j), so P_j(e_1) is the coordinate projection E_jj and
+h_j(s) is the diagonal entry j+m of Fhat(s e_1).  The "direct" path
+integrates Tr[F(x) Phi_{s,j}(x)^*] over a grid; the two must agree.
 """
 
 from __future__ import annotations
@@ -70,6 +72,18 @@ def radii(xs: np.ndarray) -> np.ndarray:
     """
     a = np.sort(np.abs(xs), axis=1)
     return np.sqrt(a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1] + a[:, 2] * a[:, 2])
+
+
+def _radial_series(m: int, xs, coeffs_at) -> np.ndarray:
+    """sum_l c_l(|x|) Q_l(x) on an (n, 3) batch of finite points, with the
+    (n_r, 2m+1) coefficients ``coeffs_at(rs)`` computed once per distinct
+    float radius of radii()."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("evaluation points must be finite")
+    rs, back = np.unique(radii(xs), return_inverse=True)
+    rep = spherical._rep(m)
+    return q_series(rep.generators, spherical._ajs(m), coeffs_at(rs)[back], xs)
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +217,15 @@ class MatrixField:
         return self.radial_samples
 
     def eval_points(self, xs: np.ndarray) -> np.ndarray:
-        """Evaluate the field at an (n, 3) batch of points (radial form)."""
+        """Evaluate the field at an (n, 3) batch of finite points (radial
+        form); a NaN or infinite coordinate raises ValueError."""
         if self.form != "radial":
             raise ValueError("pointwise evaluation is for radial-form fields")
-        xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        # profiles are pointwise in r: evaluate each distinct radius once
-        rs, back = np.unique(radii(xs), return_inverse=True)
-        coeffs = np.stack(
-            [np.asarray(p(rs), dtype=np.complex128) for p in self.profiles], axis=1
-        )[back]
-        rep = spherical._rep(self.m)
-        return q_series(rep.generators, spherical._ajs(self.m), coeffs, xs)
+
+        def at(rs):
+            return np.stack([np.asarray(p(rs), dtype=np.complex128) for p in self.profiles], axis=1)
+
+        return _radial_series(self.m, xs, at)
 
     def to_grid(self, extent: float = DEFAULT_GRID_EXTENT, n: int = DEFAULT_GRID_N) -> "MatrixField":
         """Rasterize a radial-form field on the cube [-extent, extent]^3
@@ -273,30 +285,20 @@ class MatrixField:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _proj_e1(m: int):
-    return spherical.projections(m, _E1)
+def _radial_ft_coeffs(field: MatrixField, s_arr: np.ndarray):
+    """Fourier coefficients c_k(s) with Fhat(s*eta) = sum_k c_k(s) Q_k(eta).
 
-
-def _radial_quad(field: MatrixField, per_panel: int | None = None):
+    c_k(s) = 4 pi (-i)^k int g_k(r) j_k(sr) r^{k+2} dr, via the normalized
+    kernels: j_k(t) = t^k f_k(t) / (2k+1)!!.  The r-rule is fixed: 32
+    Gauss-Legendre nodes per panel of width 4 on [0, r_grid[-1]].
+    """
     if not all(p.decays if isinstance(p, RadialProfile) else False for p in field.profiles):
         raise ValueError(
             "classical transform requires decaying radial profiles "
             "(profiles must carry decay metadata)"
         )
-    r_max = float(field.r_grid[-1])
-    return gl_panels(0.0, r_max, per_panel or DEFAULT_NODES_PER_PANEL)
-
-
-def _radial_ft_coeffs(field: MatrixField, s_arr: np.ndarray, per_panel: int | None = None):
-    """Fourier coefficients c_k(s) with Fhat(s*eta) = sum_k c_k(s) Q_k(eta).
-
-    c_k(s) = 4 pi (-i)^k int g_k(r) j_k(sr) r^{k+2} dr, via the normalized
-    kernels: j_k(t) = t^k f_k(t) / (2k+1)!!.
-    """
-    m = field.m
-    L = 2 * m + 1
-    rq, wq = _radial_quad(field, per_panel)
+    L = 2 * field.m + 1
+    rq, wq = gl_panels(0.0, float(field.r_grid[-1]))
     gv = np.stack([np.asarray(p(rq), dtype=np.complex128) for p in field.profiles])
     ts = np.multiply.outer(s_arr, rq)  # (n_s, n_r)
     fv = f_table(L - 1, ts)  # (L, n_s, n_r)
@@ -308,7 +310,7 @@ def _radial_ft_coeffs(field: MatrixField, s_arr: np.ndarray, per_panel: int | No
     return out
 
 
-def classical_ft(F: MatrixField, y, per_panel: int | None = None) -> np.ndarray:
+def classical_ft(F: MatrixField, y) -> np.ndarray:
     """Fhat(y) = int F(x) exp(-i<x,y>) dx.
 
     Grid form: trapezoid sum over the lattice (fields are assumed decayed
@@ -323,14 +325,14 @@ def classical_ft(F: MatrixField, y, per_panel: int | None = None) -> np.ndarray:
         )[0]
     s = float(np.linalg.norm(y))
     if s < 1e-300:
-        c = _radial_ft_coeffs(F, np.array([0.0]), per_panel)[0]
+        c = _radial_ft_coeffs(F, np.array([0.0]))[0]
         return c[0] * np.eye(F.dim, dtype=np.complex128)
-    c = _radial_ft_coeffs(F, np.array([s]), per_panel)
+    c = _radial_ft_coeffs(F, np.array([s]))
     rep = spherical._rep(F.m)
     return q_series(rep.generators, spherical._ajs(F.m), c, (y / s)[None, :])[0]
 
 
-def _ft_along_e1(F: MatrixField, s_arr: np.ndarray, per_panel: int | None = None) -> np.ndarray:
+def _ft_along_e1(F: MatrixField, s_arr: np.ndarray) -> np.ndarray:
     """Fhat(s e_1) for a batch of scales; returns (n_s, d, d).
 
     Grid form: the phase exp(-i s x_1) does not depend on x_2 and x_3, so
@@ -344,20 +346,17 @@ def _ft_along_e1(F: MatrixField, s_arr: np.ndarray, per_panel: int | None = None
         slabs = F.values.sum(axis=(1, 2)).reshape(x1.size, -1)  # (n0, d*d)
         phases = np.exp(-1j * np.multiply.outer(s_arr, x1))  # (n_s, n0)
         return (F.spacing**3 * (phases @ slabs)).reshape(-1, F.dim, F.dim)
-    c = _radial_ft_coeffs(F, s_arr, per_panel)
+    c = _radial_ft_coeffs(F, s_arr)
     qe1 = spherical.q_stack(F.m, _E1)  # (L, d, d), all diagonal
     return np.tensordot(c, qe1, axes=([1], [0]))
 
 
 def h_decompose(F: MatrixField, s: float) -> np.ndarray:
-    """h_j(s) = Tr(Fhat(s e_1) P_j(e_1)) for j = -m..m (index j+m)."""
+    """h_j(s) = Tr(Fhat(s e_1) P_j(e_1)) for j = -m..m (index j+m): the
+    diagonal of Fhat(s e_1), since P_j(e_1) = E_jj."""
     if s <= 0:
         raise ValueError("scale s must be positive")
-    fhat = _ft_along_e1(F, np.array([float(s)]))[0]
-    fam = _proj_e1(F.m)
-    return np.array(
-        [np.trace(fhat @ fam.P(j)) for j in range(-F.m, F.m + 1)], dtype=np.complex128
-    )
+    return np.diagonal(_ft_along_e1(F, np.array([float(s)]))[0]).copy()
 
 
 def spherical_ft(
@@ -370,7 +369,8 @@ def spherical_ft(
 ) -> complex:
     """The spherical Fourier transform of F at (s, j).
 
-    fast:   Tr[P_{-j}(e_1) Fhat(s e_1)]  (= h_{-j}(s));
+    fast:   Tr[P_{-j}(e_1) Fhat(s e_1)] = h_{-j}(s), the diagonal entry
+            m-j of Fhat(s e_1);
     direct: (1/(2m+1)) int Tr[F(x) Phi_{s,j}(x)^*] dx by 3-D quadrature.
     """
     if s <= 0:
@@ -379,7 +379,7 @@ def spherical_ft(
         raise ValueError("index j out of range")
     if mode == "fast":
         fhat = _ft_along_e1(F, np.array([float(s)]))[0]
-        return complex(np.trace(_proj_e1(F.m).P(-j) @ fhat))
+        return complex(fhat[F.m - j, F.m - j])
     if mode != "direct":
         raise ValueError("mode must be 'fast' or 'direct'")
     G = F if F.form == "grid" else F.to_grid(grid_extent, grid_n)
@@ -425,8 +425,9 @@ class SphericalCoefficients:
     @staticmethod
     def from_json(text: str) -> "SphericalCoefficients":
         """Parse the ``to_json`` document.  A missing key, a negative or
-        non-integer m, or values and weights whose shapes do not match
-        (2m+1, len(s_grid)) raise MalformedCoefficientsError."""
+        non-integer m, values and weights whose shapes do not match
+        (2m+1, len(s_grid)), or a NaN or infinite entry raise
+        MalformedCoefficientsError."""
         data = json.loads(text)
         try:
             m = data["m"]
@@ -451,6 +452,9 @@ class SphericalCoefficients:
                 f"values shape {vals.shape} is not (2m+1, len(s_grid)) = "
                 f"{(2 * m + 1, s_grid.size)}"
             )
+        for name, arr in (("s_grid", s_grid), ("s_weights", s_weights), ("values", vals)):
+            if not np.all(np.isfinite(arr)):
+                raise MalformedCoefficientsError(f"{name} holds NaN or infinite entries")
         return SphericalCoefficients(m=m, s_grid=s_grid, s_weights=s_weights, values=vals)
 
 
@@ -475,7 +479,9 @@ def forward(
     per_panel: int = DEFAULT_NODES_PER_PANEL,
     panel_width: float = DEFAULT_PANEL_WIDTH,
 ) -> SphericalCoefficients:
-    """Sample the spherical transform on a composite Gauss-Legendre s-grid.
+    """Sample the spherical transform on a composite Gauss-Legendre s-grid
+    of per_panel nodes per panel of width panel_width: values[j+m, q] =
+    h_{-j}(s_q), the diagonal entry m-j of Fhat(s_q e_1).
 
     s_max defaults to 12 / (estimated spatial width), where the transform
     of a smooth decaying field is negligible.  For grid fields s_max is
@@ -504,10 +510,7 @@ def forward(
             s_max = nyquist
     s_nodes, s_w = gl_panels(0.0, float(s_max), per_panel, panel_width)
     fhat = _ft_along_e1(F, s_nodes)
-    fam = _proj_e1(F.m)
-    vals = np.empty((F.dim, s_nodes.size), dtype=np.complex128)
-    for j in range(-F.m, F.m + 1):
-        vals[j + F.m] = np.einsum("qab,ba->q", fhat, fam.P(-j))
+    vals = np.diagonal(fhat, axis1=1, axis2=2)[:, ::-1].T.copy()
     return SphericalCoefficients(m=F.m, s_grid=s_nodes, s_weights=s_w, values=vals)
 
 
@@ -519,6 +522,45 @@ def _unit_eigvecs(m: int) -> np.ndarray:
     )
 
 
+def _radial_sums(coeffs: SphericalCoefficients, rs: np.ndarray, kmax: int) -> np.ndarray:
+    """The Q_l coefficients of the inversion formula at the radii ``rs``,
+    for l = 0..kmax; returns (rs.size, kmax+1).
+
+    c_l(r) = sum_q G[l, q] f_l(s_q r) with the r-independent matrix
+    G[l, q] = C s_q^l w_q s_q^2 sum_j u_{j,l} values[j, q], where
+    C = 1/(2 pi^2 (2m+1)) and u^{(1,j)} are the method-1 coefficient
+    vectors at s = 1.  Radii go in blocks to bound the kernel table.
+    """
+    s, w, vals = coeffs.s_grid, coeffs.s_weights, coeffs.values
+    n_l = kmax + 1
+    u = _unit_eigvecs(coeffs.m)[:, :n_l]  # (L_j, n_l)
+    powers = s[None, :] ** np.arange(n_l)[:, None]  # (n_l, n_s)
+    base = vals * (w * s**2)[None, :]  # (L_j, n_s)
+    G = inversion_constant(coeffs.m) * powers * (u.T @ base)  # (n_l, n_s)
+    c = np.empty((rs.size, n_l), dtype=np.complex128)
+    block = max(1, int(2e6) // max(1, n_l * s.size))
+    for b0 in range(0, rs.size, block):
+        fv = f_table(kmax, np.multiply.outer(rs[b0 : b0 + block], s))  # (n_l, nb, n_s)
+        c[b0 : b0 + block] = np.einsum("lq,lpq->pl", G, fv)
+    return c
+
+
+def inverse_profiles(coeffs: SphericalCoefficients, label: dict) -> list:
+    """The radial profiles g_0..g_{2m} of the inverse transform,
+    F(x) = sum_k g_k(|x|) Q_k(x), with g_k the inversion sum c_k of
+    _radial_sums (orders up to k).  Each profile's label is ``label`` plus
+    its index k and the decay flag."""
+
+    def make_profile(k: int) -> RadialProfile:
+        def ev(rho):
+            rho = np.atleast_1d(np.asarray(rho, dtype=np.float64))
+            return _radial_sums(coeffs, rho.ravel(), k)[:, k].reshape(rho.shape)
+
+        return RadialProfile(evaluator=ev, label={**label, "k": k, "decays": True})
+
+    return [make_profile(k) for k in range(2 * coeffs.m + 1)]
+
+
 def inverse(
     coeffs: SphericalCoefficients,
     xs,
@@ -528,37 +570,21 @@ def inverse(
 
     F(x) = C sum_j int phi-transform(r, j) Phi_{r,j}(x) r^2 dr with
     C = 1/(2 pi^2 (2m+1)); the radial integral runs over the sampled grid
-    (quadrature weights stored with the coefficients).
-
-    The Q_l coefficients of F(x) depend on |x| alone, so they are computed
-    once per distinct radius (exact floats from radii(), no rounding):
-    c_l(r) = sum_q G[l, q] f_l(s_q r) with the r-independent matrix
-    G[l, q] = C s_q^l w_q s_q^2 sum_j u_{j,l} values[j, q].
+    (quadrature weights stored with the coefficients).  The Q_l
+    coefficients c_l(|x|), l = 0..2m, are the inversion sums of
+    _radial_sums, computed once per distinct float radius (radii(), no
+    rounding).  A NaN or infinite point raises ValueError.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    m = coeffs.m
-    L = 2 * m + 1
-    s, w, vals = coeffs.s_grid, coeffs.s_weights, coeffs.values
+    vals = coeffs.values
     peak = float(np.max(np.abs(vals))) if vals.size else 0.0
     tail = float(np.max(np.abs(vals[:, -1]))) if vals.size else 0.0
     if peak > 0 and tail > truncation_tol * peak:
         warnings.warn(
-            f"spherical coefficients not decayed at s_max={s[-1]:.3g} "
+            f"spherical coefficients not decayed at s_max={coeffs.s_grid[-1]:.3g} "
             f"(relative tail {tail/peak:.2e}); inversion may be truncated",
             stacklevel=2,
         )
-    u = _unit_eigvecs(m)  # (L_j, L_l)
-    powers = s[None, :] ** np.arange(L)[:, None]  # (L_l, n_s)
-    base = vals * (w * s**2)[None, :]  # (L_j, n_s)
-    G = inversion_constant(m) * powers * (u.T @ base)  # (L_l, n_s)
-    rs, back = np.unique(radii(xs), return_inverse=True)
-    c = np.empty((rs.size, L), dtype=np.complex128)
-    block = max(1, int(2e6) // max(1, L * s.size))
-    for b0 in range(0, rs.size, block):
-        fv = f_table(L - 1, np.multiply.outer(rs[b0 : b0 + block], s))  # (L, nb, n_s)
-        c[b0 : b0 + block] = np.einsum("lq,lpq->pl", G, fv)
-    rep = spherical._rep(m)
-    return q_series(rep.generators, spherical._ajs(m), c[back], xs)
+    return _radial_series(coeffs.m, xs, lambda rs: _radial_sums(coeffs, rs, 2 * coeffs.m))
 
 
 def apply_multiplier(coeffs: SphericalCoefficients, mu) -> SphericalCoefficients:
@@ -585,7 +611,8 @@ def schwartz_decompose(
 ) -> MatrixField:
     """Decompose a smooth decaying grid field as F(x) = sum_k g_k(|x|) Q_k(x).
 
-    g_k(rho) = C sum_j u_k^{(1,j)} int h_{-j}(r) f_k(r rho) r^{k+2} dr.
+    g_k(rho) = C sum_j u_k^{(1,j)} int h_{-j}(r) f_k(r rho) r^{k+2} dr, the
+    inversion sum of forward(F) (see inverse_profiles).
     The reconstruction is compared against the input on a subsample of
     nodes; a residual above ``residual_tol`` (relative L-inf) raises
     DecompositionError - that is the failure mode for non-equivariant
@@ -594,31 +621,9 @@ def schwartz_decompose(
     if F.form != "grid":
         raise ValueError("schwartz_decompose expects a grid-form field")
     coeffs = forward(F, s_max=s_max, per_panel=per_panel)
-    m = F.m
-    L = 2 * m + 1
-    u = _unit_eigvecs(m)
-    s, w, vals = coeffs.s_grid, coeffs.s_weights, coeffs.values
-    const = inversion_constant(m)
-
-    def make_profile(k: int) -> RadialProfile:
-        weight = w * s ** (k + 2)
-
-        def ev(rho, _k=k, _weight=weight):
-            rho = np.atleast_1d(np.asarray(rho, dtype=np.float64))
-            ts = np.multiply.outer(rho, s)
-            fk = f_table(_k, ts)[_k]  # (n_rho, n_s)
-            integ = fk @ (vals * weight[None, :]).T  # (n_rho, L_j)
-            out = const * integ @ u[:, _k]
-            return out
-
-        return RadialProfile(
-            evaluator=ev, label={"kind": "schwartz-g", "k": k, "decays": True}
-        )
-
-    profiles = [make_profile(k) for k in range(L)]
     rho_max = float(np.max(radii(F.grid_points())))
     r_grid = np.linspace(0.0, rho_max, n_rho)
-    out = MatrixField.radial(m, profiles, r_grid)
+    out = MatrixField.radial(F.m, inverse_profiles(coeffs, {"kind": "schwartz-g"}), r_grid)
 
     # reconstruction residual on a node subsample
     pts = F.grid_points()

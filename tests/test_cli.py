@@ -56,6 +56,19 @@ def test_phi_points_file_and_methods(capsys, tmp_path):
         assert len(lines) == 2
 
 
+@pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+def test_phi_non_finite_point_is_usage_error(capsys, tmp_path, coord):
+    phi = ("phi", "--m", "1", "--s", "1", "--j", "0")
+    code, out, err = run_cli(capsys, *phi, f"--at={coord},0,0")
+    assert (code, out) == (2, "")
+    assert err
+    pf = tmp_path / "pts.txt"
+    pf.write_text(f"0.5,0,0\n0,{coord},0.5\n")
+    code, out, err = run_cli(capsys, *phi, "--points-file", str(pf))
+    assert (code, out) == (2, "")
+    assert err
+
+
 def test_phi_table_csv(capsys):
     code, out, _ = run_cli(
         capsys, "phi", "--m", "0", "--s", "1", "--j", "0", "--table", "5", "--rmax", "4"
@@ -73,6 +86,14 @@ def test_radial_table(capsys):
     assert lines[0] == "r,f_0,f_1"
     row = lines[2].split(",")
     assert float(row[1]) == pytest.approx(np.sin(1.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("flag", ["--s", "--rmax"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_radial_table_non_finite_flag_is_usage_error(capsys, flag, value):
+    code, out, err = run_cli(capsys, "radial", "--table", flag, value)
+    assert (code, out) == (2, "")
+    assert err
 
 
 def test_rep_json(capsys):
@@ -288,7 +309,7 @@ def test_degenerate_config_is_usage_error(capsys, tmp_path, coeff_file, directio
 
 @pytest.mark.parametrize(
     "breakage",
-    ["missing_key", "values_shape", "weights_length", "negative_m"],
+    ["missing_key", "values_shape", "weights_length", "negative_m", "nan_value", "inf_s_grid"],
 )
 def test_malformed_coefficients_is_format_error(capsys, tmp_path, coeff_file, breakage):
     doc = json.loads(coeff_file[1].read_text())
@@ -298,6 +319,10 @@ def test_malformed_coefficients_is_format_error(capsys, tmp_path, coeff_file, br
         doc["values"] = [row[:-1] for row in doc["values"]]
     elif breakage == "weights_length":
         doc["s_weights"] = doc["s_weights"][:-1]
+    elif breakage == "nan_value":
+        doc["values"][0][3] = [float("nan"), 0.0]
+    elif breakage == "inf_s_grid":
+        doc["s_grid"][2] = float("inf")
     else:
         doc["m"] = -1
     bad = tmp_path / "bad.json"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from m3sph import fieldio, transform
+from m3sph import _kernels, fieldio, transform
 from m3sph.errors import (
     ChecksumMismatchError,
     FieldFormatError,
@@ -221,6 +221,25 @@ def test_bump_roundtrips_through_transform():
     pts = rng.uniform(-2, 2, size=(6, 3))
     err = np.max(np.abs(transform.inverse(coeffs, pts) - B.eval_points(pts)))
     assert err < 1e-3
+
+
+def _bump_profile_closed_form(m, k, rho, s0, width):
+    """g_k(rho) = C (sum_j u_k^{(1,j)}) sum_q w_q s_q^{k+2} bump(s_q) f_k(s_q rho)."""
+    s, w = transform.gl_panels(0.0, s0 + 10.0 * width)
+    bump = np.exp(-((s - s0) ** 2) / (2 * width * width))
+    fk = _kernels.f_table(k, np.multiply.outer(rho, s))[k]
+    usum = np.sum(transform._unit_eigvecs(m)[:, k])
+    return transform.inversion_constant(m) * usum * (fk @ (bump * w * s ** (k + 2)))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_bump_profiles_match_closed_form(m):
+    B = synthesize("bump", m, {"s0": 1.5, "width": 0.4})
+    rho = np.linspace(0.0, 12.0, 31)
+    ref = [_bump_profile_closed_form(m, k, rho, 1.5, 0.4) for k in range(2 * m + 1)]
+    scale = max(np.max(np.abs(r)) for r in ref)
+    for k in range(2 * m + 1):
+        assert np.max(np.abs(B.profiles[k](rho) - ref[k])) <= 1e-13 * scale
 
 
 def test_config_file_roundtrip(tmp_path):

@@ -204,9 +204,9 @@ def test_expand_in_q1_powers(m):
 def test_eval_examples():
     qs = build_Q(1)
     e1 = [1.0, 0.0, 0.0]
-    assert np.allclose(polyalg.eval(qs[0], e1), np.eye(3))
-    assert np.allclose(polyalg.eval(qs[1], e1), np.diag([-1j, 0, 1j]))
-    assert np.allclose(polyalg.eval(qs[2], e1), np.diag([-1 / 3, 2 / 3, -1 / 3]))
+    assert np.allclose(qs[0].eval(e1), np.eye(3))
+    assert np.allclose(qs[1].eval(e1), np.diag([-1j, 0, 1j]))
+    assert np.allclose(qs[2].eval(e1), np.diag([-1 / 3, 2 / 3, -1 / 3]))
 
 
 def test_matpoly_json_form():

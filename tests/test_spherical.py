@@ -173,6 +173,18 @@ def test_projections_e1_weight_basis():
     assert np.allclose(fam.P(1), np.diag([0, 0, 1]), atol=1e-14)
 
 
+def test_projections_at_e1_are_coordinate_projections():
+    # A_1 = diag(i j) in the weight basis, so P_j(e_1) is E_jj to the bit;
+    # the transform reads h_j(s) off the diagonal of Fhat(s e_1) on this fact
+    for m in range(15):
+        d = 2 * m + 1
+        fam = projections(m, [1.0, 0.0, 0.0])
+        for j in range(-m, m + 1):
+            e_jj = np.zeros((d, d))
+            e_jj[j + m, j + m] = 1.0
+            assert np.array_equal(fam.matrices[j + m], e_jj)
+
+
 def test_projections_direction_normalized():
     f1 = projections(2, [0.3, -0.4, 1.1])
     f2 = projections(2, [0.6, -0.8, 2.2])

@@ -129,12 +129,39 @@ def test_h_decompose_gaussian(gaussian_m1):
 
 def test_h_decompose_reassembles_fhat():
     F = fieldio.synthesize("plane-wave-packet", 1, {"s0": 1.5, "sigma": 1.2})
-    fam = transform._proj_e1(1)
+    fam = spherical.projections(1, [1.0, 0.0, 0.0])
     for s in (0.4, 2.2):
         h = transform.h_decompose(F, s)
         fhat = transform.classical_ft(F, np.array([s, 0, 0]))
         recon = sum(h[j + 1] * fam.P(j) for j in range(-1, 2))
         assert np.max(np.abs(recon - fhat)) < 1e-8
+
+
+def _forward_by_projections(F, s_grid):
+    """The transform contracted with the spectral projections at e_1, as
+    values[j+m, q] = Tr[P_{-j}(e_1) Fhat(s_q e_1)]."""
+    fhat = transform._ft_along_e1(F, s_grid)
+    fam = spherical.projections(F.m, [1.0, 0.0, 0.0])
+    return np.stack(
+        [np.einsum("qab,ba->q", fhat, fam.P(-j)) for j in range(-F.m, F.m + 1)]
+    )
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_forward_is_the_projection_contraction_to_the_bit(m):
+    radial = fieldio.synthesize("plane-wave-packet", m, {"sigma": 1.1})
+    rng = np.random.default_rng(30 + m)
+    d = 2 * m + 1
+    values = rng.normal(size=(9, 9, 9, d, d)) + 1j * rng.normal(size=(9, 9, 9, d, d))
+    grid = transform.MatrixField.grid(m, np.full(3, -2.0), 0.5, values)
+    for F in (radial, grid):
+        coeffs = transform.forward(F)
+        assert np.array_equal(coeffs.values, _forward_by_projections(F, coeffs.s_grid))
+        s = float(coeffs.s_grid[5])
+        old = _forward_by_projections(F, np.array([s]))[:, 0]
+        assert np.array_equal(transform.h_decompose(F, s), old[::-1])
+        for j in range(-m, m + 1):
+            assert transform.spherical_ft(F, s, j) == old[j + m]
 
 
 def test_spherical_ft_gaussian_all_j():
@@ -226,6 +253,16 @@ def test_inverse_matches_per_point_reference(m):
         rec = transform.inverse(coeffs, pts)
         ref = _inverse_per_point(coeffs, pts)
         assert np.max(np.abs(rec - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_inverse_and_eval_points_refuse_non_finite_points(gaussian_m1, bad):
+    pts = np.array([[0.5, 0.0, 0.1], [0.0, bad, 0.0]])
+    coeffs = transform.forward(gaussian_m1)
+    with pytest.raises(ValueError, match="finite"):
+        transform.inverse(coeffs, pts)
+    with pytest.raises(ValueError, match="finite"):
+        gaussian_m1.eval_points(pts)
 
 
 def test_roundtrip_validates_constant_analytically():
@@ -347,6 +384,26 @@ def test_schwartz_decompose_q1_component():
     assert np.max(np.abs(R.profiles[1](rho) - np.exp(-(rho**2) / 2))) < 1e-5
     assert np.max(np.abs(R.profiles[0](rho))) < 1e-8
     assert np.max(np.abs(R.profiles[2](rho))) < 1e-8
+
+
+def _schwartz_profile_closed_form(coeffs, k, rho):
+    """g_k(rho) = C sum_j u_k^{(1,j)} sum_q w_q s_q^{k+2} values[j, q] f_k(s_q rho)."""
+    s, w, vals = coeffs.s_grid, coeffs.s_weights, coeffs.values
+    fk = _kernels.f_table(k, np.multiply.outer(rho, s))[k]
+    integ = fk @ (vals * (w * s ** (k + 2))[None, :]).T
+    return transform.inversion_constant(coeffs.m) * integ @ transform._unit_eigvecs(coeffs.m)[:, k]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_schwartz_profiles_match_closed_form(m):
+    G = fieldio.synthesize("gaussian", m, {"sigma": 1.0, "component": m}).to_grid(6.0, 25)
+    R = transform.schwartz_decompose(G)
+    coeffs = transform.forward(G)
+    rho = np.linspace(0.0, 5.0, 23)
+    ref = [_schwartz_profile_closed_form(coeffs, k, rho) for k in range(2 * m + 1)]
+    scale = max(np.max(np.abs(r)) for r in ref)
+    for k in range(2 * m + 1):
+        assert np.max(np.abs(R.profiles[k](rho) - ref[k])) <= 1e-13 * scale
 
 
 def test_schwartz_decompose_rejects_non_equivariant():
