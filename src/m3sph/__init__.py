@@ -15,6 +15,7 @@ from .errors import (
     M3sphError,
     MalformedCoefficientsError,
     MalformedHeaderError,
+    MalformedMultiplierError,
     NonFinitePayloadError,
     PayloadLengthError,
     UnsupportedVersionError,
@@ -104,6 +105,7 @@ __all__ = [
     "FieldFormatError",
     "MalformedHeaderError",
     "MalformedCoefficientsError",
+    "MalformedMultiplierError",
     "UnsupportedVersionError",
     "ChecksumMismatchError",
     "PayloadLengthError",

@@ -9,15 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import polyalg, spherical, transform
-from .errors import FieldFormatError, M3sphError
-from .fieldio import Config, read_field, synthesize, write_field
+from .errors import FieldFormatError, M3sphError, MalformedMultiplierError
+from .fieldio import Config, _finite_number, atomic_write, read_field, synthesize, write_field
 from .radial import f as radial_f
 from .so3rep import build_irrep
 
@@ -42,19 +40,6 @@ def _parse_vec(text: str) -> np.ndarray:
     if not np.all(np.isfinite(vec)):
         raise ValueError(f"point coordinates must be finite, got {text!r}")
     return vec
-
-
-def _atomic_write_text(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".m3sph-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _matrix_json(mat: np.ndarray):
@@ -158,6 +143,8 @@ def cmd_phi(args) -> int:
 
 
 def _phi_table(m: int, s: float, j: int, args) -> int:
+    if not math.isfinite(args.rmax):
+        raise _Usage("--rmax must be finite")
     rs = np.linspace(0.0, args.rmax, args.table)
     spec = spherical.phi_method1(m, s, j)
     xs = np.zeros((rs.size, 3))
@@ -191,7 +178,7 @@ def cmd_transform(args) -> int:
     cfg = _load_config(args)
     if args.direction == "forward":
         coeffs = _forward(read_field(args.infile, ingest_tol=cfg.ingest_tol), cfg)
-        _atomic_write_text(args.outfile, coeffs.to_json() + "\n")
+        atomic_write(args.outfile, (coeffs.to_json() + "\n").encode("ascii"))
     else:
         with open(args.infile) as fh:
             coeffs = transform.SphericalCoefficients.from_json(fh.read())
@@ -199,7 +186,9 @@ def cmd_transform(args) -> int:
     return EXIT_OK
 
 
-def _multiplier_from_spec(spec: str):
+def _multiplier_from_spec(spec: str, m: int):
+    """The multiplier mu(s, j) named by ``spec``; a table file is checked
+    in full against the field type ``m`` before it is used."""
     if spec == "laplacian":
         return lambda s, j: -s * s
     if spec == "dtau":
@@ -207,14 +196,31 @@ def _multiplier_from_spec(spec: str):
     with open(spec) as fh:
         table = json.load(fh)
     # custom table: {"j": {"s": [...], "re": [...], "im": [...]}, ...}
-    curves = {
-        int(jkey): (
-            np.array(entry["s"], dtype=np.float64),
-            np.array(entry["re"], dtype=np.float64),
-            np.array(entry.get("im", [0.0] * len(entry["s"])), dtype=np.float64),
-        )
-        for jkey, entry in table.items()
-    }
+    if not isinstance(table, dict):
+        raise MalformedMultiplierError(f"{spec}: expected an object keyed by j")
+    curves = {}
+    for jkey, entry in table.items():
+        try:
+            j = int(jkey)
+        except ValueError:
+            raise MalformedMultiplierError(f"{spec}: key {jkey!r} is not an integer j") from None
+        if not -m <= j <= m:
+            raise MalformedMultiplierError(f"{spec}: key j={j} is outside -{m}..{m}")
+        if not (isinstance(entry, dict) and "s" in entry and "re" in entry):
+            raise MalformedMultiplierError(f"{spec}: entry j={j} needs 's' and 're' lists")
+        cols = [entry["s"], entry["re"], entry.get("im", [])]
+        if not all(isinstance(c, list) and all(map(_finite_number, c)) for c in cols):
+            raise MalformedMultiplierError(f"{spec}: entry j={j} must hold lists of finite numbers")
+        sk, re, im = (np.array(c, dtype=np.float64) for c in cols)
+        if "im" not in entry:
+            im = np.zeros_like(sk)
+        if not (sk.size and sk.size == re.size == im.size):
+            raise MalformedMultiplierError(
+                f"{spec}: entry j={j} needs non-empty 's', 're' and 'im' of one length"
+            )
+        if not np.all(np.diff(sk) > 0):
+            raise MalformedMultiplierError(f"{spec}: entry j={j} needs strictly increasing 's'")
+        curves[j] = (sk, re, im)
 
     def mu(s, j):
         if j not in curves:
@@ -228,7 +234,7 @@ def _multiplier_from_spec(spec: str):
 def cmd_filter(args) -> int:
     cfg = _load_config(args)
     field = read_field(args.infile, ingest_tol=cfg.ingest_tol)
-    mu = _multiplier_from_spec(args.multiplier)
+    mu = _multiplier_from_spec(args.multiplier, field.m)
     filtered = transform.apply_multiplier(_forward(field, cfg), mu)
     if field.form == "grid":
         pts = field.grid_points()
@@ -246,7 +252,10 @@ def cmd_filter(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    params = json.loads(args.params) if args.params else {}
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except json.JSONDecodeError as exc:
+        raise _Usage(f"--params is not JSON ({exc})") from None
     field = synthesize(args.kind, args.m, params)
     write_field(field, args.outfile)
     return EXIT_OK

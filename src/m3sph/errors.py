@@ -41,6 +41,10 @@ class MalformedCoefficientsError(FieldFormatError):
     """A spherical-coefficient JSON document lacks a key or has inconsistent shapes."""
 
 
+class MalformedMultiplierError(FieldFormatError):
+    """A multiplier table is not keyed by j in -m..m or holds a bad curve."""
+
+
 class DecompositionError(M3sphError):
     """Field could not be decomposed into radial coefficients.
 

@@ -14,13 +14,16 @@ of its SHA-256), so single-bit corruption is detected on read.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import os
 import tempfile
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +55,11 @@ class Config:
     per panel of width 4.
     """
 
-    radial_nodes_per_panel: int = 32
-    panel_width: float = 4.0
+    radial_nodes_per_panel: int = transform.DEFAULT_NODES_PER_PANEL
+    panel_width: float = transform.DEFAULT_PANEL_WIDTH
     s_max: float = 0.0  # 0 = estimate from the field
-    grid_extent: float = 8.0
-    grid_n: int = 41
+    grid_extent: float = transform.DEFAULT_GRID_EXTENT
+    grid_n: int = transform.DEFAULT_GRID_N
     ingest_tol: float = 1e-6
     truncation_tol: float = 1e-6
 
@@ -153,12 +156,18 @@ def write_field(field: MatrixField, path: str) -> None:
         "checksum": _checksum(payload),
     }
     line = json.dumps(header, sort_keys=True) + "\n"
+    atomic_write(path, line.encode("ascii"), payload)
+
+
+def atomic_write(path: str, *chunks: bytes) -> None:
+    """Write the chunks to ``path`` through a temporary file in the same
+    directory and a rename, so ``path`` never holds a partial file."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".m3sf-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(line.encode("ascii"))
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -285,7 +294,13 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
       plane-wave-packet g_0(r) = amplitude * cos(s0 r) exp(-r^2/(2 sigma^2));
       bump              transform-side Gaussian bump at s0 of the given
                         width, pushed through the inversion formula.
+
+    params must be a mapping.  sigma and width must be finite and positive,
+    amplitude and s0 finite (s0 >= 0 for the bump), and component an
+    integer; anything else raises ValueError.
     """
+    if params is not None and not isinstance(params, Mapping):
+        raise ValueError(f"synthesis parameters must be a mapping, got {params!r}")
     params = dict(params or {})
     L = 2 * m + 1
 
@@ -296,9 +311,14 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
         )
 
     if kind == "gaussian":
-        sigma = float(params.pop("sigma", 1.0))
-        amp = complex(params.pop("amplitude", 1.0))
-        comp = int(params.pop("component", 0))
+        sigma = _positive_param(params, "sigma", 1.0)
+        amp = _finite_param(params, "amplitude", 1.0, complex)
+        comp = params.pop("component", 0)
+        if isinstance(comp, float) and comp.is_integer():
+            comp = int(comp)
+        if isinstance(comp, bool) or not isinstance(comp, numbers.Integral):
+            raise ValueError(f"component must be an integer, got {comp!r}")
+        comp = int(comp)
         _reject_unknown(kind, params)
         if not 0 <= comp < L:
             raise ValueError(f"component must be in [0, {L-1}]")
@@ -310,9 +330,9 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
         )
         r_max = 12.0 * sigma
     elif kind == "plane-wave-packet":
-        sigma = float(params.pop("sigma", 1.0))
-        s0 = float(params.pop("s0", 2.0))
-        amp = complex(params.pop("amplitude", 1.0))
+        sigma = _positive_param(params, "sigma", 1.0)
+        s0 = _finite_param(params, "s0", 2.0)
+        amp = _finite_param(params, "amplitude", 1.0, complex)
         _reject_unknown(kind, params)
         profiles = [zero_profile(k) for k in range(L)]
         profiles[0] = RadialProfile(
@@ -325,9 +345,11 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
         )
         r_max = 12.0 * sigma
     elif kind == "bump":
-        s0 = float(params.pop("s0", 2.0))
-        width = float(params.pop("width", 0.5))
-        amp = complex(params.pop("amplitude", 1.0))
+        s0 = _finite_param(params, "s0", 2.0)
+        if s0 < 0:
+            raise ValueError(f"bump s0 must be non-negative, got {s0!r}")
+        width = _positive_param(params, "width", 0.5)
+        amp = _finite_param(params, "amplitude", 1.0, complex)
         _reject_unknown(kind, params)
         s_nodes, s_w = transform.gl_panels(0.0, s0 + 10.0 * width)
         bump_vals = amp * np.exp(-((s_nodes - s0) ** 2) / (2 * width * width))
@@ -342,6 +364,25 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
 
     n_r = 257
     return MatrixField.radial(m, profiles, np.linspace(0.0, r_max, n_r))
+
+
+def _finite_param(params: dict, key: str, default, convert=float):
+    """Pop ``key`` from params as a finite float (or complex) number."""
+    raw = params.pop(key, default)
+    try:
+        value = convert(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {raw!r}") from None
+    if not cmath.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {raw!r}")
+    return value
+
+
+def _positive_param(params: dict, key: str, default) -> float:
+    value = _finite_param(params, key, default)
+    if not value > 0:
+        raise ValueError(f"{key} must be positive, got {value!r}")
+    return value
 
 
 def _reject_unknown(kind: str, params: dict):

@@ -14,24 +14,20 @@ entry Gaussian rational (see exact_generators).  Every identity above is
 invariant under a constant similarity.  Only numerical evaluation and the
 JSON form return to the weight basis, where entry (a, b) carries the single
 factor d_a/d_b = c*sqrt(f) with c rational and f square-free.  Rationals are
-gmpy2.mpq when available (much faster than fractions.Fraction), falling
-back to the stdlib otherwise.
+fractions.Fraction, and GaussianRational only adds, subtracts and
+multiplies.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction as _Q
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapabilityError
-
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as _Q
 
 # exact mode is capped: the cost of build_Q and of the exact identity checks
 # grows steeply with m, and m <= 4 keeps them to seconds
@@ -41,7 +37,7 @@ Monomial = tuple[int, int, int]
 
 
 def rational(num, den=1):
-    """The exact rational num/den in the active backend."""
+    """The exact rational num/den."""
     return _Q(num, den)
 
 
@@ -90,14 +86,6 @@ class GaussianRational:
         return GaussianRational(self.re * other, self.im * other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, GaussianRational):
-            n = other.re * other.re + other.im * other.im
-            if n == 0:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            return self * GaussianRational(other.re / n, -other.im / n)
-        return GaussianRational(self.re / other, self.im / other)
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
@@ -303,9 +291,6 @@ class MatPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
     def is_homogeneous(self, j: int) -> bool:
         return all(sum(e) == j for e in self.terms)
 
@@ -350,17 +335,17 @@ class MatPoly:
         return records
 
 
-def _check_m(m: int, m_max: int):
+def _check_m(m: int):
     if m < 0 or m != int(m):
         raise ValueError("m must be a non-negative integer")
-    if m > m_max:
+    if m > M_MAX_EXACT:
         raise CapabilityError(
-            f"exact mode supports m <= {m_max} (requested m={m}); "
+            f"exact mode supports m <= {M_MAX_EXACT} (requested m={m}); "
             "use the numeric construction for larger types"
         )
 
 
-def exact_generators(m: int, m_max: int = M_MAX_EXACT):
+def exact_generators(m: int):
     """Exact generators of the type-m irrep in the rational basis.
 
     Returns D^-1 A_i D for the weight-basis generators (A_1, A_2, A_3),
@@ -371,7 +356,7 @@ def exact_generators(m: int, m_max: int = M_MAX_EXACT):
     weight-basis values, evaluate MatPoly.constant(g) (MatPoly.eval and
     MatPoly.to_json_obj both undo the similarity).
     """
-    _check_m(m, m_max)
+    _check_m(m)
     d = 2 * m + 1
     half = _Q(1, 2)
     a1 = [[_GR_ZERO] * d for _ in range(d)]
@@ -440,11 +425,11 @@ def apply_dtau_op(gens, P: MatPoly) -> MatPoly:
     return out
 
 
-def build_Q(m: int, m_max: int = M_MAX_EXACT) -> list[MatPoly]:
+def build_Q(m: int) -> list[MatPoly]:
     """The generator family Q_0..Q_{2m} by the lowering recursion
     Q_{j+1} = Q_1 Q_j - (r^2 a_j / (2j+1)) Q_{j-1}."""
-    _check_m(m, m_max)
-    gens = exact_generators(m, m_max)
+    _check_m(m)
+    gens = exact_generators(m)
     table = coeff_table(m)
     d = 2 * m + 1
     qs = [MatPoly.identity(d)]
@@ -486,65 +471,28 @@ def equivariance_defect(gens, P: MatPoly, i: int) -> MatPoly:
     return bracket - vector_field_derivative(P, i)
 
 
-def _solve_gaussian(rows, rhs):
-    """Exact solve of a small square linear system over GaussianRational."""
-    n = len(rows)
-    a = [list(r) + [v] for r, v in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if piv is None:
-            raise ValueError("singular system")
-        a[col], a[piv] = a[piv], a[col]
-        inv = GaussianRational(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
 def expand_in_q1_powers(qs: list[MatPoly], j: int) -> list:
     """Express Q_j as the monic polynomial Q_1^j + sum_k b_k r^{2k} Q_1^{j-2k}.
 
-    Returns the rational coefficients [1, b_1, b_2, ...] after verifying the
-    reconstruction exactly; raises if Q_j is not of that form.
+    The coefficients follow the recursion of build_Q with scalars in place
+    of polynomials: b^{(0)} = b^{(1)} = [1] and
+    b^{(l+1)}_k = b^{(l)}_k - (a_l / (2l+1)) b^{(l-1)}_{k-1}.
+    Returns the rationals [1, b_1, b_2, ...] after rebuilding Q_j from the
+    powers of Q_1 and checking that the difference is the zero polynomial;
+    raises ValueError otherwise, also for a Q_j that is some other monic
+    polynomial in Q_1 and r^2.
     """
     m = (len(qs) - 1) // 2
-    dim = 2 * m + 1
-    if j == 0:
-        return [_Q(1)]
-    nuk = j // 2 + 1  # unknowns: coefficients of Q_1^{j-2k}, k = 0..j//2
-    # diagonal of Q_j at e_1, where Q_1 = diag(i*mu): Gaussian-rational data
-    diag_lhs = []
-    for p in range(dim):
-        val = _GR_ZERO
-        for e, mat in qs[j].terms.items():
-            if e[1] == 0 and e[2] == 0:  # only pure x1 monomials survive at e_1
-                val = val + mat[p][p]
-        diag_lhs.append(val)
-    # Vandermonde rows in (i*mu)^{j-2k}; for odd j the mu = 0 row vanishes
-    rows, rhs = [], []
-    for mu in range(0, m + 1):
-        if mu == 0 and j % 2 == 1:
-            continue
-        lam = GaussianRational(0, mu)
-        rows.append([_gr_pow(lam, j - 2 * k) for k in range(nuk)])
-        rhs.append(diag_lhs[mu + m])
-        if len(rows) == nuk:
-            break
-    if len(rows) < nuk:
-        raise ValueError("not enough independent weight rows")
-    sol = _solve_gaussian(rows, rhs)
-    # coefficients must be plain rationals; the leading one must be 1
-    coeffs = []
-    for g in sol:
-        if g.im != 0:
-            raise ValueError("non-real coefficient in the Q_1 expansion")
-        coeffs.append(g.re)
-    if coeffs[0] != 1:
-        raise ValueError(f"expansion is not monic in Q_1 (leading {coeffs[0]})")
+    a = coeff_table(m).a
+    prev, coeffs = [_Q(1)], [_Q(1)]  # b^{(0)}, b^{(1)}
+    for l in range(1, j):
+        c = a[l - 1] / (2 * l + 1)
+        nxt = coeffs + [_Q(0)] * (l % 2)  # b^{(l+1)} gains a term when l+1 is even
+        for k in range(1, len(nxt)):
+            nxt[k] -= c * prev[k - 1]
+        prev, coeffs = coeffs, nxt
     # verify the full polynomial identity exactly
+    dim = 2 * m + 1
     recon = MatPoly.zero(dim)
     q1p = MatPoly.identity(dim)
     q1_powers = [q1p]
@@ -559,10 +507,3 @@ def expand_in_q1_powers(qs: list[MatPoly], j: int) -> list:
     if not (recon - qs[j]).is_zero():
         raise ValueError(f"Q_{j} does not re-expand over powers of Q_1")
     return coeffs
-
-
-def _gr_pow(g: GaussianRational, e: int) -> GaussianRational:
-    out = GaussianRational(1)
-    for _ in range(e):
-        out = out * g
-    return out

@@ -154,17 +154,16 @@ class Rotation:
         angle = np.arccos(cos_t)
         if angle < 1e-12:
             return Rotation.identity()
-        if np.pi - angle > 1e-6:
-            # skew part of exp(angle * Y_axis) is sin(angle) * Y_axis
-            vec = np.array(
-                [r[1, 2] - r[2, 1], r[2, 0] - r[0, 2], r[0, 1] - r[1, 0]]
-            ) / (2.0 * np.sin(angle))
-            return Rotation(axis=vec, angle=angle)
-        # angle near pi: axis from the dominant column of (R + I) / 2
-        b = (r + np.eye(3)) / 2.0
-        i = int(np.argmax(np.diag(b)))
-        axis = b[:, i] / np.sqrt(b[i, i])
-        return Rotation(axis=axis, angle=angle)
+        # skew part of exp(angle * Y_axis) is sin(angle) * Y_axis
+        skew = np.array([r[1, 2] - r[2, 1], r[2, 0] - r[0, 2], r[0, 1] - r[1, 0]])
+        if np.pi - angle >= 1e-3:
+            return Rotation(axis=skew / (2.0 * np.sin(angle)), angle=angle)
+        # near pi, dividing by sin(angle) loses the axis; the symmetric part
+        # (R + R^T)/2 - cos(angle) I = (1 - cos(angle)) a a^T does not
+        sym = (r + r.T) / 2.0 - cos_t * np.eye(3)
+        i = int(np.argmax(np.diag(sym)))
+        axis = sym[:, i] if sym[:, i] @ skew >= 0 else -sym[:, i]
+        return Rotation(axis=axis, angle=np.arctan2(np.linalg.norm(skew) / 2.0, cos_t))
 
     @staticmethod
     def random(rng: np.random.Generator) -> "Rotation":

@@ -278,18 +278,16 @@ def phi_method2(
     j: int,
     x,
     rule: SphereRule | None = None,
-    check_resolution: bool = False,
 ) -> np.ndarray:
     """Construction 2: (2m+1) * sum_a w_a exp(-i s <x, xi_a>) P_j(xi_a).
 
     With ``rule=None`` a rule at the band-limit heuristic degree is built.
-    If the provided rule is coarser than the heuristic, or if
-    ``check_resolution`` is set, the value is re-computed with a doubled
-    rule and a warning carrying the residual estimate is emitted when the
-    two disagree materially.
+    If the provided rule is coarser than the heuristic, the value is
+    re-computed with a doubled rule and a warning carrying the residual
+    estimate is emitted when the two disagree materially.
     """
     x = np.asarray(x, dtype=np.float64)
-    vals = phi_method2_batch(m, s, j, x[None, :], rule, check_resolution)
+    vals = phi_method2_batch(m, s, j, x[None, :], rule)
     return vals[0]
 
 
@@ -299,7 +297,6 @@ def phi_method2_batch(
     j: int,
     xs: np.ndarray,
     rule: SphereRule | None = None,
-    check_resolution: bool = False,
 ) -> np.ndarray:
     _check_params(m, s, j)
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
@@ -308,8 +305,8 @@ def phi_method2_batch(
         rule = sphere_rule(needed)
     projs = _projection_stack(m, rule.nodes, j)
     out = (2 * m + 1) * plane_wave_sum(rule.nodes, rule.weights, projs, s, xs)
-    if check_resolution or rule.degree < needed:
-        dbl = sphere_rule(2 * max(rule.degree, needed))
+    if rule.degree < needed:
+        dbl = sphere_rule(2 * needed)
         ref = (2 * m + 1) * plane_wave_sum(
             dbl.nodes, dbl.weights, _projection_stack(m, dbl.nodes, j), s, xs
         )

@@ -602,27 +602,26 @@ def apply_multiplier(coeffs: SphericalCoefficients, mu) -> SphericalCoefficients
     )
 
 
-def schwartz_decompose(
-    F: MatrixField,
-    s_max: float | None = None,
-    per_panel: int = DEFAULT_NODES_PER_PANEL,
-    residual_tol: float = 1e-3,
-    n_rho: int = 257,
-) -> MatrixField:
+SCHWARTZ_RESIDUAL_TOL = 1e-3
+SCHWARTZ_N_RHO = 257
+
+
+def schwartz_decompose(F: MatrixField) -> MatrixField:
     """Decompose a smooth decaying grid field as F(x) = sum_k g_k(|x|) Q_k(x).
 
     g_k(rho) = C sum_j u_k^{(1,j)} int h_{-j}(r) f_k(r rho) r^{k+2} dr, the
-    inversion sum of forward(F) (see inverse_profiles).
+    inversion sum of forward(F) on its default s-grid (see
+    inverse_profiles), sampled at SCHWARTZ_N_RHO radii.
     The reconstruction is compared against the input on a subsample of
-    nodes; a residual above ``residual_tol`` (relative L-inf) raises
+    nodes; a residual above SCHWARTZ_RESIDUAL_TOL (relative L-inf) raises
     DecompositionError - that is the failure mode for non-equivariant
     input.
     """
     if F.form != "grid":
         raise ValueError("schwartz_decompose expects a grid-form field")
-    coeffs = forward(F, s_max=s_max, per_panel=per_panel)
+    coeffs = forward(F)
     rho_max = float(np.max(radii(F.grid_points())))
-    r_grid = np.linspace(0.0, rho_max, n_rho)
+    r_grid = np.linspace(0.0, rho_max, SCHWARTZ_N_RHO)
     out = MatrixField.radial(F.m, inverse_profiles(coeffs, {"kind": "schwartz-g"}), r_grid)
 
     # reconstruction residual on a node subsample
@@ -633,7 +632,7 @@ def schwartz_decompose(
     ref = F.values_flat()[sub]
     scale = float(np.max(np.abs(ref))) or 1.0
     residual = float(np.max(np.abs(recon - ref))) / scale
-    if residual > residual_tol:
+    if residual > SCHWARTZ_RESIDUAL_TOL:
         raise DecompositionError(
             "field does not decompose into equivariant radial coefficients",
             residual,

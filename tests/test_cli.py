@@ -79,6 +79,15 @@ def test_phi_table_csv(capsys):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_phi_table_non_finite_rmax_is_usage_error(capsys, value):
+    code, out, err = run_cli(
+        capsys, "phi", "--m", "0", "--s", "1", "--j", "0", "--table", "3", f"--rmax={value}"
+    )
+    assert (code, out) == (2, "")
+    assert err
+
+
 def test_radial_table(capsys):
     code, out, _ = run_cli(capsys, "radial", "--table", "--jmax", "1", "--rmax", "1", "--n", "2")
     assert code == 0
@@ -355,6 +364,76 @@ def test_malformed_field_is_format_error(capsys, tmp_path, breakage):
     out_path = tmp_path / "out.m3sf"
     code, _, err = run_cli(
         capsys, "filter", "--in", str(path), "--out", str(out_path), "--multiplier", "laplacian"
+    )
+    assert code == 3
+    assert err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("gaussian", "[1, 2]"),
+        ("gaussian", "[]"),
+        ("gaussian", "{not json"),
+        ("gaussian", '{"sigma": -1}'),
+        ("gaussian", '{"sigma": 0}'),
+        ("gaussian", '{"sigma": "nan"}'),
+        ("gaussian", '{"sigma": [1]}'),
+        ("gaussian", '{"amplitude": "nan"}'),
+        ("gaussian", '{"component": 1.7}'),
+        ("gaussian", '{"component": "1"}'),
+        ("plane-wave-packet", '{"s0": "inf"}'),
+        ("plane-wave-packet", '{"sigma": -2}'),
+        ("bump", '{"width": 0}'),
+        ("bump", '{"width": -0.5}'),
+        ("bump", '{"s0": -20}'),
+        ("bump", '{"amplitude": "inf"}'),
+    ],
+)
+def test_malformed_synth_params_is_usage_error(capsys, tmp_path, kind, params):
+    out_path = tmp_path / "f.m3sf"
+    code, out, err = run_cli(
+        capsys, "synth", kind, "--m", "1", "--out", str(out_path), "--params", params
+    )
+    assert (code, out) == (2, "")
+    assert err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [1, 2],
+        {"0": [1, 2]},
+        {"0": {"s": [0.0, 20.0]}},
+        {"0": {"s": [0.0, 20.0, 10.0], "re": [1.0, 1.0, 1.0]}},
+        {"0": {"s": [0.0, 0.0], "re": [1.0, 1.0]}},
+        {"2": {"s": [0.0, 20.0], "re": [1.0, 1.0]}},
+        {"x": {"s": [0.0, 20.0], "re": [1.0, 1.0]}},
+        {"0": {"s": [0.0, 20.0], "re": [1.0]}},
+        {"0": {"s": [0.0, 20.0], "re": [1.0, 1.0], "im": [0.0]}},
+        {"0": {"s": [], "re": []}},
+        {"0": {"s": 20.0, "re": 1.0}},
+        {"0": {"s": [0.0, float("nan")], "re": [1.0, 1.0]}},
+        {"0": {"s": [0.0, 20.0], "re": [1.0, float("inf")]}},
+        {"0": {"s": [0.0, 20.0], "re": [1.0, "1"]}},
+    ],
+    ids=[
+        "list", "entry_list", "no_re", "s_decreasing", "s_repeated", "j_outside",
+        "j_not_integer", "re_length", "im_length", "empty", "scalars", "nan_s",
+        "inf_re", "text_re",
+    ],
+)
+def test_malformed_multiplier_table_is_format_error(capsys, tmp_path, table):
+    F = fieldio.synthesize("gaussian", 1).to_grid(extent=2.0, n=5)
+    path = tmp_path / "f.m3sf"
+    fieldio.write_field(F, str(path))
+    tab_path = tmp_path / "mu.json"
+    tab_path.write_text(json.dumps(table))
+    out_path = tmp_path / "out.m3sf"
+    code, _, err = run_cli(
+        capsys, "filter", "--in", str(path), "--out", str(out_path), "--multiplier", str(tab_path)
     )
     assert code == 3
     assert err

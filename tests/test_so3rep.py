@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from m3sph.so3rep import SO3_GENERATORS, Irrep, Rotation, build_irrep, dtau, tau
@@ -129,6 +129,7 @@ def test_rotation_matrix_is_group_exponential():
     ).filter(lambda v: sum(x * x for x in v) > 1e-4),
     angle=st.floats(1e-6, np.pi - 1e-6),
 )
+@example(ax=(0.0, 0.5, 0.0625), angle=3.141591653589793)
 def test_rotation_matrix_roundtrip(ax, angle):
     k = Rotation(axis=np.array(ax), angle=angle)
     k2 = Rotation.from_matrix(k.matrix)
@@ -142,6 +143,12 @@ def test_rotation_pi_branch_roundtrip():
         k = Rotation(axis=v, angle=np.pi)
         k2 = Rotation.from_matrix(k.matrix)
         assert np.allclose(k2.matrix, k.matrix, atol=1e-8)
+    # just below pi the axis must keep its first-order tilt
+    for e in range(3, 13):
+        for _ in range(10):
+            k = Rotation(axis=rng.normal(size=3), angle=np.pi - 10.0**-e)
+            k2 = Rotation.from_matrix(k.matrix)
+            assert np.allclose(k2.matrix, k.matrix, atol=1e-11)
 
 
 def test_rotation_rejects_bad_input():
