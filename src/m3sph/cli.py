@@ -109,8 +109,8 @@ def cmd_phi(args) -> int:
     m, s, j = args.m, args.s, args.j
     if not -m <= j <= m:
         raise _Usage(f"index j={j} out of range for m={m}")
-    if s <= 0:
-        raise _Usage("scale s must be positive")
+    if not (math.isfinite(s) and s > 0):
+        raise _Usage("scale s must be finite and positive")
     if args.at is not None:
         points = [_parse_vec(args.at)]
     elif args.points_file is not None:
@@ -288,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qpoly", help="emit the exact invariant polynomials as JSON")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--emit", action="store_true", help="kept for symmetry; output is always emitted")
     p.set_defaults(func=cmd_qpoly)
 
     p = sub.add_parser("radial", help="CSV table of the radial kernels")

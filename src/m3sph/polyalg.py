@@ -6,16 +6,24 @@ identity D Q_j = a_j Q_{j-1}, the terminating product identity, and
 infinitesimal equivariance) can be decided as exact zero polynomials, not
 by tolerances.
 
-The one scalar type is GaussianRational.  The weight-basis generators have
-ladder entries proportional to sqrt((m-mu)(m+mu+1)), so the exact layer
-works in a rescaled, rational basis: conjugating by the constant diagonal
-matrix D = diag(d_p), d_p = prod_{q<p} sqrt(n_q), makes every generator
-entry Gaussian rational (see exact_generators).  Every identity above is
-invariant under a constant similarity.  Only numerical evaluation and the
-JSON form return to the weight basis, where entry (a, b) carries the single
-factor d_a/d_b = c*sqrt(f) with c rational and f square-free.  Rationals are
-fractions.Fraction, and GaussianRational only adds, subtracts and
-multiplies.
+The one scalar type is fractions.Fraction: every coefficient is a real
+rational in the split form.  Two changes of coordinates make it so, and
+every identity above is invariant under both.
+
+* A rescaled, rational basis.  The weight-basis generators have ladder
+  entries proportional to sqrt((m-mu)(m+mu+1)); conjugating by the
+  constant diagonal matrix D = diag(d_p), d_p = prod_{q<p} sqrt(n_q),
+  removes the square roots.
+* The split real form so(2,1) of so(3)_C (Weyl's unitary trick).
+  Polynomials are held in y = (-i x_1, -i x_2, x_3), so x^e = i^(e1+e2) y^e.
+  In y the generators are B = (i A_1, i A_2, A_3), whose entries are real
+  rationals, and the metric |x|^2 becomes sum_i eta_i y_i^2 with
+  eta = (-1, -1, 1).
+
+Only numerical evaluation and the JSON form return to x and the weight
+basis (see _weight_basis): the x^e coefficient is (-i)^(e1+e2) times the
+y^e coefficient, and its entry (a, b) carries the factor d_a/d_b =
+c*sqrt(f), with c rational and f square-free.
 """
 
 from __future__ import annotations
@@ -34,6 +42,24 @@ from .errors import CapabilityError
 M_MAX_EXACT = 4
 
 Monomial = tuple[int, int, int]
+
+_ZERO = _Q(0)
+
+# the split-form metric: |x|^2 = sum_i eta_i y_i^2
+_ETA = (-1, -1, 1)
+
+# K_i = c_i S^-1 Y_i S, the rotation field x -> Y_i x of so3rep.SO3_GENERATORS
+# written in y (x = S y, S = diag(i, i, 1)) and scaled by c = (i, i, 1) so it
+# is real; each K_i as its nonzero entries (a, b, K_i[a, b])
+_ROTATION_FIELDS = (
+    ((1, 2, 1), (2, 1, 1)),
+    ((0, 2, -1), (2, 0, -1)),
+    ((0, 1, 1), (1, 0, -1)),
+)
+
+# (-i)^k = sign * (i if imag else 1) as (sign, imag) for k = 0..3: the x^e
+# coefficient is (-i)^(e1+e2) R_e
+_PHASES = ((1, False), (-1, True), (-1, False), (1, True))
 
 
 def rational(num, den=1):
@@ -59,65 +85,16 @@ def _square_free(n: int) -> tuple[int, int]:
     return a, d * n
 
 
-class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = re if type(re) is _Q else _Q(re)
-        self.im = im if type(im) is _Q else _Q(im)
-
-    def __add__(self, other):
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return GaussianRational(self.re * other, self.im * other)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    def __eq__(self, other):
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self):
-        return f"({self.re}+{self.im}i)"
-
-
-_GR_ZERO = GaussianRational()
-_GR_ONE = GaussianRational(1)
-
-ExactMatrix = tuple  # tuple of row tuples of GaussianRational, in the rational basis
+ExactMatrix = tuple  # tuple of row tuples of Fraction, in the rational basis
 
 
 def _mat_eye(dim: int) -> ExactMatrix:
-    return tuple(
-        tuple(_GR_ONE if i == j else _GR_ZERO for j in range(dim)) for i in range(dim)
-    )
+    return tuple(tuple(_Q(1) if i == j else _ZERO for j in range(dim)) for i in range(dim))
 
 
 def _mat_add(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return tuple(
-        tuple(y if x.is_zero() else x if y.is_zero() else x + y for x, y in zip(ra, rb))
+        tuple(y if not x else x if not y else x + y for x, y in zip(ra, rb))
         for ra, rb in zip(a, b)
     )
 
@@ -127,16 +104,16 @@ def _mat_neg(a: ExactMatrix) -> ExactMatrix:
 
 
 def _mat_scale(a: ExactMatrix, s) -> ExactMatrix:
-    return tuple(tuple(x if x.is_zero() else x * s for x in row) for row in a)
+    return tuple(tuple(x * s if x else x for x in row) for row in a)
 
 
 def _mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     # zero entries are skipped: only the nonzero (index, entry) pairs of each
     # column of b meet the nonzero entries of each row of a
-    cols = [[(k, y) for k, y in enumerate(cb) if not y.is_zero()] for cb in zip(*b)]
+    cols = [[(k, y) for k, y in enumerate(cb) if y] for cb in zip(*b)]
     rows = []
     for ra in a:
-        nz = {k: x for k, x in enumerate(ra) if not x.is_zero()}
+        nz = {k: x for k, x in enumerate(ra) if x}
         row = []
         for cb in cols:
             acc = None
@@ -144,13 +121,13 @@ def _mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
                 x = nz.get(k)
                 if x is not None:
                     acc = x * y if acc is None else acc + x * y
-            row.append(_GR_ZERO if acc is None else acc)
+            row.append(_ZERO if acc is None else acc)
         rows.append(tuple(row))
     return tuple(rows)
 
 
 def _mat_is_zero(a: ExactMatrix) -> bool:
-    return all(x.is_zero() for row in a for x in row)
+    return not any(x for row in a for x in row)
 
 
 @lru_cache(maxsize=None)
@@ -171,21 +148,27 @@ def _weight_factors(dim: int) -> tuple:
     return tuple(rows)
 
 
-def _weight_basis(a: ExactMatrix) -> list:
-    """The weight-basis entries of D a D^-1, each as a pair (g, f) standing
-    for g*sqrt(f), with g Gaussian rational and f square-free."""
-    return [
-        [(x * c, f) for x, (c, f) in zip(row, frow)]
-        for row, frow in zip(a, _weight_factors(len(a)))
+def _weight_basis(e: Monomial, mat: ExactMatrix) -> tuple[bool, list]:
+    """The x^e coefficient (-i)^(e1+e2) D mat D^-1 of the term mat * y^e as
+    (imag, rows): the coefficient is i*rows if imag, else rows, and each
+    entry of rows is a pair (v, f) standing for v*sqrt(f), with v rational
+    and f square-free."""
+    sign, imag = _PHASES[(e[0] + e[1]) % 4]
+    return imag, [
+        [(x * c * sign if x else x, f) for x, (c, f) in zip(row, frow)]
+        for row, frow in zip(mat, _weight_factors(len(mat)))
     ]
 
 
 @dataclass(frozen=True)
 class MatPoly:
-    """Matrix-valued polynomial in three variables with exact coefficients.
+    """Matrix-valued polynomial in the split-form variables y with real
+    rational coefficients.
 
-    ``terms`` maps a monomial exponent triple to a dim x dim ExactMatrix.
-    Zero matrices are never stored, so the zero polynomial has no terms.
+    ``terms`` maps a monomial exponent triple e (of y^e) to a dim x dim
+    ExactMatrix in the rational basis.  Zero matrices are never stored, so
+    the zero polynomial has no terms.  ``eval`` and ``to_json_obj`` give
+    the polynomial in x and the weight basis.
     """
 
     dim: int
@@ -208,7 +191,7 @@ class MatPoly:
 
     @staticmethod
     def linear(mats) -> "MatPoly":
-        """sum_i x_i * mats[i]."""
+        """sum_i y_i * mats[i]."""
         dim = len(mats[0])
         terms = {}
         for i, mat in enumerate(mats):
@@ -248,44 +231,40 @@ class MatPoly:
         return MatPoly(self.dim, {e: m for e, m in out.items() if not _mat_is_zero(m)})
 
     def scale(self, s) -> "MatPoly":
-        """Multiply by a scalar (rational or GaussianRational)."""
-        zero = s.is_zero() if isinstance(s, GaussianRational) else s == 0
-        if zero:
+        """Multiply by a rational scalar."""
+        if not s:
             return MatPoly.zero(self.dim)
-        out = {e: _mat_scale(m, s) for e, m in self.terms.items()}
-        return MatPoly(self.dim, {e: m for e, m in out.items() if not _mat_is_zero(m)})
+        if s == 1:
+            return self
+        return MatPoly(self.dim, {e: _mat_scale(m, s) for e, m in self.terms.items()})
 
     def mul_monomial(self, mono: Monomial, coeff=1) -> "MatPoly":
-        """Multiply by coeff * x^mono."""
-        out = {}
-        for e, m in self.terms.items():
-            key = (e[0] + mono[0], e[1] + mono[1], e[2] + mono[2])
-            s = _mat_scale(m, coeff) if coeff != 1 else m
-            cur = out.get(key)
-            out[key] = s if cur is None else _mat_add(cur, s)
-        return MatPoly(self.dim, {e: m for e, m in out.items() if not _mat_is_zero(m)})
+        """Multiply by coeff * y^mono."""
+        out = self.scale(coeff)
+        return MatPoly(
+            self.dim,
+            {(e[0] + mono[0], e[1] + mono[1], e[2] + mono[2]): m for e, m in out.terms.items()},
+        )
 
     def mul_r2(self) -> "MatPoly":
-        """Multiply by |x|^2 = x1^2 + x2^2 + x3^2."""
+        """Multiply by |x|^2 = -y1^2 - y2^2 + y3^2."""
         return (
-            self.mul_monomial((2, 0, 0))
-            + self.mul_monomial((0, 2, 0))
-            + self.mul_monomial((0, 0, 2))
+            self.mul_monomial((2, 0, 0), _ETA[0])
+            + self.mul_monomial((0, 2, 0), _ETA[1])
+            + self.mul_monomial((0, 0, 2), _ETA[2])
         )
 
     # -- calculus ------------------------------------------------------
     def diff(self, axis: int) -> "MatPoly":
+        """d/dy_axis."""
         out = {}
         for e, m in self.terms.items():
-            if e[axis] == 0:
-                continue
-            ne = list(e)
-            ne[axis] -= 1
-            scaled = _mat_scale(m, e[axis])
-            key = tuple(ne)
-            cur = out.get(key)
-            out[key] = scaled if cur is None else _mat_add(cur, scaled)
-        return MatPoly(self.dim, {e: m for e, m in out.items() if not _mat_is_zero(m)})
+            k = e[axis]
+            if k:
+                ne = list(e)
+                ne[axis] -= 1
+                out[tuple(ne)] = _mat_scale(m, k) if k > 1 else m
+        return MatPoly(self.dim, out)
 
     # -- queries ---------------------------------------------------------
     def is_zero(self) -> bool:
@@ -298,37 +277,33 @@ class MatPoly:
         return self.dim == other.dim and self.terms == other.terms
 
     def eval(self, x) -> np.ndarray:
-        """Numerical evaluation in the weight basis; exact-to-float
+        """Numerical evaluation at x in the weight basis; exact-to-float
         conversion happens last."""
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
         for e, m in self.terms.items():
-            mat = np.array(
-                [
-                    [complex(0) + complex(g) * math.sqrt(f) for g, f in row]
-                    for row in _weight_basis(m)
-                ],
-                dtype=np.complex128,
-            )
-            out += (x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2]) * mat
+            imag, rows = _weight_basis(e, m)
+            mat = np.array([[float(v) * math.sqrt(f) for v, f in row] for row in rows])
+            out += (x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2]) * (1j * mat if imag else mat)
         return out
 
     def to_json_obj(self):
-        """JSON form in the weight basis: one record per monomial; each
-        matrix entry is a list of [re, im, radicand] term triples (rationals
-        as strings), with one triple for a nonzero entry and none for zero."""
+        """JSON form in x and the weight basis: one record per monomial;
+        each matrix entry is a list of [re, im, radicand] term triples
+        (rationals as strings), with one triple for a nonzero entry and
+        none for zero."""
         records = []
         for e in sorted(self.terms):
-            mat = self.terms[e]
+            imag, rows = _weight_basis(e, self.terms[e])
             records.append(
                 {
                     "exponents": list(e),
                     "matrix": [
                         [
-                            [] if g.is_zero() else [[str(g.re), str(g.im), f]]
-                            for g, f in row
+                            [["0", str(v), f] if imag else [str(v), "0", f]] if v else []
+                            for v, f in row
                         ]
-                        for row in _weight_basis(mat)
+                        for row in rows
                     ],
                 }
             )
@@ -346,40 +321,34 @@ def _check_m(m: int):
 
 
 def exact_generators(m: int):
-    """Exact generators of the type-m irrep in the rational basis.
+    """Exact generators B = (i A_1, i A_2, A_3) of the type-m irrep in the
+    split form and the rational basis.
 
-    Returns D^-1 A_i D for the weight-basis generators (A_1, A_2, A_3),
-    where D = diag(d_p), d_p = prod_{q<p} sqrt(n_q) and
-    n_q = (m - mu_q)(m + mu_q + 1).  A_1 = diag(i*mu) is unchanged; the
-    ladder entries become 1/2 below the diagonal and +-n_q/2 above it
-    (times i for A_2), so every entry is a GaussianRational.  For the
-    weight-basis values, evaluate MatPoly.constant(g) (MatPoly.eval and
-    MatPoly.to_json_obj both undo the similarity).
+    (A_1, A_2, A_3) are the weight-basis generators carried to the rational
+    basis, D^-1 A_i D with D = diag(d_p), d_p = prod_{q<p} sqrt(n_q) and
+    n_q = (m - mu_q)(m + mu_q + 1).  So Q_1 = sum_i x_i A_i = sum_i y_i B_i.
+    B_1 = diag(-mu); the ladder entries of B_2 are -1/2 below the diagonal
+    and -n_q/2 above it, and those of B_3 are 1/2 below and -n_q/2 above.
+    Every entry is a real rational, and twice every entry is an integer.
+    MatPoly.linear(B).eval(e_i) is the weight-basis A_i: MatPoly.eval undoes
+    both the substitution and the similarity.
     """
     _check_m(m)
     d = 2 * m + 1
     half = _Q(1, 2)
-    a1 = [[_GR_ZERO] * d for _ in range(d)]
-    a2 = [[_GR_ZERO] * d for _ in range(d)]
-    a3 = [[_GR_ZERO] * d for _ in range(d)]
+    b1, b2, b3 = ([[_ZERO] * d for _ in range(d)] for _ in range(3))
     for p in range(d):
-        mu = p - m
-        if mu:
-            a1[p][p] = GaussianRational(0, mu)
+        b1[p][p] = _Q(m - p)  # -mu
     for p in range(d - 1):
         mu = p - m
         n = (m - mu) * (m + mu + 1)
-        # A_2 = i Jx: (i/2) sqrt(n) on both ladder entries -> i/2 below, i n/2 above
-        # A_3 = i Jy: +(1/2) sqrt(n) below, -(1/2) sqrt(n) above -> 1/2 below, -n/2 above
-        a2[p + 1][p] = GaussianRational(0, half)
-        a2[p][p + 1] = GaussianRational(0, half * n)
-        a3[p + 1][p] = GaussianRational(half)
-        a3[p][p + 1] = GaussianRational(-half * n)
-    return (
-        tuple(tuple(r) for r in a1),
-        tuple(tuple(r) for r in a2),
-        tuple(tuple(r) for r in a3),
-    )
+        # B_2 = i A_2 = -Jx: -(1/2) sqrt(n) on both ladder entries -> -1/2 below, -n/2 above
+        # B_3 = A_3 = i Jy: +(1/2) sqrt(n) below, -(1/2) sqrt(n) above -> 1/2 below, -n/2 above
+        b2[p + 1][p] = -half
+        b2[p][p + 1] = -half * n
+        b3[p + 1][p] = half
+        b3[p][p + 1] = -half * n
+    return tuple(tuple(tuple(r) for r in g) for g in (b1, b2, b3))
 
 
 @dataclass(frozen=True)
@@ -409,19 +378,20 @@ def coeff_table(m: int) -> CoeffTable:
 
 
 def laplacian(P: MatPoly) -> MatPoly:
-    """sum_i d^2 P / dx_i^2, exact."""
+    """sum_i d^2 P / dx_i^2 = sum_i eta_i d^2 P / dy_i^2, exact."""
     out = MatPoly.zero(P.dim)
     for i in range(3):
-        out = out + P.diff(i).diff(i)
+        out = out + P.diff(i).diff(i).scale(_ETA[i])
     return out
 
 
 def apply_dtau_op(gens, P: MatPoly) -> MatPoly:
-    """The invariant operator sum_i A_i * dP/dx_i (left multiplication)."""
-    dim = P.dim
-    out = MatPoly.zero(dim)
+    """The invariant operator sum_i A_i * dP/dx_i = sum_i eta_i B_i * dP/dy_i
+    (left multiplication), for the split-form generators B of
+    exact_generators."""
+    out = MatPoly.zero(P.dim)
     for i in range(3):
-        out = out + (MatPoly.constant(gens[i]) @ P.diff(i))
+        out = out + (MatPoly.constant(gens[i]).scale(_ETA[i]) @ P.diff(i))
     return out
 
 
@@ -442,33 +412,18 @@ def build_Q(m: int) -> list[MatPoly]:
     return qs
 
 
-def vector_field_derivative(P: MatPoly, i: int) -> MatPoly:
-    """Directional derivative of P along the linear field x -> Y_i x,
-    where Y_i is the real 3x3 generator of rotations about axis i."""
-    # hard-coded integer entries of the three rotation generators
-    from .so3rep import SO3_GENERATORS
-
-    y = SO3_GENERATORS[i]
-    out = MatPoly.zero(P.dim)
-    for a in range(3):
-        da = P.diff(a)
-        if da.is_zero():
-            continue
-        for b in range(3):
-            c = int(y[a, b])
-            if c:
-                mono = [0, 0, 0]
-                mono[b] = 1
-                out = out + da.mul_monomial(tuple(mono), c)
-    return out
-
-
 def equivariance_defect(gens, P: MatPoly, i: int) -> MatPoly:
-    """[A_i, P(x)] - dP(x)[Y_i x]; the zero polynomial iff P is equivariant
-    at the infinitesimal level for axis i."""
-    gi = MatPoly.constant(gens[i])
-    bracket = (gi @ P) - (P @ gi)
-    return bracket - vector_field_derivative(P, i)
+    """c_i ([A_i, P(x)] - dP(x)[Y_i x]) = [B_i, P(y)] - dP(y)[K_i y], with
+    c = (i, i, 1), the split-form generators B of exact_generators and the
+    real fields K_i of _ROTATION_FIELDS.  The zero polynomial iff P is
+    equivariant at the infinitesimal level for axis i."""
+    bi = MatPoly.constant(gens[i])
+    out = (bi @ P) - (P @ bi)
+    for a, b, k in _ROTATION_FIELDS[i]:
+        mono = [0, 0, 0]
+        mono[b] = 1
+        out = out - P.diff(a).mul_monomial(tuple(mono), k)
+    return out
 
 
 def expand_in_q1_powers(qs: list[MatPoly], j: int) -> list:

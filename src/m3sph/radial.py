@@ -49,10 +49,14 @@ def f(j: int, r):
     return float(out) if out.ndim == 0 else out
 
 
+def _check_scale(s: float):
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"scale s must be finite and positive, got {s}")
+
+
 def f_scaled(j: int, s: float, r):
-    """f_j^s(r) = f_j(s r) for s > 0."""
-    if s <= 0:
-        raise ValueError("scale s must be positive")
+    """f_j^s(r) = f_j(s r) for finite s > 0."""
+    _check_scale(s)
     return f(j, s * np.asarray(r, dtype=np.float64))
 
 

@@ -28,6 +28,7 @@ from . import so3rep
 from ._kernels import f_table, plane_wave_sum, q_series
 from .errors import ConsistencyError
 from .polyalg import coeff_table
+from .radial import _check_scale
 
 
 @lru_cache(maxsize=None)
@@ -77,8 +78,7 @@ class TridiagonalOperator:
 
 
 def build_tridiagonal(m: int, s: float) -> TridiagonalOperator:
-    if s <= 0:
-        raise ValueError("scale s must be positive")
+    _check_scale(s)
     sup = _ajs(m).copy()
     ls = np.arange(0, 2 * m, dtype=np.float64)
     sub = -(s * s) / (2 * ls + 3)
@@ -110,8 +110,7 @@ class SphericalFunctionSpec:
 
 
 def _check_params(m: int, s: float, j: int):
-    if s <= 0:
-        raise ValueError("scale s must be positive")
+    _check_scale(s)
     if not -m <= j <= m:
         raise ValueError(f"index j must satisfy -m <= j <= m, got j={j}, m={m}")
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import spherical
 from ._kernels import f_table, fourier_grid_sum, grid_convolution, q_series
 from .errors import DecompositionError, MalformedCoefficientsError
-from .radial import RadialProfile, _spline_profile, double_factorial_odd
+from .radial import RadialProfile, _check_scale, _spline_profile, double_factorial_odd
 from .so3rep import Rotation, tau
 
 _E1 = np.array([1.0, 0.0, 0.0])
@@ -354,8 +354,7 @@ def _ft_along_e1(F: MatrixField, s_arr: np.ndarray) -> np.ndarray:
 def h_decompose(F: MatrixField, s: float) -> np.ndarray:
     """h_j(s) = Tr(Fhat(s e_1) P_j(e_1)) for j = -m..m (index j+m): the
     diagonal of Fhat(s e_1), since P_j(e_1) = E_jj."""
-    if s <= 0:
-        raise ValueError("scale s must be positive")
+    _check_scale(s)
     return np.diagonal(_ft_along_e1(F, np.array([float(s)]))[0]).copy()
 
 
@@ -373,8 +372,7 @@ def spherical_ft(
             m-j of Fhat(s e_1);
     direct: (1/(2m+1)) int Tr[F(x) Phi_{s,j}(x)^*] dx by 3-D quadrature.
     """
-    if s <= 0:
-        raise ValueError("scale s must be positive")
+    _check_scale(s)
     if not -F.m <= j <= F.m:
         raise ValueError("index j out of range")
     if mode == "fast":

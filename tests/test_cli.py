@@ -80,6 +80,17 @@ def test_phi_table_csv(capsys):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_phi_non_finite_s_is_usage_error(capsys, value):
+    for method in ("1", "2", "3", "compare"):
+        code, out, err = run_cli(
+            capsys, "phi", "--m", "1", f"--s={value}", "--j", "0", "--method", method,
+            "--at", "0.1,0.2,0.3",
+        )
+        assert (code, out) == (2, "")
+        assert err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_phi_table_non_finite_rmax_is_usage_error(capsys, value):
     code, out, err = run_cli(
         capsys, "phi", "--m", "0", "--s", "1", "--j", "0", "--table", "3", f"--rmax={value}"
@@ -237,6 +248,9 @@ def test_json_error_stream(capsys, tmp_path):
 def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["phi", "--m", "1"])  # missing required flags
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["qpoly", "--m", "1", "--emit"])  # no such flag
     assert exc.value.code == 2
 
 

@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from m3sph import polyalg
+from m3sph import polyalg, spherical
 from m3sph.errors import CapabilityError
 from m3sph.polyalg import (
-    GaussianRational,
     MatPoly,
     build_Q,
     coeff_table,
     exact_generators,
     rational,
 )
-from m3sph.so3rep import Rotation, build_irrep, tau
+from m3sph.so3rep import SO3_GENERATORS, Rotation, build_irrep, tau
 
 
 # ---------------------------------------------------------------------------
@@ -26,30 +23,6 @@ def test_square_free_decomposition():
     assert polyalg._square_free(72) == (6, 2)
     assert polyalg._square_free(1) == (1, 1)
     assert polyalg._square_free(7) == (1, 7)
-
-
-_small = st.integers(-6, 6)
-
-
-@st.composite
-def gaussian_rationals(draw):
-    re = rational(draw(_small), draw(st.integers(1, 4)))
-    im = rational(draw(_small), draw(st.integers(1, 4)))
-    return GaussianRational(re, im)
-
-
-@settings(max_examples=80, deadline=None)
-@given(a=gaussian_rationals(), b=gaussian_rationals(), c=gaussian_rationals())
-def test_gaussian_ring_axioms(a, b, c):
-    assert ((a + b) + c) == (a + (b + c))
-    assert ((a * b) * c) == (a * (b * c))
-    assert (a + b) == (b + a)
-    assert (a * (b + c)) == (a * b + a * c)
-    assert (a * b) == (b * a)
-    # numeric faithfulness
-    assert complex(a * b) == pytest.approx(complex(a) * complex(b), abs=1e-9)
-    assert complex(a + b) == pytest.approx(complex(a) + complex(b), abs=1e-12)
-    assert complex(a - b) == pytest.approx(complex(a) - complex(b), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -80,13 +53,13 @@ def test_coeff_table_values():
 
 
 def test_exact_generators_match_numeric():
-    # the exact generators live in the rational basis; evaluation restores
-    # the weight basis of the numeric irrep
+    # the exact generators B live in the split form and the rational basis;
+    # Q_1 = sum_i y_i B_i evaluated at e_i restores A_i in the weight basis
     for m in range(5):
-        exact = exact_generators(m)
+        q1 = MatPoly.linear(exact_generators(m))
         numeric = build_irrep(m).generators
-        for g_exact, g_num in zip(exact, numeric):
-            mat = MatPoly.constant(g_exact).eval([0, 0, 0])
+        for i, g_num in enumerate(numeric):
+            mat = q1.eval(np.eye(3)[i])
             assert np.allclose(mat, g_num, atol=1e-15)
 
 
@@ -99,7 +72,7 @@ def test_exact_generators_capability_cap():
 
 def test_m0_generators_zero():
     gens = exact_generators(0)
-    assert all(x.is_zero() for g in gens for row in g for x in row)
+    assert all(not x for g in gens for row in g for x in row)
     assert build_Q(0)[0] == MatPoly.identity(1)
 
 
@@ -107,9 +80,9 @@ def test_exact_casimir():
     for m, expected in ((1, -2), (2, -6)):
         gens = exact_generators(m)
         acc = MatPoly.zero(2 * m + 1)
-        for g in gens:
+        for eta, g in zip((-1, -1, 1), gens):
             gp = MatPoly.constant(g)
-            acc = acc + (gp @ gp)
+            acc = acc + (gp @ gp).scale(eta)
         assert acc == MatPoly.identity(2 * m + 1).scale(expected)
 
 
@@ -162,6 +135,39 @@ def test_infinitesimal_equivariance_exact(m):
     for q in qs:
         for i in range(3):
             assert polyalg.equivariance_defect(gens, q, i).is_zero()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_equivariance_defect_detects_non_equivariant_constant(m):
+    # the constant B_1 commutes with B_1 only: its defect vanishes for
+    # axis 1 and not for axes 2 and 3
+    gens = exact_generators(m)
+    P = MatPoly.constant(gens[0])
+    assert polyalg.equivariance_defect(gens, P, 0).is_zero()
+    assert not polyalg.equivariance_defect(gens, P, 1).is_zero()
+    assert not polyalg.equivariance_defect(gens, P, 2).is_zero()
+
+
+def test_rotation_fields_are_split_form_of_so3_generators():
+    # K_i = c_i S^-1 Y_i S with S = diag(i, i, 1) and c = (i, i, 1)
+    S = np.diag([1j, 1j, 1])
+    for i, (c, fields) in enumerate(zip((1j, 1j, 1), polyalg._ROTATION_FIELDS)):
+        K = np.zeros((3, 3))
+        for a, b, k in fields:
+            K[a, b] = k
+        assert np.array_equal(c * np.linalg.inv(S) @ SO3_GENERATORS[i] @ S, K)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_exact_q_matches_numeric_recursion(m):
+    rng = np.random.default_rng(100 + m)
+    qs = build_Q(m)
+    for _ in range(5):
+        x = rng.normal(size=3)
+        numeric = spherical.q_stack(m, x)
+        for j, q in enumerate(qs):
+            exact = q.eval(x)
+            assert np.max(np.abs(exact - numeric[j])) <= 1e-12 * np.max(np.abs(numeric[j]))
 
 
 def test_finite_rotation_equivariance_numeric():

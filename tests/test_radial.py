@@ -134,6 +134,12 @@ def test_input_validation():
         radial.f_scaled(1, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf")])
+def test_f_scaled_refuses_non_finite_s(s):
+    with pytest.raises(ValueError, match="finite"):
+        radial.f_scaled(1, s, 1.0)
+
+
 def test_kernel_profile_metadata():
     p = radial.kernel_profile(2, 1.5)
     assert p.label["j"] == 2

@@ -55,6 +55,15 @@ def test_tridiagonal_rejects_nonpositive_s():
         build_tridiagonal(1, 0.0)
 
 
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_s_is_refused(s):
+    with pytest.raises(ValueError, match="finite"):
+        build_tridiagonal(1, s)
+    for construct in (phi_method1, phi_method3):
+        with pytest.raises(ValueError, match="finite"):
+            construct(1, s, 0)
+
+
 # ---------------------------------------------------------------------------
 # constructions 1 and 3
 # ---------------------------------------------------------------------------

@@ -204,6 +204,14 @@ def test_spherical_ft_validates_args(gaussian_m1):
         transform.spherical_ft(gaussian_m1, 1.0, 0, mode="nope")
 
 
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_s_is_refused(gaussian_m1, s):
+    with pytest.raises(ValueError, match="finite"):
+        transform.spherical_ft(gaussian_m1, s, 0)
+    with pytest.raises(ValueError, match="finite"):
+        transform.h_decompose(gaussian_m1, s)
+
+
 # ---------------------------------------------------------------------------
 # inversion
 # ---------------------------------------------------------------------------
