@@ -1,14 +1,18 @@
 """Hot numeric kernels, vectorized with numpy.
 
-One implementation per kernel: the radial kernel table, the matrix
-Q-series assembly, the plane-wave and lattice Fourier sums and the
-reference grid convolution.  Every kernel accumulates in a fixed order,
-so results are bit-for-bit reproducible from run to run.
+One implementation per kernel: the radial kernel table, the off-axis
+evaluator (an e_1 diagonal moved to x by the frame W), the plane-wave and
+lattice Fourier sums and the reference grid convolution.  Every kernel
+accumulates in a fixed order, so results are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+from .so3rep import build_irrep
 
 _SERIES_CUTOFF = 0.5  # switch between Taylor series and trig recurrences
 _MILLER_EXTRA = 25    # extra start orders for the downward recurrence
@@ -82,37 +86,61 @@ def f_table(jmax: int, t) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# assembly of sum_l c_l Q_l(x) by the pointwise matrix recursion
+# off-axis values: the e_1 diagonal moved by the frame W
 # ---------------------------------------------------------------------------
 
 
-def q_series(gens: np.ndarray, ajs: np.ndarray, coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _frame_maps(d: int):
+    """With -i A_3 = E diag(mu) E^*: the maps lam -> E^* diag(lam) E (d x d^2)
+    and X -> E X E^* (d^2 x d^2), flattened row-major."""
+    _, e = np.linalg.eigh(-1j * build_irrep((d - 1) // 2).generators[2])
+    return (np.einsum("ca,cb->cab", e.conj(), e).reshape(d, d * d),
+            np.einsum("ia,jb->abij", e, e.conj()).reshape(d * d, d * d))
+
+
+def axis_transport(lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """W_p diag(lam[p]) W_p^* for an (n, d) batch of axis diagonals; (n, d, d).
+
+    W_p = tau(k_p) = diag(e^{-i mu phi}) E diag(e^{-i mu theta}) E^*, where
+    k_p = exp(-phi Y_1) exp(-theta Y_3) carries e_1 to x_p/|x_p| = (cos theta,
+    sin theta cos phi, sin theta sin phi).  Only the theta phases minus 1 are
+    moved, then diag(lam) added, so the e_1 ray gives diag(lam) to the bit.
+    """
+    n, d = lam.shape
+    to_frame, back = _frame_maps(d)
+    angles = np.arctan2([np.hypot(xs[:, 1], xs[:, 2]), xs[:, 2]], xs[:, :2].T)  # theta, phi
+    ang = np.multiply.outer(angles, np.arange(d))
+    u = np.cos(ang) - 1j * np.sin(ang)  # e^{-i mu angle} up to a phase common to all mu
+    y = (lam @ to_frame).reshape(n, d, d)
+    y = y * u[0, :, :, None] * u[0, :, None, :].conj() - y
+    y = (y.reshape(n, d * d) @ back).reshape(n, d, d)
+    out = y * u[1, :, :, None] * u[1, :, None, :].conj()
+    out.reshape(n, d * d)[:, :: d + 1] += lam
+    return out
+
+
+def axis_diagonals(ajs: np.ndarray) -> np.ndarray:
+    """The diagonals of Q_0(e_1)..Q_{2m}(e_1), (2m+1, d): the Q_l recursion
+    on Q_1(e_1) = A_1 = diag(i mu)."""
+    d = len(ajs) + 1
+    mu = 1j * (np.arange(d) - (d - 1) / 2)
+    q = [np.ones(d, dtype=np.complex128), mu]
+    for l in range(1, d - 1):
+        q.append(mu * q[l] - (ajs[l - 1] / (2 * l + 1)) * q[l - 1])
+    return np.array(q[:d])
+
+
+def q_series(ajs: np.ndarray, coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Assemble sum_l coeffs[p, l] * Q_l(x_p) for a batch of points.
 
-    ``gens`` is the (3, d, d) generator stack, ``ajs`` the recursion scalars
-    a_1..a_{2m}, ``coeffs`` an (n, 2m+1) complex array and ``xs`` an (n, 3)
-    array of points.  Returns (n, d, d).
+    ``ajs`` are a_1..a_{2m}, ``coeffs`` is (n, 2m+1) and ``xs`` (n, 3).  Q_l
+    is equivariant and homogeneous of degree l, so the sum is the e_1 diagonal
+    (coeffs[p, l] |x_p|^l) @ axis_diagonals(ajs) moved to x_p.  Returns (n, d, d).
     """
-    gens = np.ascontiguousarray(gens, dtype=np.complex128)
-    ajs = np.ascontiguousarray(ajs, dtype=np.float64)
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    n, nq = coeffs.shape
-    d = gens.shape[1]
-    r2 = np.einsum("pi,pi->p", xs, xs)
-    eye = np.broadcast_to(np.eye(d, dtype=np.complex128), (n, d, d))
-    acc = coeffs[:, 0, None, None] * eye
-    if nq > 1:
-        q1 = np.tensordot(xs, gens, axes=([1], [0]))
-        qprev = np.array(eye)
-        qcur = q1.copy()
-        acc = acc + coeffs[:, 1, None, None] * qcur
-        for j in range(1, nq - 1):
-            qnext = q1 @ qcur - (r2 * ajs[j - 1] / (2 * j + 1))[:, None, None] * qprev
-            acc = acc + coeffs[:, j + 1, None, None] * qnext
-            qprev = qcur
-            qcur = qnext
-    return np.ascontiguousarray(acc)
+    r = np.sqrt(np.einsum("pi,pi->p", xs, xs))
+    lam = (coeffs * r[:, None] ** np.arange(coeffs.shape[1])) @ axis_diagonals(ajs)
+    return axis_transport(lam, xs)
 
 
 # ---------------------------------------------------------------------------

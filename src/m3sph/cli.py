@@ -123,6 +123,7 @@ def cmd_phi(args) -> int:
     method = args.method
     spec1 = spherical.phi_method1(m, s, j) if method in ("1", "compare") else None
     spec3 = spherical.phi_method3(m, s, j) if method in ("3", "compare") else None
+    records = []  # printed once all points are evaluated, so a refusal prints nothing
     for x in points:
         record = {"m": m, "s": s, "j": j, "x": list(x)}
         if method == "1":
@@ -138,7 +139,9 @@ def cmd_phi(args) -> int:
             record["matrix"] = _matrix_json(v1)
             record["max_deviation_12"] = float(np.max(np.abs(v1 - v2)))
             record["max_deviation_13"] = float(np.max(np.abs(v1 - v3)))
-        print(json.dumps(record))
+        records.append(json.dumps(record))
+    for line in records:
+        print(line)
     return EXIT_OK
 
 

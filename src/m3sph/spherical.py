@@ -25,10 +25,15 @@ from functools import lru_cache
 import numpy as np
 
 from . import so3rep
-from ._kernels import f_table, plane_wave_sum, q_series
-from .errors import ConsistencyError
+from ._kernels import axis_transport, f_table, plane_wave_sum, q_series
+from .errors import CapabilityError, ConsistencyError
 from .polyalg import coeff_table
 from .radial import _check_scale
+
+
+# bytes one sphere rule's (nodes, d, d) projection stack may take; construction 2
+# refuses an s*|x| that would need a larger rule, before it builds any
+_PROJECTION_STACK_MAX_BYTES = 1 << 27
 
 
 @lru_cache(maxsize=None)
@@ -113,6 +118,9 @@ def _check_params(m: int, s: float, j: int):
     _check_scale(s)
     if not -m <= j <= m:
         raise ValueError(f"index j must satisfy -m <= j <= m, got j={j}, m={m}")
+    # the top coefficient scales as s^(2m); float64 ends below 2^1024
+    if 2 * m * math.log2(s) >= 1024:
+        raise CapabilityError(f"s^(2m) overflows float64 at s={s}, m={m}")
 
 
 def phi_method1(m: int, s: float, j: int) -> SphericalFunctionSpec:
@@ -144,19 +152,23 @@ def phi_method1(m: int, s: float, j: int) -> SphericalFunctionSpec:
 def phi_method3(m: int, s: float, j: int) -> SphericalFunctionSpec:
     """Construction 3: Lagrange polynomial of the tridiagonal matrix.
 
-    Applies prod_{l != j} (M - s l I)/(s j - s l) to the coefficient vector
-    of the scalar spherical function (the first basis vector) and scales by
-    2m+1.  The leading coefficient comes out 1 automatically; that this
-    matches construction 1's normalization is asserted in the test suite.
+    Applies prod_{l != j} (M - l I)/(j - l) at s = 1 to the coefficient
+    vector of the scalar spherical function (the first basis vector),
+    scales by 2m+1 and scales coefficient l by s^l.  That is the product
+    at s exactly, since M(s) = s D M(1) D^-1 with D = diag(s^l), and no
+    step divides by s.  The leading coefficient comes out 1 automatically;
+    that this matches construction 1's normalization is asserted in the
+    test suite.
     """
     _check_params(m, s, j)
-    mat = build_tridiagonal(m, s).matrix()
+    mat = build_tridiagonal(m, 1.0).matrix()
     v = np.zeros(2 * m + 1)
     v[0] = 1.0
     for l in range(-m, m + 1):
         if l != j:
-            v = (mat @ v - s * l * v) / (s * (j - l))
-    return SphericalFunctionSpec(m=m, s=float(s), j=j, coeffs=(2 * m + 1) * v, method=3)
+            v = (mat @ v - l * v) / (j - l)
+    coeffs = (2 * m + 1) * v * float(s) ** np.arange(2 * m + 1)
+    return SphericalFunctionSpec(m=m, s=float(s), j=j, coeffs=coeffs, method=3)
 
 
 def constant_spherical_function(m: int) -> SphericalFunctionSpec:
@@ -182,7 +194,7 @@ def eval_phi_batch(spec: SphericalFunctionSpec, xs: np.ndarray) -> np.ndarray:
     r = np.linalg.norm(xs, axis=1)
     fv = f_table(2 * spec.m, spec.s * r)  # (2m+1, n)
     coeffs = (spec.coeffs[:, None] * fv).T.astype(np.complex128)
-    return q_series(rep.generators, _ajs(spec.m), coeffs, xs)
+    return q_series(_ajs(spec.m), coeffs, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +207,8 @@ class ProjectionFamily:
     """Spectral projections P_{-m}..P_m of the axis matrix for a direction.
 
     P_j is the rank-one orthogonal projection onto the i*j eigenspace of
-    the axis matrix of the unit direction; built by the Lagrange product
-    over the known spectrum.
+    the axis matrix of the unit direction: the coordinate projection E_jj
+    at e_1, moved to the direction by the frame W (``axis_transport``).
     """
 
     m: int
@@ -210,16 +222,8 @@ class ProjectionFamily:
 
 
 def _projection_stack(m: int, xis: np.ndarray, j: int) -> np.ndarray:
-    """P_j(xi) for a batch of unit directions; returns (n, d, d)."""
-    rep = _rep(m)
-    d = rep.dim
-    dts = np.tensordot(xis, rep.generators, axes=([1], [0]))  # (n, d, d)
-    out = np.broadcast_to(np.eye(d, dtype=np.complex128), dts.shape).copy()
-    eye = np.eye(d, dtype=np.complex128)
-    for l in range(-m, m + 1):
-        if l != j:
-            out = out @ ((dts - 1j * l * eye) / (1j * (j - l)))
-    return out
+    """P_j(xi) = W E_jj W^* for a batch of directions; returns (n, d, d)."""
+    return axis_transport(np.broadcast_to(np.eye(2 * m + 1)[j + m], (len(xis), 2 * m + 1)), xis)
 
 
 def projections(m: int, xi) -> ProjectionFamily:
@@ -229,9 +233,7 @@ def projections(m: int, xi) -> ProjectionFamily:
     if not norm > 0:
         raise ValueError("direction must be a nonzero vector")
     xin = xi / norm
-    mats = np.stack(
-        [_projection_stack(m, xin[None, :], j)[0] for j in range(-m, m + 1)]
-    )
+    mats = axis_transport(np.eye(2 * m + 1), np.broadcast_to(xin, (2 * m + 1, 3)))
     return ProjectionFamily(m=m, direction=xin, matrices=mats)
 
 
@@ -265,6 +267,13 @@ def sphere_rule(degree: int) -> SphereRule:
     return SphereRule(nodes=nodes, weights=weights, degree=degree)
 
 
+def _max_rule_degree(m: int) -> int:
+    """The largest degree whose sphere rule's projection stack, 2 n_polar^2
+    complex d x d matrices, fits _PROJECTION_STACK_MAX_BYTES."""
+    n_polar = math.isqrt(_PROJECTION_STACK_MAX_BYTES // (32 * (2 * m + 1) ** 2))
+    return 2 * n_polar - 1
+
+
 def band_limit_degree(m: int, s: float, radius: float) -> int:
     """Quadrature degree heuristic for the plane-wave integrand:
     2m + ceil(e * s * |x|) + 10."""
@@ -283,7 +292,9 @@ def phi_method2(
     With ``rule=None`` a rule at the band-limit heuristic degree is built.
     If the provided rule is coarser than the heuristic, the value is
     re-computed with a doubled rule and a warning carrying the residual
-    estimate is emitted when the two disagree materially.
+    estimate is emitted when the two disagree materially.  A rule whose
+    projection stack would exceed _PROJECTION_STACK_MAX_BYTES, the doubled
+    one included, is refused with CapabilityError before it is built.
     """
     x = np.asarray(x, dtype=np.float64)
     vals = phi_method2_batch(m, s, j, x[None, :], rule)
@@ -299,7 +310,18 @@ def phi_method2_batch(
 ) -> np.ndarray:
     _check_params(m, s, j)
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    needed = band_limit_degree(m, s, float(np.max(np.linalg.norm(xs, axis=1))))
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("evaluation points must be finite")
+    radius = float(np.max(np.linalg.norm(xs, axis=1)))
+    limit = _max_rule_degree(m)
+    needed = band_limit_degree(m, s, radius) if math.e * s * radius <= limit else limit + 1
+    top = needed if rule is None else (2 * needed if rule.degree < needed else rule.degree)
+    if top > limit:
+        raise CapabilityError(
+            f"the sphere rule for s*|x| = {s * radius:.3g} at m={m} exceeds degree "
+            f"{limit}, the largest whose projection stack fits in "
+            f"{_PROJECTION_STACK_MAX_BYTES >> 20} MiB"
+        )
     if rule is None:
         rule = sphere_rule(needed)
     projs = _projection_stack(m, rule.nodes, j)
@@ -326,19 +348,7 @@ def phi_method2_batch(
 
 def q_stack(m: int, x) -> np.ndarray:
     """Q_0(x)..Q_{2m}(x) by the pointwise recursion; returns (2m+1, d, d)."""
-    rep = _rep(m)
-    x = np.asarray(x, dtype=np.float64)
-    a = _ajs(m)
-    d = rep.dim
-    out = np.empty((2 * m + 1, d, d), dtype=np.complex128)
-    out[0] = np.eye(d)
-    if m == 0:
-        return out
-    r2 = float(x @ x)
-    out[1] = np.tensordot(x, rep.generators, axes=([0], [0]))
-    for l in range(1, 2 * m):
-        out[l + 1] = out[1] @ out[l] - (r2 * a[l - 1] / (2 * l + 1)) * out[l - 1]
-    return out
+    return q_stack_with_grad(m, x)[0]
 
 
 def q_stack_with_grad(m: int, x) -> tuple[np.ndarray, np.ndarray]:

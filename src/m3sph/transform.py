@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import spherical
-from ._kernels import f_table, fourier_grid_sum, grid_convolution, q_series
+from ._kernels import axis_transport, f_table, fourier_grid_sum, grid_convolution, q_series
 from .errors import DecompositionError, MalformedCoefficientsError
 from .radial import RadialProfile, _check_scale, _spline_profile, double_factorial_odd
 from .so3rep import Rotation, tau
@@ -82,8 +82,7 @@ def _radial_series(m: int, xs, coeffs_at) -> np.ndarray:
     if not np.all(np.isfinite(xs)):
         raise ValueError("evaluation points must be finite")
     rs, back = np.unique(radii(xs), return_inverse=True)
-    rep = spherical._rep(m)
-    return q_series(rep.generators, spherical._ajs(m), coeffs_at(rs)[back], xs)
+    return q_series(spherical._ajs(m), coeffs_at(rs)[back], xs)
 
 
 # ---------------------------------------------------------------------------
@@ -314,22 +313,17 @@ def classical_ft(F: MatrixField, y) -> np.ndarray:
     """Fhat(y) = int F(x) exp(-i<x,y>) dx.
 
     Grid form: trapezoid sum over the lattice (fields are assumed decayed
-    at the boundary).  Radial form: the fast 1-D route through the radial
-    kernels; its equivalence with the 3-D quadrature is part of the test
-    suite.
+    at the boundary).  Radial form: the diagonal Fhat(|y| e_1) from the
+    1-D radial kernel route, moved to y by the frame W; its equivalence
+    with the 3-D quadrature is part of the test suite.
     """
     y = np.asarray(y, dtype=np.float64)
     if F.form == "grid":
         return fourier_grid_sum(
             F.values_flat(), F.grid_points(), y[None, :], F.spacing**3
         )[0]
-    s = float(np.linalg.norm(y))
-    if s < 1e-300:
-        c = _radial_ft_coeffs(F, np.array([0.0]))[0]
-        return c[0] * np.eye(F.dim, dtype=np.complex128)
-    c = _radial_ft_coeffs(F, np.array([s]))
-    rep = spherical._rep(F.m)
-    return q_series(rep.generators, spherical._ajs(F.m), c, (y / s)[None, :])[0]
+    lam = np.diagonal(_ft_along_e1(F, np.array([float(np.linalg.norm(y))])), axis1=1, axis2=2)
+    return axis_transport(lam, y[None, :])[0]
 
 
 def _ft_along_e1(F: MatrixField, s_arr: np.ndarray) -> np.ndarray:

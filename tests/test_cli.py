@@ -90,6 +90,39 @@ def test_phi_non_finite_s_is_usage_error(capsys, value):
         assert err
 
 
+def test_phi_compare_at_m12_agrees(capsys):
+    code, out, _ = run_cli(
+        capsys, "phi", "--m", "12", "--s", "1", "--j", "0", "--at", "0.1,0.2,0.3",
+        "--method", "compare",
+    )
+    assert code == 0
+    assert json.loads(out)["max_deviation_12"] <= 1e-10
+
+
+def test_phi_method3_at_tiny_s(capsys):
+    phi = ("phi", "--m", "1", "--s", "1e-300", "--j", "0", "--at", "0.1,0.2,0.3")
+    code, out, _ = run_cli(capsys, *phi, "--method", "compare")
+    assert code == 0
+    assert json.loads(out)["max_deviation_13"] <= 1e-12
+    code, out, _ = run_cli(capsys, *phi, "--method", "3")
+    mat = np.array([[complex(re, im) for re, im in row] for row in json.loads(out)["matrix"]])
+    assert np.allclose(mat, np.eye(3), atol=1e-12)
+
+
+@pytest.mark.parametrize("s, methods", [
+    ("1e200", ("1", "2", "3", "compare")),
+    ("1e8", ("2",)),
+])
+def test_phi_beyond_float_range_is_usage_error(capsys, s, methods):
+    for method in methods:
+        code, out, err = run_cli(
+            capsys, "phi", "--m", "1", "--s", s, "--j", "0", "--at", "0.1,0.2,0.3",
+            "--method", method,
+        )
+        assert (code, out) == (2, "")
+        assert "overflow" in err or "sphere rule" in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_phi_table_non_finite_rmax_is_usage_error(capsys, value):
     code, out, err = run_cli(

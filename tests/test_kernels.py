@@ -1,7 +1,9 @@
 """The numpy kernels against direct references.
 
-``q_series`` is checked point by point against the pointwise recursion
-``spherical.q_stack``; the plane-wave and lattice Fourier sums against
+``axis_transport`` is checked against the frame tau(k) built from two
+explicit rotations and against the axis matrix ``dtau``; ``q_series``
+point by point against the pointwise recursion ``spherical.q_stack``;
+the plane-wave and lattice Fourier sums against
 explicit Python sums over their nodes; the grid convolution against a
 loop over lattice indices.  ``f_table`` is checked against scipy's
 spherical Bessel functions in ``test_radial.py``.
@@ -14,7 +16,7 @@ import pytest
 
 from m3sph import _kernels, spherical
 from m3sph.polyalg import coeff_table
-from m3sph.so3rep import build_irrep
+from m3sph.so3rep import Rotation, build_irrep, dtau, tau
 
 
 def test_f_table_shape_handling():
@@ -27,13 +29,53 @@ def test_f_table_shape_handling():
     assert scalar.shape == (3,)
 
 
+def _frame_test_points(rng):
+    """Random points plus the origin, +-e_1 and other points on the e_1 axis."""
+    axis = [[0, 0, 0], [1, 0, 0], [-1, 0, 0], [2.5, 0, 0], [-0.3, 0, 0]]
+    return np.concatenate([rng.normal(size=(12, 3)) * 1.5, np.array(axis, dtype=float)])
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 4])
+def test_axis_transport_moves_the_axis_matrix(m):
+    # W diag(i mu |x|) W^* = dtau(x): the frame carries e_1 to x/|x|
+    rep = build_irrep(m)
+    xs = _frame_test_points(np.random.default_rng(20))
+    lam = 1j * np.outer(np.linalg.norm(xs, axis=1), np.arange(-m, m + 1))
+    out = _kernels.axis_transport(lam, xs)
+    for p, x in enumerate(xs):
+        assert np.max(np.abs(out[p] - dtau(rep, x))) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 4])
+def test_axis_transport_is_the_two_rotation_frame(m):
+    # k = exp(-phi Y_1) exp(-theta Y_3), with x/|x| = (cos t, sin t cos p, sin t sin p)
+    rep = build_irrep(m)
+    rng = np.random.default_rng(21)
+    xs = _frame_test_points(rng)
+    lam = rng.normal(size=(len(xs), 2 * m + 1)) + 1j * rng.normal(size=(len(xs), 2 * m + 1))
+    out = _kernels.axis_transport(lam, xs)
+    e1, e3 = np.eye(3)[0], np.eye(3)[2]
+    for p, x in enumerate(xs):
+        theta = np.arctan2(np.hypot(x[1], x[2]), x[0])
+        phi = np.arctan2(x[2], x[1])
+        k1, k3 = Rotation(axis=e1, angle=-phi), Rotation(axis=e3, angle=-theta)
+        r = np.linalg.norm(x)
+        if r > 0:
+            assert np.max(np.abs(k1.apply(k3.apply(e1)) - x / r)) <= 1e-14
+        w = tau(rep, k1) @ tau(rep, k3)
+        ref = w @ np.diag(lam[p]) @ w.conj().T
+        assert np.max(np.abs(out[p] - ref)) <= 1e-13
+        if x[1] == x[2] == 0 and x[0] >= 0:
+            assert np.array_equal(out[p], np.diag(lam[p]))
+
+
 @pytest.mark.parametrize("m", [0, 1, 3])
 def test_q_series_against_q_stack(m):
     rng = np.random.default_rng(0)
     n = 17
     coeffs = rng.normal(size=(n, 2 * m + 1)) + 1j * rng.normal(size=(n, 2 * m + 1))
     xs = rng.uniform(-3, 3, size=(n, 3))
-    out = _kernels.q_series(build_irrep(m).generators, coeff_table(m).as_floats(), coeffs, xs)
+    out = _kernels.q_series(coeff_table(m).as_floats(), coeffs, xs)
     assert out.shape == (n, 2 * m + 1, 2 * m + 1)
     for p in range(n):
         qs = spherical.q_stack(m, xs[p])

@@ -4,7 +4,7 @@ import pytest
 import scipy.special
 
 from m3sph import spherical
-from m3sph.errors import ConsistencyError
+from m3sph.errors import CapabilityError, ConsistencyError
 from m3sph.so3rep import Rotation, build_irrep, dtau, tau
 from m3sph.spherical import (
     band_limit_degree,
@@ -102,6 +102,40 @@ def test_eigenvector_scaling_law():
                 assert np.allclose(us, u1 * s ** np.arange(2 * m + 1), atol=1e-10 * max(1, s) ** (2 * m))
 
 
+def test_method3_at_tiny_scale():
+    # the Lagrange product runs at s = 1; coefficient l scales by s^l
+    x = np.array([0.1, 0.2, 0.3])
+    for m in (1, 2):
+        for j in range(-m, m + 1):
+            u1 = phi_method1(m, 1.0, j).coeffs
+            for s in (1e-300, 1e-12):
+                spec3 = phi_method3(m, s, j)
+                assert np.max(np.abs(spec3.coeffs - u1 * s ** np.arange(2 * m + 1))) < 1e-12
+                assert np.max(np.abs(eval_phi(spec3, x) - np.eye(2 * m + 1))) < 1e-11
+
+
+def test_huge_scale_is_refused():
+    # s^(2m) overflows float64: a typed refusal, not NaN or a numpy error
+    x = np.array([[0.1, 0.2, 0.3]])
+    for construct in (phi_method1, phi_method3):
+        with pytest.raises(CapabilityError, match="overflow"):
+            construct(1, 1e200, 0)
+    with pytest.raises(CapabilityError, match="overflow"):
+        phi_method2_batch(1, 1e200, 0, x)
+    assert phi_method1(0, 1e200, 0).coeffs[0] == 1.0
+
+
+@pytest.mark.parametrize("m, s, degree", [(0, 1e8, None), (0, 1e200, None), (1, 1e8, None), (1, 700.0, 4)])
+def test_method2_refuses_an_oversized_sphere_rule(m, s, degree):
+    # refused from the rule's size alone, before any array is allocated; at
+    # s = 700 only the doubled rule that a coarse rule calls for is too large
+    rule = None if degree is None else sphere_rule(degree)
+    with pytest.raises(CapabilityError, match="sphere rule"):
+        phi_method2_batch(m, s, 0, np.array([[0.1, 0.2, 0.3]]), rule=rule)
+    if degree is not None:
+        assert band_limit_degree(m, s, np.linalg.norm([0.1, 0.2, 0.3])) <= spherical._max_rule_degree(m)
+
+
 def test_method1_rejects_out_of_range():
     with pytest.raises(ValueError):
         phi_method1(1, 1.0, 2)
@@ -192,6 +226,20 @@ def test_projections_at_e1_are_coordinate_projections():
             e_jj = np.zeros((d, d))
             e_jj[j + m, j + m] = 1.0
             assert np.array_equal(fam.matrices[j + m], e_jj)
+
+
+@pytest.mark.parametrize("m", [8, 12, 14])
+def test_projections_stay_exact_at_large_m(m):
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        fam = projections(m, rng.normal(size=3))
+        total = np.zeros((2 * m + 1, 2 * m + 1), dtype=complex)
+        for j in range(-m, m + 1):
+            p = fam.P(j)
+            total += p
+            assert np.max(np.abs(p @ p - p)) <= 1e-13
+            assert np.max(np.abs(p - p.conj().T)) <= 1e-13
+        assert np.max(np.abs(total - np.eye(2 * m + 1))) <= 1e-13
 
 
 def test_projections_direction_normalized():
