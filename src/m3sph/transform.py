@@ -41,6 +41,11 @@ DEFAULT_NODES_PER_PANEL = 32
 DEFAULT_GRID_EXTENT = 8.0
 DEFAULT_GRID_N = 41
 
+# the Chebyshev interpolant of the inversion sum (_radial_sums)
+_CHEB_EXTRA = 24       # nodes beyond s_max * R / 2 in the first try
+_CHEB_TAIL = 8         # trailing coefficients that must be negligible
+_CHEB_TAIL_TOL = 1e-14
+
 
 def inversion_constant(m: int) -> float:
     """C = 1/(2 pi^2 (2m+1)) under the declared Fourier convention."""
@@ -288,8 +293,10 @@ def _radial_ft_coeffs(field: MatrixField, s_arr: np.ndarray):
     """Fourier coefficients c_k(s) with Fhat(s*eta) = sum_k c_k(s) Q_k(eta).
 
     c_k(s) = 4 pi (-i)^k int g_k(r) j_k(sr) r^{k+2} dr, via the normalized
-    kernels: j_k(t) = t^k f_k(t) / (2k+1)!!.  The r-rule is fixed: 32
-    Gauss-Legendre nodes per panel of width 4 on [0, r_grid[-1]].
+    kernels: j_k(t) = t^k f_k(t) / (2k+1)!!.  The r-rule has panels of
+    width 4 on [0, r_grid[-1]] with max(32, ceil(s_max * 4 / pi) + 16)
+    Gauss-Legendre nodes each, s_max = max |s_arr|: the integrand
+    oscillates at frequency s_max, so the nodes per oscillation are fixed.
     """
     if not all(p.decays if isinstance(p, RadialProfile) else False for p in field.profiles):
         raise ValueError(
@@ -297,7 +304,9 @@ def _radial_ft_coeffs(field: MatrixField, s_arr: np.ndarray):
             "(profiles must carry decay metadata)"
         )
     L = 2 * field.m + 1
-    rq, wq = gl_panels(0.0, float(field.r_grid[-1]))
+    s_max = float(np.max(np.abs(s_arr), initial=0.0))
+    per_panel = max(DEFAULT_NODES_PER_PANEL, math.ceil(s_max * DEFAULT_PANEL_WIDTH / math.pi) + 16)
+    rq, wq = gl_panels(0.0, float(field.r_grid[-1]), per_panel)
     gv = np.stack([np.asarray(p(rq), dtype=np.complex128) for p in field.profiles])
     ts = np.multiply.outer(s_arr, rq)  # (n_s, n_r)
     fv = f_table(L - 1, ts)  # (L, n_s, n_r)
@@ -518,23 +527,99 @@ def _radial_sums(coeffs: SphericalCoefficients, rs: np.ndarray, kmax: int) -> np
     """The Q_l coefficients of the inversion formula at the radii ``rs``,
     for l = 0..kmax; returns (rs.size, kmax+1).
 
-    c_l(r) = sum_q G[l, q] f_l(s_q r) with the r-independent matrix
-    G[l, q] = C s_q^l w_q s_q^2 sum_j u_{j,l} values[j, q], where
-    C = 1/(2 pi^2 (2m+1)) and u^{(1,j)} are the method-1 coefficient
-    vectors at s = 1.  Radii go in blocks to bound the kernel table.
+    c_l(r) = sum_q G[l, q] f_l(s_q r) (_direct_sums) with the
+    r-independent matrix G[l, q] = C s_q^l w_q s_q^2 sum_j u_{j,l}
+    values[j, q] (_inversion_matrix), where C = 1/(2 pi^2 (2m+1)) and
+    u^{(1,j)} are the method-1 coefficient vectors at s = 1.
+
+    Each c_l is an even entire function of r, band-limited by s_max, so
+    it is sampled at n Chebyshev-Lobatto points of [0, R], R = max |rs|,
+    and evaluated at ``rs`` by the barycentric formula (_barycentric).
+    n starts at ceil(s_max R / 2) + _CHEB_EXTRA and is accepted when the
+    last _CHEB_TAIL Chebyshev coefficients of every c_l are at most
+    _CHEB_TAIL_TOL times its largest one (_cheb_converged); otherwise n
+    becomes 2n - 1, whose points include the old ones.  When n is not
+    smaller than rs.size the direct sum at ``rs`` is returned instead, so
+    small inputs never go through the interpolant.
     """
+    s = coeffs.s_grid
+    G = _inversion_matrix(coeffs, kmax)
+    R = float(np.max(np.abs(rs), initial=0.0))
+    n = math.ceil(float(np.max(s, initial=0.0)) * R / 2) + _CHEB_EXTRA
+    if not (n < rs.size and 0.0 < R < math.inf):
+        return _direct_sums(G, s, rs)
+    nodes = _cheb_nodes(n, R)
+    at_nodes = _direct_sums(G, s, nodes)
+    while not _cheb_converged(at_nodes):
+        n = 2 * n - 1
+        if n >= rs.size:
+            return _direct_sums(G, s, rs)
+        nodes = _cheb_nodes(n, R)
+        finer = np.empty((n, kmax + 1), dtype=np.complex128)
+        finer[0::2] = at_nodes
+        finer[1::2] = _direct_sums(G, s, nodes[1::2])
+        at_nodes = finer
+    return _barycentric(nodes, at_nodes, np.abs(rs))
+
+
+def _inversion_matrix(coeffs: SphericalCoefficients, kmax: int) -> np.ndarray:
+    """G[l, q] = C s_q^l w_q s_q^2 sum_j u_{j,l} values[j, q] for l = 0..kmax;
+    (kmax+1, n_s).  See _radial_sums."""
     s, w, vals = coeffs.s_grid, coeffs.s_weights, coeffs.values
-    n_l = kmax + 1
-    u = _unit_eigvecs(coeffs.m)[:, :n_l]  # (L_j, n_l)
-    powers = s[None, :] ** np.arange(n_l)[:, None]  # (n_l, n_s)
+    u = _unit_eigvecs(coeffs.m)[:, : kmax + 1]  # (L_j, n_l)
+    powers = s[None, :] ** np.arange(kmax + 1)[:, None]  # (n_l, n_s)
     base = vals * (w * s**2)[None, :]  # (L_j, n_s)
-    G = inversion_constant(coeffs.m) * powers * (u.T @ base)  # (n_l, n_s)
+    return inversion_constant(coeffs.m) * powers * (u.T @ base)
+
+
+def _direct_sums(G: np.ndarray, s: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """sum_q G[l, q] f_l(s_q r) at each radius of ``rs`` for the rows
+    l = 0..n_l-1 of G; (rs.size, n_l).  Radii go in blocks to bound the
+    kernel table."""
+    n_l = G.shape[0]
     c = np.empty((rs.size, n_l), dtype=np.complex128)
     block = max(1, int(2e6) // max(1, n_l * s.size))
     for b0 in range(0, rs.size, block):
-        fv = f_table(kmax, np.multiply.outer(rs[b0 : b0 + block], s))  # (n_l, nb, n_s)
+        fv = f_table(n_l - 1, np.multiply.outer(rs[b0 : b0 + block], s))  # (n_l, nb, n_s)
         c[b0 : b0 + block] = np.einsum("lq,lpq->pl", G, fv)
     return c
+
+
+def _cheb_nodes(n: int, R: float) -> np.ndarray:
+    """n Chebyshev-Lobatto points R/2 (1 - cos(pi k/(n-1))) of [0, R], from
+    exactly 0.0 to exactly R; those of n nest in those of 2n - 1."""
+    return 0.5 * R * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1)))
+
+
+def _cheb_converged(values: np.ndarray) -> bool:
+    """Whether, for every column, the last _CHEB_TAIL Chebyshev coefficients
+    of the interpolant through ``values`` at _cheb_nodes are at most
+    _CHEB_TAIL_TOL times its largest one.  The coefficients are read off
+    an FFT of the even extension of the values."""
+    n = values.shape[0]
+    a = np.abs(np.fft.fft(np.concatenate([values, values[-2:0:-1]]), axis=0)[:n])
+    a[[0, -1]] *= 0.5
+    return bool(np.all(np.max(a[-_CHEB_TAIL:], axis=0) <= _CHEB_TAIL_TOL * np.max(a, axis=0)))
+
+
+def _barycentric(nodes: np.ndarray, values: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """The polynomial through (nodes, values) at ``rs`` by the second
+    barycentric formula with the Chebyshev-Lobatto weights (-1)^k, halved
+    at both ends; a radius equal to a node gets that node's values.  Radii
+    go in blocks to bound the (block, n) weight matrix."""
+    n = nodes.size
+    wts = np.where(np.arange(n) % 2, -1.0, 1.0)
+    wts[[0, -1]] *= 0.5
+    out = np.empty((rs.size, values.shape[1]), dtype=np.complex128)
+    block = max(1, int(2e6) // n)
+    for b0 in range(0, rs.size, block):
+        diff = rs[b0 : b0 + block, None] - nodes[None, :]
+        hit, at = np.nonzero(diff == 0.0)
+        diff[hit, at] = 1.0  # any nonzero; those rows are set below
+        kern = wts / diff
+        out[b0 : b0 + block] = (kern @ values) / np.sum(kern, axis=1)[:, None]
+        out[b0 + hit] = values[at]
+    return out
 
 
 def inverse_profiles(coeffs: SphericalCoefficients, label: dict) -> list:

@@ -248,8 +248,20 @@ def _inverse_per_point(coeffs, xs):
     return np.array(out)
 
 
+def _counting_f_table(monkeypatch):
+    evals = []
+
+    def counted(jmax, t):
+        out = _kernels.f_table(jmax, t)
+        evals.append(out.size)
+        return out
+
+    monkeypatch.setattr(transform, "f_table", counted)
+    return evals
+
+
 @pytest.mark.parametrize("m", [0, 1, 2])
-def test_inverse_matches_per_point_reference(m):
+def test_inverse_matches_per_point_reference(m, monkeypatch):
     F = fieldio.synthesize("gaussian", m, {"sigma": 1.0, "component": m})
     coeffs = transform.forward(F)
     rng = np.random.default_rng(20 + m)
@@ -257,10 +269,69 @@ def test_inverse_matches_per_point_reference(m):
     ax = np.linspace(-2.0, 2.0, 9)  # a lattice: many points share a radius
     lattice = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
     scattered = rng.uniform(-2.5, 2.5, size=(40, 3))
+    G = transform._inversion_matrix(coeffs, 2 * m)
+    evals = _counting_f_table(monkeypatch)
     for pts in (lattice, scattered):
         rec = transform.inverse(coeffs, pts)
         ref = _inverse_per_point(coeffs, pts)
         assert np.max(np.abs(rec - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # no more distinct radii than interpolation nodes: the direct sum
+        # at the radii themselves, bit for bit, and no kernel at any node
+        rs = np.unique(transform.radii(pts))
+        direct = transform._direct_sums(G, coeffs.s_grid, rs)
+        evals.clear()
+        assert np.array_equal(transform._radial_sums(coeffs, rs, 2 * m), direct)
+        assert sum(evals) == rs.size * coeffs.s_grid.size * (2 * m + 1)
+
+
+def _ball(rng, n, radius):
+    """The origin and n - 1 points uniform in the ball, all radii distinct."""
+    d = rng.normal(size=(n - 1, 3))
+    d *= (radius * rng.uniform(size=n - 1) ** (1 / 3) / np.linalg.norm(d, axis=1))[:, None]
+    return np.concatenate([np.zeros((1, 3)), d])
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_interpolated_inverse_matches_per_point_reference(m):
+    # 2 000 distinct radii: _radial_sums goes through its Chebyshev
+    # interpolant, whose nodes include the origin and the largest radius
+    F = fieldio.synthesize("plane-wave-packet", m, {"sigma": 1.1})
+    coeffs = transform.forward(F)
+    rng = np.random.default_rng(40 + m)
+    coeffs.values *= (rng.normal(size=2 * m + 1) + 1j * rng.normal(size=2 * m + 1))[:, None]
+    pts = _ball(rng, 2000, 3.0)
+    assert np.unique(transform.radii(pts)).size == pts.shape[0]
+    rec = transform.inverse(coeffs, pts)
+    ref = _inverse_per_point(coeffs, pts)
+    assert np.max(np.abs(rec - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the origin is a node: the direct sum there, to the bit
+    assert np.array_equal(rec[0], transform.inverse(coeffs, pts[:1])[0])
+
+
+def test_interpolated_inverse_of_non_decaying_coefficients():
+    # all-ones coefficients at s_max * R ~ 314: the first node count,
+    # s_max R / 2 + 24, leaves the interpolant ~1e-7 off, so this passes
+    # only through the Chebyshev tail test
+    s, w = transform.gl_panels(0.0, 30.0)
+    ones = np.ones((3, s.size), dtype=complex)
+    coeffs = transform.SphericalCoefficients(m=1, s_grid=s, s_weights=w, values=ones)
+    pts = _ball(np.random.default_rng(47), 2000, 10.5)
+    assert s[-1] * np.max(transform.radii(pts)) >= 300
+    with pytest.warns(UserWarning, match="truncat"):
+        rec = transform.inverse(coeffs, pts)
+    ref = _inverse_per_point(coeffs, pts)
+    assert np.max(np.abs(rec - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_inverse_evaluates_kernels_at_the_nodes_only(monkeypatch):
+    # a guard against a change that bypasses the interpolant: 5 000
+    # distinct radii at m = 4 cost at most a tenth of the direct kernel table
+    m = 4
+    coeffs = transform.forward(fieldio.synthesize("gaussian", m, {"sigma": 1.1}))
+    pts = _ball(np.random.default_rng(48), 5000, 3.0)
+    evals = _counting_f_table(monkeypatch)
+    transform.inverse(coeffs, pts)
+    assert 0 < sum(evals) <= pts.shape[0] * coeffs.s_grid.size * (2 * m + 1) / 10
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -294,6 +365,18 @@ def test_inverse_warns_on_truncation():
     coeffs = transform.forward(F, s_max=1.0)  # artificially truncated
     with pytest.warns(UserWarning, match="truncat"):
         transform.inverse(coeffs, np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("s_max", [20.0, 30.0])
+def test_radial_roundtrip_at_large_s_max(s_max):
+    # the r-integrand g_k(r) j_k(s r) oscillates at frequency s, so the
+    # r-rule must grow with the s range; 32 nodes per panel of width 4 left
+    # a relative error of 4e-10 at s_max = 20 and 1e-2 at s_max = 30
+    F = fieldio.synthesize("gaussian", 1, {"sigma": 1.2, "component": 1})
+    pts = np.random.default_rng(6).uniform(-2.0, 2.0, size=(50, 3))
+    rec = transform.inverse(transform.forward(F, s_max=s_max), pts)
+    ref = F.eval_points(pts)
+    assert np.max(np.abs(rec - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_forward_validates_quadrature_geometry(gaussian_m1):
