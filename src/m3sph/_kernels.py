@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .polyalg import e1_diagonals
 from .so3rep import build_irrep
 
 _SERIES_CUTOFF = 0.5  # switch between Taylor series and trig recurrences
@@ -120,26 +121,28 @@ def axis_transport(lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def axis_diagonals(ajs: np.ndarray) -> np.ndarray:
-    """The diagonals of Q_0(e_1)..Q_{2m}(e_1), (2m+1, d): the Q_l recursion
-    on Q_1(e_1) = A_1 = diag(i mu)."""
-    d = len(ajs) + 1
-    mu = 1j * (np.arange(d) - (d - 1) / 2)
-    q = [np.ones(d, dtype=np.complex128), mu]
-    for l in range(1, d - 1):
-        q.append(mu * q[l] - (ajs[l - 1] / (2 * l + 1)) * q[l - 1])
-    return np.array(q[:d])
+@lru_cache(maxsize=None)
+def axis_diagonals(m: int) -> np.ndarray:
+    """The diagonals of Q_0(e_1)..Q_{2m}(e_1), (2m+1, d), read-only: the exact
+    rationals of polyalg.e1_diagonals rounded once, times i^l.  (The same
+    recursion in floats loses accuracy with l: 4e-10 relative at m = 12,
+    l = 24.)"""
+    r = np.array(e1_diagonals(m), dtype=np.float64)
+    q = r * np.array([1, 1j, -1, -1j])[np.arange(2 * m + 1) % 4, None]
+    q.setflags(write=False)
+    return q
 
 
-def q_series(ajs: np.ndarray, coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def q_series(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Assemble sum_l coeffs[p, l] * Q_l(x_p) for a batch of points.
 
-    ``ajs`` are a_1..a_{2m}, ``coeffs`` is (n, 2m+1) and ``xs`` (n, 3).  Q_l
-    is equivariant and homogeneous of degree l, so the sum is the e_1 diagonal
-    (coeffs[p, l] |x_p|^l) @ axis_diagonals(ajs) moved to x_p.  Returns (n, d, d).
+    ``coeffs`` is (n, 2m+1) and ``xs`` (n, 3).  Q_l is equivariant and
+    homogeneous of degree l, so the sum is the e_1 diagonal
+    (coeffs[p, l] |x_p|^l) @ axis_diagonals(m) moved to x_p.  Returns (n, d, d).
     """
+    L = coeffs.shape[1]
     r = np.sqrt(np.einsum("pi,pi->p", xs, xs))
-    lam = (coeffs * r[:, None] ** np.arange(coeffs.shape[1])) @ axis_diagonals(ajs)
+    lam = (coeffs * r[:, None] ** np.arange(L)) @ axis_diagonals((L - 1) // 2)
     return axis_transport(lam, xs)
 
 

@@ -12,6 +12,7 @@ import numpy as np
 from scipy.special import spherical_jn
 
 from . import polyalg, radial, spherical, transform
+from .errors import ConsistencyError
 from .fieldio import synthesize
 from .polyalg import M_MAX_EXACT
 from .so3rep import Rotation, build_irrep, dtau, tau
@@ -128,6 +129,18 @@ def suite_polyalg(ms, rng, profile: str) -> dict:
                 polyalg.rational(1, 4 * m + 1)
             )
             rec.exact(f"m={m} terminating product", top.is_zero())
+        # the spectrum {j} as an exact identity: unit_eigvec raises unless
+        # row 2m closes on its recursion's vector
+        try:
+            units = [polyalg.unit_eigvec(m, j) for j in range(-m, m + 1)]
+        except ConsistencyError:
+            units = None
+        rec.exact(f"m={m} row 2m closes", units is not None)
+        rec.exact(
+            f"m={m} method 1 = method 3",
+            units is not None
+            and all(u == polyalg.lagrange_unit_eigvec(m, j) for j, u in enumerate(units, -m)),
+        )
         if m <= 3:
             for j in range(2 * m + 1):
                 try:
@@ -199,7 +212,8 @@ def suite_radial(rng, profile: str) -> dict:
 def suite_spherical(ms, rng, profile: str) -> dict:
     rec = _Recorder("spherical")
     svals = (0.5, 1.0, 2.0, 7.3)
-    for m in sorted(set(list(ms) + ([4, 6] if profile == "full" else []))):
+    top = spherical.M_MAX_NUMERIC
+    for m in sorted(set(list(ms) + ([4, 6, top] if profile == "full" else []))):
         for s in svals:
             op = spherical.build_tridiagonal(m, s)
             eigs = np.sort(np.linalg.eigvals(op.matrix()).real)
@@ -207,6 +221,30 @@ def suite_spherical(ms, rng, profile: str) -> dict:
                 f"m={m} s={s} spectrum",
                 np.max(np.abs(eigs - op.eigenvalues())),
                 1e-10 * s,
+            )
+    if profile == "full":
+        # the top of the numeric range, near |x| = 1 where construction 2's
+        # sphere rule still fits its byte budget; construction 2 costs ~2 s
+        # a call there, so it runs at j = m only
+        s, x = 1.0, np.array([0.3, -0.4, 0.8])
+        for j in (-top, 0, top):
+            spec1 = spherical.phi_method1(top, s, j)
+            rec.case(
+                f"m={top} s={s} j={j} method1 vs method3",
+                np.max(np.abs(spec1.coeffs - spherical.phi_method3(top, s, j).coeffs)),
+                1e-10,
+            )
+            if j == top:
+                rec.case(
+                    f"m={top} s={s} j={j} method1 vs method2",
+                    np.max(np.abs(spherical.eval_phi(spec1, x) - spherical.phi_method2(top, s, j, x))),
+                    1e-6,
+                )
+            lap = _phi_laplacian_fd(spec1, x)
+            rec.case(
+                f"m={top} s={s} j={j} laplacian eigenfunction",
+                np.max(np.abs(lap + s * s * spherical.eval_phi(spec1, x))),
+                1e-5 * (1 + s * s),
             )
     n_x = 5 if profile == "quick" else 20
     for m in ms:

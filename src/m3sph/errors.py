@@ -7,7 +7,8 @@ class M3sphError(Exception):
 
 class CapabilityError(M3sphError):
     """Requested parameters exceed what the package can compute: the exact
-    layer's m, the float64 range of s^(2m), or the sphere-rule byte budget."""
+    layer's m, the numeric spherical functions' m, the float64 range of
+    s^(2m), or the sphere-rule byte budget."""
 
 
 class ConsistencyError(M3sphError):

@@ -4,7 +4,10 @@ Everything in this module is computed over an exact scalar domain so the
 defining identities of the generator family (harmonicity, the lowering
 identity D Q_j = a_j Q_{j-1}, the terminating product identity, and
 infinitesimal equivariance) can be decided as exact zero polynomials, not
-by tolerances.
+by tolerances.  The module also holds the exact vectors the numeric layer
+rounds once: the s = 1 coefficients of the spherical functions
+(unit_eigvec, lagrange_unit_eigvec) and the diagonals of Q_l(e_1)
+(e1_diagonals).
 
 The one scalar type is fractions.Fraction: every coefficient is a real
 rational in the split form.  Two changes of coordinates make it so, and
@@ -35,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapabilityError
+from .errors import CapabilityError, ConsistencyError
 
 # exact mode is capped: the cost of build_Q and of the exact identity checks
 # grows steeply with m, and m <= 4 keeps them to seconds
@@ -375,6 +378,68 @@ def coeff_table(m: int) -> CoeffTable:
         for k in range(1, 2 * m):
             a.append(_Q((k + 1) ** 2, 2 * k + 1) * (c + _Q(k * k + 2 * k, 4)))
     return CoeffTable(m=m, a=tuple(a), c=c)
+
+
+def _check_index(m: int, j: int):
+    if not -m <= j <= m:
+        raise ValueError(f"index j must satisfy -m <= j <= m, got j={j}, m={m}")
+
+
+def unit_eigvec(m: int, j: int) -> tuple:
+    """The coefficients u_0..u_{2m} of Phi_{1,j} in the basis {f_l Q_l}: the
+    eigenvector for the eigenvalue j of the tridiagonal operator at s = 1
+    (superdiagonal a_1..a_{2m}, subdiagonal -1/(2l+3)), with u_0 = 1.
+
+    Rows 0..2m-1 of (M - j) u = 0 give u_1 = j / a_1 and
+    u_{l+1} = (j u_l + u_{l-1}/(2l+1)) / a_{l+1}; no a_{l+1} vanishes, as
+    c + (k^2+2k)/4 = 0 only at k = 2m.  Row 2m, -u_{2m-1}/(4m+1) = j u_{2m},
+    then holds exactly iff j is an eigenvalue, and ConsistencyError is
+    raised if it does not.  At scale s, coefficient l is s^l u_l.
+    """
+    _check_index(m, j)
+    a = coeff_table(m).a
+    u = [_Q(1)]
+    if m == 0:
+        return tuple(u)
+    u.append(_Q(j) / a[0])
+    for l in range(1, 2 * m):
+        u.append((j * u[l] + u[l - 1] / (2 * l + 1)) / a[l])
+    if -u[2 * m - 1] / (4 * m + 1) != j * u[2 * m]:
+        raise ConsistencyError(f"row 2m of the tridiagonal operator does not close at m={m}, j={j}")
+    return tuple(u)
+
+
+def lagrange_unit_eigvec(m: int, j: int) -> tuple:
+    """Construction 3's coefficients at s = 1: (2m+1) prod_{l != j}
+    (M - l)/(j - l) applied to e_0, the coefficient vector of the scalar
+    spherical function, with M the operator of unit_eigvec.  The product
+    projects e_0 onto the j eigenvector; it equals unit_eigvec(m, j)."""
+    _check_index(m, j)
+    a = coeff_table(m).a
+    n = 2 * m + 1
+    v = [_Q(1)] + [_ZERO] * (n - 1)
+    for l in range(-m, m + 1):
+        if l != j:
+            mv = [
+                (a[k] * v[k + 1] if k < n - 1 else _ZERO) - (v[k - 1] / (2 * k + 1) if k else _ZERO)
+                for k in range(n)
+            ]
+            v = [(x - l * y) / (j - l) for x, y in zip(mv, v)]
+    return tuple(n * x for x in v)
+
+
+def e1_diagonals(m: int) -> tuple:
+    """The rationals r_l with Q_l(e_1) = i^l diag(r_l), l = 0..2m: the
+    build_Q recursion at x = e_1, where Q_1(e_1) = A_1 = diag(i mu) with
+    mu = -m..m, gives r_0 = 1, r_1 = mu and
+    r_{l+1} = mu r_l + (a_l/(2l+1)) r_{l-1}."""
+    a = coeff_table(m).a
+    mu = [_Q(p) for p in range(-m, m + 1)]
+    r = [tuple(_Q(1) for _ in mu), tuple(mu)]
+    for l in range(1, 2 * m):
+        c = a[l - 1] / (2 * l + 1)
+        r.append(tuple(x * y + c * z for x, y, z in zip(mu, r[l], r[l - 1])))
+    return tuple(r[: 2 * m + 1])
 
 
 def laplacian(P: MatPoly) -> MatPoly:

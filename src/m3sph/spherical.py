@@ -11,6 +11,10 @@ central oracle of the package:
 3. a Lagrange polynomial in the tridiagonal matrix applied to the
    coefficient vector of the scalar spherical function.
 
+Constructions 1 and 3 are exact rational vectors at s = 1
+(polyalg.unit_eigvec, polyalg.lagrange_unit_eigvec), rounded once and
+scaled by s^l; construction 2 is the independent float oracle.
+
 Indexing: j is canonically the integer with eigenvalue s*j; the projection
 P_j(xi) projects onto the i*j*|xi| eigenspace of the axis matrix.
 """
@@ -26,14 +30,22 @@ import numpy as np
 
 from . import so3rep
 from ._kernels import axis_transport, f_table, plane_wave_sum, q_series
-from .errors import CapabilityError, ConsistencyError
-from .polyalg import coeff_table
+from .errors import CapabilityError
+from .polyalg import coeff_table, lagrange_unit_eigvec, unit_eigvec
 from .radial import _check_scale
 
 
 # bytes one sphere rule's (nodes, d, d) projection stack may take; construction 2
 # refuses an s*|x| that would need a larger rule, before it builds any
 _PROJECTION_STACK_MAX_BYTES = 1 << 27
+
+# the largest m the numeric constructions and the inversion sum serve: from
+# m = 27 the d^2 x d^2 frame map of the off-axis evaluator (_kernels._frame_maps)
+# takes more than the 128 MiB construction 2 keeps to.  The next limits lie
+# further out: from m = 38 the float spectrum of the tridiagonal operator (the
+# check suite's spectrum cases) is wrong by O(1), and from m = 46 the smallest
+# coefficient of unit_eigvecs is subnormal
+M_MAX_NUMERIC = 26
 
 
 @lru_cache(maxsize=None)
@@ -114,60 +126,61 @@ class SphericalFunctionSpec:
         self.coeffs.setflags(write=False)
 
 
+def _check_numeric_m(m: int):
+    if m > M_MAX_NUMERIC:
+        raise CapabilityError(
+            f"numeric spherical functions support m <= {M_MAX_NUMERIC} (requested m={m})"
+        )
+
+
 def _check_params(m: int, s: float, j: int):
     _check_scale(s)
     if not -m <= j <= m:
         raise ValueError(f"index j must satisfy -m <= j <= m, got j={j}, m={m}")
+    _check_numeric_m(m)
     # the top coefficient scales as s^(2m); float64 ends below 2^1024
     if 2 * m * math.log2(s) >= 1024:
         raise CapabilityError(f"s^(2m) overflows float64 at s={s}, m={m}")
 
 
+@lru_cache(maxsize=None)
+def unit_eigvecs(m: int) -> np.ndarray:
+    """The coefficient vectors of Phi_{1,j}, j = -m..m, as row j+m of a
+    read-only (2m+1, 2m+1) table: the exact polyalg.unit_eigvec rounded
+    once.  Construction 1 and the inversion sum read it; an m above
+    M_MAX_NUMERIC raises CapabilityError."""
+    _check_numeric_m(m)
+    u = np.array([unit_eigvec(m, j) for j in range(-m, m + 1)], dtype=np.float64)
+    u.setflags(write=False)
+    return u
+
+
 def phi_method1(m: int, s: float, j: int) -> SphericalFunctionSpec:
     """Construction 1: eigenvector of the tridiagonal operator.
 
-    The eigenvector for the known eigenvalue s*j is obtained from the
-    shifted null space (the spectrum is available in closed form, so no
-    general nonsymmetric eigensolve or pairing heuristic is needed) and
-    rescaled to have first coordinate 1.
+    The eigenvector for s*j with leading coordinate 1 is row j+m of
+    unit_eigvecs, the s = 1 vector, with coefficient l scaled by s^l,
+    since M(s) = s D M(1) D^-1 with D = diag(s^l).
     """
     _check_params(m, s, j)
-    op = build_tridiagonal(m, s)
-    mat = op.matrix()
-    lam = s * j
-    eigs = np.linalg.eigvals(mat)
-    if np.min(np.abs(eigs - lam)) > 1e-8 * s:
-        raise ConsistencyError(
-            f"no eigenvalue within 1e-8*s of s*j={lam} (m={m}, s={s}, j={j})"
-        )
-    shifted = mat - lam * np.eye(op.size)
-    _, _, vh = np.linalg.svd(shifted)
-    u = vh[-1]
-    if abs(u[0]) < 1e-12:
-        raise ConsistencyError("eigenvector has vanishing leading coordinate")
-    u = u / u[0]
-    return SphericalFunctionSpec(m=m, s=float(s), j=j, coeffs=u, method=1)
+    coeffs = unit_eigvecs(m)[j + m] * float(s) ** np.arange(2 * m + 1)
+    return SphericalFunctionSpec(m=m, s=float(s), j=j, coeffs=coeffs, method=1)
 
 
 def phi_method3(m: int, s: float, j: int) -> SphericalFunctionSpec:
     """Construction 3: Lagrange polynomial of the tridiagonal matrix.
 
     Applies prod_{l != j} (M - l I)/(j - l) at s = 1 to the coefficient
-    vector of the scalar spherical function (the first basis vector),
-    scales by 2m+1 and scales coefficient l by s^l.  That is the product
-    at s exactly, since M(s) = s D M(1) D^-1 with D = diag(s^l), and no
-    step divides by s.  The leading coefficient comes out 1 automatically;
-    that this matches construction 1's normalization is asserted in the
-    test suite.
+    vector of the scalar spherical function (the first basis vector) and
+    scales by 2m+1, in exact rationals (polyalg.lagrange_unit_eigvec); the
+    result is rounded once and coefficient l scaled by s^l.  That is the
+    product at s exactly, since M(s) = s D M(1) D^-1 with D = diag(s^l).
+    The leading coefficient comes out 1 automatically; that this matches
+    construction 1's normalization is asserted in the test suite.
     """
     _check_params(m, s, j)
-    mat = build_tridiagonal(m, 1.0).matrix()
-    v = np.zeros(2 * m + 1)
-    v[0] = 1.0
-    for l in range(-m, m + 1):
-        if l != j:
-            v = (mat @ v - l * v) / (j - l)
-    coeffs = (2 * m + 1) * v * float(s) ** np.arange(2 * m + 1)
+    u = np.array(lagrange_unit_eigvec(m, j), dtype=np.float64)
+    coeffs = u * float(s) ** np.arange(2 * m + 1)
     return SphericalFunctionSpec(m=m, s=float(s), j=j, coeffs=coeffs, method=3)
 
 
@@ -194,7 +207,7 @@ def eval_phi_batch(spec: SphericalFunctionSpec, xs: np.ndarray) -> np.ndarray:
     r = np.linalg.norm(xs, axis=1)
     fv = f_table(2 * spec.m, spec.s * r)  # (2m+1, n)
     coeffs = (spec.coeffs[:, None] * fv).T.astype(np.complex128)
-    return q_series(_ajs(spec.m), coeffs, xs)
+    return q_series(coeffs, xs)
 
 
 # ---------------------------------------------------------------------------

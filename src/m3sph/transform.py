@@ -23,17 +23,21 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from . import spherical
-from ._kernels import axis_transport, f_table, fourier_grid_sum, grid_convolution, q_series
+from ._kernels import (
+    axis_diagonals,
+    axis_transport,
+    f_table,
+    fourier_grid_sum,
+    grid_convolution,
+    q_series,
+)
 from .errors import DecompositionError, MalformedCoefficientsError
 from .radial import RadialProfile, _check_scale, _spline_profile, double_factorial_odd
 from .so3rep import Rotation, tau
-
-_E1 = np.array([1.0, 0.0, 0.0])
 
 # default quadrature geometry (overridable per call; Config feeds the CLI)
 DEFAULT_PANEL_WIDTH = 4.0
@@ -87,7 +91,7 @@ def _radial_series(m: int, xs, coeffs_at) -> np.ndarray:
     if not np.all(np.isfinite(xs)):
         raise ValueError("evaluation points must be finite")
     rs, back = np.unique(radii(xs), return_inverse=True)
-    return q_series(spherical._ajs(m), coeffs_at(rs)[back], xs)
+    return q_series(coeffs_at(rs)[back], xs)
 
 
 # ---------------------------------------------------------------------------
@@ -331,34 +335,33 @@ def classical_ft(F: MatrixField, y) -> np.ndarray:
         return fourier_grid_sum(
             F.values_flat(), F.grid_points(), y[None, :], F.spacing**3
         )[0]
-    lam = np.diagonal(_ft_along_e1(F, np.array([float(np.linalg.norm(y))])), axis1=1, axis2=2)
+    lam = _ft_along_e1(F, np.array([float(np.linalg.norm(y))]))
     return axis_transport(lam, y[None, :])[0]
 
 
 def _ft_along_e1(F: MatrixField, s_arr: np.ndarray) -> np.ndarray:
-    """Fhat(s e_1) for a batch of scales; returns (n_s, d, d).
+    """The diagonal of Fhat(s e_1) for a batch of scales; returns (n_s, d).
 
     Grid form: the phase exp(-i s x_1) does not depend on x_2 and x_3, so
     the lattice is first summed over them into slabs (O(N)) and the
     transform is the 1-D sum  h^3 sum_{x_1} exp(-i s x_1) slab(x_1), which
     holds for any origin and any (n0, n1, n2).  Radial form: the radial
-    kernel coefficients against Q_k(e_1), which are diagonal.
+    kernel coefficients against the diagonals of Q_k(e_1).
     """
     if F.form == "grid":
         x1 = F.axes()[0]
         slabs = F.values.sum(axis=(1, 2)).reshape(x1.size, -1)  # (n0, d*d)
         phases = np.exp(-1j * np.multiply.outer(s_arr, x1))  # (n_s, n0)
-        return (F.spacing**3 * (phases @ slabs)).reshape(-1, F.dim, F.dim)
-    c = _radial_ft_coeffs(F, s_arr)
-    qe1 = spherical.q_stack(F.m, _E1)  # (L, d, d), all diagonal
-    return np.tensordot(c, qe1, axes=([1], [0]))
+        fhat = (F.spacing**3 * (phases @ slabs)).reshape(-1, F.dim, F.dim)
+        return np.diagonal(fhat, axis1=1, axis2=2)
+    return _radial_ft_coeffs(F, s_arr) @ axis_diagonals(F.m)
 
 
 def h_decompose(F: MatrixField, s: float) -> np.ndarray:
     """h_j(s) = Tr(Fhat(s e_1) P_j(e_1)) for j = -m..m (index j+m): the
     diagonal of Fhat(s e_1), since P_j(e_1) = E_jj."""
     _check_scale(s)
-    return np.diagonal(_ft_along_e1(F, np.array([float(s)]))[0]).copy()
+    return _ft_along_e1(F, np.array([float(s)]))[0].copy()
 
 
 def spherical_ft(
@@ -379,8 +382,7 @@ def spherical_ft(
     if not -F.m <= j <= F.m:
         raise ValueError("index j out of range")
     if mode == "fast":
-        fhat = _ft_along_e1(F, np.array([float(s)]))[0]
-        return complex(fhat[F.m - j, F.m - j])
+        return complex(_ft_along_e1(F, np.array([float(s)]))[0, F.m - j])
     if mode != "direct":
         raise ValueError("mode must be 'fast' or 'direct'")
     G = F if F.form == "grid" else F.to_grid(grid_extent, grid_n)
@@ -510,17 +512,8 @@ def forward(
                 )
             s_max = nyquist
     s_nodes, s_w = gl_panels(0.0, float(s_max), per_panel, panel_width)
-    fhat = _ft_along_e1(F, s_nodes)
-    vals = np.diagonal(fhat, axis1=1, axis2=2)[:, ::-1].T.copy()
+    vals = _ft_along_e1(F, s_nodes)[:, ::-1].T.copy()
     return SphericalCoefficients(m=F.m, s_grid=s_nodes, s_weights=s_w, values=vals)
-
-
-@lru_cache(maxsize=None)
-def _unit_eigvecs(m: int) -> np.ndarray:
-    """Method-1 coefficient vectors at s = 1; row j+m is u^{(1,j)}."""
-    return np.stack(
-        [spherical.phi_method1(m, 1.0, j).coeffs for j in range(-m, m + 1)]
-    )
 
 
 def _radial_sums(coeffs: SphericalCoefficients, rs: np.ndarray, kmax: int) -> np.ndarray:
@@ -530,7 +523,7 @@ def _radial_sums(coeffs: SphericalCoefficients, rs: np.ndarray, kmax: int) -> np
     c_l(r) = sum_q G[l, q] f_l(s_q r) (_direct_sums) with the
     r-independent matrix G[l, q] = C s_q^l w_q s_q^2 sum_j u_{j,l}
     values[j, q] (_inversion_matrix), where C = 1/(2 pi^2 (2m+1)) and
-    u^{(1,j)} are the method-1 coefficient vectors at s = 1.
+    u^{(1,j)} are the s = 1 coefficient vectors, spherical.unit_eigvecs.
 
     Each c_l is an even entire function of r, band-limited by s_max, so
     it is sampled at n Chebyshev-Lobatto points of [0, R], R = max |rs|,
@@ -566,7 +559,7 @@ def _inversion_matrix(coeffs: SphericalCoefficients, kmax: int) -> np.ndarray:
     """G[l, q] = C s_q^l w_q s_q^2 sum_j u_{j,l} values[j, q] for l = 0..kmax;
     (kmax+1, n_s).  See _radial_sums."""
     s, w, vals = coeffs.s_grid, coeffs.s_weights, coeffs.values
-    u = _unit_eigvecs(coeffs.m)[:, : kmax + 1]  # (L_j, n_l)
+    u = spherical.unit_eigvecs(coeffs.m)[:, : kmax + 1]  # (L_j, n_l)
     powers = s[None, :] ** np.arange(kmax + 1)[:, None]  # (n_l, n_s)
     base = vals * (w * s**2)[None, :]  # (L_j, n_s)
     return inversion_constant(coeffs.m) * powers * (u.T @ base)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from m3sph import fieldio, transform
+from m3sph import fieldio, spherical, transform
 from m3sph.cli import main
 
 
@@ -97,6 +97,28 @@ def test_phi_compare_at_m12_agrees(capsys):
     )
     assert code == 0
     assert json.loads(out)["max_deviation_12"] <= 1e-10
+
+
+def test_phi_compare_at_m14_agrees(capsys):
+    code, out, _ = run_cli(
+        capsys, "phi", "--m", "14", "--s", "1.3", "--j", "0", "--at", "0.4,-0.7,1.1",
+        "--method", "compare",
+    )
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["max_deviation_12"] <= 1e-10
+    assert rec["max_deviation_13"] <= 1e-10
+
+
+def test_phi_above_the_numeric_range_is_refused(capsys):
+    m = str(spherical.M_MAX_NUMERIC + 1)
+    for method in ("1", "3", "compare"):
+        code, out, err = run_cli(
+            capsys, "phi", "--m", m, "--s", "1", "--j", "0", "--at", "0.1,0.2,0.3",
+            "--method", method,
+        )
+        assert (code, out) == (2, "")
+        assert "numeric" in err
 
 
 def test_phi_method3_at_tiny_s(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from m3sph import _kernels, fieldio, transform
+from m3sph import _kernels, fieldio, spherical, transform
 from m3sph.errors import (
     ChecksumMismatchError,
     FieldFormatError,
@@ -228,7 +228,7 @@ def _bump_profile_closed_form(m, k, rho, s0, width):
     s, w = transform.gl_panels(0.0, s0 + 10.0 * width)
     bump = np.exp(-((s - s0) ** 2) / (2 * width * width))
     fk = _kernels.f_table(k, np.multiply.outer(rho, s))[k]
-    usum = np.sum(transform._unit_eigvecs(m)[:, k])
+    usum = np.sum(spherical.unit_eigvecs(m)[:, k])
     return transform.inversion_constant(m) * usum * (fk @ (bump * w * s ** (k + 2)))
 
 

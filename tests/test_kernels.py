@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from m3sph import _kernels, spherical
-from m3sph.polyalg import coeff_table
 from m3sph.so3rep import Rotation, build_irrep, dtau, tau
 
 
@@ -75,7 +74,7 @@ def test_q_series_against_q_stack(m):
     n = 17
     coeffs = rng.normal(size=(n, 2 * m + 1)) + 1j * rng.normal(size=(n, 2 * m + 1))
     xs = rng.uniform(-3, 3, size=(n, 3))
-    out = _kernels.q_series(coeff_table(m).as_floats(), coeffs, xs)
+    out = _kernels.q_series(coeffs, xs)
     assert out.shape == (n, 2 * m + 1, 2 * m + 1)
     for p in range(n):
         qs = spherical.q_stack(m, xs[p])

@@ -48,6 +48,38 @@ def test_coeff_table_values():
 
 
 # ---------------------------------------------------------------------------
+# the s = 1 eigenvectors and the axis diagonals
+# ---------------------------------------------------------------------------
+
+
+def test_unit_eigvec_values():
+    # solved by hand from the 3x3 shifted systems
+    assert [str(x) for x in polyalg.unit_eigvec(1, 0)] == ["1", "0", "-1/5"]
+    assert [str(x) for x in polyalg.unit_eigvec(1, 1)] == ["1", "-1/2", "1/10"]
+    assert [str(x) for x in polyalg.unit_eigvec(1, -1)] == ["1", "1/2", "1/10"]
+    assert polyalg.unit_eigvec(0, 0) == (1,)
+    with pytest.raises(ValueError):
+        polyalg.unit_eigvec(1, 2)
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 8, 12])
+def test_lagrange_product_equals_the_recursion_exactly(m):
+    for j in range(-m, m + 1):
+        assert polyalg.lagrange_unit_eigvec(m, j) == polyalg.unit_eigvec(m, j)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_e1_diagonals_are_q_at_e1(m):
+    e1 = np.array([1.0, 0.0, 0.0])
+    for l, (r, q) in enumerate(zip(polyalg.e1_diagonals(m), build_Q(m))):
+        exact = q.eval(e1)
+        assert np.array_equal(exact, np.diag(np.diagonal(exact)))
+        assert np.max(np.abs(1j**l * np.array(r, dtype=float) - np.diagonal(exact))) <= (
+            1e-14 * np.max(np.abs(exact))
+        )
+
+
+# ---------------------------------------------------------------------------
 # generators and the Q family
 # ---------------------------------------------------------------------------
 

@@ -143,20 +143,76 @@ def test_method1_rejects_out_of_range():
         phi_method1(1, -1.0, 0)
 
 
-def test_method1_internal_consistency_guard():
-    # corrupting the spectrum must trip the eigenvalue-matching error
-    good = build_tridiagonal(2, 1.0)
-    import m3sph.spherical as sph
+def test_method1_internal_consistency_guard(monkeypatch):
+    # corrupting the rational a_l must trip the exact row-2m closure
+    from m3sph import polyalg
 
-    orig = sph.build_tridiagonal
+    table = polyalg.coeff_table
+    good = table(2)
+    bad = polyalg.CoeffTable(m=2, a=tuple(x * polyalg.rational(37, 10) for x in good.a), c=good.c)
+    monkeypatch.setattr(polyalg, "coeff_table", lambda m: bad if m == 2 else table(m))
+    spherical.unit_eigvecs.cache_clear()
     try:
-        sph.build_tridiagonal = lambda m, s: spherical.TridiagonalOperator(
-            m=m, s=s, superdiag=good.superdiag * 3.7, subdiag=good.subdiag
-        )
-        with pytest.raises(ConsistencyError):
-            sph.phi_method1(2, 1.0, 1)
+        with pytest.raises(ConsistencyError, match="row 2m"):
+            phi_method1(2, 1.0, 1)
     finally:
-        sph.build_tridiagonal = orig
+        spherical.unit_eigvecs.cache_clear()
+
+
+def test_method1_valid_scales_at_both_ends():
+    # the s = 1 row times s^l, at both ends of the float range
+    for m, s, j in ((1, 1e8, 0), (1, 1e-300, 1)):
+        expected = spherical.unit_eigvecs(m)[j + m] * s ** np.arange(2 * m + 1)
+        assert np.array_equal(phi_method1(m, s, j).coeffs, expected)
+
+
+def test_method1_runs_no_float_eigensolver(monkeypatch):
+    # the coefficients are the exact recursion rounded once, not a numerical solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("phi_method1 called a float eigensolver")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    spherical.unit_eigvecs.cache_clear()
+    for m in (0, 1, 5, 14):
+        for j in (-m, 0, m):
+            assert phi_method1(m, 1.3, j).coeffs[0] == 1.0
+
+
+def test_unit_eigvecs_is_the_exact_vector_rounded_once():
+    from m3sph.polyalg import unit_eigvec
+
+    for m in (0, 3, 13, spherical.M_MAX_NUMERIC):
+        table = spherical.unit_eigvecs(m)
+        assert not table.flags.writeable
+        assert spherical.unit_eigvecs(m) is table
+        for j in (-m, 0, m):
+            assert table[j + m].tolist() == [float(x) for x in unit_eigvec(m, j)]
+
+
+def test_above_the_numeric_range_is_refused():
+    m = spherical.M_MAX_NUMERIC + 1
+    for construct in (phi_method1, phi_method3):
+        with pytest.raises(CapabilityError, match="numeric"):
+            construct(m, 1.0, 0)
+    with pytest.raises(CapabilityError, match="numeric"):
+        spherical.unit_eigvecs(m)
+
+
+@pytest.mark.parametrize("m", [14, 20, spherical.M_MAX_NUMERIC])
+def test_method1_on_the_axis_against_a_polar_quadrature(m):
+    # construction 2 on the e_1 axis, where the azimuth integrates out:
+    # Phi(t e_1)_pp = (2m+1)/2 int_{-1}^{1} e^{-i t mu} P_j(xi(mu))_pp dmu, with
+    # xi(mu) = (mu, sqrt(1 - mu^2), 0); Gauss-Legendre in mu is exact for the
+    # band-limited integrand.  t = 40 reaches the high-order terms of the series
+    mu, w = np.polynomial.legendre.leggauss(160)
+    xis = np.stack([mu, np.sqrt(1.0 - mu**2), np.zeros_like(mu)], axis=1)
+    for s, t in ((1.0, 40.0), (2.5, 7.0)):
+        for j in (-m, 0, 1, m):
+            diag = np.diagonal(spherical._projection_stack(m, xis, j), axis1=1, axis2=2)
+            ref = (2 * m + 1) * 0.5 * (w * np.exp(-1j * t * mu)) @ diag
+            val = eval_phi(phi_method1(m, s, j), np.array([t / s, 0.0, 0.0]))
+            assert np.max(np.abs(np.diagonal(val) - ref)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from m3sph import _kernels, fieldio, spherical, transform
-from m3sph.errors import DecompositionError
+from m3sph.errors import CapabilityError, DecompositionError
 from m3sph.so3rep import Rotation, build_irrep, tau
 
 GAUSS_FT = lambda s: (2 * np.pi) ** 1.5 * np.exp(-s * s / 2.0)
@@ -110,9 +110,10 @@ def test_ft_along_e1_matches_lattice_sum(m):
     G = transform.MatrixField.grid(m, np.array([-2.3, -1.1, -4.7]), 0.45, values)
     s_arr = np.linspace(0.05, 6.5, 13)
     out = transform._ft_along_e1(G, s_arr)
-    ref = _kernels.fourier_grid_sum(
+    full = _kernels.fourier_grid_sum(
         G.values_flat(), G.grid_points(), np.outer(s_arr, [1.0, 0.0, 0.0]), G.spacing**3
     )
+    ref = np.diagonal(full, axis1=1, axis2=2)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -140,10 +141,10 @@ def test_h_decompose_reassembles_fhat():
 def _forward_by_projections(F, s_grid):
     """The transform contracted with the spectral projections at e_1, as
     values[j+m, q] = Tr[P_{-j}(e_1) Fhat(s_q e_1)]."""
-    fhat = transform._ft_along_e1(F, s_grid)
+    diag = transform._ft_along_e1(F, s_grid)  # P_j(e_1) = E_jj reads only the diagonal
     fam = spherical.projections(F.m, [1.0, 0.0, 0.0])
     return np.stack(
-        [np.einsum("qab,ba->q", fhat, fam.P(-j)) for j in range(-F.m, F.m + 1)]
+        [np.einsum("qa,aa->q", diag, fam.P(-j)) for j in range(-F.m, F.m + 1)]
     )
 
 
@@ -231,13 +232,35 @@ def test_gaussian_roundtrip_pointwise():
         assert np.max(np.abs(coeffs.values[:, -1])) < 1e-8 * peak
 
 
+@pytest.mark.parametrize("m", [14, 20])
+def test_gaussian_roundtrip_at_high_m(m):
+    # 12 digits above m = 12, where float coefficients lose them
+    rng = np.random.default_rng(14)
+    v = rng.normal(size=(300, 3))
+    pts = 3.0 * v / np.linalg.norm(v, axis=1)[:, None] * rng.uniform(0, 1, (300, 1)) ** (1 / 3)
+    F = fieldio.synthesize("gaussian", m, {"sigma": 1.0})
+    ref = F.eval_points(pts)
+    rec = transform.inverse(transform.forward(F), pts)
+    assert np.max(np.abs(rec - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_inverse_above_the_numeric_range_is_refused():
+    m = spherical.M_MAX_NUMERIC + 1
+    coeffs = transform.SphericalCoefficients(
+        m=m, s_grid=np.array([1.0, 2.0]), s_weights=np.ones(2),
+        values=np.outer(np.ones(2 * m + 1), [1.0, 0.0]),
+    )
+    with pytest.raises(CapabilityError, match="numeric"):
+        transform.inverse(coeffs, np.zeros((1, 3)))
+
+
 def _inverse_per_point(coeffs, xs):
     """The inversion formula point by point: c_l(x) = C sum_j u_{j,l}
     sum_q w_q s_q^2 values[j, q] s_q^l f_l(s_q |x|), then sum_l c_l Q_l(x)."""
     m = coeffs.m
     L = 2 * m + 1
     s, w, vals = coeffs.s_grid, coeffs.s_weights, coeffs.values
-    u = transform._unit_eigvecs(m)
+    u = spherical.unit_eigvecs(m)
     powers = s[None, :] ** np.arange(L)[:, None]
     base = vals * (w * s**2)[None, :]
     out = []
@@ -482,7 +505,7 @@ def _schwartz_profile_closed_form(coeffs, k, rho):
     s, w, vals = coeffs.s_grid, coeffs.s_weights, coeffs.values
     fk = _kernels.f_table(k, np.multiply.outer(rho, s))[k]
     integ = fk @ (vals * (w * s ** (k + 2))[None, :]).T
-    return transform.inversion_constant(coeffs.m) * integ @ transform._unit_eigvecs(coeffs.m)[:, k]
+    return transform.inversion_constant(coeffs.m) * integ @ spherical.unit_eigvecs(coeffs.m)[:, k]
 
 
 @pytest.mark.parametrize("m", [1, 2])
