@@ -12,12 +12,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import CapabilityError
 from .polyalg import e1_diagonals
 from .so3rep import build_irrep
 
-_SERIES_CUTOFF = 0.5  # switch between Taylor series and trig recurrences
-_MILLER_EXTRA = 25    # extra start orders for the downward recurrence
-_RESCALE_LIMIT = 1e250
+_MILLER_EXTRA = 25  # extra start orders for the downward recurrence
+F_TABLE_JMAX = 64   # highest order f_table serves (see f_table)
 
 
 # ---------------------------------------------------------------------------
@@ -28,61 +28,47 @@ _RESCALE_LIMIT = 1e250
 def f_table(jmax: int, t) -> np.ndarray:
     """Evaluate f_j(t) for all j = 0..jmax at each point of ``t``.
 
-    f_j is the radial kernel normalized to f_j(0) = 1; values are bounded
-    by 1 in modulus.  Returns an array of shape ``(jmax+1,) + t.shape``.
+    f_j is even, normalized to f_j(0) = 1 and bounded by 1 in modulus.
+    Returns an array of shape ``(jmax+1,) + t.shape``.  One recurrence,
+    f_{l-1} = f_l - t^2 f_{l+1} / ((2l+1)(2l+3)): below t = jmax + 2 downward
+    (Miller) from f_N = 1, f_{N+1} = 0, N = jmax + 25, normalized once on
+    f_0 = sin t / t, or on f_1 = 3 (f_0 - cos t) / t^2 near a zero of f_0
+    (the unnormalized values stay below e^{t^2/(4N+6)}); from jmax + 2 on
+    upward from f_0 and f_1.  Just below the switch the error grows with the
+    order (5.1e-14 of the envelope at jmax = 53, 6.9e-13 at 64, 1.5e-10 at
+    100), so orders above F_TABLE_JMAX raise CapabilityError.
     """
-    t = np.asarray(t, dtype=np.float64)
+    if jmax > F_TABLE_JMAX:
+        raise CapabilityError(f"radial kernels support orders <= {F_TABLE_JMAX} (requested {jmax})")
+    t = np.abs(np.asarray(t, dtype=np.float64))
     shape = t.shape
-    t = np.ascontiguousarray(t.reshape(-1))
+    t = t.reshape(-1)
+    f0 = np.divide(np.sin(t), t, out=np.ones_like(t), where=t > 0)
+    tt = np.maximum(t, 1.0)  # f_1's closed form is read only past t = 1
+    f1 = 3.0 * (f0 - np.cos(t)) / tt / tt
     out = np.empty((jmax + 1, t.size))
-    small = t < _SERIES_CUTOFF
-    if small.any():
-        ts = t[small]
-        x2 = 0.25 * ts * ts
-        for j in range(jmax + 1):
-            term = np.ones_like(ts)
-            acc = np.ones_like(ts)
-            for k in range(1, 14):
-                term = term * (-x2) / (k * (j + k + 0.5))
-                acc = acc + term
-            out[j, small] = acc
-    big = ~small
-    if big.any():
-        tb = t[big]
-        s = np.sin(tb)
-        c = np.cos(tb)
-        j0 = s / tb
-        j1 = s / (tb * tb) - c / tb
-        sj = np.empty((jmax + 1, tb.size))
-        up = tb >= jmax + 2.0
-        if up.any():
-            # upward recurrence is stable once t clears the top order
-            tu = tb[up]
-            sj[0, up] = j0[up]
-            if jmax >= 1:
-                sj[1, up] = j1[up]
-            for l in range(1, jmax):
-                sj[l + 1, up] = (2 * l + 1) / tu * sj[l, up] - sj[l - 1, up]
-        down = ~up
-        if down.any():
-            # Miller downward recurrence, normalized against j_0 or j_1
-            td = tb[down]
-            nstart = jmax + _MILLER_EXTRA
-            work = np.zeros((nstart + 2, td.size))
-            work[nstart] = 1e-30
-            for l in range(nstart, 0, -1):
-                work[l - 1] = (2 * l + 1) / td * work[l] - work[l + 1]
-                over = np.abs(work[l - 1]) > _RESCALE_LIMIT
-                if over.any():
-                    work[:, over] *= 1e-250
-            use0 = np.abs(j0[down]) >= np.abs(j1[down])
-            scale = np.where(use0, j0[down] / work[0], j1[down] / work[1])
-            sj[:, down] = work[: jmax + 1] * scale
-        mult = np.ones_like(tb)
-        out[0, big] = sj[0]
-        for j in range(1, jmax + 1):
-            mult = mult * ((2 * j + 1) / tb)
-            out[j, big] = mult * sj[j]
+    up = t >= jmax + 2.0
+    if up.any():
+        it2 = (1.0 / t[up]) ** 2
+        fu = np.empty((jmax + 1, it2.size))
+        fu[0] = f0[up]
+        if jmax >= 1:
+            fu[1] = f1[up]
+        for l in range(1, jmax):
+            fu[l + 1] = (fu[l] - fu[l - 1]) * ((2 * l + 1) * (2 * l + 3)) * it2
+        out[:, up] = fu
+    down = ~up
+    if down.any():
+        td = t[down]
+        t2 = td * td
+        nstart = jmax + _MILLER_EXTRA
+        w = np.zeros((nstart + 2, td.size))
+        w[nstart] = 1.0
+        for l in range(nstart, 0, -1):
+            w[l - 1] = w[l] - t2 / ((2 * l + 1) * (2 * l + 3)) * w[l + 1]
+        f0d, f1d = f0[down], f1[down]
+        use1 = (td > 1.0) & (np.abs(f0d) < td * np.abs(f1d) / 3.0)
+        out[:, down] = w[: jmax + 1] * (np.where(use1, f1d, f0d) / np.where(use1, w[1], w[0]))
     return out.reshape((jmax + 1,) + shape)
 
 
@@ -139,10 +125,14 @@ def q_series(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     ``coeffs`` is (n, 2m+1) and ``xs`` (n, 3).  Q_l is equivariant and
     homogeneous of degree l, so the sum is the e_1 diagonal
     (coeffs[p, l] |x_p|^l) @ axis_diagonals(m) moved to x_p.  Returns (n, d, d).
+    A diagonal out of float range (|x|^l overflows) raises CapabilityError.
     """
     L = coeffs.shape[1]
     r = np.sqrt(np.einsum("pi,pi->p", xs, xs))
     lam = (coeffs * r[:, None] ** np.arange(L)) @ axis_diagonals((L - 1) // 2)
+    if not np.isfinite(lam).all():
+        raise CapabilityError("the Q-series diagonal is not finite: |x|^l or its coefficient "
+                              "is out of float range")
     return axis_transport(lam, xs)
 
 

@@ -5,10 +5,13 @@ f_j(0) = 1; in closed form f_j(r) = (2j+1)!! j_j(r) / r^j with j_j the
 order-j spherical Bessel function (f_0(r) = sin r / r).  f_j^s(r) = f_j(sr)
 solves the same ODE with s^2 in place of the zeroth-order 1.
 
-Evaluation switches between a short Taylor series (small argument) and the
-trig closed forms with a downward Miller recurrence (large argument); the
-upward trig recurrence alone is unstable once the order passes the
-argument.  The heavy lifting lives in ``_kernels.f_table``.
+Evaluation runs f_j's own three-term recurrence,
+f_{j-1} = f_j - r^2 f_{j+1} / ((2j+1)(2j+3)), which is exact at r = 0:
+downward from a high order (Miller's algorithm), normalized once on the
+closed form of f_0 or f_1, while the argument is below jmax + 2, and
+upward from f_0 and f_1 beyond it, where the upward direction is stable.
+The kernel is ``_kernels.f_table``; it serves orders up to
+``_kernels.F_TABLE_JMAX`` and refuses higher ones.
 """
 
 from __future__ import annotations
@@ -23,19 +26,10 @@ from ._kernels import f_table
 
 
 def double_factorial_odd(j: int) -> float:
-    """(2j+1)!! as a float; exact integer arithmetic up to j = 20,
-    lgamma beyond that for overflow safety."""
+    """(2j+1)!! as a float: one exact integer product, rounded once."""
     if j < 0:
         raise ValueError("order must be non-negative")
-    if j <= 20:
-        out = 1
-        for i in range(1, 2 * j + 2, 2):
-            out *= i
-        return float(out)
-    # (2j+1)!! = (2j+1)! / (2^j j!)
-    return math.exp(
-        math.lgamma(2 * j + 2) - math.lgamma(j + 1) - j * math.log(2.0)
-    )
+    return float(math.prod(range(1, 2 * j + 2, 2)))
 
 
 def f(j: int, r):
@@ -73,17 +67,18 @@ def f_scaled_derivative(j: int, s: float, r):
 
 
 def check_ode(j: int, s: float, r: float, h: float) -> float:
-    """Central-difference residual of f'' + ((2+2j)/r) f' + s^2 f at r > 0.
+    """Five-point central-difference residual of f'' + ((2+2j)/r) f' + s^2 f
+    at r > 2h.
 
-    The step h should be small against r; the residual is O(h^2) for the
-    true solution.
+    The residual is O(h^4) for the true solution plus rounding of order
+    eps/h^2, so h = 1e-2 measures the ODE rather than the rounding.
     """
-    if r <= 0:
-        raise ValueError("the ODE residual is defined away from r = 0")
-    fm, f0, fp = (float(f_scaled(j, s, rr)) for rr in (r - h, r, r + h))
-    d2 = (fp - 2.0 * f0 + fm) / (h * h)
-    d1 = (fp - fm) / (2.0 * h)
-    return d2 + (2.0 + 2.0 * j) / r * d1 + s * s * f0
+    if r <= 2 * h:
+        raise ValueError("the ODE residual is defined away from r = 0 (r > 2h)")
+    fm2, fm, f0, fp, fp2 = f_scaled(j, s, r + h * np.arange(-2.0, 3.0))
+    d2 = (-fp2 + 16.0 * fp - 30.0 * f0 + 16.0 * fm - fm2) / (12.0 * h * h)
+    d1 = (-fp2 + 8.0 * fp - 8.0 * fm + fm2) / (12.0 * h)
+    return float(d2 + (2.0 + 2.0 * j) / r * d1 + s * s * f0)
 
 
 @dataclass(frozen=True)

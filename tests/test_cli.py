@@ -163,6 +163,26 @@ def test_radial_table(capsys):
     assert float(row[1]) == pytest.approx(np.sin(1.0), abs=1e-15)
 
 
+def test_radial_table_above_the_kernel_orders_is_refused(capsys):
+    code, out, err = run_cli(
+        capsys, "radial", "--table", "--jmax", "150", "--rmax", "2", "--n", "3"
+    )
+    assert (code, out) == (2, "")
+    assert "orders" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--m", "4", "--s", "1e-48", "--at", "1e50,0,0", "--method", "1"),
+    ("--m", "1", "--s", "1e-30", "--at", "1e200,0,0"),
+])
+def test_phi_out_of_float_range_far_out_is_refused(capsys, argv):
+    # |x|^l overflows: the Q-series diagonal is refused rather than printed as NaN
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(capsys, "phi", "--j", "0", *argv)
+    assert (code, out) == (2, "")
+    assert "not finite" in err
+
+
 @pytest.mark.parametrize("flag", ["--s", "--rmax"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_radial_table_non_finite_flag_is_usage_error(capsys, flag, value):

@@ -6,15 +6,18 @@ point by point against the pointwise recursion ``spherical.q_stack``;
 the plane-wave and lattice Fourier sums against
 explicit Python sums over their nodes; the grid convolution against a
 loop over lattice indices.  ``f_table`` is checked against scipy's
-spherical Bessel functions in ``test_radial.py``.
+spherical Bessel functions, a power series and mpmath in ``test_radial.py``;
+here it is checked for evenness, warnings and its order cap.
 """
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
 
 from m3sph import _kernels, spherical
+from m3sph.errors import CapabilityError
 from m3sph.so3rep import Rotation, build_irrep, dtau, tau
 
 
@@ -26,6 +29,32 @@ def test_f_table_shape_handling():
     assert np.array_equal(out.reshape(3, -1), flat)
     scalar = _kernels.f_table(2, 1.5)
     assert scalar.shape == (3,)
+
+
+def test_f_table_is_even():
+    assert np.array_equal(_kernels.f_table(2, [-20.0]), _kernels.f_table(2, [20.0]))
+    t = np.random.default_rng(3).uniform(0, 30, 200)
+    assert np.array_equal(_kernels.f_table(9, -t), _kernels.f_table(9, t))
+
+
+def test_f_table_emits_no_warning():
+    # t = k pi are zeros of f_0, where the downward branch normalizes on f_1
+    # and never divides by a vanishing unnormalized f_0
+    ts = [0.0, 1e-300, 1e-8, 1.0] + [k * np.pi for k in range(1, 6)]
+    for jmax in range(_kernels.F_TABLE_JMAX + 1):
+        for t in ts + [jmax + 1.99, jmax + 2.0, 1e100]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = _kernels.f_table(jmax, [t])
+            assert np.all(np.isfinite(out)) and np.all(np.abs(out) <= 1.0), (jmax, t)
+        assert np.all(_kernels.f_table(jmax, [0.0]) == 1.0)
+
+
+def test_f_table_refuses_orders_above_its_cap():
+    top = _kernels.F_TABLE_JMAX
+    assert _kernels.f_table(top, [1.0]).shape == (top + 1, 1)
+    with pytest.raises(CapabilityError, match="orders"):
+        _kernels.f_table(top + 1, [1.0])
 
 
 def _frame_test_points(rng):
@@ -81,6 +110,14 @@ def test_q_series_against_q_stack(m):
         ref = sum(coeffs[p, l] * qs[l] for l in range(2 * m + 1))
         scale = max(1.0, float(np.max(np.abs(ref))))
         assert np.max(np.abs(out[p] - ref)) < 1e-13 * scale
+
+
+def test_q_series_refuses_a_non_finite_diagonal():
+    # |x|^2 overflows at |x| = 1e200 while the coefficient stays finite
+    coeffs = np.array([[1.0, 1e-30, 1e-60]], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(CapabilityError, match="not finite"):
+            _kernels.q_series(coeffs, np.array([[1e200, 0.0, 0.0]]))
 
 
 def test_plane_wave_sum_against_node_loop():
