@@ -19,6 +19,30 @@ from .so3rep import build_irrep
 _MILLER_EXTRA = 25  # extra start orders for the downward recurrence
 F_TABLE_JMAX = 64   # highest order f_table serves (see f_table)
 
+# the largest m the numeric constructions and the inversion sum serve: from
+# m = 27 the d^2 x d^2 frame map of the off-axis evaluator (_frame_maps) takes
+# more than the 128 MiB construction 2 keeps to (the limits beyond: README)
+M_MAX_NUMERIC = 26
+
+
+def check_numeric_m(m: int):
+    """Raise CapabilityError for an m above M_MAX_NUMERIC."""
+    if m > M_MAX_NUMERIC:
+        raise CapabilityError(
+            f"numeric spherical functions support m <= {M_MAX_NUMERIC} (requested m={m})"
+        )
+
+
+def finite_radii(norms) -> np.ndarray:
+    """The radii ``norms()`` of a batch of finite points, formed with overflow
+    silenced; one out of float range raises CapabilityError before any kernel
+    sees it."""
+    with np.errstate(over="ignore"):
+        r = norms()
+    if not np.isfinite(r).all():
+        raise CapabilityError("a point's radius |x| is not finite: it is out of float range")
+    return r
+
 
 # ---------------------------------------------------------------------------
 # normalized half-integer Bessel kernels f_j(t) = (2j+1)!! j_j(t) / t^j
@@ -80,7 +104,9 @@ def f_table(jmax: int, t) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _frame_maps(d: int):
     """With -i A_3 = E diag(mu) E^*: the maps lam -> E^* diag(lam) E (d x d^2)
-    and X -> E X E^* (d^2 x d^2), flattened row-major."""
+    and X -> E X E^* (d^2 x d^2), flattened row-major.  A d above
+    2 M_MAX_NUMERIC + 1 raises CapabilityError before either is built."""
+    check_numeric_m((d - 1) // 2)
     _, e = np.linalg.eigh(-1j * build_irrep((d - 1) // 2).generators[2])
     return (np.einsum("ca,cb->cab", e.conj(), e).reshape(d, d * d),
             np.einsum("ia,jb->abij", e, e.conj()).reshape(d * d, d * d))

@@ -16,7 +16,7 @@ import numpy as np
 from . import polyalg, spherical, transform
 from .errors import FieldFormatError, M3sphError, MalformedMultiplierError
 from .fieldio import Config, _finite_number, atomic_write, read_field, synthesize, write_field
-from .radial import f as radial_f
+from .radial import f_upto
 from .so3rep import build_irrep
 
 EXIT_OK = 0
@@ -97,7 +97,7 @@ def cmd_radial(args) -> int:
         raise _Usage("--s and --rmax must be finite")
     jmax = args.jmax if args.jmax is not None else 2 * args.m
     rs = np.linspace(0.0, args.rmax, args.n)
-    cols = np.stack([radial_f(j, args.s * rs) for j in range(jmax + 1)])
+    cols = f_upto(jmax, args.s * rs)
     header = "r," + ",".join(f"f_{j}" for j in range(jmax + 1))
     print(header)
     for i, r in enumerate(rs):

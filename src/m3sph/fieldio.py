@@ -5,8 +5,8 @@ little-endian payload of IEEE-754 doubles in (re, im) pairs.
 
 * grid form: node-major over the C-ordered lattice, then row-major matrix
   entries; payload length = n_nodes * (2m+1)^2 * 16 bytes.
-* radial form: r-node-major samples of the coefficient profiles
-  g_0..g_{2m}; payload length = n_r * (2m+1) * 16 bytes.
+* radial form: r-node-major samples of the coefficient profile
+  (g_0..g_{2m}); payload length = n_r * (2m+1) * 16 bytes.
 
 The header carries a 64-bit checksum of the payload (first 16 hex digits
 of its SHA-256), so single-bit corruption is detected on read.
@@ -271,13 +271,8 @@ def read_field(path: str, ingest_tol: float = 1e-6) -> MatrixField:
         return fld
     r_grid = np.array(geometry["r_grid"], dtype=np.float64)
     samples = data.reshape(r_grid.size, d).copy()
-    profiles = [
-        _spline_profile(
-            r_grid, samples[:, k], {"kind": "from-file", "k": k, "decays": True}
-        )
-        for k in range(d)
-    ]
-    return MatrixField.radial(header.m, profiles, r_grid, samples=samples)
+    profile = _spline_profile(r_grid, samples, {"kind": "from-file", "decays": True})
+    return MatrixField.radial(header.m, profile, r_grid, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +299,15 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
     params = dict(params or {})
     L = 2 * m + 1
 
-    def zero_profile(k):
-        return RadialProfile(
-            evaluator=lambda r: np.zeros_like(np.asarray(r, dtype=np.float64), dtype=np.complex128),
-            label={"kind": "zero", "k": k, "decays": True},
-        )
+    def in_column(k, g):
+        """The evaluator with g(r) in column k and zeros elsewhere."""
+
+        def ev(r):
+            out = np.zeros(r.shape + (L,), dtype=np.complex128)
+            out[..., k] = g(r)
+            return out
+
+        return ev
 
     if kind == "gaussian":
         sigma = _positive_param(params, "sigma", 1.0)
@@ -322,11 +321,11 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
         _reject_unknown(kind, params)
         if not 0 <= comp < L:
             raise ValueError(f"component must be in [0, {L-1}]")
-        profiles = [zero_profile(k) for k in range(L)]
-        profiles[comp] = RadialProfile(
-            evaluator=lambda r, _a=amp, _s=sigma: _a
-            * np.exp(-np.asarray(r, dtype=np.float64) ** 2 / (2 * _s * _s)).astype(np.complex128),
-            label={"kind": "gaussian", "k": comp, "sigma": sigma, "decays": True},
+        profile = RadialProfile(
+            evaluator=in_column(
+                comp, lambda r: amp * np.exp(-(r**2) / (2 * sigma * sigma)).astype(np.complex128)
+            ),
+            label={"kind": "gaussian", "component": comp, "sigma": sigma, "decays": True},
         )
         r_max = 12.0 * sigma
     elif kind == "plane-wave-packet":
@@ -334,13 +333,10 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
         s0 = _finite_param(params, "s0", 2.0)
         amp = _finite_param(params, "amplitude", 1.0, complex)
         _reject_unknown(kind, params)
-        profiles = [zero_profile(k) for k in range(L)]
-        profiles[0] = RadialProfile(
-            evaluator=lambda r, _a=amp, _s=sigma, _k=s0: (
-                _a
-                * np.cos(_k * np.asarray(r, dtype=np.float64))
-                * np.exp(-np.asarray(r, dtype=np.float64) ** 2 / (2 * _s * _s))
-            ).astype(np.complex128),
+        profile = RadialProfile(
+            evaluator=in_column(
+                0, lambda r: amp * np.cos(s0 * r) * np.exp(-(r**2) / (2 * sigma * sigma))
+            ),
             label={"kind": "plane-wave-packet", "s0": s0, "sigma": sigma, "decays": True},
         )
         r_max = 12.0 * sigma
@@ -357,13 +353,13 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
         bump = transform.SphericalCoefficients(
             m=m, s_grid=s_nodes, s_weights=s_w, values=np.tile(bump_vals, (L, 1))
         )
-        profiles = transform.inverse_profiles(bump, {"kind": "bump-g", "s0": s0})
+        profile = transform.inverse_profile(bump, {"kind": "bump-g", "s0": s0})
         r_max = max(12.0 / width, 12.0)
     else:
         raise ValueError(f"unknown field kind {kind!r}")
 
     n_r = 257
-    return MatrixField.radial(m, profiles, np.linspace(0.0, r_max, n_r))
+    return MatrixField.radial(m, profile, np.linspace(0.0, r_max, n_r))
 
 
 def _finite_param(params: dict, key: str, default, convert=float):

@@ -32,14 +32,20 @@ def double_factorial_odd(j: int) -> float:
     return float(math.prod(range(1, 2 * j + 2, 2)))
 
 
-def f(j: int, r):
-    """f_j(r) for scalar or array r >= 0."""
-    if j < 0:
+def f_upto(jmax: int, r) -> np.ndarray:
+    """f_0(r)..f_jmax(r) for scalar or array r >= 0, from one kernel call;
+    shape (jmax+1,) + r.shape."""
+    if jmax < 0:
         raise ValueError("order must be non-negative")
     r = np.asarray(r, dtype=np.float64)
     if np.any(r < 0):
         raise ValueError("radius must be non-negative")
-    out = f_table(j, r)[j]
+    return f_table(jmax, r)
+
+
+def f(j: int, r):
+    """f_j(r) for scalar or array r >= 0."""
+    out = f_upto(j, r)[j]
     return float(out) if out.ndim == 0 else out
 
 
@@ -52,18 +58,6 @@ def f_scaled(j: int, s: float, r):
     """f_j^s(r) = f_j(s r) for finite s > 0."""
     _check_scale(s)
     return f(j, s * np.asarray(r, dtype=np.float64))
-
-
-def f_derivative(j: int, r):
-    """d/dr f_j(r) via the lowering relation f_j'(r) = -r f_{j+1}(r)/(2j+3)."""
-    r = np.asarray(r, dtype=np.float64)
-    return -r * f(j + 1, r) / (2 * j + 3)
-
-
-def f_scaled_derivative(j: int, s: float, r):
-    """d/dr f_j^s(r) = -s^2 r f_{j+1}^s(r) / (2j+3)."""
-    r = np.asarray(r, dtype=np.float64)
-    return -(s * s) * r * f_scaled(j + 1, s, r) / (2 * j + 3)
 
 
 def check_ode(j: int, s: float, r: float, h: float) -> float:
@@ -83,7 +77,9 @@ def check_ode(j: int, s: float, r: float, h: float) -> float:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """A scalar function of r >= 0 with metadata.
+    """A function of r >= 0 with metadata: radii of shape S map to values
+    of shape S + V, with V = () for a scalar profile and V = (2m+1,) for
+    the coefficients g_0..g_{2m} of a radial-form field.
 
     ``label`` records what the profile is (kind, indices, scale) and
     whether it decays at infinity; transforms consult the ``decays`` flag
@@ -94,9 +90,7 @@ class RadialProfile:
     label: dict = field(default_factory=dict)
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=np.float64)
-        out = self.evaluator(r)
-        return out
+        return self.evaluator(np.asarray(r, dtype=np.float64))
 
     @property
     def decays(self) -> bool:
@@ -104,25 +98,20 @@ class RadialProfile:
 
 
 def _spline_profile(grid: np.ndarray, samples: np.ndarray, label: dict) -> RadialProfile:
-    """Cubic-spline profile through complex ``samples`` on ``grid``; zero
-    outside the grid."""
+    """Cubic-spline profile through complex ``samples`` of shape
+    (grid.size,) + V on ``grid``; zero outside the grid.  One real spline
+    runs through the real parts and then the imaginary parts of every
+    column."""
     from scipy.interpolate import CubicSpline
 
-    spline_re = CubicSpline(grid, samples.real)
-    spline_im = CubicSpline(grid, samples.imag)
+    flat = samples.reshape(grid.size, -1)
+    n = flat.shape[1]
+    spline = CubicSpline(grid, np.concatenate([flat.real, flat.imag], axis=1))
     lo, hi = float(grid[0]), float(grid[-1])
 
     def ev(r):
-        r = np.asarray(r, dtype=np.float64)
-        inside = (r >= lo) & (r <= hi)
-        return np.where(inside, spline_re(r) + 1j * spline_im(r), 0.0 + 0.0j)
+        v = spline(r)
+        out = np.where(((r >= lo) & (r <= hi))[..., None], v[..., :n] + 1j * v[..., n:], 0.0 + 0.0j)
+        return out.reshape(r.shape + samples.shape[1:])
 
     return RadialProfile(evaluator=ev, label=label)
-
-
-def kernel_profile(j: int, s: float) -> RadialProfile:
-    """The profile r -> f_j^s(r); value 1 at r = 0, bounded by 1."""
-    return RadialProfile(
-        evaluator=lambda r: f_scaled(j, s, r),
-        label={"kind": "kernel", "j": j, "s": s, "decays": False},
-    )

@@ -29,7 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import so3rep
-from ._kernels import axis_transport, f_table, plane_wave_sum, q_series
+from ._kernels import (M_MAX_NUMERIC, axis_transport, check_numeric_m,  # noqa: F401
+                       f_table, finite_radii, plane_wave_sum, q_series)
 from .errors import CapabilityError
 from .polyalg import coeff_table, lagrange_unit_eigvec, unit_eigvec
 from .radial import _check_scale
@@ -38,14 +39,6 @@ from .radial import _check_scale
 # bytes one sphere rule's (nodes, d, d) projection stack may take; construction 2
 # refuses an s*|x| that would need a larger rule, before it builds any
 _PROJECTION_STACK_MAX_BYTES = 1 << 27
-
-# the largest m the numeric constructions and the inversion sum serve: from
-# m = 27 the d^2 x d^2 frame map of the off-axis evaluator (_kernels._frame_maps)
-# takes more than the 128 MiB construction 2 keeps to.  The next limits lie
-# further out: from m = 38 the float spectrum of the tridiagonal operator (the
-# check suite's spectrum cases) is wrong by O(1), and from m = 46 the smallest
-# coefficient of unit_eigvecs is subnormal
-M_MAX_NUMERIC = 26
 
 
 @lru_cache(maxsize=None)
@@ -126,18 +119,11 @@ class SphericalFunctionSpec:
         self.coeffs.setflags(write=False)
 
 
-def _check_numeric_m(m: int):
-    if m > M_MAX_NUMERIC:
-        raise CapabilityError(
-            f"numeric spherical functions support m <= {M_MAX_NUMERIC} (requested m={m})"
-        )
-
-
 def _check_params(m: int, s: float, j: int):
     _check_scale(s)
     if not -m <= j <= m:
         raise ValueError(f"index j must satisfy -m <= j <= m, got j={j}, m={m}")
-    _check_numeric_m(m)
+    check_numeric_m(m)
     # the top coefficient scales as s^(2m); float64 ends below 2^1024
     if 2 * m * math.log2(s) >= 1024:
         raise CapabilityError(f"s^(2m) overflows float64 at s={s}, m={m}")
@@ -149,7 +135,7 @@ def unit_eigvecs(m: int) -> np.ndarray:
     read-only (2m+1, 2m+1) table: the exact polyalg.unit_eigvec rounded
     once.  Construction 1 and the inversion sum read it; an m above
     M_MAX_NUMERIC raises CapabilityError."""
-    _check_numeric_m(m)
+    check_numeric_m(m)
     u = np.array([unit_eigvec(m, j) for j in range(-m, m + 1)], dtype=np.float64)
     u.setflags(write=False)
     return u
@@ -198,13 +184,14 @@ def eval_phi(spec: SphericalFunctionSpec, x) -> np.ndarray:
 
 
 def eval_phi_batch(spec: SphericalFunctionSpec, xs: np.ndarray) -> np.ndarray:
-    """Evaluate a spec on an (n, 3) batch of points; returns (n, d, d)."""
+    """Evaluate a spec on an (n, 3) batch of points; returns (n, d, d).  A
+    point whose |x| leaves float range raises CapabilityError."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     rep = _rep(spec.m)
     n = xs.shape[0]
     if spec.s == 0.0:
         return np.broadcast_to(np.eye(rep.dim, dtype=np.complex128), (n, rep.dim, rep.dim)).copy()
-    r = np.linalg.norm(xs, axis=1)
+    r = finite_radii(lambda: np.linalg.norm(xs, axis=1))
     fv = f_table(2 * spec.m, spec.s * r)  # (2m+1, n)
     coeffs = (spec.coeffs[:, None] * fv).T.astype(np.complex128)
     return q_series(coeffs, xs)
@@ -325,7 +312,7 @@ def phi_method2_batch(
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if not np.all(np.isfinite(xs)):
         raise ValueError("evaluation points must be finite")
-    radius = float(np.max(np.linalg.norm(xs, axis=1)))
+    radius = float(np.max(finite_radii(lambda: np.linalg.norm(xs, axis=1))))
     limit = _max_rule_degree(m)
     needed = band_limit_degree(m, s, radius) if math.e * s * radius <= limit else limit + 1
     top = needed if rule is None else (2 * needed if rule.degree < needed else rule.degree)

@@ -31,6 +31,7 @@ from ._kernels import (
     axis_diagonals,
     axis_transport,
     f_table,
+    finite_radii,
     fourier_grid_sum,
     grid_convolution,
     q_series,
@@ -86,11 +87,12 @@ def radii(xs: np.ndarray) -> np.ndarray:
 def _radial_series(m: int, xs, coeffs_at) -> np.ndarray:
     """sum_l c_l(|x|) Q_l(x) on an (n, 3) batch of finite points, with the
     (n_r, 2m+1) coefficients ``coeffs_at(rs)`` computed once per distinct
-    float radius of radii()."""
+    float radius of radii().  A NaN or infinite coordinate raises
+    ValueError, a radius out of float range CapabilityError."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if not np.all(np.isfinite(xs)):
         raise ValueError("evaluation points must be finite")
-    rs, back = np.unique(radii(xs), return_inverse=True)
+    rs, back = np.unique(finite_radii(lambda: radii(xs)), return_inverse=True)
     return q_series(coeffs_at(rs)[back], xs)
 
 
@@ -114,7 +116,8 @@ class MatrixField:
     """A matrix-valued field on R^3, in grid or radial-coefficient form.
 
     Grid form: samples on a uniform lattice, ``values`` of shape
-    (nx, ny, nz, d, d).  Radial form: profiles g_0..g_{2m} with
+    (nx, ny, nz, d, d).  Radial form: one ``profile`` mapping radii of
+    shape S to the coefficients (g_0..g_{2m}) of shape S + (2m+1,), with
     F(x) = sum_k g_k(|x|) Q_k(x), which is equivariant identically.
     """
 
@@ -124,7 +127,7 @@ class MatrixField:
     spacing: float | None = None
     shape: tuple | None = None
     values: np.ndarray | None = None
-    profiles: list | None = None
+    profile: RadialProfile | None = None
     r_grid: np.ndarray | None = None
     radial_samples: np.ndarray | None = field(default=None, repr=False)
     equivariance_residual: float | None = None
@@ -162,13 +165,23 @@ class MatrixField:
         return MatrixField.grid(m, lattice.origin, lattice.spacing, vals.reshape(n, n, n, d, d))
 
     @staticmethod
-    def radial(m: int, profiles, r_grid, samples: np.ndarray | None = None) -> "MatrixField":
-        if len(profiles) != 2 * m + 1:
-            raise ValueError(f"need {2*m+1} radial profiles for m={m}")
+    def radial(m: int, profile, r_grid, samples: np.ndarray | None = None) -> "MatrixField":
+        """A radial-form field from its coefficient ``profile``, or from a
+        list of 2m+1 scalar profiles g_0..g_{2m}, stacked here into one
+        that decays when every one of them does."""
+        if isinstance(profile, (list, tuple)):
+            if len(profile) != 2 * m + 1:
+                raise ValueError(f"need {2*m+1} radial profiles for m={m}")
+            parts = profile
+            profile = RadialProfile(
+                evaluator=lambda r: np.stack(
+                    [np.asarray(p(r), dtype=np.complex128) for p in parts], axis=-1),
+                label={"decays": all(isinstance(p, RadialProfile) and p.decays for p in parts)},
+            )
         return MatrixField(
             m=m,
             form="radial",
-            profiles=list(profiles),
+            profile=profile,
             r_grid=np.asarray(r_grid, dtype=np.float64),
             radial_samples=samples,
             equivariance_residual=0.0,
@@ -217,23 +230,16 @@ class MatrixField:
         if self.form != "radial":
             raise ValueError("sample_profiles applies to radial-form fields")
         if self.radial_samples is None:
-            samples = np.stack(
-                [np.asarray(p(self.r_grid), dtype=np.complex128) for p in self.profiles],
-                axis=1,
-            )
-            self.radial_samples = samples
+            self.radial_samples = np.asarray(self.profile(self.r_grid), dtype=np.complex128)
         return self.radial_samples
 
     def eval_points(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate the field at an (n, 3) batch of finite points (radial
-        form); a NaN or infinite coordinate raises ValueError."""
+        form); a NaN or infinite coordinate raises ValueError, a point whose
+        |x| leaves float range CapabilityError."""
         if self.form != "radial":
             raise ValueError("pointwise evaluation is for radial-form fields")
-
-        def at(rs):
-            return np.stack([np.asarray(p(rs), dtype=np.complex128) for p in self.profiles], axis=1)
-
-        return _radial_series(self.m, xs, at)
+        return _radial_series(self.m, xs, self.profile)
 
     def to_grid(self, extent: float = DEFAULT_GRID_EXTENT, n: int = DEFAULT_GRID_N) -> "MatrixField":
         """Rasterize a radial-form field on the cube [-extent, extent]^3
@@ -302,16 +308,14 @@ def _radial_ft_coeffs(field: MatrixField, s_arr: np.ndarray):
     Gauss-Legendre nodes each, s_max = max |s_arr|: the integrand
     oscillates at frequency s_max, so the nodes per oscillation are fixed.
     """
-    if not all(p.decays if isinstance(p, RadialProfile) else False for p in field.profiles):
-        raise ValueError(
-            "classical transform requires decaying radial profiles "
-            "(profiles must carry decay metadata)"
-        )
+    if not (isinstance(field.profile, RadialProfile) and field.profile.decays):
+        raise ValueError("classical transform requires a radial profile labelled as decaying")
     L = 2 * field.m + 1
     s_max = float(np.max(np.abs(s_arr), initial=0.0))
     per_panel = max(DEFAULT_NODES_PER_PANEL, math.ceil(s_max * DEFAULT_PANEL_WIDTH / math.pi) + 16)
     rq, wq = gl_panels(0.0, float(field.r_grid[-1]), per_panel)
-    gv = np.stack([np.asarray(p(rq), dtype=np.complex128) for p in field.profiles])
+    # (L, n_r) with contiguous rows, so the products below keep their rounding
+    gv = np.ascontiguousarray(np.asarray(field.profile(rq), dtype=np.complex128).T)
     ts = np.multiply.outer(s_arr, rq)  # (n_s, n_r)
     fv = f_table(L - 1, ts)  # (L, n_s, n_r)
     out = np.empty((s_arr.size, L), dtype=np.complex128)
@@ -615,20 +619,17 @@ def _barycentric(nodes: np.ndarray, values: np.ndarray, rs: np.ndarray) -> np.nd
     return out
 
 
-def inverse_profiles(coeffs: SphericalCoefficients, label: dict) -> list:
-    """The radial profiles g_0..g_{2m} of the inverse transform,
+def inverse_profile(coeffs: SphericalCoefficients, label: dict) -> RadialProfile:
+    """The radial profile (g_0..g_{2m}) of the inverse transform,
     F(x) = sum_k g_k(|x|) Q_k(x), with g_k the inversion sum c_k of
-    _radial_sums (orders up to k).  Each profile's label is ``label`` plus
-    its index k and the decay flag."""
+    _radial_sums: one sum gives every k.  Its label is ``label`` plus the
+    decay flag."""
+    L = 2 * coeffs.m + 1
 
-    def make_profile(k: int) -> RadialProfile:
-        def ev(rho):
-            rho = np.atleast_1d(np.asarray(rho, dtype=np.float64))
-            return _radial_sums(coeffs, rho.ravel(), k)[:, k].reshape(rho.shape)
+    def ev(rho):
+        return _radial_sums(coeffs, rho.ravel(), L - 1).reshape(rho.shape + (L,))
 
-        return RadialProfile(evaluator=ev, label={**label, "k": k, "decays": True})
-
-    return [make_profile(k) for k in range(2 * coeffs.m + 1)]
+    return RadialProfile(evaluator=ev, label={**label, "decays": True})
 
 
 def inverse(
@@ -681,7 +682,7 @@ def schwartz_decompose(F: MatrixField) -> MatrixField:
 
     g_k(rho) = C sum_j u_k^{(1,j)} int h_{-j}(r) f_k(r rho) r^{k+2} dr, the
     inversion sum of forward(F) on its default s-grid (see
-    inverse_profiles), sampled at SCHWARTZ_N_RHO radii.
+    inverse_profile), sampled at SCHWARTZ_N_RHO radii.
     The reconstruction is compared against the input on a subsample of
     nodes; a residual above SCHWARTZ_RESIDUAL_TOL (relative L-inf) raises
     DecompositionError - that is the failure mode for non-equivariant
@@ -692,7 +693,7 @@ def schwartz_decompose(F: MatrixField) -> MatrixField:
     coeffs = forward(F)
     rho_max = float(np.max(radii(F.grid_points())))
     r_grid = np.linspace(0.0, rho_max, SCHWARTZ_N_RHO)
-    out = MatrixField.radial(F.m, inverse_profiles(coeffs, {"kind": "schwartz-g"}), r_grid)
+    out = MatrixField.radial(F.m, inverse_profile(coeffs, {"kind": "schwartz-g"}), r_grid)
 
     # reconstruction residual on a node subsample
     pts = F.grid_points()

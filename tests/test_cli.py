@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from m3sph import fieldio, spherical, transform
+from m3sph import fieldio, radial, spherical, transform
 from m3sph.cli import main
 
 
@@ -169,6 +170,33 @@ def test_radial_table_above_the_kernel_orders_is_refused(capsys):
     )
     assert (code, out) == (2, "")
     assert "orders" in err
+    assert "requested 150" in err
+
+
+def test_radial_table_is_one_kernel_call(capsys, monkeypatch):
+    calls = []
+    table = radial.f_table
+    monkeypatch.setattr(radial, "f_table", lambda *args: calls.append(args) or table(*args))
+    code, out, _ = run_cli(
+        capsys, "radial", "--table", "--jmax", "12", "--s", "1.5", "--rmax", "30", "--n", "61"
+    )
+    assert code == 0
+    assert len(calls) == 1
+    rows = np.array([[float(v) for v in line.split(",")] for line in out.strip().split("\n")[1:]])
+    for j in range(13):
+        assert np.max(np.abs(rows[:, j + 1] - radial.f(j, 1.5 * rows[:, 0]))) <= 1e-15
+
+
+@pytest.mark.parametrize("method", ["1", "2", "compare"])
+def test_phi_radius_out_of_float_range_is_refused_without_warnings(capsys, method):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "phi", "--m", "1", "--s", "1e-30", "--j", "0", "--at", "1e200,0,0",
+            "--method", method,
+        )
+    assert (code, out) == (2, "")
+    assert "radius" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -30,7 +30,44 @@ def test_radial_roundtrip_bit_exact(m, tmp_path):
     # samples are bit-preserved; off-node evaluation is spline-accurate
     assert np.array_equal(F2.sample_profiles(), F.sample_profiles())
     rr = np.linspace(0, 3, 9)
-    assert np.max(np.abs(F2.profiles[0](rr) - F.profiles[0](rr))) < 1e-5
+    assert np.max(np.abs(F2.profile(rr)[..., 0] - F.profile(rr)[..., 0])) < 1e-5
+
+
+def _per_component_spline_field(path):
+    """A radial file read with one real spline pair per component g_k."""
+    from scipy.interpolate import CubicSpline
+
+    F = read_field(str(path))
+    lo, hi = F.r_grid[0], F.r_grid[-1]
+
+    def component(g):
+        re, im = CubicSpline(F.r_grid, g.real), CubicSpline(F.r_grid, g.imag)
+        return fieldio.RadialProfile(
+            evaluator=lambda r: np.where((r >= lo) & (r <= hi), re(r) + 1j * im(r), 0.0 + 0.0j),
+            label={"decays": True},
+        )
+
+    samples = F.sample_profiles()
+    return transform.MatrixField.radial(
+        F.m, [component(samples[:, k]) for k in range(F.dim)], F.r_grid, samples=samples
+    )
+
+
+@pytest.mark.parametrize("kind, m, params", [
+    ("gaussian", 2, {"sigma": 1.2, "component": 3}),
+    ("plane-wave-packet", 1, {"s0": 1.7}),
+    ("bump", 2, {}),
+])
+def test_radial_file_forward_matches_per_component_splines(tmp_path, kind, m, params):
+    # the one spline through all real and imaginary columns is the per-component
+    # pair to the bit, so the forward JSON keeps its bytes
+    path = tmp_path / "f.m3sf"
+    write_field(synthesize(kind, m, params), str(path))
+    F = read_field(str(path))
+    rr = np.linspace(-1.0, F.r_grid[-1] + 1.0, 301)
+    ref = _per_component_spline_field(path)
+    assert np.array_equal(F.profile(rr), ref.profile(rr))
+    assert transform.forward(F).to_json() == transform.forward(ref).to_json()
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -207,9 +244,9 @@ def test_synthesize_kinds_and_errors():
         synthesize("gaussian", 1, {"component": 7})
     F = synthesize("gaussian", 1, {"sigma": 2.0, "amplitude": 0.5})
     rr = np.linspace(0, 4, 9)
-    assert np.allclose(F.profiles[0](rr), 0.5 * np.exp(-(rr**2) / 8))
+    assert np.allclose(F.profile(rr)[..., 0], 0.5 * np.exp(-(rr**2) / 8))
     P = synthesize("plane-wave-packet", 0, {"s0": 3.0, "sigma": 1.0})
-    assert np.allclose(P.profiles[0](rr), np.cos(3 * rr) * np.exp(-(rr**2) / 2))
+    assert np.allclose(P.profile(rr)[..., 0], np.cos(3 * rr) * np.exp(-(rr**2) / 2))
 
 
 def test_bump_roundtrips_through_transform():
@@ -239,7 +276,7 @@ def test_bump_profiles_match_closed_form(m):
     ref = [_bump_profile_closed_form(m, k, rho, 1.5, 0.4) for k in range(2 * m + 1)]
     scale = max(np.max(np.abs(r)) for r in ref)
     for k in range(2 * m + 1):
-        assert np.max(np.abs(B.profiles[k](rho) - ref[k])) <= 1e-13 * scale
+        assert np.max(np.abs(B.profile(rho)[..., k] - ref[k])) <= 1e-13 * scale
 
 
 def test_config_file_roundtrip(tmp_path):

@@ -199,6 +199,14 @@ def test_above_the_numeric_range_is_refused():
         spherical.unit_eigvecs(m)
 
 
+def test_full_check_profile_runs_at_the_top_of_the_numeric_range():
+    from m3sph.checks import suite_spherical
+
+    # the full profile adds m = M_MAX_NUMERIC, whose frame map is the largest
+    # the off-axis evaluator builds
+    assert suite_spherical([], np.random.default_rng(0), "full")["pass"]
+
+
 @pytest.mark.parametrize("m", [14, 20, spherical.M_MAX_NUMERIC])
 def test_method1_on_the_axis_against_a_polar_quadrature(m):
     # construction 2 on the e_1 axis, where the azimuth integrates out:

@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +256,34 @@ def test_inverse_above_the_numeric_range_is_refused():
         transform.inverse(coeffs, np.zeros((1, 3)))
 
 
+def test_frame_map_above_the_numeric_range_is_refused_before_it_is_built():
+    # the d^2 x d^2 frame map would take 146 MB at m = 27
+    F = fieldio.synthesize("gaussian", spherical.M_MAX_NUMERIC + 1)
+    tracemalloc.start()
+    try:
+        for call in (
+            lambda: F.eval_points(np.ones((1, 3))),
+            lambda: F.to_grid(1.0, 3),
+            lambda: transform.classical_ft(F, np.ones(3)),
+        ):
+            with pytest.raises(CapabilityError, match="numeric"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+
+
+def test_a_radius_out_of_float_range_is_refused_without_warnings(gaussian_m1):
+    coeffs = transform.forward(gaussian_m1)
+    far = np.array([[0.1, 0.2, 0.3], [1e200, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: transform.inverse(coeffs, far), lambda: gaussian_m1.eval_points(far)):
+            with pytest.raises(CapabilityError, match="radius"):
+                call()
+
+
 def _inverse_per_point(coeffs, xs):
     """The inversion formula point by point: c_l(x) = C sum_j u_{j,l}
     sum_q w_q s_q^2 values[j, q] s_q^l f_l(s_q |x|), then sum_l c_l Q_l(x)."""
@@ -485,9 +515,9 @@ def test_schwartz_decompose_identity_component():
     G = F.to_grid(extent=8.0, n=33)
     R = transform.schwartz_decompose(G)
     rho = np.linspace(0, 3, 13)
-    assert np.max(np.abs(R.profiles[0](rho) - np.exp(-(rho**2) / 2))) < 1e-6
-    assert np.max(np.abs(R.profiles[1](rho))) < 1e-8
-    assert np.max(np.abs(R.profiles[2](rho))) < 1e-8
+    assert np.max(np.abs(R.profile(rho)[..., 0] - np.exp(-(rho**2) / 2))) < 1e-6
+    assert np.max(np.abs(R.profile(rho)[..., 1])) < 1e-8
+    assert np.max(np.abs(R.profile(rho)[..., 2])) < 1e-8
 
 
 def test_schwartz_decompose_q1_component():
@@ -495,9 +525,9 @@ def test_schwartz_decompose_q1_component():
     G = F.to_grid(extent=8.0, n=33)
     R = transform.schwartz_decompose(G)
     rho = np.linspace(0, 3, 13)
-    assert np.max(np.abs(R.profiles[1](rho) - np.exp(-(rho**2) / 2))) < 1e-5
-    assert np.max(np.abs(R.profiles[0](rho))) < 1e-8
-    assert np.max(np.abs(R.profiles[2](rho))) < 1e-8
+    assert np.max(np.abs(R.profile(rho)[..., 1] - np.exp(-(rho**2) / 2))) < 1e-5
+    assert np.max(np.abs(R.profile(rho)[..., 0])) < 1e-8
+    assert np.max(np.abs(R.profile(rho)[..., 2])) < 1e-8
 
 
 def _schwartz_profile_closed_form(coeffs, k, rho):
@@ -517,7 +547,7 @@ def test_schwartz_profiles_match_closed_form(m):
     ref = [_schwartz_profile_closed_form(coeffs, k, rho) for k in range(2 * m + 1)]
     scale = max(np.max(np.abs(r)) for r in ref)
     for k in range(2 * m + 1):
-        assert np.max(np.abs(R.profiles[k](rho) - ref[k])) <= 1e-13 * scale
+        assert np.max(np.abs(R.profile(rho)[..., k] - ref[k])) <= 1e-13 * scale
 
 
 def test_schwartz_decompose_rejects_non_equivariant():
@@ -531,14 +561,42 @@ def test_schwartz_decompose_rejects_non_equivariant():
     assert err.value.residual > 1e-3
 
 
+def _count_radial_sums(monkeypatch) -> list:
+    calls = []
+    sums = transform._radial_sums
+
+    def counted(*args):
+        calls.append(args)
+        return sums(*args)
+
+    monkeypatch.setattr(transform, "_radial_sums", counted)
+    return calls
+
+
+def test_forward_of_a_bump_makes_two_inversion_sums(monkeypatch):
+    # one for the samples behind the decay-scale estimate, one for the r-rule:
+    # every coefficient g_k comes out of the same sum
+    B = fieldio.synthesize("bump", 4)
+    calls = _count_radial_sums(monkeypatch)
+    transform.forward(B)
+    assert len(calls) == 2
+
+
+def test_schwartz_decompose_makes_one_inversion_sum(monkeypatch):
+    # the one behind the residual's eval_points; the profile is not sampled
+    G = fieldio.synthesize("gaussian", 2, {"sigma": 1.0, "component": 2}).to_grid(6.0, 25)
+    calls = _count_radial_sums(monkeypatch)
+    transform.schwartz_decompose(G)
+    assert len(calls) == 1
+
+
 def test_schwartz_decompose_zero_field():
     Z = transform.MatrixField.grid(
         1, np.array([-2.0] * 3), 0.5, np.zeros((9, 9, 9, 3, 3), dtype=complex)
     )
     R = transform.schwartz_decompose(Z)
     rho = np.linspace(0, 2, 5)
-    for p in R.profiles:
-        assert np.max(np.abs(p(rho))) == 0.0
+    assert np.max(np.abs(R.profile(rho))) == 0.0
 
 
 # ---------------------------------------------------------------------------
