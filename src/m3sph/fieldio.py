@@ -49,10 +49,10 @@ class Config:
 
     The environment variable M3S_CONFIG names a default file.  All
     tolerances must be positive, the lattice needs at least two nodes per
-    axis on a positive extent, and an s_max of 0 means "estimate from the
-    field".  radial_nodes_per_panel and panel_width size forward()'s
-    s-grid; the r-rule of the radial-form transform is fixed at 32 nodes
-    per panel of width 4.
+    axis on a positive extent, every float must be finite, and an s_max of
+    0 means "estimate from the field".  radial_nodes_per_panel and
+    panel_width size forward()'s s-grid; the r-rule of the radial-form
+    transform is fixed at 32 nodes per panel of width 4.
     """
 
     radial_nodes_per_panel: int = transform.DEFAULT_NODES_PER_PANEL
@@ -65,14 +65,14 @@ class Config:
 
     def __post_init__(self):
         for name in ("ingest_tol", "truncation_tol", "panel_width", "grid_extent"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.radial_nodes_per_panel < 4:
             raise ValueError("radial_nodes_per_panel must be at least 4")
         if self.grid_n < 2:
             raise ValueError("grid_n must be at least 2")
-        if not self.s_max >= 0:
-            raise ValueError("s_max must be non-negative (0 = estimate)")
+        if not 0 <= self.s_max < math.inf:
+            raise ValueError("s_max must be non-negative and finite (0 = estimate)")
 
     @staticmethod
     def from_file(path: str) -> "Config":
@@ -90,7 +90,10 @@ class Config:
                 if key not in fields:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
                 default = getattr(Config, key)
-                value = float(raw)
+                try:
+                    value = float(raw)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: {key} must be a number, got {raw!r}") from None
                 if isinstance(default, int):
                     if not value.is_integer():
                         raise ValueError(f"{path}:{lineno}: {key} must be an integer, got {raw!r}")

@@ -9,9 +9,11 @@ rounds once: the s = 1 coefficients of the spherical functions
 (unit_eigvec, lagrange_unit_eigvec) and the diagonals of Q_l(e_1)
 (e1_diagonals).
 
-The one scalar type is fractions.Fraction: every coefficient is a real
-rational in the split form.  Two changes of coordinates make it so, and
-every identity above is invariant under both.
+Every coefficient is a real rational in the split form.  A MatPoly holds
+them as Python int numerators over one common denominator; Fraction is
+used only for the scalar vectors above and where the coefficients return
+to x and the weight basis.  Two changes of coordinates make them real
+rationals, and every identity above is invariant under both.
 
 * A rescaled, rational basis.  The weight-basis generators have ladder
   entries proportional to sqrt((m-mu)(m+mu+1)); conjugating by the
@@ -88,51 +90,6 @@ def _square_free(n: int) -> tuple[int, int]:
     return a, d * n
 
 
-ExactMatrix = tuple  # tuple of row tuples of Fraction, in the rational basis
-
-
-def _mat_eye(dim: int) -> ExactMatrix:
-    return tuple(tuple(_Q(1) if i == j else _ZERO for j in range(dim)) for i in range(dim))
-
-
-def _mat_add(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return tuple(
-        tuple(y if not x else x if not y else x + y for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b)
-    )
-
-
-def _mat_neg(a: ExactMatrix) -> ExactMatrix:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
-def _mat_scale(a: ExactMatrix, s) -> ExactMatrix:
-    return tuple(tuple(x * s if x else x for x in row) for row in a)
-
-
-def _mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    # zero entries are skipped: only the nonzero (index, entry) pairs of each
-    # column of b meet the nonzero entries of each row of a
-    cols = [[(k, y) for k, y in enumerate(cb) if y] for cb in zip(*b)]
-    rows = []
-    for ra in a:
-        nz = {k: x for k, x in enumerate(ra) if x}
-        row = []
-        for cb in cols:
-            acc = None
-            for k, y in cb:
-                x = nz.get(k)
-                if x is not None:
-                    acc = x * y if acc is None else acc + x * y
-            row.append(_ZERO if acc is None else acc)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _mat_is_zero(a: ExactMatrix) -> bool:
-    return not any(x for row in a for x in row)
-
-
 @lru_cache(maxsize=None)
 def _weight_factors(dim: int) -> tuple:
     """The factor d_a/d_b of every entry (a, b) as a pair (c, f) standing for
@@ -151,31 +108,60 @@ def _weight_factors(dim: int) -> tuple:
     return tuple(rows)
 
 
-def _weight_basis(e: Monomial, mat: ExactMatrix) -> tuple[bool, list]:
-    """The x^e coefficient (-i)^(e1+e2) D mat D^-1 of the term mat * y^e as
-    (imag, rows): the coefficient is i*rows if imag, else rows, and each
-    entry of rows is a pair (v, f) standing for v*sqrt(f), with v rational
-    and f square-free."""
+def _weight_basis(e: Monomial, num: np.ndarray, den: int) -> tuple[bool, list]:
+    """The x^e coefficient (-i)^(e1+e2) D (num/den) D^-1 of the term
+    (num/den) * y^e as (imag, rows): the coefficient is i*rows if imag, else
+    rows, and each entry of rows is a pair (v, f) standing for v*sqrt(f),
+    with v rational and f square-free."""
     sign, imag = _PHASES[(e[0] + e[1]) % 4]
     return imag, [
-        [(x * c * sign if x else x, f) for x, (c, f) in zip(row, frow)]
-        for row, frow in zip(mat, _weight_factors(len(mat)))
+        [(_Q(x, den) * c * sign if x else x, f) for x, (c, f) in zip(row, frow)]
+        for row, frow in zip(num, _weight_factors(len(num)))
     ]
+
+
+def _reduced(dim: int, terms: dict, den: int) -> "MatPoly":
+    """The canonical MatPoly sum_e terms[e] y^e / den: all-zero matrices are
+    dropped and den is divided by its gcd with every numerator."""
+    terms = {e: n for e, n in terms.items() if n.any()}
+    g = den
+    for n in terms.values():
+        if g == 1:
+            break
+        g = math.gcd(g, *n.flat)
+    if g > 1:
+        terms = {e: n // g for e, n in terms.items()}
+    return MatPoly(dim, terms, den // g)
+
+
+def _from_rationals(dim: int, mats: dict) -> "MatPoly":
+    """The MatPoly sum_e mats[e] y^e of matrices of rationals (rows of
+    Fraction or int) over the lcm of their denominators."""
+    den = math.lcm(*(x.denominator for mat in mats.values() for row in mat for x in row))
+    nums = {
+        e: np.array([[x.numerator * (den // x.denominator) for x in row] for row in mat], dtype=object)
+        for e, mat in mats.items()
+    }
+    return _reduced(dim, nums, den)
 
 
 @dataclass(frozen=True)
 class MatPoly:
     """Matrix-valued polynomial in the split-form variables y with real
-    rational coefficients.
+    rational coefficients, held as integers over one common denominator.
 
     ``terms`` maps a monomial exponent triple e (of y^e) to a dim x dim
-    ExactMatrix in the rational basis.  Zero matrices are never stored, so
-    the zero polynomial has no terms.  ``eval`` and ``to_json_obj`` give
-    the polynomial in x and the weight basis.
+    numpy object array of Python int numerators in the rational basis, and
+    the coefficient of y^e is terms[e] / den.  The form is canonical: no
+    all-zero matrix is stored, den > 0 and gcd(den, every numerator) = 1.
+    So the zero polynomial has no terms, and two polynomials are equal iff
+    their dens and numerator arrays are.  ``eval`` and ``to_json_obj``
+    give the polynomial in x and the weight basis.
     """
 
     dim: int
     terms: dict
+    den: int = 1
 
     # -- constructors --------------------------------------------------
     @staticmethod
@@ -184,69 +170,55 @@ class MatPoly:
 
     @staticmethod
     def identity(dim: int) -> "MatPoly":
-        return MatPoly(dim, {(0, 0, 0): _mat_eye(dim)})
+        return MatPoly(dim, {(0, 0, 0): np.identity(dim, dtype=object)})
 
     @staticmethod
-    def constant(mat: ExactMatrix) -> "MatPoly":
-        if _mat_is_zero(mat):
-            return MatPoly(len(mat), {})
-        return MatPoly(len(mat), {(0, 0, 0): mat})
+    def constant(mat) -> "MatPoly":
+        """The constant polynomial of a matrix of rationals."""
+        return _from_rationals(len(mat), {(0, 0, 0): mat})
 
     @staticmethod
     def linear(mats) -> "MatPoly":
-        """sum_i y_i * mats[i]."""
-        dim = len(mats[0])
-        terms = {}
-        for i, mat in enumerate(mats):
-            if not _mat_is_zero(mat):
-                e = [0, 0, 0]
-                e[i] = 1
-                terms[tuple(e)] = mat
-        return MatPoly(dim, terms)
+        """sum_i y_i * mats[i], for matrices of rationals."""
+        return _from_rationals(
+            len(mats[0]), {tuple(int(k == i) for k in range(3)): mat for i, mat in enumerate(mats)}
+        )
 
     # -- ring operations -----------------------------------------------
     def __add__(self, other: "MatPoly") -> "MatPoly":
-        out = dict(self.terms)
-        for e, mat in other.terms.items():
-            cur = out.get(e)
-            s = mat if cur is None else _mat_add(cur, mat)
-            if _mat_is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return MatPoly(self.dim, out)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {e: a * n for e, n in self.terms.items()}
+        for e, n in other.terms.items():
+            out[e] = out[e] + b * n if e in out else b * n
+        return _reduced(self.dim, out, den)
 
     def __sub__(self, other: "MatPoly") -> "MatPoly":
         return self + (-other)
 
     def __neg__(self) -> "MatPoly":
-        return MatPoly(self.dim, {e: _mat_neg(m) for e, m in self.terms.items()})
+        return MatPoly(self.dim, {e: -n for e, n in self.terms.items()}, self.den)
 
     def __matmul__(self, other: "MatPoly") -> "MatPoly":
         out = {}
-        for e1, m1 in self.terms.items():
-            for e2, m2 in other.terms.items():
+        for e1, n1 in self.terms.items():
+            for e2, n2 in other.terms.items():
                 e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                prod = _mat_mul(m1, m2)
-                cur = out.get(e)
-                s = prod if cur is None else _mat_add(cur, prod)
-                out[e] = s
-        return MatPoly(self.dim, {e: m for e, m in out.items() if not _mat_is_zero(m)})
+                out[e] = out[e] + n1 @ n2 if e in out else n1 @ n2
+        return _reduced(self.dim, out, self.den * other.den)
 
     def scale(self, s) -> "MatPoly":
-        """Multiply by a rational scalar."""
-        if not s:
-            return MatPoly.zero(self.dim)
-        if s == 1:
-            return self
-        return MatPoly(self.dim, {e: _mat_scale(m, s) for e, m in self.terms.items()})
+        """Multiply by a rational scalar (a Fraction or an int)."""
+        p, q = s.numerator, s.denominator
+        return _reduced(self.dim, {e: p * n for e, n in self.terms.items()}, self.den * q)
 
     def mul_monomial(self, mono: Monomial, coeff=1) -> "MatPoly":
         """Multiply by coeff * y^mono."""
         out = self.scale(coeff)
         return MatPoly(
             self.dim,
-            {(e[0] + mono[0], e[1] + mono[1], e[2] + mono[2]): m for e, m in out.terms.items()},
+            {(e[0] + mono[0], e[1] + mono[1], e[2] + mono[2]): n for e, n in out.terms.items()},
+            out.den,
         )
 
     def mul_r2(self) -> "MatPoly":
@@ -261,13 +233,13 @@ class MatPoly:
     def diff(self, axis: int) -> "MatPoly":
         """d/dy_axis."""
         out = {}
-        for e, m in self.terms.items():
+        for e, n in self.terms.items():
             k = e[axis]
             if k:
                 ne = list(e)
                 ne[axis] -= 1
-                out[tuple(ne)] = _mat_scale(m, k) if k > 1 else m
-        return MatPoly(self.dim, out)
+                out[tuple(ne)] = k * n
+        return _reduced(self.dim, out, self.den)
 
     # -- queries ---------------------------------------------------------
     def is_zero(self) -> bool:
@@ -277,15 +249,20 @@ class MatPoly:
         return all(sum(e) == j for e in self.terms)
 
     def __eq__(self, other):
-        return self.dim == other.dim and self.terms == other.terms
+        return (
+            self.dim == other.dim
+            and self.den == other.den
+            and self.terms.keys() == other.terms.keys()
+            and all(np.array_equal(n, other.terms[e]) for e, n in self.terms.items())
+        )
 
     def eval(self, x) -> np.ndarray:
         """Numerical evaluation at x in the weight basis; exact-to-float
         conversion happens last."""
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for e, m in self.terms.items():
-            imag, rows = _weight_basis(e, m)
+        for e, n in self.terms.items():
+            imag, rows = _weight_basis(e, n, self.den)
             mat = np.array([[float(v) * math.sqrt(f) for v, f in row] for row in rows])
             out += (x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2]) * (1j * mat if imag else mat)
         return out
@@ -297,7 +274,7 @@ class MatPoly:
         none for zero."""
         records = []
         for e in sorted(self.terms):
-            imag, rows = _weight_basis(e, self.terms[e])
+            imag, rows = _weight_basis(e, self.terms[e], self.den)
             records.append(
                 {
                     "exponents": list(e),

@@ -225,12 +225,24 @@ class MatrixField:
         return tuple(int(i) for i in rounded)
 
     # -- evaluation ---------------------------------------------------------
+    def _coefficients(self, r: np.ndarray) -> np.ndarray:
+        """profile(r) as complex coefficients of shape r.shape + (2m+1,);
+        a profile of any other shape raises ValueError."""
+        g = np.asarray(self.profile(r), dtype=np.complex128)
+        want = r.shape + (self.dim,)
+        if g.shape != want:
+            raise ValueError(
+                f"the radial profile of an m={self.m} field must map radii of shape "
+                f"{r.shape} to shape {want}, got {g.shape}"
+            )
+        return g
+
     def sample_profiles(self) -> np.ndarray:
         """Radial samples g_k(r_grid), shape (n_r, 2m+1); cached."""
         if self.form != "radial":
             raise ValueError("sample_profiles applies to radial-form fields")
         if self.radial_samples is None:
-            self.radial_samples = np.asarray(self.profile(self.r_grid), dtype=np.complex128)
+            self.radial_samples = self._coefficients(self.r_grid)
         return self.radial_samples
 
     def eval_points(self, xs: np.ndarray) -> np.ndarray:
@@ -239,7 +251,7 @@ class MatrixField:
         |x| leaves float range CapabilityError."""
         if self.form != "radial":
             raise ValueError("pointwise evaluation is for radial-form fields")
-        return _radial_series(self.m, xs, self.profile)
+        return _radial_series(self.m, xs, self._coefficients)
 
     def to_grid(self, extent: float = DEFAULT_GRID_EXTENT, n: int = DEFAULT_GRID_N) -> "MatrixField":
         """Rasterize a radial-form field on the cube [-extent, extent]^3
@@ -315,7 +327,7 @@ def _radial_ft_coeffs(field: MatrixField, s_arr: np.ndarray):
     per_panel = max(DEFAULT_NODES_PER_PANEL, math.ceil(s_max * DEFAULT_PANEL_WIDTH / math.pi) + 16)
     rq, wq = gl_panels(0.0, float(field.r_grid[-1]), per_panel)
     # (L, n_r) with contiguous rows, so the products below keep their rounding
-    gv = np.ascontiguousarray(np.asarray(field.profile(rq), dtype=np.complex128).T)
+    gv = np.ascontiguousarray(field._coefficients(rq).T)
     ts = np.multiply.outer(s_arr, rq)  # (n_s, n_r)
     fv = f_table(L - 1, ts)  # (L, n_s, n_r)
     out = np.empty((s_arr.size, L), dtype=np.complex128)
@@ -494,11 +506,12 @@ def forward(
     of a smooth decaying field is negligible.  For grid fields s_max is
     capped at the lattice Nyquist frequency pi/spacing: beyond it the
     discrete transform is pure aliasing.  A given s_max and panel_width
-    must be positive and per_panel at least 1 (ValueError otherwise).
+    must be positive and per_panel at least 1, and a given s_max finite
+    (ValueError otherwise).
     """
     requested = s_max is not None
-    if requested and not s_max > 0:
-        raise ValueError(f"s_max must be positive, got {s_max}")
+    if requested and not 0 < s_max < math.inf:
+        raise ValueError(f"s_max must be positive and finite, got {s_max}")
     if not panel_width > 0:
         raise ValueError(f"panel_width must be positive, got {panel_width}")
     if per_panel < 1:

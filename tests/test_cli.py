@@ -394,14 +394,19 @@ def coeff_file(capsys, tmp_path):
         ("inverse", ["--grid-extent", "0"]),
         ("forward", ["--nr", "0"]),
         ("forward", ["--smax", "-1"]),
+        ("forward", ["--smax", "inf"]),
+        ("forward", ["--smax", "nan"]),
+        ("inverse", ["--grid-extent", "inf"]),
     ],
 )
 def test_degenerate_flag_is_usage_error(capsys, tmp_path, coeff_file, direction, flags):
     infile = coeff_file[1] if direction == "inverse" else coeff_file[0]
     out_path = tmp_path / "out"
-    code, _, err = run_cli(
-        capsys, "transform", direction, "--in", str(infile), "--out", str(out_path), *flags
-    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(
+            capsys, "transform", direction, "--in", str(infile), "--out", str(out_path), *flags
+        )
     assert code == 2
     assert err
     assert not out_path.exists()
@@ -417,6 +422,11 @@ def test_degenerate_flag_is_usage_error(capsys, tmp_path, coeff_file, direction,
         ("forward", "s_max = -1"),
         ("forward", "threads = 2"),
         ("forward", "grid_n = 2.7"),
+        ("forward", "s_max = inf"),
+        ("forward", "panel_width = inf"),
+        ("forward", "truncation_tol = inf"),
+        ("inverse", "grid_extent = inf"),
+        ("forward", "s_max = abc"),
     ],
 )
 def test_degenerate_config_is_usage_error(capsys, tmp_path, coeff_file, direction, line):
@@ -430,6 +440,36 @@ def test_degenerate_config_is_usage_error(capsys, tmp_path, coeff_file, directio
     )
     assert code == 2
     assert err
+    assert not out_path.exists()
+
+
+def test_infinite_smax_on_a_grid_file_is_usage_error(capsys, tmp_path, coeff_file):
+    grid_path = tmp_path / "grid.m3sf"
+    code, _, _ = run_cli(
+        capsys, "transform", "inverse", "--in", str(coeff_file[1]), "--out", str(grid_path),
+        "--grid-n", "9",
+    )
+    assert code == 0
+    out_path = tmp_path / "out.json"
+    code, _, err = run_cli(
+        capsys, "transform", "forward", "--in", str(grid_path), "--out", str(out_path),
+        "--smax", "inf",
+    )
+    assert code == 2
+    assert "s_max" in err
+    assert not out_path.exists()
+
+
+def test_config_value_that_is_not_a_number_names_its_line(capsys, tmp_path, coeff_file):
+    conf = tmp_path / "m3s.conf"
+    conf.write_text("grid_n = 9\ns_max = abc\n")
+    out_path = tmp_path / "out.json"
+    code, _, err = run_cli(
+        capsys, "transform", "forward", "--in", str(coeff_file[0]), "--out", str(out_path),
+        "--config", str(conf),
+    )
+    assert code == 2
+    assert f"{conf}:2: s_max must be a number, got 'abc'" in err
     assert not out_path.exists()
 
 

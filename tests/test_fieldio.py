@@ -332,10 +332,24 @@ def test_config_integer_keys_reject_fractions(tmp_path):
 
 def test_config_rejects_degenerate_geometry():
     for bad in ({"grid_n": 1}, {"grid_n": 0}, {"grid_extent": 0.0}, {"grid_extent": -2.0},
-                {"panel_width": 0.0}, {"s_max": -1.0}, {"truncation_tol": float("nan")}):
+                {"panel_width": 0.0}, {"s_max": -1.0}, {"truncation_tol": float("nan")},
+                {"s_max": float("inf")}, {"s_max": float("nan")}, {"panel_width": float("inf")},
+                {"grid_extent": float("inf")}, {"ingest_tol": float("inf")},
+                {"truncation_tol": float("inf")}):
         with pytest.raises(ValueError):
             Config(**bad)
     assert Config(s_max=0.0, grid_n=2).s_max == 0.0  # 0 still means "estimate"
+
+
+def test_write_refuses_a_profile_of_the_wrong_width(tmp_path):
+    # at m = 1 the profile must give 3 coefficients per radius, not 2
+    F = transform.MatrixField.radial(
+        1, lambda r: np.stack([np.exp(-r * r), r * 0.0], axis=-1), np.linspace(0.0, 6.0, 31)
+    )
+    target = tmp_path / "out.m3sf"
+    with pytest.raises(ValueError, match=r"\(31, 3\)"):
+        write_field(F, str(target))
+    assert os.listdir(tmp_path) == []
 
 
 def test_write_is_atomic(tmp_path):

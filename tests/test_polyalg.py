@@ -1,7 +1,11 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from m3sph import polyalg, spherical
+from m3sph.checks import run_checks
 from m3sph.errors import CapabilityError
 from m3sph.polyalg import (
     MatPoly,
@@ -23,6 +27,32 @@ def test_square_free_decomposition():
     assert polyalg._square_free(72) == (6, 2)
     assert polyalg._square_free(1) == (1, 1)
     assert polyalg._square_free(7) == (1, 7)
+
+
+def test_scale_cancels_across_denominators():
+    P = build_Q(2)[3]
+    assert (P.scale(Fraction(1, 3)) + P.scale(Fraction(2, 3)) - P).is_zero()
+
+
+def test_numerators_are_python_ints_over_a_coprime_denominator():
+    for q in build_Q(4):
+        nums = [x for n in q.terms.values() for x in n.flat]
+        assert q.den > 0
+        assert all(type(x) is int for x in nums)
+        assert math.gcd(q.den, *nums) == 1
+        assert all(n.any() for n in q.terms.values())
+
+
+def test_numerators_above_int64_stay_exact():
+    eye = MatPoly.identity(3)
+    assert eye.scale(2**70).scale(Fraction(1, 2**70)) == eye
+
+
+def test_polyalg_suite_counts():
+    suite = next(s for s in run_checks(ms=[0, 1, 2, 3, 4], seed=0)["suites"] if s["suite"] == "polyalg")
+    assert suite["cases"] == 255
+    assert suite["pass"] is True
+    assert suite["failures"] == []
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from m3sph import _kernels, fieldio, spherical, transform
 from m3sph.errors import CapabilityError, DecompositionError
+from m3sph.radial import RadialProfile
 from m3sph.so3rep import Rotation, build_irrep, tau
 
 GAUSS_FT = lambda s: (2 * np.pi) ** 1.5 * np.exp(-s * s / 2.0)
@@ -434,9 +435,24 @@ def test_radial_roundtrip_at_large_s_max(s_max):
 
 def test_forward_validates_quadrature_geometry(gaussian_m1):
     for bad in ({"s_max": -1.0}, {"s_max": 0.0}, {"s_max": float("nan")},
-                {"panel_width": -4.0}, {"panel_width": 0.0}, {"per_panel": 0}):
+                {"panel_width": -4.0}, {"panel_width": 0.0}, {"per_panel": 0},
+                {"s_max": float("inf")}):
         with pytest.raises(ValueError):
             transform.forward(gaussian_m1, **bad)
+
+
+def test_a_profile_of_the_wrong_width_is_refused():
+    # at m = 1 the profile must give 3 coefficients per radius, not 2
+    prof = RadialProfile(
+        evaluator=lambda r: np.stack([np.exp(-r * r), r * 0.0], axis=-1), label={"decays": True}
+    )
+    F = transform.MatrixField.radial(1, prof, np.linspace(0.0, 6.0, 31))
+    with pytest.raises(ValueError, match=r"\(2, 3\)"):
+        F.eval_points(np.array([[0.1, 0.2, 0.3], [1.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"\(31, 3\)"):
+        transform.forward(F)
+    with pytest.raises(ValueError, match=r", 3\)"):
+        transform.forward(F, s_max=4.0)
 
 
 def test_coefficients_json_roundtrip():
