@@ -1,8 +1,9 @@
 """Hot numeric kernels, vectorized with numpy.
 
-One implementation per kernel: the radial kernel table, the off-axis
-evaluator (an e_1 diagonal moved to x by the frame W), the plane-wave and
-lattice Fourier sums and the reference grid convolution.  Every kernel
+One implementation per kernel: the radii of a caller's points, the radial
+kernel table, the off-axis evaluator (an e_1 diagonal moved to x by the
+frame W), the plane-wave and lattice Fourier sums and the reference grid
+convolution.  Every kernel
 accumulates in a fixed order, so results are bit-for-bit reproducible.
 """
 
@@ -33,12 +34,21 @@ def check_numeric_m(m: int):
         )
 
 
-def finite_radii(norms) -> np.ndarray:
-    """The radii ``norms()`` of a batch of finite points, formed with overflow
-    silenced; one out of float range raises CapabilityError before any kernel
-    sees it."""
+def radii(xs: np.ndarray) -> np.ndarray:
+    """|x| for an (n, 3) batch of points: the one place a caller's |x| is
+    formed and refused.  The squares of the sorted |x_k| are summed in one
+    fixed order, so points that differ by signs and permutations of their
+    coordinates (the nodes of a lattice with exactly antisymmetric axes on
+    one sphere) share one float radius, and radial work deduplicated by
+    exact float equality runs once per shared radius.  A NaN or infinite
+    coordinate raises ValueError, a radius whose squares overflow
+    CapabilityError.
+    """
+    if not np.isfinite(xs).all():
+        raise ValueError("evaluation points must be finite")
+    a = np.sort(np.abs(xs), axis=1)
     with np.errstate(over="ignore"):
-        r = norms()
+        r = np.sqrt(a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1] + a[:, 2] * a[:, 2])
     if not np.isfinite(r).all():
         raise CapabilityError("a point's radius |x| is not finite: it is out of float range")
     return r
@@ -145,21 +155,26 @@ def axis_diagonals(m: int) -> np.ndarray:
     return q
 
 
-def q_series(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Assemble sum_l coeffs[p, l] * Q_l(x_p) for a batch of points.
+def q_series(coeffs_at, xs) -> np.ndarray:
+    """sum_l c_l(|x_p|) Q_l(x_p) for an (n, 3) batch of points; (n, d, d).
 
-    ``coeffs`` is (n, 2m+1) and ``xs`` (n, 3).  Q_l is equivariant and
-    homogeneous of degree l, so the sum is the e_1 diagonal
-    (coeffs[p, l] |x_p|^l) @ axis_diagonals(m) moved to x_p.  Returns (n, d, d).
-    A diagonal out of float range (|x|^l overflows) raises CapabilityError.
+    ``coeffs_at(rs)`` maps the distinct float radii of radii(xs) to their
+    (n_r, 2m+1) coefficients c_l(r); it is called once.  Q_l is equivariant
+    and homogeneous of degree l, so the sum is the e_1 diagonal
+    (c_l(r) r^l) @ axis_diagonals(m), formed once per distinct radius and
+    moved to each x_p.  A point refused by radii() raises there; a diagonal
+    out of float range (r^l or c_l(r) overflows) raises CapabilityError.
     """
-    L = coeffs.shape[1]
-    r = np.sqrt(np.einsum("pi,pi->p", xs, xs))
-    lam = (coeffs * r[:, None] ** np.arange(L)) @ axis_diagonals((L - 1) // 2)
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    rs, back = np.unique(radii(xs), return_inverse=True)
+    lam = coeffs_at(rs)
+    L = lam.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = (lam * rs[:, None] ** np.arange(L)) @ axis_diagonals((L - 1) // 2)
     if not np.isfinite(lam).all():
         raise CapabilityError("the Q-series diagonal is not finite: |x|^l or its coefficient "
                               "is out of float range")
-    return axis_transport(lam, xs)
+    return axis_transport(lam[back], xs)
 
 
 # ---------------------------------------------------------------------------

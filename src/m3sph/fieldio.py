@@ -98,6 +98,10 @@ class Config:
                     if not value.is_integer():
                         raise ValueError(f"{path}:{lineno}: {key} must be an integer, got {raw!r}")
                     value = int(value)
+                try:
+                    Config(**{key: value})  # every other field at its valid default
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
                 kwargs[key] = value
         return Config(**kwargs)
 

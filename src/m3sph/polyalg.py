@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as _Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -256,15 +256,22 @@ class MatPoly:
             and all(np.array_equal(n, other.terms[e]) for e, n in self.terms.items())
         )
 
-    def eval(self, x) -> np.ndarray:
-        """Numerical evaluation at x in the weight basis; exact-to-float
-        conversion happens last."""
-        x = np.asarray(x, dtype=np.float64)
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+    @cached_property
+    def _float_terms(self) -> list:
+        """(e, the x^e coefficient in the weight basis rounded once) per term."""
+        out = []
         for e, n in self.terms.items():
             imag, rows = _weight_basis(e, n, self.den)
             mat = np.array([[float(v) * math.sqrt(f) for v, f in row] for row in rows])
-            out += (x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2]) * (1j * mat if imag else mat)
+            out.append((e, 1j * mat if imag else mat))
+        return out
+
+    def eval(self, x) -> np.ndarray:
+        """Numerical evaluation at x in the weight basis (_float_terms)."""
+        x = np.asarray(x, dtype=np.float64)
+        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        for e, mat in self._float_terms:
+            out += (x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2]) * mat
         return out
 
     def to_json_obj(self):

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import so3rep
 from ._kernels import (M_MAX_NUMERIC, axis_transport, check_numeric_m,  # noqa: F401
-                       f_table, finite_radii, plane_wave_sum, q_series)
+                       f_table, plane_wave_sum, q_series, radii)
 from .errors import CapabilityError
 from .polyalg import coeff_table, lagrange_unit_eigvec, unit_eigvec
 from .radial import _check_scale
@@ -184,17 +184,15 @@ def eval_phi(spec: SphericalFunctionSpec, x) -> np.ndarray:
 
 
 def eval_phi_batch(spec: SphericalFunctionSpec, xs: np.ndarray) -> np.ndarray:
-    """Evaluate a spec on an (n, 3) batch of points; returns (n, d, d).  A
-    point whose |x| leaves float range raises CapabilityError."""
+    """Evaluate a spec on an (n, 3) batch of points; returns (n, d, d).  The
+    kernels f_l(s r) are tabulated once per distinct float radius.  A NaN or
+    infinite coordinate raises ValueError, a point whose |x| leaves float
+    range CapabilityError."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    rep = _rep(spec.m)
-    n = xs.shape[0]
     if spec.s == 0.0:
-        return np.broadcast_to(np.eye(rep.dim, dtype=np.complex128), (n, rep.dim, rep.dim)).copy()
-    r = finite_radii(lambda: np.linalg.norm(xs, axis=1))
-    fv = f_table(2 * spec.m, spec.s * r)  # (2m+1, n)
-    coeffs = (spec.coeffs[:, None] * fv).T.astype(np.complex128)
-    return q_series(coeffs, xs)
+        radii(xs)  # refuses the points q_series would refuse
+        return np.tile(np.eye(2 * spec.m + 1, dtype=np.complex128), (xs.shape[0], 1, 1))
+    return q_series(lambda rs: (spec.coeffs[:, None] * f_table(2 * spec.m, spec.s * rs)).T, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +308,7 @@ def phi_method2_batch(
 ) -> np.ndarray:
     _check_params(m, s, j)
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("evaluation points must be finite")
-    radius = float(np.max(finite_radii(lambda: np.linalg.norm(xs, axis=1))))
+    radius = float(np.max(radii(xs)))
     limit = _max_rule_degree(m)
     needed = band_limit_degree(m, s, radius) if math.e * s * radius <= limit else limit + 1
     top = needed if rule is None else (2 * needed if rule.degree < needed else rule.degree)
@@ -386,7 +382,7 @@ def apply_dtau_analytic(spec: SphericalFunctionSpec, x) -> np.ndarray:
     the origin).
     """
     x = np.asarray(x, dtype=np.float64)
-    r = float(np.linalg.norm(x))
+    r = float(radii(x[None, :])[0])
     if r <= 0:
         raise ValueError("analytic differentiation point must be nonzero")
     rep = _rep(spec.m)

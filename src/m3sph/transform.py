@@ -31,10 +31,10 @@ from ._kernels import (
     axis_diagonals,
     axis_transport,
     f_table,
-    finite_radii,
     fourier_grid_sum,
     grid_convolution,
     q_series,
+    radii,
 )
 from .errors import DecompositionError, MalformedCoefficientsError
 from .radial import RadialProfile, _check_scale, _spline_profile, double_factorial_odd
@@ -69,31 +69,6 @@ def gl_panels(a: float, b: float, per_panel: int = DEFAULT_NODES_PER_PANEL,
         nodes.append(mid + half * x0)
         weights.append(half * w0)
     return np.concatenate(nodes), np.concatenate(weights)
-
-
-def radii(xs: np.ndarray) -> np.ndarray:
-    """|x| for an (n, 3) batch of points, invariant under sign flips and
-    permutations of the coordinates to the last bit.
-
-    The squares of the sorted |x_k| are summed in one fixed order, so the
-    nodes of a lattice with exactly antisymmetric axes that lie on one
-    sphere up to those symmetries share one float radius, and radial work
-    deduplicated by exact float equality runs once per shared radius.
-    """
-    a = np.sort(np.abs(xs), axis=1)
-    return np.sqrt(a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1] + a[:, 2] * a[:, 2])
-
-
-def _radial_series(m: int, xs, coeffs_at) -> np.ndarray:
-    """sum_l c_l(|x|) Q_l(x) on an (n, 3) batch of finite points, with the
-    (n_r, 2m+1) coefficients ``coeffs_at(rs)`` computed once per distinct
-    float radius of radii().  A NaN or infinite coordinate raises
-    ValueError, a radius out of float range CapabilityError."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("evaluation points must be finite")
-    rs, back = np.unique(finite_radii(lambda: radii(xs)), return_inverse=True)
-    return q_series(coeffs_at(rs)[back], xs)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +226,7 @@ class MatrixField:
         |x| leaves float range CapabilityError."""
         if self.form != "radial":
             raise ValueError("pointwise evaluation is for radial-form fields")
-        return _radial_series(self.m, xs, self._coefficients)
+        return q_series(self._coefficients, xs)
 
     def to_grid(self, extent: float = DEFAULT_GRID_EXTENT, n: int = DEFAULT_GRID_N) -> "MatrixField":
         """Rasterize a radial-form field on the cube [-extent, extent]^3
@@ -344,15 +319,15 @@ def classical_ft(F: MatrixField, y) -> np.ndarray:
     Grid form: trapezoid sum over the lattice (fields are assumed decayed
     at the boundary).  Radial form: the diagonal Fhat(|y| e_1) from the
     1-D radial kernel route, moved to y by the frame W; its equivalence
-    with the 3-D quadrature is part of the test suite.
+    with the 3-D quadrature is part of the test suite.  A NaN or infinite
+    coordinate of y raises ValueError, a |y| out of float range
+    CapabilityError.
     """
-    y = np.asarray(y, dtype=np.float64)
+    ys = np.asarray(y, dtype=np.float64)[None, :]
+    s = radii(ys)
     if F.form == "grid":
-        return fourier_grid_sum(
-            F.values_flat(), F.grid_points(), y[None, :], F.spacing**3
-        )[0]
-    lam = _ft_along_e1(F, np.array([float(np.linalg.norm(y))]))
-    return axis_transport(lam, y[None, :])[0]
+        return fourier_grid_sum(F.values_flat(), F.grid_points(), ys, F.spacing**3)[0]
+    return axis_transport(_ft_along_e1(F, s), ys)[0]
 
 
 def _ft_along_e1(F: MatrixField, s_arr: np.ndarray) -> np.ndarray:
@@ -656,8 +631,9 @@ def inverse(
     C = 1/(2 pi^2 (2m+1)); the radial integral runs over the sampled grid
     (quadrature weights stored with the coefficients).  The Q_l
     coefficients c_l(|x|), l = 0..2m, are the inversion sums of
-    _radial_sums, computed once per distinct float radius (radii(), no
-    rounding).  A NaN or infinite point raises ValueError.
+    _radial_sums, computed once per distinct float radius (q_series).  A
+    NaN or infinite point raises ValueError, a radius out of float range
+    CapabilityError.
     """
     vals = coeffs.values
     peak = float(np.max(np.abs(vals))) if vals.size else 0.0
@@ -668,7 +644,7 @@ def inverse(
             f"(relative tail {tail/peak:.2e}); inversion may be truncated",
             stacklevel=2,
         )
-    return _radial_series(coeffs.m, xs, lambda rs: _radial_sums(coeffs, rs, 2 * coeffs.m))
+    return q_series(lambda rs: _radial_sums(coeffs, rs, 2 * coeffs.m), xs)
 
 
 def apply_multiplier(coeffs: SphericalCoefficients, mu) -> SphericalCoefficients:

@@ -439,7 +439,7 @@ def test_degenerate_config_is_usage_error(capsys, tmp_path, coeff_file, directio
         "--config", str(conf),
     )
     assert code == 2
-    assert err
+    assert f"{conf}:1: " in err
     assert not out_path.exists()
 
 

@@ -101,23 +101,31 @@ def test_axis_transport_is_the_two_rotation_frame(m):
 def test_q_series_against_q_stack(m):
     rng = np.random.default_rng(0)
     n = 17
-    coeffs = rng.normal(size=(n, 2 * m + 1)) + 1j * rng.normal(size=(n, 2 * m + 1))
+    a = rng.normal(size=2 * m + 1) + 1j * rng.normal(size=2 * m + 1)
+    b = rng.normal(size=2 * m + 1) + 1j * rng.normal(size=2 * m + 1)
+
+    def coeffs_at(rs):
+        return a * np.cos(rs[:, None]) + b * rs[:, None]
+
     xs = rng.uniform(-3, 3, size=(n, 3))
-    out = _kernels.q_series(coeffs, xs)
+    out = _kernels.q_series(coeffs_at, xs)
     assert out.shape == (n, 2 * m + 1, 2 * m + 1)
     for p in range(n):
         qs = spherical.q_stack(m, xs[p])
-        ref = sum(coeffs[p, l] * qs[l] for l in range(2 * m + 1))
+        coeffs = coeffs_at(np.array([np.linalg.norm(xs[p])]))[0]
+        ref = sum(coeffs[l] * qs[l] for l in range(2 * m + 1))
         scale = max(1.0, float(np.max(np.abs(ref))))
         assert np.max(np.abs(out[p] - ref)) < 1e-13 * scale
 
 
 def test_q_series_refuses_a_non_finite_diagonal():
-    # |x|^2 overflows at |x| = 1e200 while the coefficient stays finite
-    coeffs = np.array([[1.0, 1e-30, 1e-60]], dtype=complex)
+    # |x|^4 overflows at |x| = 1e100 while the radius and the coefficient
+    # stay finite
+    coeffs = np.array([1.0, 1e-30, 1e-60, 1e-90, 1e-120], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(CapabilityError, match="not finite"):
-            _kernels.q_series(coeffs, np.array([[1e200, 0.0, 0.0]]))
+            _kernels.q_series(lambda rs: np.tile(coeffs, (rs.size, 1)),
+                              np.array([[1e100, 0.0, 0.0]]))
 
 
 def test_plane_wave_sum_against_node_loop():

@@ -710,3 +710,55 @@ def test_radii_share_exact_floats_under_signs_and_permutations():
     # the default 41^3 lattice: 68 921 nodes on at most 808 distinct float radii
     G = transform.MatrixField.cube(0, 8.0, 41, lambda pts: np.zeros(len(pts)))
     assert np.unique(transform.radii(G.grid_points())).size <= 808
+
+
+@pytest.fixture(scope="module")
+def refusing_evaluators(gaussian_m1):
+    """Every evaluator of a caller's point x, as x -> its value."""
+    spec = spherical.phi_method1(1, 1.0, 1)
+    coeffs = transform.forward(gaussian_m1)
+    G = gaussian_m1.to_grid(extent=4.0, n=9)
+    vectors = np.ones((2, 3), dtype=complex)
+    return {
+        "eval_phi_batch": lambda x: spherical.eval_phi_batch(spec, x[None, :]),
+        "check_positive_type": lambda x: spherical.check_positive_type(
+            spec, np.array([np.zeros(3), x]), vectors),
+        "apply_dtau_analytic": lambda x: spherical.apply_dtau_analytic(spec, x),
+        "phi_method2_batch": lambda x: spherical.phi_method2_batch(1, 1.0, 1, x[None, :]),
+        "eval_points": lambda x: gaussian_m1.eval_points(x[None, :]),
+        "inverse": lambda x: transform.inverse(coeffs, x[None, :]),
+        "classical_ft_grid": lambda x: transform.classical_ft(G, x),
+        "classical_ft_radial": lambda x: transform.classical_ft(gaussian_m1, x),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "eval_phi_batch", "check_positive_type", "apply_dtau_analytic", "phi_method2_batch",
+    "eval_points", "inverse", "classical_ft_grid", "classical_ft_radial",
+])
+def test_every_evaluator_refuses_a_point_through_radii(refusing_evaluators, name):
+    # one error type per cause, raised where |x| is formed (_kernels.radii),
+    # and no numpy warning on the way
+    evaluate = refusing_evaluators[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="evaluation points must be finite"):
+            evaluate(np.array([np.nan, 0.0, 0.0]))
+        with pytest.raises(CapabilityError, match="not finite"):
+            evaluate(np.array([1e200, 1e200, 0.0]))
+
+
+def test_eval_phi_batch_tabulates_the_kernels_once_per_lattice_radius(monkeypatch):
+    # the default 41^3 lattice has 68 921 nodes on at most 808 float radii
+    seen = []
+
+    def counting_f_table(jmax, t):
+        seen.append(np.size(t))
+        return _kernels.f_table(jmax, t)
+
+    monkeypatch.setattr(spherical, "f_table", counting_f_table)
+    G = transform.MatrixField.cube(1, 8.0, 41, lambda pts: np.zeros((len(pts), 3, 3)))
+    pts = G.grid_points()
+    vals = spherical.eval_phi_batch(spherical.phi_method1(1, 1.0, 0), pts)
+    assert vals.shape == (pts.shape[0], 3, 3)
+    assert sum(seen) <= 808
