@@ -267,11 +267,13 @@ class MatPoly:
         return out
 
     def eval(self, x) -> np.ndarray:
-        """Numerical evaluation at x in the weight basis (_float_terms)."""
+        """Numerical evaluation in the weight basis (_float_terms) at a point
+        x, (d, d), or at each of a batch of points, (..., 3) -> (..., d, d)."""
         x = np.asarray(x, dtype=np.float64)
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        out = np.zeros(x.shape[:-1] + (self.dim, self.dim), dtype=np.complex128)
         for e, mat in self._float_terms:
-            out += (x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2]) * mat
+            mono = x[..., 0] ** e[0] * x[..., 1] ** e[1] * x[..., 2] ** e[2]
+            out += mono[..., None, None] * mat
         return out
 
     def to_json_obj(self):

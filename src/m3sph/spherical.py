@@ -13,7 +13,10 @@ central oracle of the package:
 
 Constructions 1 and 3 are exact rational vectors at s = 1
 (polyalg.unit_eigvec, polyalg.lagrange_unit_eigvec), rounded once and
-scaled by s^l; construction 2 is the independent float oracle.
+scaled by s^l; construction 2 is the independent float oracle.  Every
+off-axis value, the first-order operator applied to Phi
+(apply_dtau_analytic) included, is a diagonal on the e_1 axis moved to x
+by _kernels.axis_transport.
 
 Indexing: j is canonically the integer with eigenvalue s*j; the projection
 P_j(xi) projects onto the i*j*|xi| eigenspace of the axis matrix.
@@ -29,8 +32,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import so3rep
-from ._kernels import (M_MAX_NUMERIC, axis_transport, check_numeric_m,  # noqa: F401
-                       f_table, plane_wave_sum, q_series, radii)
+from ._kernels import (M_MAX_NUMERIC, axis_diagonals, axis_transport,  # noqa: F401
+                       check_numeric_m, f_table, plane_wave_sum, q_series, radii)
 from .errors import CapabilityError
 from .polyalg import coeff_table, lagrange_unit_eigvec, unit_eigvec
 from .radial import _check_scale
@@ -44,13 +47,6 @@ _PROJECTION_STACK_MAX_BYTES = 1 << 27
 @lru_cache(maxsize=None)
 def _rep(m: int) -> so3rep.Irrep:
     return so3rep.build_irrep(m)
-
-
-@lru_cache(maxsize=None)
-def _ajs(m: int) -> np.ndarray:
-    a = coeff_table(m).as_floats()
-    a.setflags(write=False)
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +85,7 @@ class TridiagonalOperator:
 
 def build_tridiagonal(m: int, s: float) -> TridiagonalOperator:
     _check_scale(s)
-    sup = _ajs(m).copy()
+    sup = coeff_table(m).as_floats()
     ls = np.arange(0, 2 * m, dtype=np.float64)
     sub = -(s * s) / (2 * ls + 3)
     return TridiagonalOperator(m=m, s=float(s), superdiag=sup, subdiag=sub)
@@ -225,12 +221,16 @@ def _projection_stack(m: int, xis: np.ndarray, j: int) -> np.ndarray:
 
 
 def projections(m: int, xi) -> ProjectionFamily:
-    """The projection family for the direction xi/|xi| (xi nonzero)."""
+    """The projection family for the direction xi/|xi| (xi nonzero).  xi is
+    scaled by max |xi_k| before radii() normalises it, so every finite
+    nonzero xi has a direction; a NaN or infinite xi raises ValueError."""
     xi = np.asarray(xi, dtype=np.float64)
-    norm = np.linalg.norm(xi)
-    if not norm > 0:
+    scale = np.max(np.abs(xi))
+    if scale == 0:
         raise ValueError("direction must be a nonzero vector")
-    xin = xi / norm
+    with np.errstate(invalid="ignore"):  # inf/inf is NaN, which radii() refuses
+        xin = xi / scale
+    xin = xin / radii(xin[None, :])[0]
     mats = axis_transport(np.eye(2 * m + 1), np.broadcast_to(xin, (2 * m + 1, 3)))
     return ProjectionFamily(m=m, direction=xin, matrices=mats)
 
@@ -338,66 +338,39 @@ def phi_method2_batch(
 
 
 # ---------------------------------------------------------------------------
-# pointwise stacks with gradients (analytic differentiation support)
+# the first-order operator, on the e_1 axis
 # ---------------------------------------------------------------------------
 
 
-def q_stack(m: int, x) -> np.ndarray:
-    """Q_0(x)..Q_{2m}(x) by the pointwise recursion; returns (2m+1, d, d)."""
-    return q_stack_with_grad(m, x)[0]
-
-
-def q_stack_with_grad(m: int, x) -> tuple[np.ndarray, np.ndarray]:
-    """Q stack plus its gradient: returns (Q (L,d,d), dQ (3,L,d,d))."""
-    rep = _rep(m)
-    x = np.asarray(x, dtype=np.float64)
-    a = _ajs(m)
-    d = rep.dim
-    L = 2 * m + 1
-    q = np.zeros((L, d, d), dtype=np.complex128)
-    dq = np.zeros((3, L, d, d), dtype=np.complex128)
-    q[0] = np.eye(d)
-    if m == 0:
-        return q, dq
-    r2 = float(x @ x)
-    q[1] = np.tensordot(x, rep.generators, axes=([0], [0]))
-    dq[:, 1] = rep.generators
-    for l in range(1, 2 * m):
-        c = a[l - 1] / (2 * l + 1)
-        q[l + 1] = q[1] @ q[l] - (r2 * c) * q[l - 1]
-        for i in range(3):
-            dq[i, l + 1] = (
-                rep.generators[i] @ q[l]
-                + q[1] @ dq[i, l]
-                - c * (2.0 * x[i] * q[l - 1] + r2 * dq[i, l - 1])
-            )
-    return q, dq
-
-
 def apply_dtau_analytic(spec: SphericalFunctionSpec, x) -> np.ndarray:
-    """sum_i A_i d/dx_i Phi(x), with the radial derivative taken through
-    the exact lowering relation rather than finite differences.
+    """sum_i A_i d/dx_i Phi(x), differentiated on the e_1 axis.
 
-    Requires x != 0 (the x_i/r factor is removable but not implemented at
-    the origin).
+    D_tau Phi is equivariant and, at r e_1, commutes with the diagonal A_1:
+    it is a diagonal moved to x by axis_transport.  With L = diag(lam) =
+    Phi(r e_1), d_1 Phi = diag(lam') through f_l'(t) = -t f_{l+1}(t)/(2l+3),
+    and [A_i, Phi(x)] = dPhi(x)[Y_i x] with Y_3 e_1 = -e_2, Y_2 e_1 = e_3
+    gives d_2 Phi = -[A_3, L]/r, d_3 Phi = [A_2, L]/r; their limit at
+    x = 0 is taken exactly.  A point refused by radii() raises there, a
+    diagonal out of float range CapabilityError.
     """
-    x = np.asarray(x, dtype=np.float64)
-    r = float(radii(x[None, :])[0])
-    if r <= 0:
-        raise ValueError("analytic differentiation point must be nonzero")
-    rep = _rep(spec.m)
-    L = 2 * spec.m + 1
-    s = spec.s
-    fv = f_table(L, s * np.array([r]))[:, 0]  # orders 0..2m+1
-    q, dq = q_stack_with_grad(spec.m, x)
-    out = np.zeros((rep.dim, rep.dim), dtype=np.complex128)
-    for i in range(3):
-        di = np.zeros_like(out)
-        for l in range(L):
-            fprime = -(s * s) * r * fv[l + 1] / (2 * l + 3)
-            di += spec.coeffs[l] * (fprime * (x[i] / r) * q[l] + fv[l] * dq[i, l])
-        out += rep.generators[i] @ di
-    return out
+    x = np.asarray(x, dtype=np.float64)[None, :]
+    r = float(radii(x)[0])
+    a1, a2, a3 = _rep(spec.m).generators
+    diags = axis_diagonals(spec.m)
+    ls = np.arange(2 * spec.m + 1)
+    s, c = spec.s, spec.coeffs
+    fv = f_table(ls.size, s * r)  # orders 0..2m+1
+    with np.errstate(over="ignore", invalid="ignore"):
+        # L/r less its l = 0 term, which commutes with every A_i
+        w = c * fv[:-1] * r ** np.maximum(ls - 1, 0) * (ls > 0)
+        dlam = (ls * w - (s * s * r) * c * fv[1:] * r**ls / (2 * ls + 3)) @ diags
+        lam_r = w @ diags
+        c2, c3 = (a * lam_r - lam_r[:, None] * a for a in (a2, a3))  # [A_2, L]/r, [A_3, L]/r
+        diag = np.diagonal(a1 * dlam + a3 @ c2 - a2 @ c3)
+    if not np.isfinite(diag).all():
+        raise CapabilityError("the D_tau diagonal is not finite: |x|^l or its coefficient "
+                              "is out of float range")
+    return axis_transport(diag[None, :], x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +391,7 @@ def check_positive_type(spec: SphericalFunctionSpec, points, vectors) -> float:
         raise ValueError("points and vectors must pair up")
     if n > 12:
         raise ValueError("Gram check is limited to 12 points")
+    radii(points)  # the differences of refused points could overflow first
     diffs = (points[:, None, :] - points[None, :, :]).reshape(n * n, 3)
     d = 2 * spec.m + 1
     vals = eval_phi_batch(spec, diffs).reshape(n, n, d, d)

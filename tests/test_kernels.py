@@ -2,7 +2,7 @@
 
 ``axis_transport`` is checked against the frame tau(k) built from two
 explicit rotations and against the axis matrix ``dtau``; ``q_series``
-point by point against the pointwise recursion ``spherical.q_stack``;
+point by point against the exact ``polyalg.build_Q`` evaluated in floats;
 the plane-wave and lattice Fourier sums against
 explicit Python sums over their nodes; the grid convolution against a
 loop over lattice indices.  ``f_table`` is checked against scipy's
@@ -16,8 +16,9 @@ import warnings
 import numpy as np
 import pytest
 
-from m3sph import _kernels, spherical
+from m3sph import _kernels
 from m3sph.errors import CapabilityError
+from m3sph.polyalg import build_Q
 from m3sph.so3rep import Rotation, build_irrep, dtau, tau
 
 
@@ -98,7 +99,7 @@ def test_axis_transport_is_the_two_rotation_frame(m):
 
 
 @pytest.mark.parametrize("m", [0, 1, 3])
-def test_q_series_against_q_stack(m):
+def test_q_series_against_exact_q(m):
     rng = np.random.default_rng(0)
     n = 17
     a = rng.normal(size=2 * m + 1) + 1j * rng.normal(size=2 * m + 1)
@@ -110,10 +111,10 @@ def test_q_series_against_q_stack(m):
     xs = rng.uniform(-3, 3, size=(n, 3))
     out = _kernels.q_series(coeffs_at, xs)
     assert out.shape == (n, 2 * m + 1, 2 * m + 1)
+    qs = [q.eval(xs) for q in build_Q(m)]
     for p in range(n):
-        qs = spherical.q_stack(m, xs[p])
         coeffs = coeffs_at(np.array([np.linalg.norm(xs[p])]))[0]
-        ref = sum(coeffs[l] * qs[l] for l in range(2 * m + 1))
+        ref = sum(coeffs[l] * qs[l][p] for l in range(2 * m + 1))
         scale = max(1.0, float(np.max(np.abs(ref))))
         assert np.max(np.abs(out[p] - ref)) < 1e-13 * scale
 

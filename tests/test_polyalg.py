@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from m3sph import polyalg, spherical
+from m3sph import polyalg
+from m3sph._kernels import q_series
 from m3sph.checks import run_checks
 from m3sph.errors import CapabilityError
 from m3sph.polyalg import (
@@ -222,14 +223,16 @@ def test_rotation_fields_are_split_form_of_so3_generators():
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
 def test_exact_q_matches_numeric_recursion(m):
+    # the numeric Q_j is q_series with the unit coefficient vector e_j: the
+    # axis diagonal of the recursion at e_1, rounded once and moved by the frame
     rng = np.random.default_rng(100 + m)
-    qs = build_Q(m)
-    for _ in range(5):
-        x = rng.normal(size=3)
-        numeric = spherical.q_stack(m, x)
-        for j, q in enumerate(qs):
-            exact = q.eval(x)
-            assert np.max(np.abs(exact - numeric[j])) <= 1e-12 * np.max(np.abs(numeric[j]))
+    xs = rng.normal(size=(5, 3))
+    for j, q in enumerate(build_Q(m)):
+        unit = np.eye(2 * m + 1)[j]
+        numeric = q_series(lambda rs: np.tile(unit, (rs.size, 1)), xs)
+        exact = q.eval(xs)
+        for p in range(len(xs)):
+            assert np.max(np.abs(exact[p] - numeric[p])) <= 1e-12 * np.max(np.abs(numeric[p]))
 
 
 def test_finite_rotation_equivariance_numeric():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -359,6 +361,29 @@ def test_projections_reject_zero():
         projections(1, [0.0, 0.0, 0.0])
 
 
+def test_projections_take_the_direction_of_any_finite_vector():
+    # |xi|^2 overflows at the first vector and underflows at the last two
+    # (a subnormal or a tiny coordinate): each still has a unit direction
+    ordinary = np.array([0.3, -1.2, 2.0])
+    cases = (
+        ([1e200, 1e200, 0.0], np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)),
+        ([1e-320, 0.0, 0.0], np.array([1.0, 0.0, 0.0])),
+        ([0.0, 1e-200, 1e-200], np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)),
+        (ordinary, ordinary / np.linalg.norm(ordinary)),
+    )
+    for xi, direction in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fam = projections(2, xi)
+        assert np.max(np.abs(fam.direction - direction)) <= 1e-15
+        ref = projections(2, direction)
+        assert np.max(np.abs(fam.matrices - ref.matrices)) <= 1e-14
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            projections(2, [np.inf, 1.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # sphere rule
 # ---------------------------------------------------------------------------
@@ -486,10 +511,13 @@ def test_laplacian_eigenfunction_fd():
 
 def test_first_order_eigenfunction_analytic():
     rng = np.random.default_rng(11)
-    for m, s, j in ((0, 1.0, 0), (1, 1.0, -1), (2, 2.0, 2), (3, 0.5, 0)):
+    for m, s, j in ((0, 1.0, 0), (1, 1.0, -1), (2, 2.0, 2), (3, 0.5, 0), (12, 1.0, 7),
+                    (26, 1.0, 26)):
         spec = phi_method1(m, s, j)
-        for _ in range(4):
-            x = rng.normal(size=3)
+        # the origin and (1e-170, 0, 0), whose radius underflows to 0, are
+        # the limit r -> 0
+        near = [np.zeros(3), np.array([1e-170, 0.0, 0.0])]
+        for x in near + [rng.normal(size=3) for _ in range(4)]:
             out = spherical.apply_dtau_analytic(spec, x)
             assert np.max(np.abs(out - s * j * eval_phi(spec, x))) < 1e-6 * (1 + s)
 
@@ -512,6 +540,16 @@ def test_positive_type_single_point():
     v = np.array([1.0, 2.0, -1.0])
     lam = check_positive_type(spec, [np.zeros(3)], [v])
     assert lam == pytest.approx(float(v @ v), rel=1e-12)
+
+
+def test_positive_type_refuses_points_before_their_differences_overflow():
+    # each point's |x| leaves float range; their difference 2e308 is infinite
+    spec = phi_method1(1, 1.0, 0)
+    pts = np.array([[1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CapabilityError, match="not finite"):
+            check_positive_type(spec, pts, np.ones((2, 3)))
 
 
 def test_positive_type_rejects_large_configs():

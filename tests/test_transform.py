@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from m3sph import _kernels, fieldio, spherical, transform
+from m3sph import _kernels, fieldio, polyalg, spherical, transform
 from m3sph.errors import CapabilityError, DecompositionError
 from m3sph.radial import RadialProfile
 from m3sph.so3rep import Rotation, build_irrep, tau
@@ -287,18 +287,20 @@ def test_a_radius_out_of_float_range_is_refused_without_warnings(gaussian_m1):
 
 def _inverse_per_point(coeffs, xs):
     """The inversion formula point by point: c_l(x) = C sum_j u_{j,l}
-    sum_q w_q s_q^2 values[j, q] s_q^l f_l(s_q |x|), then sum_l c_l Q_l(x)."""
+    sum_q w_q s_q^2 values[j, q] s_q^l f_l(s_q |x|), then sum_l c_l Q_l(x) with
+    the exact Q_l of polyalg.build_Q, evaluated in floats."""
     m = coeffs.m
     L = 2 * m + 1
     s, w, vals = coeffs.s_grid, coeffs.s_weights, coeffs.values
     u = spherical.unit_eigvecs(m)
     powers = s[None, :] ** np.arange(L)[:, None]
     base = vals * (w * s**2)[None, :]
+    qs = np.stack([q.eval(xs) for q in polyalg.build_Q(m)], axis=1)
     out = []
-    for x in xs:
+    for x, q in zip(xs, qs):
         wmat = powers * _kernels.f_table(L - 1, np.linalg.norm(x) * s)
         c = transform.inversion_constant(m) * np.einsum("jl,jl->l", u, base @ wmat.T)
-        out.append(np.tensordot(c, spherical.q_stack(m, x), axes=1))
+        out.append(np.tensordot(c, q, axes=1))
     return np.array(out)
 
 
@@ -746,6 +748,20 @@ def test_every_evaluator_refuses_a_point_through_radii(refusing_evaluators, name
             evaluate(np.array([np.nan, 0.0, 0.0]))
         with pytest.raises(CapabilityError, match="not finite"):
             evaluate(np.array([1e200, 1e200, 0.0]))
+
+
+@pytest.mark.parametrize("name", ["eval_phi_batch", "apply_dtau_analytic"])
+def test_every_evaluator_refuses_a_diagonal_out_of_float_range(name):
+    # m = 2, x = (1e100, 0, 0): the radius is finite, |x|^4 is not
+    spec = spherical.phi_method1(2, 1.0, 1)
+    evaluate = {
+        "eval_phi_batch": lambda x: spherical.eval_phi_batch(spec, x[None, :]),
+        "apply_dtau_analytic": lambda x: spherical.apply_dtau_analytic(spec, x),
+    }[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CapabilityError, match="not finite"):
+            evaluate(np.array([1e100, 0.0, 0.0]))
 
 
 def test_eval_phi_batch_tabulates_the_kernels_once_per_lattice_radius(monkeypatch):
