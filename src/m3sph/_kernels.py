@@ -59,18 +59,23 @@ def radii(xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def f_table(jmax: int, t) -> np.ndarray:
-    """Evaluate f_j(t) for all j = 0..jmax at each point of ``t``.
+def f_table(jmax: int, t, axis: bool = False) -> np.ndarray:
+    """Evaluate f_j(t), or with ``axis`` the axis kernels T_j(t) = t^j f_j(t),
+    for all j = 0..jmax at each point of ``t``.
 
-    f_j is even, normalized to f_j(0) = 1 and bounded by 1 in modulus.
-    Returns an array of shape ``(jmax+1,) + t.shape``.  One recurrence,
+    f_j is even, normalized to f_j(0) = 1 and bounded by 1 in modulus;
+    T_j(t) = (2j+1)!! j_j(t) is of the order of min(t^j, (2j+1)!!/t), in
+    float range where f_j underflows or t^j overflows.  Returns an array of
+    shape ``(jmax+1,) + t.shape``.  One recurrence,
     f_{l-1} = f_l - t^2 f_{l+1} / ((2l+1)(2l+3)): below t = jmax + 2 downward
     (Miller) from f_N = 1, f_{N+1} = 0, N = jmax + 25, normalized once on
     f_0 = sin t / t, or on f_1 = 3 (f_0 - cos t) / t^2 near a zero of f_0
-    (the unnormalized values stay below e^{t^2/(4N+6)}); from jmax + 2 on
-    upward from f_0 and f_1.  Just below the switch the error grows with the
-    order (5.1e-14 of the envelope at jmax = 53, 6.9e-13 at 64, 1.5e-10 at
-    100), so orders above F_TABLE_JMAX raise CapabilityError.
+    (the unnormalized values stay below e^{t^2/(4N+6)}), and T_j = f_j t^j
+    there (t^j < 66^64); from jmax + 2 on upward from f_0 and f_1, or for T
+    its own form T_{l+1} = (2l+1)(2l+3) (T_l/t - T_{l-1}) from T_0 = f_0 and
+    T_1 = 3 (f_0 - cos t) / t.  Just below the switch the error grows with
+    the order (5.1e-14 of the envelope at jmax = 53, 6.9e-13 at 64, 1.5e-10
+    at 100), so orders above F_TABLE_JMAX raise CapabilityError.
     """
     if jmax > F_TABLE_JMAX:
         raise CapabilityError(f"radial kernels support orders <= {F_TABLE_JMAX} (requested {jmax})")
@@ -83,13 +88,15 @@ def f_table(jmax: int, t) -> np.ndarray:
     out = np.empty((jmax + 1, t.size))
     up = t >= jmax + 2.0
     if up.any():
-        it2 = (1.0 / t[up]) ** 2
-        fu = np.empty((jmax + 1, it2.size))
+        tu = t[up]
+        it2 = None if axis else (1.0 / tu) ** 2
+        fu = np.empty((jmax + 1, tu.size))
         fu[0] = f0[up]
         if jmax >= 1:
-            fu[1] = f1[up]
+            fu[1] = 3.0 * (fu[0] - np.cos(tu)) / tu if axis else f1[up]
         for l in range(1, jmax):
-            fu[l + 1] = (fu[l] - fu[l - 1]) * ((2 * l + 1) * (2 * l + 3)) * it2
+            c = (2 * l + 1) * (2 * l + 3)
+            fu[l + 1] = (fu[l] / tu - fu[l - 1]) * c if axis else (fu[l] - fu[l - 1]) * c * it2
         out[:, up] = fu
     down = ~up
     if down.any():
@@ -102,7 +109,8 @@ def f_table(jmax: int, t) -> np.ndarray:
             w[l - 1] = w[l] - t2 / ((2 * l + 1) * (2 * l + 3)) * w[l + 1]
         f0d, f1d = f0[down], f1[down]
         use1 = (td > 1.0) & (np.abs(f0d) < td * np.abs(f1d) / 3.0)
-        out[:, down] = w[: jmax + 1] * (np.where(use1, f1d, f0d) / np.where(use1, w[1], w[0]))
+        fd = w[: jmax + 1] * (np.where(use1, f1d, f0d) / np.where(use1, w[1], w[0]))
+        out[:, down] = fd * td ** np.arange(jmax + 1)[:, None] if axis else fd
     return out.reshape((jmax + 1,) + shape)
 
 
@@ -155,25 +163,24 @@ def axis_diagonals(m: int) -> np.ndarray:
     return q
 
 
-def q_series(coeffs_at, xs) -> np.ndarray:
-    """sum_l c_l(|x_p|) Q_l(x_p) for an (n, 3) batch of points; (n, d, d).
+def q_series(weights_at, xs) -> np.ndarray:
+    """sum_l w_l(|x_p|) Q_l(x_p/|x_p|) for an (n, 3) batch of points; (n, d, d).
 
-    ``coeffs_at(rs)`` maps the distinct float radii of radii(xs) to their
-    (n_r, 2m+1) coefficients c_l(r); it is called once.  Q_l is equivariant
-    and homogeneous of degree l, so the sum is the e_1 diagonal
-    (c_l(r) r^l) @ axis_diagonals(m), formed once per distinct radius and
-    moved to each x_p.  A point refused by radii() raises there; a diagonal
-    out of float range (r^l or c_l(r) overflows) raises CapabilityError.
+    ``weights_at(rs)`` maps the distinct float radii of radii(xs) to their
+    (n_r, 2m+1) axis weights w_l(r) (c_l(r) r^l for a series
+    sum_l c_l(|x|) Q_l(x)); it is called once, with float overflow and
+    invalid operations silenced.  Q_l is equivariant, so the sum is the e_1
+    diagonal w(r) @ axis_diagonals(m) moved to each x_p.  A point refused
+    by radii() raises there, a diagonal out of float range CapabilityError.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     rs, back = np.unique(radii(xs), return_inverse=True)
-    lam = coeffs_at(rs)
-    L = lam.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = (lam * rs[:, None] ** np.arange(L)) @ axis_diagonals((L - 1) // 2)
+        lam = weights_at(rs)
+        lam = lam @ axis_diagonals((lam.shape[1] - 1) // 2)
     if not np.isfinite(lam).all():
-        raise CapabilityError("the Q-series diagonal is not finite: |x|^l or its coefficient "
-                              "is out of float range")
+        raise CapabilityError("the Q-series diagonal is not finite: an axis weight is out of "
+                              "float range")
     return axis_transport(lam[back], xs)
 
 

@@ -240,7 +240,7 @@ def suite_spherical(ms, rng, profile: str) -> dict:
                     np.max(np.abs(spherical.eval_phi(spec1, x) - spherical.phi_method2(top, s, j, x))),
                     1e-6,
                 )
-            lap = _phi_laplacian_fd(spec1, x)
+            lap = _laplacian_fd(lambda p: spherical.eval_phi_batch(spec1, p), x[None, :], 1e-2)[0]
             rec.case(
                 f"m={top} s={s} j={j} laplacian eigenfunction",
                 np.max(np.abs(lap + s * s * spherical.eval_phi(spec1, x))),
@@ -259,11 +259,10 @@ def suite_spherical(ms, rng, profile: str) -> dict:
                     np.max(np.abs(spec1.coeffs - spec3.coeffs)),
                     1e-10,
                 )
-                u1 = spherical.phi_method1(m, 1.0, j).coeffs
-                scaling = u1 * s ** np.arange(2 * m + 1)
+                v = spec1.coeffs * s ** np.arange(2 * m + 1)
                 rec.case(
                     f"m={m} s={s} j={j} eigenvector scaling",
-                    np.max(np.abs(spec1.coeffs - scaling)),
+                    np.max(np.abs(spherical.build_tridiagonal(m, s).matrix() @ v - s * j * v)),
                     1e-9 * max(1.0, s) ** (2 * m),
                 )
                 rec.case(
@@ -293,7 +292,8 @@ def suite_spherical(ms, rng, profile: str) -> dict:
                     1e-10,
                 )
                 for x in xs[: 2 if profile == "quick" else 4]:
-                    lap = _phi_laplacian_fd(spec1, x)
+                    lap = _laplacian_fd(lambda p: spherical.eval_phi_batch(spec1, p),
+                                        x[None, :], 1e-2)[0]
                     rec.case(
                         f"m={m} s={s} j={j} laplacian eigenfunction",
                         np.max(np.abs(lap + s * s * spherical.eval_phi(spec1, x))),
@@ -366,15 +366,16 @@ def suite_spherical(ms, rng, profile: str) -> dict:
     return rec.result()
 
 
-def _phi_laplacian_fd(spec, x, h: float = 1e-2) -> np.ndarray:
-    # five-point stencil, O(h^4), in one batch; at h = 1e-2 its rounding
-    # (~eps/h^2) and its truncation both stay near 1e-9, far below the tolerance
-    d = 2 * spec.m + 1
+def _laplacian_fd(evaluate, xs, h: float) -> np.ndarray:
+    """The five-point-stencil Laplacian, O(h^4), of a batch evaluator
+    (n, 3) -> (n, d, d) at the (n, 3) points ``xs``, from one call.  At
+    h = 1e-2 the rounding of Phi's (~eps/h^2) and its truncation both stay
+    near 1e-9, far below the tolerances."""
+    n = xs.shape[0]
     steps = np.multiply.outer(h * np.array([-2.0, -1.0, 1.0, 2.0]), np.eye(3))  # (4, 3, 3)
-    pts = np.concatenate([x[None, :], (x + steps).reshape(-1, 3)])
-    vals = spherical.eval_phi_batch(spec, pts)
-    f = vals[1:].reshape(4, 3, d, d).sum(axis=1)
-    return (-f[0] + 16 * f[1] + 16 * f[2] - f[3] - 90 * vals[0]) / (12 * h * h)
+    vals = evaluate(np.concatenate([xs, (xs[:, None, None, :] + steps).reshape(-1, 3)]))
+    f = vals[n:].reshape((n, 4, 3) + vals.shape[1:]).sum(axis=2)
+    return (-f[:, 0] + 16 * f[:, 1] + 16 * f[:, 2] - f[:, 3] - 90 * vals[:n]) / (12 * h * h)
 
 
 def suite_transform(ms, rng, profile: str) -> dict:
@@ -455,7 +456,7 @@ def suite_transform(ms, rng, profile: str) -> dict:
         lap_coeffs = transform.apply_multiplier(coeffs, lambda s_, j_: -s_ * s_)
         pts_small = rng.uniform(-1.5, 1.5, size=(2, 3))
         lap_field = transform.inverse(lap_coeffs, pts_small)
-        fd = _field_laplacian_fd(F, pts_small)
+        fd = _laplacian_fd(F.eval_points, pts_small, 0.05)
         scale = np.max(np.abs(fd)) + 1.0
         rec.case(
             f"m={m} laplacian multiplier",
@@ -463,23 +464,6 @@ def suite_transform(ms, rng, profile: str) -> dict:
             1e-3,
         )
     return rec.result()
-
-
-def _field_laplacian_fd(F, pts, h: float = 0.05) -> np.ndarray:
-    out = []
-    for x in pts:
-        acc = np.zeros((F.dim, F.dim), dtype=np.complex128)
-        f0 = F.eval_points(x[None, :])[0]
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = h
-            fp = F.eval_points((x + e)[None, :])[0]
-            fm = F.eval_points((x - e)[None, :])[0]
-            fp2 = F.eval_points((x + 2 * e)[None, :])[0]
-            fm2 = F.eval_points((x - 2 * e)[None, :])[0]
-            acc += (-fp2 + 16 * fp - 30 * f0 + 16 * fm - fm2) / (12 * h * h)
-        out.append(acc)
-    return np.stack(out)
 
 
 _SUITES = ("so3rep", "polyalg", "radial", "spherical", "transform")

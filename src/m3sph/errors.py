@@ -7,8 +7,9 @@ class M3sphError(Exception):
 
 class CapabilityError(M3sphError):
     """Requested parameters exceed what the package can compute: the exact
-    layer's m, the numeric spherical functions' m, the float64 range of
-    s^(2m), or the sphere-rule byte budget."""
+    layer's m, the numeric spherical functions' m, the kernel orders, a
+    point whose |x| or s|x| leaves float range, or the sphere-rule byte
+    budget."""
 
 
 class ConsistencyError(M3sphError):

@@ -11,10 +11,11 @@ central oracle of the package:
 3. a Lagrange polynomial in the tridiagonal matrix applied to the
    coefficient vector of the scalar spherical function.
 
-Constructions 1 and 3 are exact rational vectors at s = 1
-(polyalg.unit_eigvec, polyalg.lagrange_unit_eigvec), rounded once and
-scaled by s^l; construction 2 is the independent float oracle.  Every
-off-axis value, the first-order operator applied to Phi
+Constructions 1 and 3 are exact rational vectors u at s = 1
+(polyalg.unit_eigvec, polyalg.lagrange_unit_eigvec), rounded once, and
+Phi_{s,j}(x) = sum_l u_l T_l(s|x|) Q_l(x/|x|) with the bounded axis kernels
+T_l(t) = t^l f_l(t), so no power of s or |x| is formed; construction 2 is
+the independent float oracle.  Every off-axis value, D_tau Phi
 (apply_dtau_analytic) included, is a diagonal on the e_1 axis moved to x
 by _kernels.axis_transport.
 
@@ -98,11 +99,13 @@ def build_tridiagonal(m: int, s: float) -> TridiagonalOperator:
 
 @dataclass(frozen=True)
 class SphericalFunctionSpec:
-    """(m, s, j) plus the coefficient vector in the basis {f_l^s Q_l}.
+    """(m, s, j) plus ``coeffs``, the s = 1 vector u of Phi_{1,j}.
 
-    coeffs[0] = 1 always (equivalently Phi(0) = I).  ``method`` records
-    which construction produced the coefficients.  s = 0 is reserved for
-    the trivial (constant identity) function.
+    Phi_{s,j} has the coefficients s^l u_l in the basis {f_l^s Q_l}, and
+    Phi_{s,j}(x) = sum_l u_l T_l(s|x|) Q_l(x/|x|), T_l(t) = t^l f_l(t).
+    coeffs[0] = 1 always (Phi(0) = I).  ``method`` records which
+    construction produced u.  s = 0 is reserved for the trivial (constant
+    identity) function.
     """
 
     m: int
@@ -120,9 +123,6 @@ def _check_params(m: int, s: float, j: int):
     if not -m <= j <= m:
         raise ValueError(f"index j must satisfy -m <= j <= m, got j={j}, m={m}")
     check_numeric_m(m)
-    # the top coefficient scales as s^(2m); float64 ends below 2^1024
-    if 2 * m * math.log2(s) >= 1024:
-        raise CapabilityError(f"s^(2m) overflows float64 at s={s}, m={m}")
 
 
 @lru_cache(maxsize=None)
@@ -140,13 +140,12 @@ def unit_eigvecs(m: int) -> np.ndarray:
 def phi_method1(m: int, s: float, j: int) -> SphericalFunctionSpec:
     """Construction 1: eigenvector of the tridiagonal operator.
 
-    The eigenvector for s*j with leading coordinate 1 is row j+m of
-    unit_eigvecs, the s = 1 vector, with coefficient l scaled by s^l,
-    since M(s) = s D M(1) D^-1 with D = diag(s^l).
+    The spec holds row j+m of unit_eigvecs, the eigenvector of M(1) for j
+    with leading coordinate 1; that of M(s) for s*j is it times s^l, since
+    M(s) = s D M(1) D^-1 with D = diag(s^l).
     """
     _check_params(m, s, j)
-    coeffs = unit_eigvecs(m)[j + m] * float(s) ** np.arange(2 * m + 1)
-    return SphericalFunctionSpec(m=m, s=float(s), j=j, coeffs=coeffs, method=1)
+    return SphericalFunctionSpec(m=m, s=float(s), j=j, coeffs=unit_eigvecs(m)[j + m], method=1)
 
 
 def phi_method3(m: int, s: float, j: int) -> SphericalFunctionSpec:
@@ -155,14 +154,12 @@ def phi_method3(m: int, s: float, j: int) -> SphericalFunctionSpec:
     Applies prod_{l != j} (M - l I)/(j - l) at s = 1 to the coefficient
     vector of the scalar spherical function (the first basis vector) and
     scales by 2m+1, in exact rationals (polyalg.lagrange_unit_eigvec); the
-    result is rounded once and coefficient l scaled by s^l.  That is the
-    product at s exactly, since M(s) = s D M(1) D^-1 with D = diag(s^l).
+    spec holds the result rounded once (the product at s is it times s^l).
     The leading coefficient comes out 1 automatically; that this matches
     construction 1's normalization is asserted in the test suite.
     """
     _check_params(m, s, j)
-    u = np.array(lagrange_unit_eigvec(m, j), dtype=np.float64)
-    coeffs = u * float(s) ** np.arange(2 * m + 1)
+    coeffs = np.array(lagrange_unit_eigvec(m, j), dtype=np.float64)
     return SphericalFunctionSpec(m=m, s=float(s), j=j, coeffs=coeffs, method=3)
 
 
@@ -175,20 +172,20 @@ def constant_spherical_function(m: int) -> SphericalFunctionSpec:
 
 
 def eval_phi(spec: SphericalFunctionSpec, x) -> np.ndarray:
-    """Evaluate sum_l u_l f_l^s(|x|) Q_l(x) at one point."""
+    """Evaluate sum_l u_l T_l(s|x|) Q_l(x/|x|) at one point."""
     return eval_phi_batch(spec, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
 def eval_phi_batch(spec: SphericalFunctionSpec, xs: np.ndarray) -> np.ndarray:
     """Evaluate a spec on an (n, 3) batch of points; returns (n, d, d).  The
-    kernels f_l(s r) are tabulated once per distinct float radius.  A NaN or
-    infinite coordinate raises ValueError, a point whose |x| leaves float
-    range CapabilityError."""
+    axis weights u_l T_l(s r) are tabulated once per distinct float radius.
+    A NaN or infinite coordinate raises ValueError, a point whose |x| or
+    s|x| leaves float range CapabilityError."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if spec.s == 0.0:
         radii(xs)  # refuses the points q_series would refuse
         return np.tile(np.eye(2 * spec.m + 1, dtype=np.complex128), (xs.shape[0], 1, 1))
-    return q_series(lambda rs: (spec.coeffs[:, None] * f_table(2 * spec.m, spec.s * rs)).T, xs)
+    return q_series(lambda rs: f_table(2 * spec.m, spec.s * rs, axis=True).T * spec.coeffs, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -347,29 +344,31 @@ def apply_dtau_analytic(spec: SphericalFunctionSpec, x) -> np.ndarray:
 
     D_tau Phi is equivariant and, at r e_1, commutes with the diagonal A_1:
     it is a diagonal moved to x by axis_transport.  With L = diag(lam) =
-    Phi(r e_1), d_1 Phi = diag(lam') through f_l'(t) = -t f_{l+1}(t)/(2l+3),
-    and [A_i, Phi(x)] = dPhi(x)[Y_i x] with Y_3 e_1 = -e_2, Y_2 e_1 = e_3
-    gives d_2 Phi = -[A_3, L]/r, d_3 Phi = [A_2, L]/r; their limit at
-    x = 0 is taken exactly.  A point refused by radii() raises there, a
-    diagonal out of float range CapabilityError.
+    Phi(r e_1), lam_l = u_l T_l(s r), the recurrence of the axis kernels
+    T_l(t) = t^l f_l(t) gives d_1 Phi = diag(lam') and L/r from T_{l-1} and
+    T_{l+1} alone (no power, no division by r, exact at x = 0):
+      lam'_l  = s u_l (l T_{l-1} - (l+1) T_{l+1}/((2l+1)(2l+3))),
+      (L/r)_l = s u_l (T_{l-1} + T_{l+1}/((2l+1)(2l+3))), l >= 1.
+    [A_i, Phi(x)] = dPhi(x)[Y_i x] with Y_3 e_1 = -e_2, Y_2 e_1 = e_3 gives
+    d_2 Phi = -[A_3, L]/r, d_3 Phi = [A_2, L]/r.  A point refused by
+    radii() raises there, one whose s|x| leaves float range CapabilityError.
     """
     x = np.asarray(x, dtype=np.float64)[None, :]
-    r = float(radii(x)[0])
     a1, a2, a3 = _rep(spec.m).generators
     diags = axis_diagonals(spec.m)
     ls = np.arange(2 * spec.m + 1)
-    s, c = spec.s, spec.coeffs
-    fv = f_table(ls.size, s * r)  # orders 0..2m+1
     with np.errstate(over="ignore", invalid="ignore"):
+        T = f_table(ls.size, spec.s * radii(x)[0], axis=True)  # orders 0..2m+1
+        below = np.concatenate([[0.0], T[:-2]])  # T_{l-1}; l = 0 reads none
+        above = T[1:] / ((2 * ls + 1) * (2 * ls + 3))
+        su = spec.s * spec.coeffs
+        dlam = (su * (ls * below - (ls + 1) * above)) @ diags
         # L/r less its l = 0 term, which commutes with every A_i
-        w = c * fv[:-1] * r ** np.maximum(ls - 1, 0) * (ls > 0)
-        dlam = (ls * w - (s * s * r) * c * fv[1:] * r**ls / (2 * ls + 3)) @ diags
-        lam_r = w @ diags
+        lam_r = (su * (below + above) * (ls > 0)) @ diags
         c2, c3 = (a * lam_r - lam_r[:, None] * a for a in (a2, a3))  # [A_2, L]/r, [A_3, L]/r
         diag = np.diagonal(a1 * dlam + a3 @ c2 - a2 @ c3)
     if not np.isfinite(diag).all():
-        raise CapabilityError("the D_tau diagonal is not finite: |x|^l or its coefficient "
-                              "is out of float range")
+        raise CapabilityError("the D_tau diagonal is not finite: s|x| is out of float range")
     return axis_transport(diag[None, :], x)[0]
 
 

@@ -226,7 +226,7 @@ class MatrixField:
         |x| leaves float range CapabilityError."""
         if self.form != "radial":
             raise ValueError("pointwise evaluation is for radial-form fields")
-        return q_series(self._coefficients, xs)
+        return q_series(lambda rs: self._coefficients(rs) * rs[:, None] ** np.arange(self.dim), xs)
 
     def to_grid(self, extent: float = DEFAULT_GRID_EXTENT, n: int = DEFAULT_GRID_N) -> "MatrixField":
         """Rasterize a radial-form field on the cube [-extent, extent]^3
@@ -289,7 +289,7 @@ class MatrixField:
 def _radial_ft_coeffs(field: MatrixField, s_arr: np.ndarray):
     """Fourier coefficients c_k(s) with Fhat(s*eta) = sum_k c_k(s) Q_k(eta).
 
-    c_k(s) = 4 pi (-i)^k int g_k(r) j_k(sr) r^{k+2} dr, via the normalized
+    c_k(s) = 4 pi (-i)^k int g_k(r) j_k(sr) r^{k+2} dr, via the axis
     kernels: j_k(t) = t^k f_k(t) / (2k+1)!!.  The r-rule has panels of
     width 4 on [0, r_grid[-1]] with max(32, ceil(s_max * 4 / pi) + 16)
     Gauss-Legendre nodes each, s_max = max |s_arr|: the integrand
@@ -304,11 +304,10 @@ def _radial_ft_coeffs(field: MatrixField, s_arr: np.ndarray):
     # (L, n_r) with contiguous rows, so the products below keep their rounding
     gv = np.ascontiguousarray(field._coefficients(rq).T)
     ts = np.multiply.outer(s_arr, rq)  # (n_s, n_r)
-    fv = f_table(L - 1, ts)  # (L, n_s, n_r)
+    tv = f_table(L - 1, ts, axis=True)  # (L, n_s, n_r)
     out = np.empty((s_arr.size, L), dtype=np.complex128)
     for k in range(L):
-        jk = (ts**k) * fv[k] / double_factorial_odd(k)
-        integ = (jk * (rq ** (k + 2) * wq)) @ gv[k]
+        integ = (tv[k] / double_factorial_odd(k) * (rq ** (k + 2) * wq)) @ gv[k]
         out[:, k] = 4.0 * np.pi * (-1j) ** k * integ
     return out
 
@@ -334,17 +333,17 @@ def _ft_along_e1(F: MatrixField, s_arr: np.ndarray) -> np.ndarray:
     """The diagonal of Fhat(s e_1) for a batch of scales; returns (n_s, d).
 
     Grid form: the phase exp(-i s x_1) does not depend on x_2 and x_3, so
-    the lattice is first summed over them into slabs (O(N)) and the
-    transform is the 1-D sum  h^3 sum_{x_1} exp(-i s x_1) slab(x_1), which
-    holds for any origin and any (n0, n1, n2).  Radial form: the radial
+    the diagonals of the lattice values are first summed over them into
+    slabs (O(N d)) and the transform is the 1-D sum
+    h^3 sum_{x_1} exp(-i s x_1) slab(x_1), which holds for any origin and
+    any (n0, n1, n2).  Radial form: the radial
     kernel coefficients against the diagonals of Q_k(e_1).
     """
     if F.form == "grid":
         x1 = F.axes()[0]
-        slabs = F.values.sum(axis=(1, 2)).reshape(x1.size, -1)  # (n0, d*d)
+        slabs = np.diagonal(F.values, axis1=3, axis2=4).sum(axis=(1, 2))  # (n0, d)
         phases = np.exp(-1j * np.multiply.outer(s_arr, x1))  # (n_s, n0)
-        fhat = (F.spacing**3 * (phases @ slabs)).reshape(-1, F.dim, F.dim)
-        return np.diagonal(fhat, axis1=1, axis2=2)
+        return F.spacing**3 * (phases @ slabs)
     return _radial_ft_coeffs(F, s_arr) @ axis_diagonals(F.m)
 
 
@@ -631,7 +630,8 @@ def inverse(
     C = 1/(2 pi^2 (2m+1)); the radial integral runs over the sampled grid
     (quadrature weights stored with the coefficients).  The Q_l
     coefficients c_l(|x|), l = 0..2m, are the inversion sums of
-    _radial_sums, computed once per distinct float radius (q_series).  A
+    _radial_sums, computed once per distinct float radius and passed to
+    q_series as the axis weights c_l(r) r^l.  A
     NaN or infinite point raises ValueError, a radius out of float range
     CapabilityError.
     """
@@ -644,7 +644,8 @@ def inverse(
             f"(relative tail {tail/peak:.2e}); inversion may be truncated",
             stacklevel=2,
         )
-    return q_series(lambda rs: _radial_sums(coeffs, rs, 2 * coeffs.m), xs)
+    L = 2 * coeffs.m + 1
+    return q_series(lambda rs: _radial_sums(coeffs, rs, L - 1) * rs[:, None] ** np.arange(L), xs)
 
 
 def apply_multiplier(coeffs: SphericalCoefficients, mu) -> SphericalCoefficients:

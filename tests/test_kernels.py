@@ -7,12 +7,14 @@ the plane-wave and lattice Fourier sums against
 explicit Python sums over their nodes; the grid convolution against a
 loop over lattice indices.  ``f_table`` is checked against scipy's
 spherical Bessel functions, a power series and mpmath in ``test_radial.py``;
-here it is checked for evenness, warnings and its order cap.
+here it is checked for evenness, warnings and its order cap, and its axis
+kernels T_l(t) = t^l f_l(t) against mpmath.
 """
 
 import cmath
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -49,6 +51,64 @@ def test_f_table_emits_no_warning():
                 out = _kernels.f_table(jmax, [t])
             assert np.all(np.isfinite(out)) and np.all(np.abs(out) <= 1.0), (jmax, t)
         assert np.all(_kernels.f_table(jmax, [0.0]) == 1.0)
+
+
+def _f_recurrence(jmax, t):
+    """The f output of f_table written out once more, operation for
+    operation: Miller downward below jmax + 2, upward from f_0 and f_1 past it."""
+    t = np.abs(np.asarray(t, dtype=np.float64)).reshape(-1)
+    f0 = np.divide(np.sin(t), t, out=np.ones_like(t), where=t > 0)
+    tt = np.maximum(t, 1.0)
+    f1 = 3.0 * (f0 - np.cos(t)) / tt / tt
+    out = np.empty((jmax + 1, t.size))
+    up = t >= jmax + 2.0
+    it2 = (1.0 / t[up]) ** 2
+    fu = np.empty((jmax + 1, it2.size))
+    fu[0] = f0[up]
+    if jmax >= 1:
+        fu[1] = f1[up]
+    for l in range(1, jmax):
+        fu[l + 1] = (fu[l] - fu[l - 1]) * ((2 * l + 1) * (2 * l + 3)) * it2
+    out[:, up] = fu
+    td = t[~up]
+    w = np.zeros((jmax + 27, td.size))
+    w[jmax + 25] = 1.0
+    for l in range(jmax + 25, 0, -1):
+        w[l - 1] = w[l] - td * td / ((2 * l + 1) * (2 * l + 3)) * w[l + 1]
+    f0d, f1d = f0[~up], f1[~up]
+    use1 = (td > 1.0) & (np.abs(f0d) < td * np.abs(f1d) / 3.0)
+    out[:, ~up] = w[: jmax + 1] * (np.where(use1, f1d, f0d) / np.where(use1, w[1], w[0]))
+    return out
+
+
+def _switch_and_far_points(jmax):
+    """Both sides of the switch at jmax + 2, and far out to 1e300."""
+    return [0.0, 1e-300, 0.5, jmax + 1.99, jmax + 2.0, 1e4, 1e100, 1e300]
+
+
+@pytest.mark.parametrize("jmax", [0, 8, 26, _kernels.F_TABLE_JMAX])
+def test_f_table_plain_output_is_the_f_recurrence_bit_for_bit(jmax):
+    ts = _switch_and_far_points(jmax) + list(np.random.default_rng(jmax).uniform(0, 3 * jmax + 10, 200))
+    assert np.array_equal(_kernels.f_table(jmax, ts), _f_recurrence(jmax, ts))
+
+
+@pytest.mark.parametrize("jmax, tol", [(0, 1e-14), (8, 1e-14), (26, 1e-14),
+                                       (_kernels.F_TABLE_JMAX, 1e-12)])
+def test_f_table_axis_kernels_against_mpmath(jmax, tol, axis_kernel):
+    # T_l(t) = t^l f_l(t); errors are relative to t^l times the envelope
+    # min(1, (2l+1)!!/t^(l+1)) of f_l, in float, so where t^l underflows
+    # the kernel must be exactly 0
+    ts = _switch_and_far_points(jmax)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = _kernels.f_table(jmax, ts, axis=True)
+    with mp.workdps(40):
+        for i, t in enumerate(ts):
+            tm = mp.mpf(t)
+            for l in range(jmax + 1):
+                env = min(1, mp.fac2(2 * l + 1) / max(tm, 1) ** (l + 1))
+                err = abs(table[l, i] - float(axis_kernel(l, tm)))
+                assert err <= tol * float(tm**l * env), (l, t)
 
 
 def test_f_table_refuses_orders_above_its_cap():
@@ -108,8 +168,9 @@ def test_q_series_against_exact_q(m):
     def coeffs_at(rs):
         return a * np.cos(rs[:, None]) + b * rs[:, None]
 
+    # the axis weights are the coefficients of Q_l(x/|x|): c_l(r) r^l
     xs = rng.uniform(-3, 3, size=(n, 3))
-    out = _kernels.q_series(coeffs_at, xs)
+    out = _kernels.q_series(lambda rs: coeffs_at(rs) * rs[:, None] ** np.arange(2 * m + 1), xs)
     assert out.shape == (n, 2 * m + 1, 2 * m + 1)
     qs = [q.eval(xs) for q in build_Q(m)]
     for p in range(n):
@@ -120,12 +181,13 @@ def test_q_series_against_exact_q(m):
 
 
 def test_q_series_refuses_a_non_finite_diagonal():
-    # |x|^4 overflows at |x| = 1e100 while the radius and the coefficient
-    # stay finite
+    # the axis weight c_4 |x|^4 overflows at |x| = 1e100 while the radius
+    # and the coefficient stay finite; no warning escapes
     coeffs = np.array([1.0, 1e-30, 1e-60, 1e-90, 1e-120], dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(CapabilityError, match="not finite"):
-            _kernels.q_series(lambda rs: np.tile(coeffs, (rs.size, 1)),
+            _kernels.q_series(lambda rs: coeffs * rs[:, None] ** np.arange(5),
                               np.array([[1e100, 0.0, 0.0]]))
 
 

@@ -223,13 +223,13 @@ def test_rotation_fields_are_split_form_of_so3_generators():
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
 def test_exact_q_matches_numeric_recursion(m):
-    # the numeric Q_j is q_series with the unit coefficient vector e_j: the
-    # axis diagonal of the recursion at e_1, rounded once and moved by the frame
+    # the numeric Q_j is q_series with the axis weights r^j e_j: the axis
+    # diagonal of the recursion at e_1, rounded once, scaled and moved by the frame
     rng = np.random.default_rng(100 + m)
     xs = rng.normal(size=(5, 3))
     for j, q in enumerate(build_Q(m)):
         unit = np.eye(2 * m + 1)[j]
-        numeric = q_series(lambda rs: np.tile(unit, (rs.size, 1)), xs)
+        numeric = q_series(lambda rs: np.outer(rs**j, unit), xs)
         exact = q.eval(xs)
         for p in range(len(xs)):
             assert np.max(np.abs(exact[p] - numeric[p])) <= 1e-12 * np.max(np.abs(numeric[p]))

@@ -76,8 +76,9 @@ def test_method1_frozen_eigenvectors():
     assert np.allclose(phi_method1(1, 1.0, 0).coeffs, [1.0, 0.0, -0.2], atol=1e-12)
     assert np.allclose(phi_method1(1, 1.0, 1).coeffs, [1.0, -0.5, 0.1], atol=1e-12)
     assert np.allclose(phi_method1(1, 1.0, -1).coeffs, [1.0, 0.5, 0.1], atol=1e-12)
-    # scaling law: u_l(s) = s^l u_l(1)
-    assert np.allclose(phi_method1(1, 2.0, 1).coeffs, [1.0, -1.0, 0.4], atol=1e-12)
+    # the spec holds the s = 1 vector; scaling law: u_l(s) = s^l u_l(1)
+    assert np.allclose(phi_method1(1, 2.0, 1).coeffs * 2.0 ** np.arange(3), [1.0, -1.0, 0.4],
+                       atol=1e-12)
 
 
 def test_method3_frozen():
@@ -96,35 +97,75 @@ def test_methods_1_and_3_agree_and_lead_with_one(m):
 
 
 def test_eigenvector_scaling_law():
+    # every scale holds the s = 1 vector u; (s^l u_l) is the eigenvector of M(s) for s j
     for m in (1, 2, 3):
         for j in range(-m, m + 1):
             u1 = phi_method1(m, 1.0, j).coeffs
             for s in (0.5, 2.0):
-                us = phi_method1(m, s, j).coeffs
-                assert np.allclose(us, u1 * s ** np.arange(2 * m + 1), atol=1e-10 * max(1, s) ** (2 * m))
+                assert np.array_equal(phi_method1(m, s, j).coeffs, u1)
+                v = u1 * s ** np.arange(2 * m + 1)
+                assert np.allclose(build_tridiagonal(m, s).matrix() @ v, s * j * v,
+                                   atol=1e-10 * max(1, s) ** (2 * m))
 
 
 def test_method3_at_tiny_scale():
-    # the Lagrange product runs at s = 1; coefficient l scales by s^l
+    # the Lagrange product runs at s = 1 and the spec holds its vector at every s
     x = np.array([0.1, 0.2, 0.3])
     for m in (1, 2):
         for j in range(-m, m + 1):
             u1 = phi_method1(m, 1.0, j).coeffs
             for s in (1e-300, 1e-12):
                 spec3 = phi_method3(m, s, j)
-                assert np.max(np.abs(spec3.coeffs - u1 * s ** np.arange(2 * m + 1))) < 1e-12
+                assert np.max(np.abs(spec3.coeffs - u1)) < 1e-12
                 assert np.max(np.abs(eval_phi(spec3, x) - np.eye(2 * m + 1))) < 1e-11
 
 
 def test_huge_scale_is_refused():
-    # s^(2m) overflows float64: a typed refusal, not NaN or a numpy error
+    # construction 2 at s = 1e200 needs a sphere rule far beyond its byte
+    # budget: a typed refusal, not NaN or a numpy error
     x = np.array([[0.1, 0.2, 0.3]])
-    for construct in (phi_method1, phi_method3):
-        with pytest.raises(CapabilityError, match="overflow"):
-            construct(1, 1e200, 0)
-    with pytest.raises(CapabilityError, match="overflow"):
-        phi_method2_batch(1, 1e200, 0, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CapabilityError, match="sphere rule"):
+            phi_method2_batch(1, 1e200, 0, x)
     assert phi_method1(0, 1e200, 0).coeffs[0] == 1.0
+
+
+@pytest.mark.parametrize("m, s, j, x", [
+    (24, 0.01, 0, [1e6, 0.0, 0.0]),
+    (26, 0.01, 1, [1e5, 0.0, 0.0]),
+    (26, 1e-3, 0, [1e5, 0.0, 0.0]),
+])
+def test_far_axis_values_against_mpmath(phi_oracle, m, s, j, x):
+    # u_l (s r)^l f_l(s r) is formed as one bounded kernel, so large l
+    # underflows nowhere; to 1e-12 of the diagonal's largest entry
+    ref = phi_oracle(m, s, j, x)
+    assert np.max(np.abs(eval_phi(phi_method1(m, s, j), x) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_far_axis_first_order_operator_against_mpmath(phi_oracle):
+    m, s, j, x = 24, 0.01, 3, [1e6, 0.0, 0.0]
+    ref = s * j * phi_oracle(m, s, j, x)
+    out = spherical.apply_dtau_analytic(phi_method1(m, s, j), x)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("m, s, j, x", [
+    (1, 1e200, 1, [0.1, 0.2, 0.3]),  # s^(2m) is out of float range
+    (4, 1e-48, 2, [1e50, 0.0, 0.0]),  # |x|^(2m) is
+    (2, 1.0, 1, [1e100, 0.0, 0.0]),  # |x|^4 is
+])
+def test_scales_and_radii_beyond_the_powers_against_mpmath(phi_oracle, m, s, j, x):
+    # no power of s or |x| is formed, so these give values, with no warning
+    ref = phi_oracle(m, s, j, x)
+    for construct in (phi_method1, phi_method3):
+        spec = construct(m, s, j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = eval_phi(spec, x)
+            dt = spherical.apply_dtau_analytic(spec, x)
+        assert np.max(np.abs(val - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(dt - s * j * ref)) <= 1e-12 * np.max(np.abs(s * j * ref))
 
 
 @pytest.mark.parametrize("m, s, degree", [(0, 1e8, None), (0, 1e200, None), (1, 1e8, None), (1, 700.0, 4)])
@@ -161,11 +202,14 @@ def test_method1_internal_consistency_guard(monkeypatch):
         spherical.unit_eigvecs.cache_clear()
 
 
-def test_method1_valid_scales_at_both_ends():
-    # the s = 1 row times s^l, at both ends of the float range
+def test_method1_valid_scales_at_both_ends(phi_oracle):
+    # the s = 1 row at both ends of the float range, and its values there
+    x = np.array([0.3, -0.4, 1.2])
     for m, s, j in ((1, 1e8, 0), (1, 1e-300, 1)):
-        expected = spherical.unit_eigvecs(m)[j + m] * s ** np.arange(2 * m + 1)
-        assert np.array_equal(phi_method1(m, s, j).coeffs, expected)
+        spec = phi_method1(m, s, j)
+        assert np.array_equal(spec.coeffs, spherical.unit_eigvecs(m)[j + m])
+        ref = phi_oracle(m, s, j, x)
+        assert np.max(np.abs(eval_phi(spec, x) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_method1_runs_no_float_eigensolver(monkeypatch):
@@ -505,7 +549,7 @@ def test_laplacian_eigenfunction_fd():
         spec = phi_method1(m, s, j)
         for _ in range(4):
             x = rng.normal(size=3)
-            lap = checks._phi_laplacian_fd(spec, x)
+            lap = checks._laplacian_fd(lambda p: eval_phi_batch(spec, p), x[None, :], 1e-2)[0]
             assert np.max(np.abs(lap + s * s * eval_phi(spec, x))) < 1e-5 * (1 + s * s)
 
 

@@ -752,8 +752,10 @@ def test_every_evaluator_refuses_a_point_through_radii(refusing_evaluators, name
 
 @pytest.mark.parametrize("name", ["eval_phi_batch", "apply_dtau_analytic"])
 def test_every_evaluator_refuses_a_diagonal_out_of_float_range(name):
-    # m = 2, x = (1e100, 0, 0): the radius is finite, |x|^4 is not
-    spec = spherical.phi_method1(2, 1.0, 1)
+    # m = 2, s = 1e10, x = (1e300, 0, 0): the radius is finite, s|x| is not
+    # (at s = 1 and x = (1e100, 0, 0), where only |x|^4 is out of float
+    # range, both give values: test_spherical checks them against mpmath)
+    spec = spherical.phi_method1(2, 1e10, 1)
     evaluate = {
         "eval_phi_batch": lambda x: spherical.eval_phi_batch(spec, x[None, :]),
         "apply_dtau_analytic": lambda x: spherical.apply_dtau_analytic(spec, x),
@@ -761,16 +763,16 @@ def test_every_evaluator_refuses_a_diagonal_out_of_float_range(name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(CapabilityError, match="not finite"):
-            evaluate(np.array([1e100, 0.0, 0.0]))
+            evaluate(np.array([1e300, 0.0, 0.0]))
 
 
 def test_eval_phi_batch_tabulates_the_kernels_once_per_lattice_radius(monkeypatch):
     # the default 41^3 lattice has 68 921 nodes on at most 808 float radii
     seen = []
 
-    def counting_f_table(jmax, t):
+    def counting_f_table(jmax, t, axis=False):
         seen.append(np.size(t))
-        return _kernels.f_table(jmax, t)
+        return _kernels.f_table(jmax, t, axis=axis)
 
     monkeypatch.setattr(spherical, "f_table", counting_f_table)
     G = transform.MatrixField.cube(1, 8.0, 41, lambda pts: np.zeros((len(pts), 3, 3)))
