@@ -42,13 +42,18 @@ def radii(xs: np.ndarray) -> np.ndarray:
     one sphere) share one float radius, and radial work deduplicated by
     exact float equality runs once per shared radius.  A NaN or infinite
     coordinate raises ValueError, a radius whose squares overflow
-    CapabilityError.
+    CapabilityError.  A row whose largest |x_k| is below 2^-511, whose
+    squares would be subnormal, is scaled by the exact 2^600 first and its
+    radius by 2^-600 after, so a tiny point keeps its radius to the ulp.
     """
     if not np.isfinite(xs).all():
         raise ValueError("evaluation points must be finite")
     a = np.sort(np.abs(xs), axis=1)
+    tiny = a[:, 2] < 2.0**-511
+    a[tiny] *= 2.0**600
     with np.errstate(over="ignore"):
         r = np.sqrt(a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1] + a[:, 2] * a[:, 2])
+    r[tiny] = np.ldexp(r[tiny], -600)
     if not np.isfinite(r).all():
         raise CapabilityError("a point's radius |x| is not finite: it is out of float range")
     return r

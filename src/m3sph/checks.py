@@ -3,7 +3,11 @@
 Each suite exercises the documented invariants of one module and returns a
 dict with the case count, the worst residual, and pass/fail.  Everything
 is driven by one seeded generator in a fixed order, so a report for a
-given (seed, profile, ms) is byte-identical across runs.
+given (seed, profile, ms) is byte-identical across runs.  For each spec
+(m, s, j) a suite first draws every random input that the spec's cases
+use, then evaluates all of the spec's points in one call and reads each
+case from a slice of the result; the radial suite takes each derivative
+stencil, with its f_{j+1} value, from one kernel table.
 """
 
 from __future__ import annotations
@@ -165,11 +169,13 @@ def suite_polyalg(ms, rng, profile: str) -> dict:
     return rec.result()
 
 
-def _fd_derivative(fun, r: float, h: float = 5e-3) -> float:
-    # five-point stencil, O(h^4)
-    return (
-        -fun(r + 2 * h) + 8 * fun(r + h) - 8 * fun(r - h) + fun(r - 2 * h)
-    ) / (12 * h)
+_FD_STEPS = np.array([-2.0, -1.0, 1.0, 2.0])  # the stencil of _fd_derivative, in units of h
+
+
+def _fd_derivative(vals, h: float):
+    """Five-point-stencil derivative, O(h^4), from the values at
+    r + h * _FD_STEPS along the last axis of ``vals``."""
+    return (-vals[..., 3] + 8 * vals[..., 2] - 8 * vals[..., 1] + vals[..., 0]) / (12 * h)
 
 
 def suite_radial(rng, profile: str) -> dict:
@@ -189,19 +195,22 @@ def suite_radial(rng, profile: str) -> dict:
     rb = np.linspace(0.0, 100.0, 400)
     for j in range(jmax + 1):
         rec.case(f"bounded j={j}", np.max(np.abs(radial.f(j, rb))) - 1.0, 1e-12)
+    # per order, one table of f_j on every stencil and f_{j+1} at its centre
+    rd, s, h = np.array([0.7, 2.3, 11.0]), 1.7, 5e-3
+    pts = np.concatenate([rd[:, None] + h * _FD_STEPS, rd[:, None]], axis=1)  # (3, 5)
     for j in range(4):
-        for r in (0.7, 2.3, 11.0):
-            d = _fd_derivative(lambda rr: float(radial.f(j, rr)), r)
+        fj = radial.f_upto(j + 1, pts)
+        fs = radial.f_upto(j + 1, s * pts)
+        d, ds = _fd_derivative(fj[j, :, :4], h), _fd_derivative(fs[j, :, :4], h)
+        for i, r in enumerate(rd):
             rec.case(
                 f"differential relation j={j}",
-                abs(d / r + float(radial.f(j + 1, r)) / (2 * j + 3)),
+                abs(d[i] / r + fj[j + 1, i, 4] / (2 * j + 3)),
                 1e-10,
             )
-            s = 1.7
-            ds = _fd_derivative(lambda rr: float(radial.f_scaled(j, s, rr)), r)
             rec.case(
                 f"scaled differential relation j={j}",
-                abs(ds / (s * s * r) + float(radial.f_scaled(j + 1, s, r)) / (2 * j + 3)),
+                abs(ds[i] / (s * s * r) + fs[j + 1, i, 4] / (2 * j + 3)),
                 1e-10,
             )
     for j, s, r in ((0, 1.0, 2.0), (3, 2.0, 0.5), (5, 0.7, 7.0)):
@@ -247,6 +256,7 @@ def suite_spherical(ms, rng, profile: str) -> dict:
                 1e-5 * (1 + s * s),
             )
     n_x = 5 if profile == "quick" else 20
+    n_lap = 2 if profile == "quick" else 4
     for m in ms:
         rep = build_irrep(m)
         eye = np.eye(rep.dim)
@@ -265,13 +275,23 @@ def suite_spherical(ms, rng, profile: str) -> dict:
                     np.max(np.abs(spherical.build_tridiagonal(m, s).matrix() @ v - s * j * v)),
                     1e-9 * max(1.0, s) ** (2 * m),
                 )
+                # every random input first, then every value of Phi_{s,j} from one
+                # call: the origin, xs, -xs, the Laplacian stencils, k^-1 y, y
+                xs = rng.uniform(-5 / np.sqrt(3), 5 / np.sqrt(3), size=(n_x, 3))
+                ks, ys = zip(*((Rotation.random(rng), rng.normal(size=3)) for _ in range(3)))
+                lap_pts = _laplacian_points(xs[:n_lap], 1e-2)
+                eq_pts = np.array([k.inverse().apply(y) for k, y in zip(ks, ys)] + list(ys))
+                vals = spherical.eval_phi_batch(
+                    spec1, np.concatenate([np.zeros((1, 3)), xs, -xs, lap_pts, eq_pts])
+                )
+                phi0, vals1, valsc, vals_lap, vals_eq = np.split(
+                    vals, np.cumsum([1, n_x, n_x, len(lap_pts)])
+                )
                 rec.case(
                     f"m={m} s={s} j={j} phi(0) = I",
-                    np.max(np.abs(spherical.eval_phi(spec1, np.zeros(3)) - eye)),
+                    np.max(np.abs(phi0[0] - eye)),
                     1e-12,
                 )
-                xs = rng.uniform(-5 / np.sqrt(3), 5 / np.sqrt(3), size=(n_x, 3))
-                vals1 = spherical.eval_phi_batch(spec1, xs)
                 vals2 = spherical.phi_method2_batch(m, s, j, xs)
                 rec.case(
                     f"m={m} s={s} j={j} method1 vs method2",
@@ -285,34 +305,29 @@ def suite_spherical(ms, rng, profile: str) -> dict:
                     np.max(np.abs(vals1 - valsm)),
                     1e-10,
                 )
-                valsc = spherical.eval_phi_batch(spec1, -xs)
                 rec.case(
                     f"m={m} s={s} j={j} conjugate symmetry",
                     np.max(np.abs(vals1.conj().transpose(0, 2, 1) - valsc)),
                     1e-10,
                 )
-                for x in xs[: 2 if profile == "quick" else 4]:
-                    lap = _laplacian_fd(lambda p: spherical.eval_phi_batch(spec1, p),
-                                        x[None, :], 1e-2)[0]
+                lap = _laplacian_combine(vals_lap, 1e-2)
+                for i, x in enumerate(xs[:n_lap]):
                     rec.case(
                         f"m={m} s={s} j={j} laplacian eigenfunction",
-                        np.max(np.abs(lap + s * s * spherical.eval_phi(spec1, x))),
+                        np.max(np.abs(lap[i] + s * s * vals1[i])),
                         1e-5 * (1 + s * s),
                     )
                     dt = spherical.apply_dtau_analytic(spec1, x)
                     rec.case(
                         f"m={m} s={s} j={j} first-order eigenfunction",
-                        np.max(np.abs(dt - s * j * spherical.eval_phi(spec1, x))),
+                        np.max(np.abs(dt - s * j * vals1[i])),
                         1e-6 * (1 + s),
                     )
-                for _ in range(3):
-                    k = Rotation.random(rng)
-                    x = rng.normal(size=3)
+                for i, k in enumerate(ks):
                     tk = tau(rep, k)
-                    lhs = tk @ spherical.eval_phi(spec1, k.inverse().apply(x)) @ tk.conj().T
                     rec.case(
                         f"m={m} s={s} j={j} equivariance",
-                        np.max(np.abs(lhs - spherical.eval_phi(spec1, x))),
+                        np.max(np.abs(tk @ vals_eq[i] @ tk.conj().T - vals_eq[3 + i])),
                         1e-8,
                     )
         # projections
@@ -366,16 +381,28 @@ def suite_spherical(ms, rng, profile: str) -> dict:
     return rec.result()
 
 
+def _laplacian_points(xs, h: float) -> np.ndarray:
+    """The (13 n, 3) points of the five-point-stencil Laplacian at the
+    (n, 3) points ``xs``: ``xs`` themselves, then each one's 12 neighbours
+    x + h * _FD_STEPS e_i."""
+    steps = np.multiply.outer(h * _FD_STEPS, np.eye(3))  # (4, 3, 3)
+    return np.concatenate([xs, (xs[:, None, None, :] + steps).reshape(-1, 3)])
+
+
+def _laplacian_combine(vals, h: float) -> np.ndarray:
+    """The Laplacian, O(h^4), from the values (13 n, d, d) at the points
+    of _laplacian_points(xs, h); (n, d, d)."""
+    n = vals.shape[0] // 13
+    f = vals[n:].reshape((n, 4, 3) + vals.shape[1:]).sum(axis=2)
+    return (-f[:, 0] + 16 * f[:, 1] + 16 * f[:, 2] - f[:, 3] - 90 * vals[:n]) / (12 * h * h)
+
+
 def _laplacian_fd(evaluate, xs, h: float) -> np.ndarray:
     """The five-point-stencil Laplacian, O(h^4), of a batch evaluator
     (n, 3) -> (n, d, d) at the (n, 3) points ``xs``, from one call.  At
     h = 1e-2 the rounding of Phi's (~eps/h^2) and its truncation both stay
     near 1e-9, far below the tolerances."""
-    n = xs.shape[0]
-    steps = np.multiply.outer(h * np.array([-2.0, -1.0, 1.0, 2.0]), np.eye(3))  # (4, 3, 3)
-    vals = evaluate(np.concatenate([xs, (xs[:, None, None, :] + steps).reshape(-1, 3)]))
-    f = vals[n:].reshape((n, 4, 3) + vals.shape[1:]).sum(axis=2)
-    return (-f[:, 0] + 16 * f[:, 1] + 16 * f[:, 2] - f[:, 3] - 90 * vals[:n]) / (12 * h * h)
+    return _laplacian_combine(evaluate(_laplacian_points(xs, h)), h)
 
 
 def suite_transform(ms, rng, profile: str) -> dict:

@@ -395,11 +395,14 @@ def unit_eigvec(m: int, j: int) -> tuple:
     return tuple(u)
 
 
+@lru_cache(maxsize=None, typed=True)
 def lagrange_unit_eigvec(m: int, j: int) -> tuple:
     """Construction 3's coefficients at s = 1: (2m+1) prod_{l != j}
     (M - l)/(j - l) applied to e_0, the coefficient vector of the scalar
     spherical function, with M the operator of unit_eigvec.  The product
-    projects e_0 onto the j eigenvector; it equals unit_eigvec(m, j)."""
+    projects e_0 onto the j eigenvector; it equals unit_eigvec(m, j).
+    Cached per (m, j) and their types (a float j would give floats): the
+    tuple of Fractions is immutable."""
     _check_index(m, j)
     a = coeff_table(m).a
     n = 2 * m + 1

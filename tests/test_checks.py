@@ -1,0 +1,78 @@
+"""The `check` report's shape: which cases run, in what order, and how many
+evaluator calls the suites make for them."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from m3sph import checks, radial, spherical
+
+
+@pytest.mark.parametrize(
+    "ms, seed, counts, digest",
+    [
+        ([3], 5, [23, 73, 54, 411, 0],
+         "cb68c800f970a62cd4696e84f0b64dbf7f6855e99aaf66767e46975c06e90ed1"),
+        ([0, 1, 2], 0, [69, 98, 54, 521, 63],
+         "e474e83c00d1445b10c1b5454b1c5bf319b672eed056f81862560fd97798a91c"),
+    ],
+)
+def test_case_labels_keep_their_order(monkeypatch, ms, seed, counts, digest):
+    # the digest of the label sequence pins every case's label and position:
+    # a dropped, duplicated or reordered case changes it
+    labels = []
+    case, exact = checks._Recorder.case, checks._Recorder.exact
+
+    def record_case(self, label, residual, tol):
+        labels.append(label)
+        case(self, label, residual, tol)
+
+    def record_exact(self, label, ok):
+        labels.append(label)
+        exact(self, label, ok)
+
+    monkeypatch.setattr(checks._Recorder, "case", record_case)
+    monkeypatch.setattr(checks._Recorder, "exact", record_exact)
+    report = checks.run_checks(ms, seed=seed, profile="quick")
+    assert report["pass"]
+    assert [suite["cases"] for suite in report["suites"]] == counts
+    assert len(labels) == sum(counts)
+    assert hashlib.sha256("\n".join(labels).encode()).hexdigest() == digest
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_spherical_suite_evaluates_each_spec_in_one_call(monkeypatch):
+    # at m = 3: one call per (s, j) for the spec and one for its parity
+    # partner (21 each), and one per positive-type case (28)
+    calls = _counting(monkeypatch, spherical, "eval_phi_batch")
+    assert checks.suite_spherical([3], np.random.default_rng(0), "quick")["pass"]
+    assert len(calls) <= 70
+
+
+def test_radial_suite_reads_each_stencil_from_one_table(monkeypatch):
+    calls = _counting(monkeypatch, radial, "f_upto")
+    assert checks.suite_radial(np.random.default_rng(0), "quick")["pass"]
+    assert len(calls) <= 50
+
+
+def test_laplacian_fd_is_its_points_and_their_combination():
+    # _laplacian_fd is the composition the spherical suite takes apart
+    spec = spherical.phi_method1(2, 1.3, 1)
+    xs = np.random.default_rng(3).normal(size=(3, 3))
+    pts = checks._laplacian_points(xs, 1e-2)
+    assert pts.shape == (39, 3)
+    assert np.array_equal(pts[:3], xs)
+    lap = checks._laplacian_fd(lambda p: spherical.eval_phi_batch(spec, p), xs, 1e-2)
+    assert np.array_equal(lap, checks._laplacian_combine(spherical.eval_phi_batch(spec, pts), 1e-2))

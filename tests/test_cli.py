@@ -391,6 +391,17 @@ def test_cli_import_leaves_checks_and_scipy_unloaded():
     assert out.strip() == "[]"
 
 
+def test_python_dash_m_runs_the_cli(capsys):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "m3sph", "rep", "--m", "1"], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == run_cli(capsys, "rep", "--m", "1")[1]
+
+
 @pytest.fixture
 def coeff_file(capsys, tmp_path):
     field_path = tmp_path / "g.m3sf"

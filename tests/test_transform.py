@@ -714,6 +714,19 @@ def test_radii_share_exact_floats_under_signs_and_permutations():
     assert np.unique(transform.radii(G.grid_points())).size <= 808
 
 
+def test_radii_of_tiny_points_keep_their_precision():
+    # squares below the normal range would lose the radius or give 0.0
+    assert transform.radii(np.array([[1e-160, 0.0, 0.0]]))[0] == 1e-160
+    assert transform.radii(np.array([[5e-324, 0.0, 0.0]]))[0] == 5e-324
+    expected = np.sqrt(3.0) * 1e-170
+    r = transform.radii(np.array([[1e-170] * 3, [-1e-170, 1e-170, -1e-170]]))
+    assert r[0] == r[1]
+    assert abs(r[0] - expected) <= np.spacing(expected)
+    # signs, permutations and the shared radius hold for tiny points too
+    xs = np.array([[1e-170, 0.0, 2e-170], [0.0, -2e-170, 1e-170], [3.0, 4.0, 0.0]])
+    assert np.array_equal(transform.radii(xs), [transform.radii(xs[:1])[0]] * 2 + [5.0])
+
+
 @pytest.fixture(scope="module")
 def refusing_evaluators(gaussian_m1):
     """Every evaluator of a caller's point x, as x -> its value."""
