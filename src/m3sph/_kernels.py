@@ -2,9 +2,10 @@
 
 One implementation per kernel: the radii of a caller's points, the radial
 kernel table, the off-axis evaluator (an e_1 diagonal moved to x by the
-frame W), the plane-wave and lattice Fourier sums and the reference grid
-convolution.  Every kernel
-accumulates in a fixed order, so results are bit-for-bit reproducible.
+frame W, whose phases are powers of two unit numbers read off x's
+coordinates, in O(d^3) per point), the plane-wave and lattice Fourier sums
+and the reference grid convolution.  Every kernel accumulates in a fixed
+order, so results are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import CapabilityError
 from .polyalg import e1_diagonals
@@ -20,9 +22,8 @@ from .so3rep import build_irrep
 _MILLER_EXTRA = 25  # extra start orders for the downward recurrence
 F_TABLE_JMAX = 64   # highest order f_table serves (see f_table)
 
-# the largest m the numeric constructions and the inversion sum serve: from
-# m = 27 the d^2 x d^2 frame map of the off-axis evaluator (_frame_maps) takes
-# more than the 128 MiB construction 2 keeps to (the limits beyond: README)
+# the largest m the numeric constructions and the inversion sum serve: the top
+# of the range `check --profile full` verifies (the limits beyond: README)
 M_MAX_NUMERIC = 26
 
 
@@ -125,14 +126,40 @@ def f_table(jmax: int, t, axis: bool = False) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _frame_maps(d: int):
-    """With -i A_3 = E diag(mu) E^*: the maps lam -> E^* diag(lam) E (d x d^2)
-    and X -> E X E^* (d^2 x d^2), flattened row-major.  A d above
+def _frame(d: int):
+    """With -i A_3 = E diag(mu) E^*: E and the map lam -> E^* diag(lam) E as a
+    (d^2, d) matrix, rows flattened row-major; both read-only.  A d above
     2 M_MAX_NUMERIC + 1 raises CapabilityError before either is built."""
     check_numeric_m((d - 1) // 2)
     _, e = np.linalg.eigh(-1j * build_irrep((d - 1) // 2).generators[2])
-    return (np.einsum("ca,cb->cab", e.conj(), e).reshape(d, d * d),
-            np.einsum("ia,jb->abij", e, e.conj()).reshape(d * d, d * d))
+    to_frame = np.einsum("ca,cb->abc", e.conj(), e).reshape(d * d, d)
+    e.setflags(write=False)
+    to_frame.setflags(write=False)
+    return e, to_frame
+
+
+def _unit_phase(re: np.ndarray, im: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """(re + i im) / norm, exactly 1 where norm is 0."""
+    z = np.ones(norm.shape, dtype=np.complex128)
+    np.divide(re, norm, out=z.real, where=norm > 0)
+    np.divide(im, norm, out=z.imag, where=norm > 0)
+    return z
+
+
+def _phases(z: np.ndarray, d: int, less_one: bool = False) -> np.ndarray:
+    """The (d, d, n) read-only Toeplitz view whose entry (a, b) is z^(a-b),
+    or z^(a-b) - 1 with ``less_one``, over a (2d-1, n) table of the powers:
+    z is on the unit circle, z^k comes by repeated multiplication and
+    z^-k = conj z^k."""
+    pw = np.empty((2 * d - 1, z.size), dtype=np.complex128)
+    pw[d - 1] = 1.0
+    for k in range(d, 2 * d - 1):
+        np.multiply(pw[k - 1], z, out=pw[k])
+    np.conjugate(pw[: d - 1 : -1], out=pw[: d - 1])
+    if less_one:
+        pw -= 1.0
+    row, col = pw.strides
+    return as_strided(pw[d - 1 :], (d, d, z.size), (row, -row, col), writeable=False)
 
 
 def axis_transport(lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -140,20 +167,25 @@ def axis_transport(lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
     W_p = tau(k_p) = diag(e^{-i mu phi}) E diag(e^{-i mu theta}) E^*, where
     k_p = exp(-phi Y_1) exp(-theta Y_3) carries e_1 to x_p/|x_p| = (cos theta,
-    sin theta cos phi, sin theta sin phi).  Only the theta phases minus 1 are
-    moved, then diag(lam) added, so the e_1 ray gives diag(lam) to the bit.
+    sin theta cos phi, sin theta sin phi).  The phases come from the
+    coordinates: with rho = |(x_2, x_3)|, e^{-i theta} = (x_1 - i rho)/|x| and
+    e^{-i phi} = (x_2 - i x_3)/rho, each 1 where its norm is 0, and entry
+    (a, b) takes the power a - b of each.  The stack is held entries-first,
+    (d^2, n): E^* diag(lam) E, its theta phases minus 1, then E on the left
+    and E^* on the right as two GEMMs (O(n d^3)), the phi phases, plus
+    diag(lam), so the e_1 ray gives diag(lam) to the bit.
     """
     n, d = lam.shape
-    to_frame, back = _frame_maps(d)
-    angles = np.arctan2([np.hypot(xs[:, 1], xs[:, 2]), xs[:, 2]], xs[:, :2].T)  # theta, phi
-    ang = np.multiply.outer(angles, np.arange(d))
-    u = np.cos(ang) - 1j * np.sin(ang)  # e^{-i mu angle} up to a phase common to all mu
-    y = (lam @ to_frame).reshape(n, d, d)
-    y = y * u[0, :, :, None] * u[0, :, None, :].conj() - y
-    y = (y.reshape(n, d * d) @ back).reshape(n, d, d)
-    out = y * u[1, :, :, None] * u[1, :, None, :].conj()
-    out.reshape(n, d * d)[:, :: d + 1] += lam
-    return out
+    e, to_frame = _frame(d)
+    rho = np.hypot(xs[:, 1], xs[:, 2])
+    z_theta = _unit_phase(xs[:, 0], -rho, np.hypot(xs[:, 0], rho))
+    z_phi = _unit_phase(xs[:, 1], -xs[:, 2], rho)
+    y = (to_frame @ lam.T).reshape(d, d, n)
+    y *= _phases(z_theta, d, less_one=True)
+    np.matmul(e.conj(), (e @ y.reshape(d, d * n)).reshape(d, d, n), out=y)
+    y *= _phases(z_phi, d)
+    y.reshape(d * d, n)[:: d + 1] += lam.T
+    return np.ascontiguousarray(y.transpose(2, 0, 1))
 
 
 @lru_cache(maxsize=None)

@@ -311,16 +311,16 @@ def suite_spherical(ms, rng, profile: str) -> dict:
                     1e-10,
                 )
                 lap = _laplacian_combine(vals_lap, 1e-2)
-                for i, x in enumerate(xs[:n_lap]):
+                dts = spherical.apply_dtau_analytic(spec1, xs[:n_lap])
+                for i in range(n_lap):
                     rec.case(
                         f"m={m} s={s} j={j} laplacian eigenfunction",
                         np.max(np.abs(lap[i] + s * s * vals1[i])),
                         1e-5 * (1 + s * s),
                     )
-                    dt = spherical.apply_dtau_analytic(spec1, x)
                     rec.case(
                         f"m={m} s={s} j={j} first-order eigenfunction",
-                        np.max(np.abs(dt - s * j * vals1[i])),
+                        np.max(np.abs(dts[i] - s * j * vals1[i])),
                         1e-6 * (1 + s),
                     )
                 for i, k in enumerate(ks):

@@ -246,7 +246,9 @@ class SphereRule:
     degree: int
 
 
+@lru_cache(maxsize=64)
 def sphere_rule(degree: int) -> SphereRule:
+    """The rule of ``degree``, cached per degree with read-only arrays."""
     if degree < 0:
         raise ValueError("degree must be non-negative")
     n_polar = max(1, math.ceil((degree + 1) / 2))
@@ -259,6 +261,8 @@ def sphere_rule(degree: int) -> SphereRule:
     nodes[:, 1] = np.repeat(sin_t, n_az) * np.tile(np.cos(phi), n_polar)
     nodes[:, 2] = np.repeat(sin_t, n_az) * np.tile(np.sin(phi), n_polar)
     weights = np.repeat(w, n_az) / (2.0 * n_az)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return SphereRule(nodes=nodes, weights=weights, degree=degree)
 
 
@@ -340,7 +344,8 @@ def phi_method2_batch(
 
 
 def apply_dtau_analytic(spec: SphericalFunctionSpec, x) -> np.ndarray:
-    """sum_i A_i d/dx_i Phi(x), differentiated on the e_1 axis.
+    """sum_i A_i d/dx_i Phi(x), differentiated on the e_1 axis, at one point
+    (d, d) or at an (n, 3) batch (n, d, d).
 
     D_tau Phi is equivariant and, at r e_1, commutes with the diagonal A_1:
     it is a diagonal moved to x by axis_transport.  With L = diag(lam) =
@@ -353,23 +358,28 @@ def apply_dtau_analytic(spec: SphericalFunctionSpec, x) -> np.ndarray:
     d_2 Phi = -[A_3, L]/r, d_3 Phi = [A_2, L]/r.  A point refused by
     radii() raises there, one whose s|x| leaves float range CapabilityError.
     """
-    x = np.asarray(x, dtype=np.float64)[None, :]
+    x = np.asarray(x, dtype=np.float64)
+    xs = np.atleast_2d(x)
     a1, a2, a3 = _rep(spec.m).generators
     diags = axis_diagonals(spec.m)
     ls = np.arange(2 * spec.m + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        T = f_table(ls.size, spec.s * radii(x)[0], axis=True)  # orders 0..2m+1
-        below = np.concatenate([[0.0], T[:-2]])  # T_{l-1}; l = 0 reads none
-        above = T[1:] / ((2 * ls + 1) * (2 * ls + 3))
+        T = f_table(ls.size, spec.s * radii(xs), axis=True).T  # (n, 2m+2): orders 0..2m+1
+        # T_{l-1}; l = 0 reads none
+        below = np.concatenate([np.zeros((len(T), 1)), T[:, :-2]], axis=1)
+        above = T[:, 1:] / ((2 * ls + 1) * (2 * ls + 3))
         su = spec.s * spec.coeffs
         dlam = (su * (ls * below - (ls + 1) * above)) @ diags
         # L/r less its l = 0 term, which commutes with every A_i
         lam_r = (su * (below + above) * (ls > 0)) @ diags
-        c2, c3 = (a * lam_r - lam_r[:, None] * a for a in (a2, a3))  # [A_2, L]/r, [A_3, L]/r
-        diag = np.diagonal(a1 * dlam + a3 @ c2 - a2 @ c3)
+        # [A_2, L]/r and [A_3, L]/r, one (n, d, d) stack each
+        c2, c3 = (a * lam_r[:, None, :] - lam_r[:, :, None] * a for a in (a2, a3))
+        diag = (np.diagonal(a1) * dlam + np.einsum("ik,pki->pi", a3, c2)
+                - np.einsum("ik,pki->pi", a2, c3))
     if not np.isfinite(diag).all():
         raise CapabilityError("the D_tau diagonal is not finite: s|x| is out of float range")
-    return axis_transport(diag[None, :], x)[0]
+    out = axis_transport(diag, xs)
+    return out[0] if x.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------

@@ -589,20 +589,26 @@ def _cheb_converged(values: np.ndarray) -> bool:
 def _barycentric(nodes: np.ndarray, values: np.ndarray, rs: np.ndarray) -> np.ndarray:
     """The polynomial through (nodes, values) at ``rs`` by the second
     barycentric formula with the Chebyshev-Lobatto weights (-1)^k, halved
-    at both ends; a radius equal to a node gets that node's values.  Radii
-    go in blocks to bound the (block, n) weight matrix."""
+    at both ends; a radius equal to a node gets that node's values.  The
+    (ascending) nodes a radius equals are found by binary search, and the
+    real weight matrix meets the (n, 2L) float view of the complex values
+    in one real product.  Radii go in blocks to bound the (block, n) weight
+    matrix."""
     n = nodes.size
     wts = np.where(np.arange(n) % 2, -1.0, 1.0)
     wts[[0, -1]] *= 0.5
+    re_im = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
+    at = np.minimum(np.searchsorted(nodes, rs), n - 1)
+    hit = np.flatnonzero(nodes[at] == rs)
     out = np.empty((rs.size, values.shape[1]), dtype=np.complex128)
     block = max(1, int(2e6) // n)
     for b0 in range(0, rs.size, block):
-        diff = rs[b0 : b0 + block, None] - nodes[None, :]
-        hit, at = np.nonzero(diff == 0.0)
-        diff[hit, at] = 1.0  # any nonzero; those rows are set below
-        kern = wts / diff
-        out[b0 : b0 + block] = (kern @ values) / np.sum(kern, axis=1)[:, None]
-        out[b0 + hit] = values[at]
+        kern = rs[b0 : b0 + block, None] - nodes[None, :]
+        h = hit[(hit >= b0) & (hit < b0 + block)]
+        kern[h - b0, at[h]] = 1.0  # any nonzero; those rows are set below
+        np.divide(wts, kern, out=kern)
+        out[b0 : b0 + block] = (kern @ re_im).view(np.complex128) / np.sum(kern, axis=1)[:, None]
+    out[hit] = values[at[hit]]
     return out
 
 

@@ -12,6 +12,7 @@ kernels T_l(t) = t^l f_l(t) against mpmath.
 """
 
 import cmath
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -135,27 +136,99 @@ def test_axis_transport_moves_the_axis_matrix(m):
         assert np.max(np.abs(out[p] - dtau(rep, x))) <= 1e-13
 
 
-@pytest.mark.parametrize("m", [0, 1, 2, 4])
+def _two_rotation_frame(rep, x):
+    """tau(k1) tau(k3) with k = exp(-phi Y_1) exp(-theta Y_3), the angles of x
+    by arctan2: the trig oracle of the kernel's coordinate phases."""
+    theta = np.arctan2(np.hypot(x[1], x[2]), x[0])
+    phi = np.arctan2(x[2], x[1])
+    e1, e3 = np.eye(3)[0], np.eye(3)[2]
+    k1, k3 = Rotation(axis=e1, angle=-phi), Rotation(axis=e3, angle=-theta)
+    r = np.linalg.norm(x)
+    if 0 < r < np.inf:
+        assert np.max(np.abs(k1.apply(k3.apply(e1)) - x / r)) <= 1e-14
+    return tau(rep, k1) @ tau(rep, k3)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 4, 26])
 def test_axis_transport_is_the_two_rotation_frame(m):
     # k = exp(-phi Y_1) exp(-theta Y_3), with x/|x| = (cos t, sin t cos p, sin t sin p)
+    tol = 1e-12 if m == 26 else 1e-13
     rep = build_irrep(m)
     rng = np.random.default_rng(21)
     xs = _frame_test_points(rng)
     lam = rng.normal(size=(len(xs), 2 * m + 1)) + 1j * rng.normal(size=(len(xs), 2 * m + 1))
     out = _kernels.axis_transport(lam, xs)
-    e1, e3 = np.eye(3)[0], np.eye(3)[2]
     for p, x in enumerate(xs):
-        theta = np.arctan2(np.hypot(x[1], x[2]), x[0])
-        phi = np.arctan2(x[2], x[1])
-        k1, k3 = Rotation(axis=e1, angle=-phi), Rotation(axis=e3, angle=-theta)
-        r = np.linalg.norm(x)
-        if r > 0:
-            assert np.max(np.abs(k1.apply(k3.apply(e1)) - x / r)) <= 1e-14
-        w = tau(rep, k1) @ tau(rep, k3)
+        w = _two_rotation_frame(rep, x)
         ref = w @ np.diag(lam[p]) @ w.conj().T
-        assert np.max(np.abs(out[p] - ref)) <= 1e-13
+        assert np.max(np.abs(out[p] - ref)) <= tol
         if x[1] == x[2] == 0 and x[0] >= 0:
             assert np.array_equal(out[p], np.diag(lam[p]))
+
+
+_EDGE_POINTS = [
+    (-2.0, 0.0, 0.0),  # the -e_1 ray: theta = pi, the phase exactly -1
+    (0.0, 5e-324, 0.0),  # subnormal: rho and |x| are the smallest float
+    (1e-170,) * 3,  # squares underflow
+    (1e300, 1e300, 0.0),  # squares overflow
+    (1e-300, 1e300, -1e300),
+]
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_axis_transport_at_the_edges_of_float_range(m):
+    # the phases come from the coordinates by hypot and division, with no
+    # warning; each point is the two-rotation frame to 1e-13
+    rep = build_irrep(m)
+    xs = np.array(_EDGE_POINTS)
+    lam = np.random.default_rng(22).normal(size=(len(xs), 2 * m + 1)) + 0.5j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _kernels.axis_transport(lam, xs)
+    for p, x in enumerate(xs):
+        with np.errstate(over="ignore", under="ignore"):  # the oracle's own |x|
+            w = _two_rotation_frame(rep, x)
+        assert np.max(np.abs(out[p] - w @ np.diag(lam[p]) @ w.conj().T)) <= 1e-13
+
+
+def test_axis_transport_phase_on_the_minus_e1_ray_is_exactly_minus_one():
+    # e^{-i theta} = (x_1 - i rho)/|x| is -1 to the bit at (-2, 0, 0), so every
+    # power of it is +-1 with no imaginary part
+    z = _kernels._unit_phase(np.array([-2.0]), np.array([-0.0]), np.array([2.0]))
+    assert z[0] == -1.0
+    ph = _kernels._phases(z, 5)[:, :, 0]
+    a = np.arange(5)
+    assert np.array_equal(ph, (-1.0) ** np.abs(a[:, None] - a[None, :]))
+    assert not np.any(ph.imag)
+
+
+@pytest.mark.parametrize("m", [0, 2, 5])
+def test_axis_transport_at_the_origin_is_the_identity_frame(m):
+    # at +0 and -0 alike both phases are 1, so the frame is I and the value
+    # diag(lam) (every library caller passes a diagonal that is scalar at
+    # the origin, where any frame gives the same value)
+    lam = np.random.default_rng(23).normal(size=(4, 2 * m + 1)) + 1j
+    xs = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, -0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _kernels.axis_transport(lam, xs)
+    for p in range(len(xs)):
+        assert np.array_equal(out[p], np.diag(lam[p]))
+
+
+def test_axis_transport_at_the_top_of_the_numeric_range_is_small_in_memory():
+    # one point at m = 26 on a cold cache: the frame E and the (d^2, d) map
+    # are the only cached arrays, O(d^3) memory
+    _kernels._frame.cache_clear()
+    d = 2 * _kernels.M_MAX_NUMERIC + 1
+    tracemalloc.start()
+    try:
+        out = _kernels.axis_transport(np.ones((1, d), dtype=complex), np.array([[0.3, -0.4, 0.8]]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, d, d)
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("m", [0, 1, 3])

@@ -248,8 +248,7 @@ def test_above_the_numeric_range_is_refused():
 def test_full_check_profile_runs_at_the_top_of_the_numeric_range():
     from m3sph.checks import suite_spherical
 
-    # the full profile adds m = M_MAX_NUMERIC, whose frame map is the largest
-    # the off-axis evaluator builds
+    # the full profile adds m = M_MAX_NUMERIC, the top of the numeric range
     assert suite_spherical([], np.random.default_rng(0), "full")["pass"]
 
 
@@ -444,6 +443,15 @@ def test_sphere_rule_basics():
         sphere_rule(-1)
 
 
+def test_sphere_rule_is_cached_per_degree_and_read_only():
+    rule = sphere_rule(7)
+    assert sphere_rule(7) is rule
+    assert sphere_rule(8) is not rule
+    for arr in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 def _sph_harm(l, mm, nodes):
     theta = np.arccos(np.clip(nodes[:, 2], -1, 1))
     phi = np.arctan2(nodes[:, 1], nodes[:, 0])
@@ -564,6 +572,23 @@ def test_first_order_eigenfunction_analytic():
         for x in near + [rng.normal(size=3) for _ in range(4)]:
             out = spherical.apply_dtau_analytic(spec, x)
             assert np.max(np.abs(out - s * j * eval_phi(spec, x))) < 1e-6 * (1 + s)
+
+
+def test_first_order_operator_takes_a_batch():
+    # an (n, 3) batch gives the one-point values stacked, a 1-D point one
+    # (d, d) matrix; a refused point refuses the batch
+    rng = np.random.default_rng(13)
+    for m, s, j in ((0, 1.0, 0), (2, 2.0, 1), (3, 0.5, -3)):
+        spec = phi_method1(m, s, j)
+        xs = np.concatenate([np.zeros((1, 3)), rng.normal(size=(6, 3))])
+        out = spherical.apply_dtau_analytic(spec, xs)
+        assert out.shape == (7, 2 * m + 1, 2 * m + 1)
+        one = np.array([spherical.apply_dtau_analytic(spec, x) for x in xs])
+        assert one.shape == out.shape
+        assert np.max(np.abs(out - one)) <= 1e-14 * np.max(np.abs(one))
+        assert np.max(np.abs(out - s * j * eval_phi_batch(spec, xs))) < 1e-6 * (1 + s)
+        with pytest.raises(ValueError, match="finite"):
+            spherical.apply_dtau_analytic(spec, np.concatenate([xs, [[np.nan, 0, 0]]]))
 
 
 def test_positive_type():

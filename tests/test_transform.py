@@ -258,7 +258,8 @@ def test_inverse_above_the_numeric_range_is_refused():
 
 
 def test_frame_map_above_the_numeric_range_is_refused_before_it_is_built():
-    # the d^2 x d^2 frame map would take 146 MB at m = 27
+    # the frame cache (_kernels._frame) refuses m = 27 before it builds E;
+    # 26 is the top of the range check --profile full verifies
     F = fieldio.synthesize("gaussian", spherical.M_MAX_NUMERIC + 1)
     tracemalloc.start()
     try:
@@ -362,6 +363,40 @@ def test_interpolated_inverse_matches_per_point_reference(m):
     assert np.max(np.abs(rec - ref)) <= 1e-13 * np.max(np.abs(ref))
     # the origin is a node: the direct sum there, to the bit
     assert np.array_equal(rec[0], transform.inverse(coeffs, pts[:1])[0])
+
+
+def _barycentric_complex(nodes, values, rs):
+    """The second barycentric formula as a complex product over a dense
+    zero test: the reference for transform._barycentric."""
+    wts = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
+    wts[[0, -1]] *= 0.5
+    diff = rs[:, None] - nodes[None, :]
+    hit, at = np.nonzero(diff == 0.0)
+    diff[hit, at] = 1.0
+    kern = wts / diff
+    out = (kern @ values) / np.sum(kern, axis=1)[:, None]
+    out[hit] = values[at]
+    return out
+
+
+@pytest.mark.parametrize("n, L", [(2, 1), (35, 9), (69, 5)])
+def test_barycentric_hits_nodes_to_the_bit(n, L):
+    # radii at 0, at R and at interior nodes, mixed unsorted with others:
+    # a radius on a node gets its values to the bit, every other radius the
+    # complex formula to 1e-15 of the largest value
+    R = 3.0
+    nodes = transform._cheb_nodes(n, R)
+    rng = np.random.default_rng(n)
+    values = np.cos(np.outer(nodes, 1 + np.arange(L))) * (1 + 1j * np.arange(L))
+    on = np.concatenate([[0.0, R], nodes[1:-1][::3]])
+    rs = rng.permutation(np.concatenate([on, rng.uniform(0.0, R, 50)]))
+    out = transform._barycentric(nodes, values, rs)
+    ref = _barycentric_complex(nodes, values, rs)
+    is_node = np.isin(rs, nodes)
+    assert is_node.sum() == on.size
+    for p in np.flatnonzero(is_node):
+        assert np.array_equal(out[p], values[np.flatnonzero(nodes == rs[p])[0]])
+    assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(values))
 
 
 def test_interpolated_inverse_of_non_decaying_coefficients():
