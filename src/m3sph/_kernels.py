@@ -3,9 +3,10 @@
 One implementation per kernel: the radii of a caller's points, the radial
 kernel table, the off-axis evaluator (an e_1 diagonal moved to x by the
 frame W, whose phases are powers of two unit numbers read off x's
-coordinates, in O(d^3) per point), the plane-wave and lattice Fourier sums
-and the reference grid convolution.  Every kernel accumulates in a fixed
-order, so results are bit-for-bit reproducible.
+coordinates, in O(d^3) per point), the plane-wave Fourier sum (the lattice
+sum is its unit-weight case) and the reference grid convolution.  Every
+kernel accumulates in a fixed order, so results are bit-for-bit
+reproducible.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .so3rep import build_irrep
 
 _MILLER_EXTRA = 25  # extra start orders for the downward recurrence
 F_TABLE_JMAX = 64   # highest order f_table serves (see f_table)
+_PHASE_ENTRIES = int(2e7)  # largest phase matrix one plane_wave_sum block builds
 
 # the largest m the numeric constructions and the inversion sum serve: the top
 # of the range `check --profile full` verifies (the limits beyond: README)
@@ -226,41 +228,36 @@ def q_series(weights_at, xs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def plane_wave_sum(nodes, weights, projs, s: float, xs) -> np.ndarray:
-    """Quadrature sum  sum_a w_a exp(-i s <x_p, xi_a>) P_a  for each point.
+def plane_wave_sum(nodes, weights, mats, s: float, xs) -> np.ndarray:
+    """sum_a w_a exp(-i s <x_p, u_a>) M_a at each point x_p; (n, d, d).
 
-    Returns an (n, d, d) complex array.
+    ``nodes`` is (N, 3), ``weights`` (N,), ``mats`` (N, d, d) and ``xs``
+    (n, 3).  The points go in blocks, so no (block, N) phase matrix holds
+    more than _PHASE_ENTRIES entries.
     """
     nodes = np.ascontiguousarray(nodes, dtype=np.float64)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
-    projs = np.ascontiguousarray(projs, dtype=np.complex128)
+    mats = np.ascontiguousarray(mats, dtype=np.complex128)
     xs = np.ascontiguousarray(np.atleast_2d(xs), dtype=np.float64)
-    phases = np.exp(-1j * float(s) * (xs @ nodes.T)) * weights
-    d = projs.shape[1]
-    return (phases @ projs.reshape(nodes.shape[0], d * d)).reshape(-1, d, d)
+    n_nodes, d = mats.shape[:2]
+    flat = mats.reshape(n_nodes, d * d)
+    out = np.empty((xs.shape[0], d, d), dtype=np.complex128)
+    step = max(1, _PHASE_ENTRIES // max(1, n_nodes))
+    for p0 in range(0, xs.shape[0], step):
+        phases = np.exp(-1j * float(s) * (xs[p0 : p0 + step] @ nodes.T)) * weights
+        out[p0 : p0 + step] = (phases @ flat).reshape(-1, d, d)
+    return out
 
 
 def fourier_grid_sum(values, pts, ys, weight: float) -> np.ndarray:
-    """Discrete Fourier sum  w * sum_a values_a exp(-i <pt_a, y_q>).
+    """Discrete Fourier sum  w * sum_a values_a exp(-i <pt_a, y_q>), the
+    plane-wave sum with unit weights at s = 1; (nq, d, d).
 
-    ``values`` is (N, d, d), ``pts`` is (N, 3), ``ys`` is (nq, 3); returns
-    (nq, d, d).  This is the lattice transform at arbitrary frequencies
+    This is the lattice transform at arbitrary frequencies
     (``classical_ft`` of a grid field); the transforms along e_1 factor
     the lattice into slabs instead.
     """
-    values = np.ascontiguousarray(values, dtype=np.complex128)
-    pts = np.ascontiguousarray(pts, dtype=np.float64)
-    ys = np.ascontiguousarray(np.atleast_2d(ys), dtype=np.float64)
-    weight = float(weight)
-    d = values.shape[1]
-    out = np.empty((ys.shape[0], d, values.shape[2]), dtype=np.complex128)
-    flat = values.reshape(pts.shape[0], d * d)
-    # chunk over y to bound the phase-matrix size
-    step = max(1, int(2e7) // max(1, pts.shape[0]))
-    for q0 in range(0, ys.shape[0], step):
-        ph = np.exp(-1j * (ys[q0 : q0 + step] @ pts.T))
-        out[q0 : q0 + step] = weight * (ph @ flat).reshape(-1, d, d)
-    return out
+    return float(weight) * plane_wave_sum(pts, np.ones(len(pts)), values, 1.0, ys)
 
 
 # ---------------------------------------------------------------------------

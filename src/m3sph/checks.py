@@ -334,6 +334,7 @@ def suite_spherical(ms, rng, profile: str) -> dict:
         for _ in range(2 if profile == "quick" else 4):
             xi = _random_unit(rng) * rng.uniform(0.5, 2.0)
             fam = spherical.projections(m, xi)
+            famneg = spherical.projections(m, -xi)
             total = np.zeros((rep.dim, rep.dim), dtype=np.complex128)
             dmat = dtau(rep, fam.direction)
             for j in range(-m, m + 1):
@@ -352,7 +353,6 @@ def suite_spherical(ms, rng, profile: str) -> dict:
                         np.max(np.abs(p @ fam.P(l))),
                         1e-12,
                     )
-                famneg = spherical.projections(m, -xi)
                 rec.case(
                     f"m={m} P_{-j}(xi) = P_{j}(-xi)",
                     np.max(np.abs(fam.P(-j) - famneg.P(j))),
@@ -433,19 +433,18 @@ def suite_transform(ms, rng, profile: str) -> dict:
         ref = F.eval_points(pts)
         rec.case(f"m={m} gaussian roundtrip", np.max(np.abs(recon_pts - ref)), 1e-3)
         # direct vs fast
-        grid_n = 33 if profile == "quick" else 41
+        G = F.to_grid(n=33 if profile == "quick" else 41)
         for _ in range(1 if profile == "quick" else 3):
             s = float(rng.uniform(0.3, 2.0))
             j = int(rng.integers(-m, m + 1))
             fast = transform.spherical_ft(F, s, j, mode="fast")
-            direct = transform.spherical_ft(F, s, j, mode="direct", grid_n=grid_n)
+            direct = transform.spherical_ft(G, s, j, mode="direct")
             rec.case(
                 f"m={m} direct vs fast",
                 abs(direct - fast) / (1 + abs(fast)),
                 1e-4,
             )
             # parity route: integral of Tr[F(x) Phi_{s,-j}(x)] equals the fast path
-            G = F.to_grid(n=grid_n)
             specm = spherical.phi_method1(m, s, -j)
             phi = spherical.eval_phi_batch(specm, G.grid_points())
             via_parity = (

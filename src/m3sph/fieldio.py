@@ -52,7 +52,8 @@ class Config:
     axis on a positive extent, every float must be finite, and an s_max of
     0 means "estimate from the field".  radial_nodes_per_panel and
     panel_width size forward()'s s-grid; the r-rule of the radial-form
-    transform is fixed at 32 nodes per panel of width 4.
+    transform has max(32, ceil(4 s_max / pi) + 16) nodes per panel of
+    width 4 (transform._radial_ft_coeffs).
     """
 
     radial_nodes_per_panel: int = transform.DEFAULT_NODES_PER_PANEL
@@ -116,25 +117,6 @@ class Config:
         return dataclasses.replace(self, **kw)
 
 
-@dataclass(frozen=True)
-class FieldHeader:
-    """Parsed M3SF header."""
-
-    magic: str
-    version: int
-    m: int
-    form: str
-    geometry: dict
-    checksum: str
-
-    def expected_payload_bytes(self) -> int:
-        d = 2 * self.m + 1
-        if self.form == "grid":
-            n0, n1, n2 = self.geometry["n"]
-            return n0 * n1 * n2 * d * d * 16
-        return len(self.geometry["r_grid"]) * d * 16
-
-
 def _checksum(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
@@ -189,7 +171,8 @@ def _finite_number(v) -> bool:
 def _check_geometry(path: str, form: str, geometry: dict) -> None:
     """Raise MalformedHeaderError unless the geometry describes a lattice
     (three positive integer sizes, a finite positive spacing, a finite
-    origin) or a radial grid (a list of finite numbers)."""
+    origin) or a radial grid (a list of at least two finite numbers,
+    strictly increasing from a first node >= 0)."""
     if form == "grid":
         n, spacing, origin = (geometry.get(k) for k in ("n", "spacing", "origin"))
         if not (isinstance(n, list) and len(n) == 3 and all(type(v) is int and v > 0 for v in n)):
@@ -206,6 +189,12 @@ def _check_geometry(path: str, form: str, geometry: dict) -> None:
         r_grid = geometry.get("r_grid")
         if not (isinstance(r_grid, list) and all(map(_finite_number, r_grid))):
             raise MalformedHeaderError(f"{path}: radial r_grid must be a list of finite numbers")
+        if not (len(r_grid) >= 2 and r_grid[0] >= 0
+                and all(a < b for a, b in zip(r_grid, r_grid[1:]))):
+            raise MalformedHeaderError(
+                f"{path}: radial r_grid must hold at least two nodes, strictly increasing "
+                "from a first node >= 0"
+            )
 
 
 def read_field(path: str, ingest_tol: float = 1e-6) -> MatrixField:
@@ -241,29 +230,22 @@ def read_field(path: str, ingest_tol: float = 1e-6) -> MatrixField:
     if not isinstance(geometry, dict):
         raise MalformedHeaderError(f"{path}: missing {form} geometry")
     _check_geometry(path, form, geometry)
-    header = FieldHeader(
-        magic=head["magic"],
-        version=head["version"],
-        m=m,
-        form=form,
-        geometry=geometry,
-        checksum=head.get("checksum", ""),
-    )
-    expected = header.expected_payload_bytes()
+    d = 2 * m + 1
+    rows = math.prod(geometry["n"]) * d if form == "grid" else len(geometry["r_grid"])
+    expected = rows * d * 16
     if len(payload) != expected:
         raise PayloadLengthError(
             f"{path}: payload is {len(payload)} bytes, expected {expected}"
         )
-    if _checksum(payload) != header.checksum:
+    if _checksum(payload) != head.get("checksum", ""):
         raise ChecksumMismatchError(f"{path}: payload checksum mismatch")
-    d = 2 * header.m + 1
     data = np.frombuffer(payload, dtype="<c16")
     if not np.all(np.isfinite(data)):
         raise NonFinitePayloadError(f"{path}: payload holds NaN or infinite values")
     if form == "grid":
         values = data.reshape(*geometry["n"], d, d).copy()
         fld = MatrixField.grid(
-            header.m,
+            m,
             np.array(geometry["origin"], dtype=np.float64),
             float(geometry["spacing"]),
             values,
@@ -279,7 +261,7 @@ def read_field(path: str, ingest_tol: float = 1e-6) -> MatrixField:
     r_grid = np.array(geometry["r_grid"], dtype=np.float64)
     samples = data.reshape(r_grid.size, d).copy()
     profile = _spline_profile(r_grid, samples, {"kind": "from-file", "decays": True})
-    return MatrixField.radial(header.m, profile, r_grid, samples=samples)
+    return MatrixField.radial(m, profile, r_grid, samples=samples)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ P_j(xi) projects onto the i*j*|xi| eigenspace of the axis matrix.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -279,63 +278,33 @@ def band_limit_degree(m: int, s: float, radius: float) -> int:
     return 2 * m + math.ceil(math.e * s * radius) + 10
 
 
-def phi_method2(
-    m: int,
-    s: float,
-    j: int,
-    x,
-    rule: SphereRule | None = None,
-) -> np.ndarray:
-    """Construction 2: (2m+1) * sum_a w_a exp(-i s <x, xi_a>) P_j(xi_a).
-
-    With ``rule=None`` a rule at the band-limit heuristic degree is built.
-    If the provided rule is coarser than the heuristic, the value is
-    re-computed with a doubled rule and a warning carrying the residual
-    estimate is emitted when the two disagree materially.  A rule whose
-    projection stack would exceed _PROJECTION_STACK_MAX_BYTES, the doubled
-    one included, is refused with CapabilityError before it is built.
-    """
+def phi_method2(m: int, s: float, j: int, x) -> np.ndarray:
+    """Construction 2: (2m+1) * sum_a w_a exp(-i s <x, xi_a>) P_j(xi_a), on
+    the sphere rule of degree band_limit_degree(m, s, |x|).  An s|x| whose
+    rule's projection stack would exceed _PROJECTION_STACK_MAX_BYTES is
+    refused with CapabilityError before the rule is built."""
     x = np.asarray(x, dtype=np.float64)
-    vals = phi_method2_batch(m, s, j, x[None, :], rule)
-    return vals[0]
+    return phi_method2_batch(m, s, j, x[None, :])[0]
 
 
-def phi_method2_batch(
-    m: int,
-    s: float,
-    j: int,
-    xs: np.ndarray,
-    rule: SphereRule | None = None,
-) -> np.ndarray:
+def phi_method2_batch(m: int, s: float, j: int, xs: np.ndarray) -> np.ndarray:
+    """phi_method2 at an (n, 3) batch of points, on the one rule that the
+    largest |x| of the batch needs; (n, d, d).  plane_wave_sum takes the
+    points in blocks, so their phases stay within its entry bound."""
     _check_params(m, s, j)
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     radius = float(np.max(radii(xs)))
     limit = _max_rule_degree(m)
-    needed = band_limit_degree(m, s, radius) if math.e * s * radius <= limit else limit + 1
-    top = needed if rule is None else (2 * needed if rule.degree < needed else rule.degree)
-    if top > limit:
+    # band_limit_degree(m, s, radius) <= limit, without the ceil of a huge float
+    if not math.e * s * radius <= limit - 2 * m - 10:
         raise CapabilityError(
             f"the sphere rule for s*|x| = {s * radius:.3g} at m={m} exceeds degree "
             f"{limit}, the largest whose projection stack fits in "
             f"{_PROJECTION_STACK_MAX_BYTES >> 20} MiB"
         )
-    if rule is None:
-        rule = sphere_rule(needed)
+    rule = sphere_rule(band_limit_degree(m, s, radius))
     projs = _projection_stack(m, rule.nodes, j)
-    out = (2 * m + 1) * plane_wave_sum(rule.nodes, rule.weights, projs, s, xs)
-    if rule.degree < needed:
-        dbl = sphere_rule(2 * needed)
-        ref = (2 * m + 1) * plane_wave_sum(
-            dbl.nodes, dbl.weights, _projection_stack(m, dbl.nodes, j), s, xs
-        )
-        resid = float(np.max(np.abs(out - ref)))
-        if resid > 1e-9 * (2 * m + 1):
-            warnings.warn(
-                f"sphere rule of degree {rule.degree} under-resolves the "
-                f"integrand (doubling residual {resid:.2e})",
-                stacklevel=2,
-            )
-    return out
+    return (2 * m + 1) * plane_wave_sum(rule.nodes, rule.weights, projs, s, xs)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,15 @@ def gl_panels(a: float, b: float, per_panel: int = DEFAULT_NODES_PER_PANEL,
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def _axis_weights(g: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """The axis weights g_k(r) r^k of q_series for the coefficients g,
+    (n_r, 2m+1), at the radii rs.  A zero coefficient gives a zero weight
+    at any radius, also where r^k alone overflows."""
+    w = g * rs[:, None] ** np.arange(g.shape[1])
+    w[g == 0] = 0.0
+    return w
+
+
 # ---------------------------------------------------------------------------
 # matrix-valued fields
 # ---------------------------------------------------------------------------
@@ -226,7 +235,7 @@ class MatrixField:
         |x| leaves float range CapabilityError."""
         if self.form != "radial":
             raise ValueError("pointwise evaluation is for radial-form fields")
-        return q_series(lambda rs: self._coefficients(rs) * rs[:, None] ** np.arange(self.dim), xs)
+        return q_series(lambda rs: _axis_weights(self._coefficients(rs), rs), xs)
 
     def to_grid(self, extent: float = DEFAULT_GRID_EXTENT, n: int = DEFAULT_GRID_N) -> "MatrixField":
         """Rasterize a radial-form field on the cube [-extent, extent]^3
@@ -419,8 +428,8 @@ class SphericalCoefficients:
     def from_json(text: str) -> "SphericalCoefficients":
         """Parse the ``to_json`` document.  A missing key, a negative or
         non-integer m, values and weights whose shapes do not match
-        (2m+1, len(s_grid)), or a NaN or infinite entry raise
-        MalformedCoefficientsError."""
+        (2m+1, len(s_grid)), a NaN or infinite entry, or a negative s_grid
+        node raise MalformedCoefficientsError."""
         data = json.loads(text)
         try:
             m = data["m"]
@@ -448,6 +457,8 @@ class SphericalCoefficients:
         for name, arr in (("s_grid", s_grid), ("s_weights", s_weights), ("values", vals)):
             if not np.all(np.isfinite(arr)):
                 raise MalformedCoefficientsError(f"{name} holds NaN or infinite entries")
+        if np.any(s_grid < 0):
+            raise MalformedCoefficientsError("s_grid holds negative nodes")
         return SphericalCoefficients(m=m, s_grid=s_grid, s_weights=s_weights, values=vals)
 
 
@@ -637,8 +648,8 @@ def inverse(
     (quadrature weights stored with the coefficients).  The Q_l
     coefficients c_l(|x|), l = 0..2m, are the inversion sums of
     _radial_sums, computed once per distinct float radius and passed to
-    q_series as the axis weights c_l(r) r^l.  A
-    NaN or infinite point raises ValueError, a radius out of float range
+    q_series as the axis weights c_l(r) r^l (_axis_weights).  A NaN or
+    infinite point raises ValueError, a radius out of float range
     CapabilityError.
     """
     vals = coeffs.values
@@ -650,8 +661,7 @@ def inverse(
             f"(relative tail {tail/peak:.2e}); inversion may be truncated",
             stacklevel=2,
         )
-    L = 2 * coeffs.m + 1
-    return q_series(lambda rs: _radial_sums(coeffs, rs, L - 1) * rs[:, None] ** np.arange(L), xs)
+    return q_series(lambda rs: _axis_weights(_radial_sums(coeffs, rs, 2 * coeffs.m), rs), xs)
 
 
 def apply_multiplier(coeffs: SphericalCoefficients, mu) -> SphericalCoefficients:

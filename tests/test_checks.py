@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from m3sph import checks, radial, spherical
+from m3sph import checks, radial, spherical, transform
 
 
 @pytest.mark.parametrize(
@@ -59,6 +59,22 @@ def test_spherical_suite_evaluates_each_spec_in_one_call(monkeypatch):
     calls = _counting(monkeypatch, spherical, "eval_phi_batch")
     assert checks.suite_spherical([3], np.random.default_rng(0), "quick")["pass"]
     assert len(calls) <= 70
+
+
+def test_spherical_suite_builds_each_projection_family_once(monkeypatch):
+    # at m = 3, quick: per direction xi one family at xi, one at -xi and one
+    # at the rotated xi (two directions)
+    calls = _counting(monkeypatch, spherical, "projections")
+    assert checks.suite_spherical([3], np.random.default_rng(0), "quick")["pass"]
+    assert len(calls) == 6
+
+
+def test_transform_suite_rasterizes_each_field_once(monkeypatch):
+    # full profile at m = 0, 1: one grid per m, shared by the direct and the
+    # parity routes, and the two small grids of the convolution case
+    calls = _counting(monkeypatch, transform.MatrixField, "to_grid")
+    assert checks.suite_transform([0, 1], np.random.default_rng(0), "full")["pass"]
+    assert len(calls) == 4
 
 
 def test_radial_suite_reads_each_stencil_from_one_table(monkeypatch):

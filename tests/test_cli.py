@@ -504,7 +504,8 @@ def test_config_value_that_is_not_a_number_names_its_line(capsys, tmp_path, coef
 
 @pytest.mark.parametrize(
     "breakage",
-    ["missing_key", "values_shape", "weights_length", "negative_m", "nan_value", "inf_s_grid"],
+    ["missing_key", "values_shape", "weights_length", "negative_m", "nan_value", "inf_s_grid",
+     "negative_s_grid"],
 )
 def test_malformed_coefficients_is_format_error(capsys, tmp_path, coeff_file, breakage):
     doc = json.loads(coeff_file[1].read_text())
@@ -518,6 +519,8 @@ def test_malformed_coefficients_is_format_error(capsys, tmp_path, coeff_file, br
         doc["values"][0][3] = [float("nan"), 0.0]
     elif breakage == "inf_s_grid":
         doc["s_grid"][2] = float("inf")
+    elif breakage == "negative_s_grid":
+        doc["s_grid"] = [-s for s in doc["s_grid"]]
     else:
         doc["m"] = -1
     bad = tmp_path / "bad.json"

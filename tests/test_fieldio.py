@@ -171,22 +171,35 @@ def test_malformed_grid_header_is_format_error(tmp_path, key, value):
         read_field(str(bad))
 
 
-@pytest.mark.parametrize("breakage", ["nan_node", "text_node", "nested"])
+@pytest.mark.parametrize("breakage", ["nan_node", "text_node", "nested", "unsorted", "repeated",
+                                      "negative_node", "one_node", "empty"])
 def test_malformed_radial_header_is_format_error(tmp_path, breakage):
+    # the header is refused before its payload is read, so the edits that
+    # shorten r_grid are refused for the grid, not for the payload length
     path, bad = tmp_path / "f.m3sf", tmp_path / "bad.m3sf"
     write_field(synthesize("gaussian", 0), str(path))
 
     def edit(h):
-        r_grid = h["radial"]["r_grid"]  # edits keep its length
+        r_grid = h["radial"]["r_grid"]  # edits above "one_node" keep its length
         if breakage == "nan_node":
             r_grid[3] = float("nan")
         elif breakage == "text_node":
             r_grid[3] = "abc"
+        elif breakage == "unsorted":
+            r_grid[3], r_grid[4] = r_grid[4], r_grid[3]
+        elif breakage == "repeated":
+            r_grid[4] = r_grid[3]
+        elif breakage == "negative_node":
+            r_grid[0] = -1.0
+        elif breakage == "one_node":
+            del r_grid[1:]
+        elif breakage == "empty":
+            r_grid.clear()
         else:
             h["radial"]["r_grid"] = [[r] for r in r_grid]
 
     _rewrite_header(path, bad, edit)
-    with pytest.raises(FieldFormatError):
+    with pytest.raises(MalformedHeaderError):
         read_field(str(bad))
 
 

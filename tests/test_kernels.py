@@ -281,6 +281,30 @@ def test_plane_wave_sum_against_node_loop():
         assert np.max(np.abs(out[p] - ref)) < 1e-12
 
 
+def test_plane_wave_sum_builds_its_phases_in_blocks(monkeypatch):
+    # 4 000 points against 500 nodes: one block of 2e6 phases under the
+    # 2e7-entry bound; under a 1e4-entry bound the sum goes in blocks of 20
+    # points, whose traced peak stays far below the 32 MB of the whole phase
+    # matrix.  BLAS may round a short block's products differently, so the
+    # values agree to rounding, not to the bit
+    rng = np.random.default_rng(3)
+    nodes = rng.normal(size=(500, 3))
+    weights = rng.uniform(0.1, 1.0, 500)
+    mats = rng.normal(size=(500, 3, 3)) + 1j * rng.normal(size=(500, 3, 3))
+    xs = rng.uniform(-2, 2, size=(4000, 3))
+    assert _kernels._PHASE_ENTRIES == int(2e7)
+    whole = _kernels.plane_wave_sum(nodes, weights, mats, 0.9, xs)
+    monkeypatch.setattr(_kernels, "_PHASE_ENTRIES", 10_000)
+    tracemalloc.start()
+    try:
+        blocked = _kernels.plane_wave_sum(nodes, weights, mats, 0.9, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
+    assert peak < 2 << 20
+
+
 def test_fourier_grid_sum_against_node_loop():
     rng = np.random.default_rng(2)
     pts = rng.uniform(-4, 4, size=(300, 3))

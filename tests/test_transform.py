@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 import warnings
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from m3sph import _kernels, fieldio, polyalg, spherical, transform
-from m3sph.errors import CapabilityError, DecompositionError
+from m3sph.errors import CapabilityError, DecompositionError, MalformedCoefficientsError
 from m3sph.radial import RadialProfile
 from m3sph.so3rep import Rotation, build_irrep, tau
 
@@ -286,6 +287,19 @@ def test_a_radius_out_of_float_range_is_refused_without_warnings(gaussian_m1):
                 call()
 
 
+@pytest.mark.parametrize("x", [1e80, 1e100])
+def test_a_zero_coefficient_gives_a_zero_weight_at_any_radius(x):
+    # g_k(|x|) = 0 while |x|^4 overflows: the weight is 0, not 0 * inf, so
+    # the Gaussian is 0 there and its round trip decays, with no warning
+    F = fieldio.synthesize("gaussian", 2)
+    coeffs = transform.forward(F)
+    far = np.array([[x, 0.0, 0.0], [0.0, -x, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(F.eval_points(far), np.zeros((2, 5, 5)))
+        assert np.max(np.abs(transform.inverse(coeffs, far))) <= 1e-12
+
+
 def _inverse_per_point(coeffs, xs):
     """The inversion formula point by point: c_l(x) = C sum_j u_{j,l}
     sum_q w_q s_q^2 values[j, q] s_q^l f_l(s_q |x|), then sum_l c_l Q_l(x) with
@@ -504,6 +518,18 @@ def test_coefficients_json_roundtrip():
     # spline-level accuracy only; quadrature never goes through the spline
     assert abs(complex(prof(np.array([mid]))[0]) - GAUSS_FT(mid)) < 1e-4
     assert complex(prof(np.array([again.s_grid[-1] + 1.0]))[0]) == 0.0
+
+
+def test_coefficients_json_refuses_negative_nodes_and_keeps_zero():
+    # the inversion sum reads f_l(s r) and s^l, so a negated s_grid would
+    # give a silently wrong inverse; s = 0 is a valid node
+    coeffs = transform.forward(fieldio.synthesize("gaussian", 1, {"component": 1}))
+    doc = json.loads(coeffs.to_json())
+    doc["s_grid"][0] = 0.0
+    assert transform.SphericalCoefficients.from_json(json.dumps(doc)).s_grid[0] == 0.0
+    doc["s_grid"] = [-s for s in doc["s_grid"]]
+    with pytest.raises(MalformedCoefficientsError, match="negative"):
+        transform.SphericalCoefficients.from_json(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------
