@@ -5,8 +5,10 @@ kernel table, the off-axis evaluator (an e_1 diagonal moved to x by the
 frame W, whose phases are powers of two unit numbers read off x's
 coordinates, in O(d^3) per point), the plane-wave Fourier sum (the lattice
 sum is its unit-weight case) and the reference grid convolution.  Every
-kernel accumulates in a fixed order, so results are bit-for-bit
-reproducible.
+kernel accumulates in a fixed order, so a call is bit-for-bit reproducible
+for a fixed input shape; the BLAS products round a row differently in a
+block of another size, so a point's value may move in the last bits with
+the batch it is evaluated in.
 """
 
 from __future__ import annotations
@@ -39,24 +41,33 @@ def check_numeric_m(m: int):
 
 def radii(xs: np.ndarray) -> np.ndarray:
     """|x| for an (n, 3) batch of points: the one place a caller's |x| is
-    formed and refused.  The squares of the sorted |x_k| are summed in one
-    fixed order, so points that differ by signs and permutations of their
-    coordinates (the nodes of a lattice with exactly antisymmetric axes on
-    one sphere) share one float radius, and radial work deduplicated by
-    exact float equality runs once per shared radius.  A NaN or infinite
-    coordinate raises ValueError, a radius whose squares overflow
-    CapabilityError.  A row whose largest |x_k| is below 2^-511, whose
+    formed and refused.  The |x_k| are put in ascending order by exact
+    min/max selection and their squares summed in that order, so points
+    that differ by signs and permutations of their coordinates (the nodes
+    of a lattice with exactly antisymmetric axes on one sphere) share one
+    float radius, and radial work deduplicated by exact float equality
+    runs once per shared radius.  A NaN or infinite coordinate raises
+    ValueError, a radius whose squares overflow CapabilityError.  A row whose largest |x_k| is below 2^-511, whose
     squares would be subnormal, is scaled by the exact 2^600 first and its
     radius by 2^-600 after, so a tiny point keeps its radius to the ulp.
     """
     if not np.isfinite(xs).all():
         raise ValueError("evaluation points must be finite")
-    a = np.sort(np.abs(xs), axis=1)
-    tiny = a[:, 2] < 2.0**-511
-    a[tiny] *= 2.0**600
+    x, y, z = np.abs(xs).T
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    a = np.minimum(lo, z), np.maximum(lo, np.minimum(hi, z)), np.maximum(hi, z)  # ascending
+    tiny = a[2] < 2.0**-511
+    scaled = tiny.any()
+    if scaled:
+        for c in a:
+            c[tiny] *= 2.0**600
     with np.errstate(over="ignore"):
-        r = np.sqrt(a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1] + a[:, 2] * a[:, 2])
-    r[tiny] = np.ldexp(r[tiny], -600)
+        r = np.square(a[0], out=a[0])
+        r += np.square(a[1], out=a[1])
+        r += np.square(a[2], out=a[2])
+        np.sqrt(r, out=r)
+    if scaled:
+        r[tiny] = np.ldexp(r[tiny], -600)
     if not np.isfinite(r).all():
         raise CapabilityError("a point's radius |x| is not finite: it is out of float range")
     return r

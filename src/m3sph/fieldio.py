@@ -117,7 +117,7 @@ class Config:
         return dataclasses.replace(self, **kw)
 
 
-def _checksum(payload: bytes) -> str:
+def _checksum(payload) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
@@ -129,11 +129,11 @@ def write_field(field: MatrixField, path: str) -> None:
             "spacing": field.spacing,
             "origin": field.origin.tolist(),
         }
-        payload = np.ascontiguousarray(field.values, dtype="<c16").tobytes()
+        payload = memoryview(np.ascontiguousarray(field.values, dtype="<c16"))
         geo_key = "grid"
     else:
         geometry = {"r_grid": field.r_grid.tolist()}
-        payload = np.ascontiguousarray(field.sample_profiles(), dtype="<c16").tobytes()
+        payload = memoryview(np.ascontiguousarray(field.sample_profiles(), dtype="<c16"))
         geo_key = "radial"
     header = {
         "magic": MAGIC,
@@ -148,7 +148,7 @@ def write_field(field: MatrixField, path: str) -> None:
     atomic_write(path, line.encode("ascii"), payload)
 
 
-def atomic_write(path: str, *chunks: bytes) -> None:
+def atomic_write(path: str, *chunks) -> None:
     """Write the chunks to ``path`` through a temporary file in the same
     directory and a rename, so ``path`` never holds a partial file."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -209,7 +209,10 @@ def read_field(path: str, ingest_tol: float = 1e-6) -> MatrixField:
     """
     with open(path, "rb") as fh:
         raw = fh.readline()
-        payload = fh.read()
+        # one read into a buffer of its own, so the values start aligned
+        payload = bytearray(max(0, os.fstat(fh.fileno()).st_size - len(raw)))
+        del payload[fh.readinto(payload):]
+        payload += fh.read()  # what the size did not count (a pipe, a growing file)
     try:
         head = json.loads(raw.decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -243,7 +246,7 @@ def read_field(path: str, ingest_tol: float = 1e-6) -> MatrixField:
     if not np.all(np.isfinite(data)):
         raise NonFinitePayloadError(f"{path}: payload holds NaN or infinite values")
     if form == "grid":
-        values = data.reshape(*geometry["n"], d, d).copy()
+        values = data.reshape(*geometry["n"], d, d)
         fld = MatrixField.grid(
             m,
             np.array(geometry["origin"], dtype=np.float64),
@@ -259,7 +262,7 @@ def read_field(path: str, ingest_tol: float = 1e-6) -> MatrixField:
             )
         return fld
     r_grid = np.array(geometry["r_grid"], dtype=np.float64)
-    samples = data.reshape(r_grid.size, d).copy()
+    samples = data.reshape(r_grid.size, d)
     profile = _spline_profile(r_grid, samples, {"kind": "from-file", "decays": True})
     return MatrixField.radial(m, profile, r_grid, samples=samples)
 

@@ -93,6 +93,7 @@ _INGEST_ROTATIONS = [
     Rotation(axis=np.array([0, 0, 1.0]), angle=np.pi / 2),
     Rotation(axis=np.array([0, 0, 1.0]), angle=np.pi),
 ]
+_DIAGNOSTIC_ENTRIES = 2**15  # matrix entries per block of the ingest diagnostic
 
 
 @dataclass
@@ -259,8 +260,10 @@ class MatrixField:
         stored as ``equivariance_residual``.  Each k^-1 is a signed
         permutation of the axes, so F(k^-1 x) is ``values`` with axes
         flipped and transposed (no point coordinates are rounded), and the
-        transport is one product of the flattened matrices with
-        kron(tau, conj tau)^T.
+        transport is a product of the flattened matrices with
+        kron(tau, conj tau)^T, taken over blocks of first-axis slabs (about
+        _DIAGNOSTIC_ENTRIES entries) so that no full-size temporary is made.
+        The modulus is a hypot, so no finite payload overflows.
         """
         if self.form == "radial":
             return 0.0
@@ -274,18 +277,24 @@ class MatrixField:
             return None
         rep = spherical._rep(self.m)
         d2 = self.dim * self.dim
-        flat = self.values.reshape(-1, d2)
-        scale = float(np.max(np.abs(flat))) or 1.0
-        worst = 0.0
+        turns = []
         for rot in _INGEST_ROTATIONS:
             # source index along axis k: i_{p(k)}, reversed where the sign is -1
             perm = np.rint(rot.inverse().matrix).astype(int)
             p = np.argmax(np.abs(perm), axis=1)
             flipped = np.flip(self.values, axis=tuple(np.flatnonzero(perm[np.arange(3), p] < 0)))
-            src = flipped.transpose(*np.argsort(p), 3, 4).reshape(-1, d2)
             tk = tau(rep, rot)
-            transported = src @ np.kron(tk, tk.conj()).T
-            worst = max(worst, float(np.max(np.abs(transported - flat))) / scale)
+            turns.append((flipped.transpose(*np.argsort(p), 3, 4), np.kron(tk, tk.conj()).T))
+        step = max(1, _DIAGNOSTIC_ENTRIES // (n1 * n2 * d2))
+        scale = worst = 0.0
+        for i in range(0, n0, step):
+            flat = self.values[i:i + step].reshape(-1, d2)
+            scale = max(scale, float(np.max(np.abs(flat))))
+            for src, transport in turns:
+                moved = src[i:i + step].reshape(-1, d2) @ transport
+                moved -= flat
+                worst = max(worst, float(np.max(np.abs(moved))))
+        worst /= scale or 1.0
         self.equivariance_residual = worst
         return worst
 

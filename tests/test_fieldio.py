@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from m3sph import _kernels, fieldio, spherical, transform
+from m3sph.cli import main
 from m3sph.errors import (
     ChecksumMismatchError,
     FieldFormatError,
@@ -128,6 +130,70 @@ def test_error_taxonomy(tmp_path):
     bad.write_bytes(head + b"\n" + bytes(flipped))
     with pytest.raises(ChecksumMismatchError):
         read_field(str(bad))
+
+
+@pytest.mark.parametrize("m,form", [(1, "grid"), (2, "radial")])
+def test_trailing_payload_bytes_are_a_length_error(tmp_path, m, form):
+    F = synthesize("gaussian", m)
+    path = tmp_path / "f.m3sf"
+    write_field(F.to_grid(extent=2.0, n=5) if form == "grid" else F, str(path))
+    path.write_bytes(path.read_bytes() + bytes(16))
+    with pytest.raises(PayloadLengthError):
+        read_field(str(path))
+
+
+@pytest.mark.parametrize("content,error", [
+    (b"", MalformedHeaderError),
+    (b"M3SF", MalformedHeaderError),
+    ("header", PayloadLengthError),  # a valid header line with no newline after it
+])
+def test_a_file_without_a_newline_is_all_header(capsys, tmp_path, content, error):
+    F = synthesize("gaussian", 1).to_grid(extent=2.0, n=5)
+    path = tmp_path / "f.m3sf"
+    write_field(F, str(path))
+    if content == "header":
+        content = path.read_bytes().split(b"\n", 1)[0]
+    path.write_bytes(content)
+    with pytest.raises(error):
+        read_field(str(path))
+    out_path = tmp_path / "out.m3sf"
+    code = main(["filter", "--in", str(path), "--out", str(out_path), "--multiplier", "laplacian"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err and "Traceback" not in err
+    assert not out_path.exists()
+
+
+def test_read_values_are_writable_and_aligned(tmp_path):
+    # the payload lands in a buffer of its own: no copy, and no misaligned
+    # view at the header's byte offset
+    G = synthesize("gaussian", 1).to_grid(extent=2.0, n=5)
+    R = synthesize("gaussian", 2, {"component": 3})
+    for F, name in ((G, "g.m3sf"), (R, "r.m3sf")):
+        write_field(F, str(tmp_path / name))
+    values = read_field(str(tmp_path / "g.m3sf")).values
+    samples = read_field(str(tmp_path / "r.m3sf")).sample_profiles()
+    for arr, ref in ((values, G.values), (samples, R.sample_profiles())):
+        assert arr.flags.writeable and arr.flags.aligned
+        assert np.array_equal(arr, ref)
+        arr[0] += 1.0
+        assert arr[0].ravel()[0] == ref[0].ravel()[0] + 1.0
+
+
+def test_read_field_reads_a_pipe(tmp_path):
+    # a pipe reports no size: the payload is whatever follows the header
+    F = synthesize("gaussian", 1).to_grid(extent=2.0, n=5)
+    path, fifo = tmp_path / "f.m3sf", tmp_path / "pipe"
+    write_field(F, str(path))
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+    writer.start()
+    try:
+        G = read_field(str(fifo))
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert np.array_equal(G.values, F.values)
 
 
 def _rewrite_header(src, dst, edit):

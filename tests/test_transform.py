@@ -750,6 +750,60 @@ def test_equivariance_diagnostic_matches_rotate_and_round(m, n):
     assert abs(G.equivariance_diagnostic() - ref) <= 1e-12 * ref
 
 
+def _whole_array_diagnostic(F):
+    """The ingest diagnostic as one pass over the whole arrays per quarter
+    turn: flip and transpose ``values``, one product with
+    kron(tau, conj tau)^T, one difference and its modulus."""
+    rep = build_irrep(F.m)
+    d2 = F.dim * F.dim
+    flat = F.values.reshape(-1, d2)
+    scale = float(np.max(np.abs(flat))) or 1.0
+    worst = 0.0
+    for rot in transform._INGEST_ROTATIONS:
+        perm = np.rint(rot.inverse().matrix).astype(int)
+        p = np.argmax(np.abs(perm), axis=1)
+        flipped = np.flip(F.values, axis=tuple(np.flatnonzero(perm[np.arange(3), p] < 0)))
+        src = flipped.transpose(*np.argsort(p), 3, 4).reshape(-1, d2)
+        tk = tau(rep, rot)
+        worst = max(worst, float(np.max(np.abs(src @ np.kron(tk, tk.conj()).T - flat))) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("m,n,slabs", [(1, 41, None), (4, 7, 3), (2, 9, 4), (3, 5, 0)])
+def test_blocked_diagnostic_matches_the_whole_array_pass(monkeypatch, m, n, slabs):
+    # slabs=None keeps the module's block bound; a bound below one slab
+    # still takes one slab per block; every other case ends in a short block
+    d = 2 * m + 1
+    if slabs is not None:
+        monkeypatch.setattr(transform, "_DIAGNOSTIC_ENTRIES", slabs * n * n * d * d)
+    step = max(1, transform._DIAGNOSTIC_ENTRIES // (n * n * d * d))
+    assert step == 1 or n % step != 0
+    rng = np.random.default_rng(10 * m + n)
+    G = fieldio.synthesize("gaussian", m, {"component": m}).to_grid(extent=3.0, n=n)
+    G.values[1, 2, 3] += 1e-3 * rng.normal(size=(d, d))
+    R = transform.MatrixField.grid(
+        m, G.origin, G.spacing, rng.normal(size=G.values.shape) + 1j * rng.normal(size=G.values.shape)
+    )
+    for F in (G, R):
+        ref = _whole_array_diagnostic(F)
+        assert abs(F.equivariance_diagnostic() - ref) <= 1e-12 * ref
+
+
+def test_diagnostic_of_a_huge_field_is_finite_and_unchanged():
+    # the modulus is a hypot: re^2 + im^2 would overflow at 1e300 and give inf/inf
+    rng = np.random.default_rng(12)
+    G = fieldio.synthesize("gaussian", 2, {"component": 2}).to_grid(extent=3.0, n=7)
+    G.values[1, 2, 3] += 1e-3 * rng.normal(size=(5, 5))
+    R = transform.MatrixField.grid(2, G.origin, G.spacing, rng.normal(size=G.values.shape) + 0j)
+    for F in (G, R):
+        ref = F.equivariance_diagnostic()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = transform.MatrixField.grid(2, F.origin, F.spacing, F.values * 1e300)
+            got = huge.equivariance_diagnostic()
+        assert np.isfinite(got) and abs(got - ref) <= 1e-12 * ref
+
+
 def test_symmetric_lattice_is_exactly_antisymmetric():
     for extent, n in ((8.0, 41), (3.0, 7), (0.7, 9)):
         pts = transform.MatrixField.cube(0, extent, n, lambda pts: np.zeros(len(pts))).grid_points()
@@ -786,6 +840,50 @@ def test_radii_of_tiny_points_keep_their_precision():
     # signs, permutations and the shared radius hold for tiny points too
     xs = np.array([[1e-170, 0.0, 2e-170], [0.0, -2e-170, 1e-170], [3.0, 4.0, 0.0]])
     assert np.array_equal(transform.radii(xs), [transform.radii(xs[:1])[0]] * 2 + [5.0])
+
+
+def _sorted_radii(xs):
+    """|x| from the np.sort of the |x_k|, summed in the same order radii() sums."""
+    a = np.sort(np.abs(xs), axis=1)
+    tiny = a[:, 2] < 2.0**-511
+    a[tiny] *= 2.0**600
+    r = np.sqrt(a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1] + a[:, 2] * a[:, 2])
+    r[tiny] = np.ldexp(r[tiny], -600)
+    return r
+
+
+def test_radii_order_the_coordinates_exactly():
+    rng = np.random.default_rng(21)
+    n = 600
+    wide = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    ties = np.repeat(rng.normal(size=(n, 1)), 3, axis=1)
+    ties[np.arange(n // 2), rng.integers(0, 3, n // 2)] = rng.normal(size=n // 2)  # two of three equal
+    zeros = rng.choice([0.0, -0.0, 1.0, 2.5], size=(n, 3))  # ±0.0 among values, all-zero rows
+    tiny = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-323, -154, size=(n, 1))
+    tiny[::7, 1] = 5e-324
+    huge = rng.uniform(0.0, 7e153, size=(n, 3))  # squares sum to below the float maximum
+    huge[::5] = [7e153, 7e153, 7e153]
+    xs = np.concatenate([wide, ties, zeros, tiny, huge])
+    xs *= rng.choice([-1.0, 1.0], size=xs.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = _kernels.radii(xs)
+    assert np.array_equal(r.view(np.uint64), _sorted_radii(xs).view(np.uint64))
+    assert np.isfinite(r).all() and r.max() > 1e154
+
+
+@pytest.mark.parametrize("row,error", [
+    ([np.nan, 0.0, 0.0], ValueError),
+    ([1.0, -np.inf, 0.0], ValueError),
+    ([1e200, 1e200, 0.0], CapabilityError),
+    ([1e154, 1e154, 1e154], CapabilityError),  # each square finite, their sum not
+])
+def test_radii_refuse_what_they_cannot_form(row, error):
+    xs = np.array([[1.0, 2.0, 3.0], row])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            _kernels.radii(xs)
 
 
 @pytest.fixture(scope="module")
