@@ -3,8 +3,9 @@
 One implementation per kernel: the radii of a caller's points, the radial
 kernel table, the off-axis evaluator (an e_1 diagonal moved to x by the
 frame W, whose phases are powers of two unit numbers read off x's
-coordinates, in O(d^3) per point), the plane-wave Fourier sum (the lattice
-sum is its unit-weight case) and the reference grid convolution.  Every
+coordinates, in O(d^3) per point), the plane-wave Fourier sum of the
+lattice transform and the reference grid convolution (a zero-padded FFT
+convolution over the lattice axes).  Every
 kernel accumulates in a fixed order, so a call is bit-for-bit reproducible
 for a fixed input shape; the BLAS products round a row differently in a
 block of another size, so a point's value may move in the last bits with
@@ -24,7 +25,7 @@ from .so3rep import build_irrep
 
 _MILLER_EXTRA = 25  # extra start orders for the downward recurrence
 F_TABLE_JMAX = 64   # highest order f_table serves (see f_table)
-_PHASE_ENTRIES = int(2e7)  # largest phase matrix one plane_wave_sum block builds
+_PHASE_ENTRIES = int(2e7)  # largest phase array of one block (plane_wave_sum, construction 2)
 
 # the largest m the numeric constructions and the inversion sum serve: the top
 # of the range `check --profile full` verifies (the limits beyond: README)
@@ -239,15 +240,14 @@ def q_series(weights_at, xs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def plane_wave_sum(nodes, weights, mats, s: float, xs) -> np.ndarray:
-    """sum_a w_a exp(-i s <x_p, u_a>) M_a at each point x_p; (n, d, d).
+def plane_wave_sum(nodes, mats, xs) -> np.ndarray:
+    """sum_a exp(-i <x_p, u_a>) M_a at each point x_p; (n, d, d).
 
-    ``nodes`` is (N, 3), ``weights`` (N,), ``mats`` (N, d, d) and ``xs``
-    (n, 3).  The points go in blocks, so no (block, N) phase matrix holds
-    more than _PHASE_ENTRIES entries.
+    ``nodes`` is (N, 3), ``mats`` (N, d, d) and ``xs`` (n, 3).  The points
+    go in blocks, so no (block, N) phase matrix holds more than
+    _PHASE_ENTRIES entries.
     """
     nodes = np.ascontiguousarray(nodes, dtype=np.float64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
     mats = np.ascontiguousarray(mats, dtype=np.complex128)
     xs = np.ascontiguousarray(np.atleast_2d(xs), dtype=np.float64)
     n_nodes, d = mats.shape[:2]
@@ -255,20 +255,19 @@ def plane_wave_sum(nodes, weights, mats, s: float, xs) -> np.ndarray:
     out = np.empty((xs.shape[0], d, d), dtype=np.complex128)
     step = max(1, _PHASE_ENTRIES // max(1, n_nodes))
     for p0 in range(0, xs.shape[0], step):
-        phases = np.exp(-1j * float(s) * (xs[p0 : p0 + step] @ nodes.T)) * weights
-        out[p0 : p0 + step] = (phases @ flat).reshape(-1, d, d)
+        out[p0 : p0 + step] = (np.exp(-1j * (xs[p0 : p0 + step] @ nodes.T)) @ flat).reshape(-1, d, d)
     return out
 
 
 def fourier_grid_sum(values, pts, ys, weight: float) -> np.ndarray:
     """Discrete Fourier sum  w * sum_a values_a exp(-i <pt_a, y_q>), the
-    plane-wave sum with unit weights at s = 1; (nq, d, d).
+    plane-wave sum times w; (nq, d, d).
 
     This is the lattice transform at arbitrary frequencies
     (``classical_ft`` of a grid field); the transforms along e_1 factor
     the lattice into slabs instead.
     """
-    return float(weight) * plane_wave_sum(pts, np.ones(len(pts)), values, 1.0, ys)
+    return float(weight) * plane_wave_sum(pts, values, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -281,23 +280,12 @@ def grid_convolution(v1: np.ndarray, v2: np.ndarray, center, vol: float) -> np.n
 
     ``center`` is the lattice index of the spatial origin; contributions
     falling outside the lattice are dropped (fields are assumed to have
-    decayed there).  O(N^2) by construction: this is the slow reference
-    path that the transform-domain product is checked against.
+    decayed there).  That truncated sum is a zero-padded FFT convolution
+    over the three lattice axes (length 2n - 1: nothing wraps around), one
+    matrix product per frequency, cropped from ``center``; it is
+    independent of the spherical transform it checks.
     """
-    v1 = np.ascontiguousarray(v1, dtype=np.complex128)
-    v2 = np.ascontiguousarray(v2, dtype=np.complex128)
-    c0, c1, c2 = (int(c) for c in center)
-    n0, n1, n2 = v1.shape[:3]
-    out = np.zeros_like(v1)
-    for m0 in range(n0):
-        lo0, hi0 = max(0, m0 - c0), min(n0, n0 + m0 - c0)
-        s0 = slice(lo0 - m0 + c0, hi0 - m0 + c0)
-        for m1 in range(n1):
-            lo1, hi1 = max(0, m1 - c1), min(n1, n1 + m1 - c1)
-            s1 = slice(lo1 - m1 + c1, hi1 - m1 + c1)
-            for m2 in range(n2):
-                lo2, hi2 = max(0, m2 - c2), min(n2, n2 + m2 - c2)
-                s2 = slice(lo2 - m2 + c2, hi2 - m2 + c2)
-                out[lo0:hi0, lo1:hi1, lo2:hi2] += v1[s0, s1, s2] @ v2[m0, m1, m2]
-    out *= float(vol)
-    return out
+    size = tuple(2 * n - 1 for n in v1.shape[:3])
+    f1, f2 = (np.fft.fftn(v, s=size, axes=(0, 1, 2)) for v in (v1, v2))
+    full = np.fft.ifftn(f1 @ f2, axes=(0, 1, 2))
+    return float(vol) * full[tuple(slice(int(c), int(c) + n) for c, n in zip(center, v1.shape))]

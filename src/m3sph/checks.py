@@ -232,9 +232,8 @@ def suite_spherical(ms, rng, profile: str) -> dict:
                 1e-10 * s,
             )
     if profile == "full":
-        # the top of the numeric range, near |x| = 1 where construction 2's
-        # sphere rule still fits its byte budget; construction 2 costs ~2 s
-        # a call there, so it runs at j = m only
+        # the top of the numeric range, at one point near |x| = 1; construction
+        # 2 costs ~10 ms a call there, one FFT over the azimuth per polar node
         s, x = 1.0, np.array([0.3, -0.4, 0.8])
         for j in (-top, 0, top):
             spec1 = spherical.phi_method1(top, s, j)
@@ -243,12 +242,11 @@ def suite_spherical(ms, rng, profile: str) -> dict:
                 np.max(np.abs(spec1.coeffs - spherical.phi_method3(top, s, j).coeffs)),
                 1e-10,
             )
-            if j == top:
-                rec.case(
-                    f"m={top} s={s} j={j} method1 vs method2",
-                    np.max(np.abs(spherical.eval_phi(spec1, x) - spherical.phi_method2(top, s, j, x))),
-                    1e-6,
-                )
+            rec.case(
+                f"m={top} s={s} j={j} method1 vs method2",
+                np.max(np.abs(spherical.eval_phi(spec1, x) - spherical.phi_method2(top, s, j, x))),
+                1e-6,
+            )
             lap = _laplacian_fd(lambda p: spherical.eval_phi_batch(spec1, p), x[None, :], 1e-2)[0]
             rec.case(
                 f"m={top} s={s} j={j} laplacian eigenfunction",

@@ -7,7 +7,8 @@ routes implemented here must agree and their mutual agreement is the
 central oracle of the package:
 
 1. eigenvectors of the tridiagonal action on span{f_l^s Q_l},
-2. a plane-wave average of spectral projections over the sphere,
+2. a plane-wave average of spectral projections over the sphere (one
+   projection per polar node, the azimuth summed by an FFT),
 3. a Lagrange polynomial in the tridiagonal matrix applied to the
    coefficient vector of the scalar spherical function.
 
@@ -31,17 +32,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import so3rep
+from . import _kernels, so3rep
 from ._kernels import (M_MAX_NUMERIC, axis_diagonals, axis_transport,  # noqa: F401
-                       check_numeric_m, f_table, plane_wave_sum, q_series, radii)
+                       check_numeric_m, f_table, q_series, radii)
 from .errors import CapabilityError
 from .polyalg import coeff_table, lagrange_unit_eigvec, unit_eigvec
 from .radial import _check_scale
 
 
-# bytes one sphere rule's (nodes, d, d) projection stack may take; construction 2
-# refuses an s*|x| that would need a larger rule, before it builds any
-_PROJECTION_STACK_MAX_BYTES = 1 << 27
+# the most polar nodes construction 2's sphere rule may have (degree 4095); it
+# refuses an s*|x| that would need more, before it builds any array
+_MAX_POLAR_NODES = 2048
 
 
 @lru_cache(maxsize=None)
@@ -246,30 +247,31 @@ class SphereRule:
 
 
 @lru_cache(maxsize=64)
+def _polar_factor(n_polar: int):
+    """The factors of the sphere rules with n_polar polar nodes, read-only:
+    the Gauss-Legendre cosines mu of the polar angle from e_1 and their
+    sines, the node weights w / (2 n_az), and the cosines and sines of the
+    n_az = 2 n_polar azimuths."""
+    mu, w = np.polynomial.legendre.leggauss(n_polar)
+    az = 2.0 * np.pi * np.arange(2 * n_polar) / (2 * n_polar)
+    factor = mu, np.sqrt(1.0 - mu**2), w / (4.0 * n_polar), np.cos(az), np.sin(az)
+    for a in factor:
+        a.setflags(write=False)
+    return factor
+
+
+@lru_cache(maxsize=64)
 def sphere_rule(degree: int) -> SphereRule:
     """The rule of ``degree``, cached per degree with read-only arrays."""
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    n_polar = max(1, math.ceil((degree + 1) / 2))
-    mu, w = np.polynomial.legendre.leggauss(n_polar)
-    n_az = 2 * n_polar
-    phi = 2.0 * np.pi * np.arange(n_az) / n_az
-    sin_t = np.sqrt(1.0 - mu**2)
-    nodes = np.empty((n_polar * n_az, 3))
-    nodes[:, 0] = np.repeat(mu, n_az)
-    nodes[:, 1] = np.repeat(sin_t, n_az) * np.tile(np.cos(phi), n_polar)
-    nodes[:, 2] = np.repeat(sin_t, n_az) * np.tile(np.sin(phi), n_polar)
-    weights = np.repeat(w, n_az) / (2.0 * n_az)
+    mu, sin_t, wk, cos_az, sin_az = _polar_factor(max(1, math.ceil((degree + 1) / 2)))
+    cols = np.broadcast_arrays(mu[:, None], sin_t[:, None] * cos_az, sin_t[:, None] * sin_az)
+    nodes = np.stack(cols, axis=-1).reshape(-1, 3)
+    weights = np.repeat(wk, len(cos_az))
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return SphereRule(nodes=nodes, weights=weights, degree=degree)
-
-
-def _max_rule_degree(m: int) -> int:
-    """The largest degree whose sphere rule's projection stack, 2 n_polar^2
-    complex d x d matrices, fits _PROJECTION_STACK_MAX_BYTES."""
-    n_polar = math.isqrt(_PROJECTION_STACK_MAX_BYTES // (32 * (2 * m + 1) ** 2))
-    return 2 * n_polar - 1
 
 
 def band_limit_degree(m: int, s: float, radius: float) -> int:
@@ -281,30 +283,46 @@ def band_limit_degree(m: int, s: float, radius: float) -> int:
 def phi_method2(m: int, s: float, j: int, x) -> np.ndarray:
     """Construction 2: (2m+1) * sum_a w_a exp(-i s <x, xi_a>) P_j(xi_a), on
     the sphere rule of degree band_limit_degree(m, s, |x|).  An s|x| whose
-    rule's projection stack would exceed _PROJECTION_STACK_MAX_BYTES is
-    refused with CapabilityError before the rule is built."""
+    rule would need more than _MAX_POLAR_NODES polar nodes is refused with
+    CapabilityError before any array is built."""
     x = np.asarray(x, dtype=np.float64)
     return phi_method2_batch(m, s, j, x[None, :])[0]
 
 
 def phi_method2_batch(m: int, s: float, j: int, xs: np.ndarray) -> np.ndarray:
     """phi_method2 at an (n, 3) batch of points, on the one rule that the
-    largest |x| of the batch needs; (n, d, d).  plane_wave_sum takes the
-    points in blocks, so their phases stay within its entry bound."""
+    largest |x| of the batch needs; (n, d, d).  The rule is a product around
+    e_1, and a turn by phi about e_1 multiplies entry (a, b) of P_j by
+    e^{-i(a-b) phi}, so polar node k adds P_j(theta_k, 0) times G_{a-b}(x, k),
+    the length n_az FFT over the azimuths of the phases e^{-is<x, xi_kl>}
+    (the discrete Jacobi-Anger expansion).  The points go in blocks, so no
+    phase, FFT or gathered array holds more than _PHASE_ENTRIES entries."""
     _check_params(m, s, j)
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     radius = float(np.max(radii(xs)))
-    limit = _max_rule_degree(m)
-    # band_limit_degree(m, s, radius) <= limit, without the ceil of a huge float
-    if not math.e * s * radius <= limit - 2 * m - 10:
+    # ceil((band_limit_degree + 1) / 2) <= _MAX_POLAR_NODES, without the ceil of a huge float
+    if not math.e * s * radius <= 2 * _MAX_POLAR_NODES - 2 * m - 11:
         raise CapabilityError(
-            f"the sphere rule for s*|x| = {s * radius:.3g} at m={m} exceeds degree "
-            f"{limit}, the largest whose projection stack fits in "
-            f"{_PROJECTION_STACK_MAX_BYTES >> 20} MiB"
+            f"the sphere rule for s*|x| = {s * radius:.3g} at m={m} needs more than "
+            f"{_MAX_POLAR_NODES} polar nodes (degree {2 * _MAX_POLAR_NODES - 1})"
         )
-    rule = sphere_rule(band_limit_degree(m, s, radius))
-    projs = _projection_stack(m, rule.nodes, j)
-    return (2 * m + 1) * plane_wave_sum(rule.nodes, rule.weights, projs, s, xs)
+    n_polar = math.ceil((band_limit_degree(m, s, radius) + 1) / 2)
+    mu, sin_t, wk, cos_az, sin_az = _polar_factor(n_polar)
+    n_az, d = 2 * n_polar, 2 * m + 1
+    base = np.stack([mu, sin_t, np.zeros(n_polar)], axis=1)  # the nodes at azimuth 0
+    projs = _projection_stack(m, base, j) * wk[:, None, None]
+    diffs = np.subtract.outer(np.arange(d), np.arange(d)) % n_az  # the FFT index of a - b
+    out = np.empty((xs.shape[0], d, d), dtype=np.complex128)
+    step = max(1, _kernels._PHASE_ENTRIES // (n_polar * max(n_az, d * d)))
+    for p0 in range(0, xs.shape[0], step):
+        x = xs[p0 : p0 + step]
+        # <x, xi_kl> = x_1 mu_k + sin_k (x_2 cos phi_l + x_3 sin phi_l); its phase and FFT in place
+        g = (x[:, 1:2] * cos_az + x[:, 2:3] * sin_az)[:, None, :] * sin_t[:, None]
+        g += (x[:, :1] * mu)[:, :, None]
+        g = g * (-1j * s)
+        np.fft.fft(np.exp(g, out=g), axis=2, out=g)
+        out[p0 : p0 + step] = np.einsum("pkab,kab->pab", g[:, :, diffs], projs)
+    return (2 * m + 1) * out
 
 
 # ---------------------------------------------------------------------------

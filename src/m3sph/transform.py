@@ -730,16 +730,12 @@ def schwartz_decompose(F: MatrixField) -> MatrixField:
 def convolve(F1: MatrixField, F2: MatrixField) -> MatrixField:
     """Direct-quadrature convolution of two grid fields on one lattice.
 
-    (F1 * F2)(x) = int F1(x - y) F2(y) dy, matrix product inside.  O(N^2);
-    meant for oracle use on small grids.
+    (F1 * F2)(x) = int F1(x - y) F2(y) dy, matrix product inside, as the
+    truncated lattice sum (grid_convolution); meant for oracle use.
     """
     if F1.form != "grid" or F2.form != "grid":
         raise ValueError("convolution expects grid-form fields")
     if F1.shape != F2.shape or abs(F1.spacing - F2.spacing) > 1e-12:
         raise ValueError("fields must share the lattice")
-    center = F1.center_index()
-    vol = F1.spacing**3
-    v1 = F1.values
-    v2 = F2.values
-    out = grid_convolution(v1, v2, center, vol)
+    out = grid_convolution(F1.values, F2.values, F1.center_index(), F1.spacing**3)
     return MatrixField.grid(F1.m, F1.origin, F1.spacing, out)

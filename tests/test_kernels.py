@@ -267,17 +267,14 @@ def test_q_series_refuses_a_non_finite_diagonal():
 def test_plane_wave_sum_against_node_loop():
     rng = np.random.default_rng(1)
     nodes = rng.normal(size=(40, 3))
-    nodes /= np.linalg.norm(nodes, axis=1)[:, None]
-    weights = rng.uniform(0.1, 1.0, 40)
     projs = rng.normal(size=(40, 3, 3)) + 1j * rng.normal(size=(40, 3, 3))
     xs = rng.uniform(-2, 2, size=(6, 3))
-    s = 1.7
-    out = _kernels.plane_wave_sum(nodes, weights, projs, s, xs)
+    out = _kernels.plane_wave_sum(nodes, projs, xs)
     assert out.shape == (6, 3, 3)
     for p, x in enumerate(xs):
         ref = np.zeros((3, 3), dtype=complex)
         for a in range(len(nodes)):
-            ref += weights[a] * cmath.exp(-1j * s * float(nodes[a] @ x)) * projs[a]
+            ref += cmath.exp(-1j * float(nodes[a] @ x)) * projs[a]
         assert np.max(np.abs(out[p] - ref)) < 1e-12
 
 
@@ -289,15 +286,14 @@ def test_plane_wave_sum_builds_its_phases_in_blocks(monkeypatch):
     # values agree to rounding, not to the bit
     rng = np.random.default_rng(3)
     nodes = rng.normal(size=(500, 3))
-    weights = rng.uniform(0.1, 1.0, 500)
     mats = rng.normal(size=(500, 3, 3)) + 1j * rng.normal(size=(500, 3, 3))
     xs = rng.uniform(-2, 2, size=(4000, 3))
     assert _kernels._PHASE_ENTRIES == int(2e7)
-    whole = _kernels.plane_wave_sum(nodes, weights, mats, 0.9, xs)
+    whole = _kernels.plane_wave_sum(nodes, mats, xs)
     monkeypatch.setattr(_kernels, "_PHASE_ENTRIES", 10_000)
     tracemalloc.start()
     try:
-        blocked = _kernels.plane_wave_sum(nodes, weights, mats, 0.9, xs)
+        blocked = _kernels.plane_wave_sum(nodes, mats, xs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -320,12 +316,19 @@ def test_fourier_grid_sum_against_node_loop():
         assert np.max(np.abs(out[q] - weight * ref)) < 1e-10
 
 
-def test_grid_convolution_against_loop_reference():
-    # independent O(N^2) reference with explicit coordinate bookkeeping
+@pytest.mark.parametrize("d", [1, 2])
+def test_grid_convolution_against_loop_reference(d):
+    # independent O(N^2) reference with explicit coordinate bookkeeping; at
+    # d = 2 the random complex matrices do not commute, so the product order
+    # inside the sum is pinned
     rng = np.random.default_rng(4)
     n = 4
-    v1 = rng.normal(size=(n, n, n, 1, 1)).astype(complex)
-    v2 = rng.normal(size=(n, n, n, 1, 1)).astype(complex)
+
+    def field():
+        v = rng.normal(size=(n, n, n, d, d))
+        return v + 1j * rng.normal(size=v.shape) if d > 1 else v.astype(complex)
+
+    v1, v2 = field(), field()
     c = (1, 2, 1)
     vol = 0.3
     ref = np.zeros_like(v1)
@@ -339,5 +342,8 @@ def test_grid_convolution_against_loop_reference():
                             if all(0 <= ai < n for ai in a):
                                 ref[i0, i1, i2] += v1[a] @ v2[m0, m1, m2]
     ref *= vol
+    if d > 1:
+        assert np.max(np.abs(v1[0, 0, 0] @ v2[1, 1, 1] - v2[1, 1, 1] @ v1[0, 0, 0])) > 0.1
     out = _kernels.grid_convolution(v1, v2, c, vol)
+    assert out.shape == v1.shape
     assert np.max(np.abs(out - ref)) < 1e-12

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 import scipy.special
 
-from m3sph import checks, spherical
+from m3sph import _kernels, checks, spherical
 from m3sph.errors import CapabilityError, ConsistencyError
 from m3sph.so3rep import Rotation, build_irrep, dtau, tau
 from m3sph.spherical import (
@@ -500,6 +502,75 @@ def test_three_method_agreement(m):
             assert np.max(np.abs(v1 - v3)) < 1e-10
             v2 = phi_method2_batch(m, s, j, xs)
             assert np.max(np.abs(v1 - v2)) < 1e-6
+
+
+@pytest.mark.parametrize("s, tol", [(3.0, 1e-12), (30.0, 1e-11)])
+def test_method2_at_the_top_m_against_method1(s, tol):
+    # m = 26 on normal random points, s|x| up to ~60: one projection per polar
+    # node, so the rule's size no longer depends on d.  At s = 30 the bound is
+    # set by numpy's Gauss-Legendre weights, ~1e-11 relative at 160 nodes
+    # (over 30 seeds: up to 2.7e-13 at s = 3, 4.4e-12 at s = 30)
+    m = spherical.M_MAX_NUMERIC
+    xs = np.random.default_rng(21).normal(size=(4, 3))
+    for j in (-m, 0, m):
+        v1 = eval_phi_batch(phi_method1(m, s, j), xs)
+        v2 = phi_method2_batch(m, s, j, xs)
+        assert np.max(np.abs(v1 - v2)) <= tol * np.max(np.abs(v1))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_method2_matches_the_product_rule_sum(m):
+    # reference: the plane-wave sum over every node of the sphere rule, each
+    # node with its own projection
+    rng = np.random.default_rng(13)
+    xs = rng.normal(size=(5, 3))
+    radius = np.max(spherical.radii(xs))
+    for s, j in ((0.5, -m), (1.0, 0), (2.0, m)):
+        rule = sphere_rule(spherical.band_limit_degree(m, s, radius))
+        phases = np.exp(-1j * s * (xs @ rule.nodes.T)) * rule.weights
+        projs = spherical._projection_stack(m, rule.nodes, j)
+        ref = (2 * m + 1) * np.einsum("pa,aij->pij", phases, projs)
+        assert np.max(np.abs(phi_method2_batch(m, s, j, xs) - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [0, spherical.M_MAX_NUMERIC])
+def test_method2_refusal_falls_at_one_polar_node_count(monkeypatch, m):
+    # the bound is 2048 polar nodes at every m: the band-limit degree
+    # 2m + ceil(e s|x|) + 10 reaches 4095 at s|x| = (4085 - 2m)/e, which is
+    # 1502.8 at m = 0 and 1483.6 at m = 26.  Just below it the rule is built
+    # (stopped at its first array), just above it is refused
+    class Built(Exception):
+        pass
+
+    def polar_factor(n_polar):
+        assert n_polar == 2048
+        raise Built
+
+    monkeypatch.setattr(spherical, "_polar_factor", polar_factor)
+    limit = (4085 - 2 * m) / math.e
+    assert 1480 < limit < 1510
+    x = np.array([[0.6, 0.0, 0.8]])
+    with pytest.raises(Built):
+        phi_method2_batch(m, limit * (1 - 1e-12), 0, x)
+    with pytest.raises(CapabilityError, match="more than 2048 polar nodes"):
+        phi_method2_batch(m, limit * (1 + 1e-12), 0, x)
+
+
+def test_method2_builds_its_phases_in_blocks(monkeypatch):
+    # under a 2e4-entry bound 200 points at m = 1 go in blocks of one or two
+    # points (n_polar = 10, n_az = 20 for s|x| <= 3.6); the values agree with
+    # one whole block to rounding
+    xs = np.random.default_rng(14).uniform(-2, 2, size=(200, 3)) * 0.5
+    whole = phi_method2_batch(1, 1.0, 1, xs)
+    monkeypatch.setattr(_kernels, "_PHASE_ENTRIES", 20_000)
+    tracemalloc.start()
+    try:
+        blocked = phi_method2_batch(1, 1.0, 1, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(blocked - whole)) <= 1e-14
+    assert peak < 2 << 20
 
 
 # ---------------------------------------------------------------------------
