@@ -271,7 +271,7 @@ def fourier_grid_sum(values, pts, ys, weight: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# direct grid convolution (oracle-grade; used by the homomorphism check)
+# lattice convolution by zero-padded FFT (used by the homomorphism check)
 # ---------------------------------------------------------------------------
 
 

@@ -113,7 +113,6 @@ def suite_polyalg(ms, rng, profile: str) -> dict:
     for m in ms:
         if m > M_MAX_EXACT:
             continue
-        gens = polyalg.exact_generators(m)
         table = polyalg.coeff_table(m)
         qs = polyalg.build_Q(m)
         rec.exact(f"m={m} a_1 = casimir", len(table.a) == 2 * m and (m == 0 or table.a[0] == table.c))
@@ -121,15 +120,15 @@ def suite_polyalg(ms, rng, profile: str) -> dict:
             rec.exact(f"m={m} Q_{j} homogeneous", q.is_homogeneous(j) and not q.is_zero())
             rec.exact(f"m={m} laplacian Q_{j} = 0", polyalg.laplacian(q).is_zero())
             if j >= 1:
-                lowered = polyalg.apply_dtau_op(gens, q) - qs[j - 1].scale(table.a[j - 1])
+                lowered = polyalg.apply_dtau_op(q) - qs[j - 1].scale(table.a[j - 1])
                 rec.exact(f"m={m} D Q_{j} = a_{j} Q_{j-1}", lowered.is_zero())
             for i in range(3):
                 rec.exact(
                     f"m={m} equivariance Q_{j} axis {i}",
-                    polyalg.equivariance_defect(gens, q, i).is_zero(),
+                    polyalg.equivariance_defect(q, i).is_zero(),
                 )
         if m >= 1:
-            top = (qs[1] @ qs[2 * m]) - polyalg.apply_dtau_op(gens, qs[2 * m]).mul_r2().scale(
+            top = (qs[1] @ qs[2 * m]) - polyalg.apply_dtau_op(qs[2 * m]).mul_r2().scale(
                 polyalg.rational(1, 4 * m + 1)
             )
             rec.exact(f"m={m} terminating product", top.is_zero())
@@ -453,7 +452,8 @@ def suite_transform(ms, rng, profile: str) -> dict:
                 abs(via_parity - fast) / (1 + abs(fast)),
                 1e-4,
             )
-        # convolution homomorphism (full profile only: O(N^2) oracle)
+        # convolution homomorphism (full profile only): the convolution is a
+        # lattice one, by zero-padded FFT, independent of the spherical transform
         if profile == "full" and m == 1:
             F2 = synthesize("gaussian", m, {"sigma": 1.2, "component": 1})
             G1 = F.to_grid(6.0, 13)

@@ -95,6 +95,8 @@ def cmd_radial(args) -> int:
         raise _Usage("radial currently only emits tables; pass --table")
     if not (math.isfinite(args.s) and math.isfinite(args.rmax)):
         raise _Usage("--s and --rmax must be finite")
+    if args.n < 0:
+        raise _Usage(f"--n must be a non-negative row count, got {args.n}")
     jmax = args.jmax if args.jmax is not None else 2 * args.m
     rs = np.linspace(0.0, args.rmax, args.n)
     cols = f_upto(jmax, args.s * rs)
@@ -148,6 +150,8 @@ def cmd_phi(args) -> int:
 def _phi_table(m: int, s: float, j: int, args) -> int:
     if not math.isfinite(args.rmax):
         raise _Usage("--rmax must be finite")
+    if args.table < 0:
+        raise _Usage(f"--table must be a non-negative row count, got {args.table}")
     rs = np.linspace(0.0, args.rmax, args.table)
     spec = spherical.phi_method1(m, s, j)
     xs = np.zeros((rs.size, 3))

@@ -282,10 +282,12 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
       bump              transform-side Gaussian bump at s0 of the given
                         width, pushed through the inversion formula.
 
-    params must be a mapping.  sigma and width must be finite and positive,
-    amplitude and s0 finite (s0 >= 0 for the bump), and component an
-    integer; anything else raises ValueError.
+    m must be a non-negative integer and params a mapping.  sigma and width
+    must be finite and positive, amplitude and s0 finite (s0 >= 0 for the
+    bump), and component an integer; anything else raises ValueError.
     """
+    if m < 0 or m != int(m):
+        raise ValueError("m must be a non-negative integer")
     if params is not None and not isinstance(params, Mapping):
         raise ValueError(f"synthesis parameters must be a mapping, got {params!r}")
     params = dict(params or {})

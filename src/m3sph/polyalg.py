@@ -10,9 +10,10 @@ rounds once: the s = 1 coefficients of the spherical functions
 (e1_diagonals).
 
 Every coefficient is a real rational in the split form.  A MatPoly holds
-them as Python int numerators over one common denominator; Fraction is
-used only for the scalar vectors above and where the coefficients return
-to x and the weight basis.  Two changes of coordinates make them real
+them as Python int numerators over one common denominator, and the
+generators B_i (exact_generators) are built once per m in that form;
+Fraction is used only for the scalar vectors above and for the strings of
+the JSON form.  Two changes of coordinates make the coefficients real
 rationals, and every identity above is invariant under both.
 
 * A rescaled, rational basis.  The weight-basis generators have ladder
@@ -28,7 +29,7 @@ rationals, and every identity above is invariant under both.
 Only numerical evaluation and the JSON form return to x and the weight
 basis (see _weight_basis): the x^e coefficient is (-i)^(e1+e2) times the
 y^e coefficient, and its entry (a, b) carries the factor d_a/d_b =
-c*sqrt(f), with c rational and f square-free.
+(p/q)*sqrt(f), with p, q integers and f square-free.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ _ZERO = _Q(0)
 
 # the split-form metric: |x|^2 = sum_i eta_i y_i^2
 _ETA = (-1, -1, 1)
+
+# the exponents of y_1, y_2, y_3
+_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 # K_i = c_i S^-1 Y_i S, the rotation field x -> Y_i x of so3rep.SO3_GENERATORS
 # written in y (x = S y, S = diag(i, i, 1)) and scaled by c = (i, i, 1) so it
@@ -92,10 +96,10 @@ def _square_free(n: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def _weight_factors(dim: int) -> tuple:
-    """The factor d_a/d_b of every entry (a, b) as a pair (c, f) standing for
-    c*sqrt(f), with c rational and f square-free.  d_a/d_b is sqrt(N) below
-    the diagonal and 1/sqrt(N) above it, N the product of n_q over
-    min(a, b) <= q < max(a, b)."""
+    """The factor d_a/d_b of every entry (a, b) as an integer triple
+    (p, q, f) standing for (p/q)*sqrt(f), with f square-free.  d_a/d_b is
+    sqrt(N) below the diagonal and 1/sqrt(N) above it, N the product of n_q
+    over min(a, b) <= q < max(a, b)."""
     m = (dim - 1) // 2
     n = [(m - mu) * (m + mu + 1) for mu in range(-m, m)]
     rows = []
@@ -103,7 +107,7 @@ def _weight_factors(dim: int) -> tuple:
         row = []
         for b in range(dim):
             s, f = _square_free(math.prod(n[min(a, b):max(a, b)]))
-            row.append((_Q(s) if a >= b else _Q(1, s * f), f))
+            row.append((s, 1, f) if a >= b else (1, s * f, f))
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -111,11 +115,11 @@ def _weight_factors(dim: int) -> tuple:
 def _weight_basis(e: Monomial, num: np.ndarray, den: int) -> tuple[bool, list]:
     """The x^e coefficient (-i)^(e1+e2) D (num/den) D^-1 of the term
     (num/den) * y^e as (imag, rows): the coefficient is i*rows if imag, else
-    rows, and each entry of rows is a pair (v, f) standing for v*sqrt(f),
-    with v rational and f square-free."""
+    rows, and each entry of rows is an integer triple (p, q, f) standing for
+    (p/q)*sqrt(f), with q > 0 and f square-free (p = 0 for a zero entry)."""
     sign, imag = _PHASES[(e[0] + e[1]) % 4]
     return imag, [
-        [(_Q(x, den) * c * sign if x else x, f) for x, (c, f) in zip(row, frow)]
+        [(x * p * sign, den * q, f) for x, (p, q, f) in zip(row, frow)]
         for row, frow in zip(num, _weight_factors(len(num)))
     ]
 
@@ -132,17 +136,6 @@ def _reduced(dim: int, terms: dict, den: int) -> "MatPoly":
     if g > 1:
         terms = {e: n // g for e, n in terms.items()}
     return MatPoly(dim, terms, den // g)
-
-
-def _from_rationals(dim: int, mats: dict) -> "MatPoly":
-    """The MatPoly sum_e mats[e] y^e of matrices of rationals (rows of
-    Fraction or int) over the lcm of their denominators."""
-    den = math.lcm(*(x.denominator for mat in mats.values() for row in mat for x in row))
-    nums = {
-        e: np.array([[x.numerator * (den // x.denominator) for x in row] for row in mat], dtype=object)
-        for e, mat in mats.items()
-    }
-    return _reduced(dim, nums, den)
 
 
 @dataclass(frozen=True)
@@ -171,18 +164,6 @@ class MatPoly:
     @staticmethod
     def identity(dim: int) -> "MatPoly":
         return MatPoly(dim, {(0, 0, 0): np.identity(dim, dtype=object)})
-
-    @staticmethod
-    def constant(mat) -> "MatPoly":
-        """The constant polynomial of a matrix of rationals."""
-        return _from_rationals(len(mat), {(0, 0, 0): mat})
-
-    @staticmethod
-    def linear(mats) -> "MatPoly":
-        """sum_i y_i * mats[i], for matrices of rationals."""
-        return _from_rationals(
-            len(mats[0]), {tuple(int(k == i) for k in range(3)): mat for i, mat in enumerate(mats)}
-        )
 
     # -- ring operations -----------------------------------------------
     def __add__(self, other: "MatPoly") -> "MatPoly":
@@ -232,13 +213,11 @@ class MatPoly:
     # -- calculus ------------------------------------------------------
     def diff(self, axis: int) -> "MatPoly":
         """d/dy_axis."""
-        out = {}
-        for e, n in self.terms.items():
-            k = e[axis]
-            if k:
-                ne = list(e)
-                ne[axis] -= 1
-                out[tuple(ne)] = k * n
+        out = {
+            e[:axis] + (e[axis] - 1,) + e[axis + 1 :]: e[axis] * n
+            for e, n in self.terms.items()
+            if e[axis]
+        }
         return _reduced(self.dim, out, self.den)
 
     # -- queries ---------------------------------------------------------
@@ -262,7 +241,8 @@ class MatPoly:
         out = []
         for e, n in self.terms.items():
             imag, rows = _weight_basis(e, n, self.den)
-            mat = np.array([[float(v) * math.sqrt(f) for v, f in row] for row in rows])
+            # one correctly rounded integer division per entry, as float(Fraction(p, q))
+            mat = np.array([[p / q * math.sqrt(f) for p, q, f in row] for row in rows])
             out.append((e, 1j * mat if imag else mat))
         return out
 
@@ -284,18 +264,9 @@ class MatPoly:
         records = []
         for e in sorted(self.terms):
             imag, rows = _weight_basis(e, self.terms[e], self.den)
-            records.append(
-                {
-                    "exponents": list(e),
-                    "matrix": [
-                        [
-                            [["0", str(v), f] if imag else [str(v), "0", f]] if v else []
-                            for v, f in row
-                        ]
-                        for row in rows
-                    ],
-                }
-            )
+            cell = (lambda v, f: ["0", v, f]) if imag else (lambda v, f: [v, "0", f])
+            matrix = [[[cell(str(_Q(p, q)), f)] if p else [] for p, q, f in row] for row in rows]
+            records.append({"exponents": list(e), "matrix": matrix})
         return records
 
 
@@ -309,35 +280,39 @@ def _check_m(m: int):
         )
 
 
-def exact_generators(m: int):
+@lru_cache(maxsize=None)
+def exact_generators(m: int) -> tuple:
     """Exact generators B = (i A_1, i A_2, A_3) of the type-m irrep in the
-    split form and the rational basis.
+    split form and the rational basis, as constant MatPolys.
 
     (A_1, A_2, A_3) are the weight-basis generators carried to the rational
     basis, D^-1 A_i D with D = diag(d_p), d_p = prod_{q<p} sqrt(n_q) and
     n_q = (m - mu_q)(m + mu_q + 1).  So Q_1 = sum_i x_i A_i = sum_i y_i B_i.
     B_1 = diag(-mu); the ladder entries of B_2 are -1/2 below the diagonal
     and -n_q/2 above it, and those of B_3 are 1/2 below and -n_q/2 above.
-    Every entry is a real rational, and twice every entry is an integer.
-    MatPoly.linear(B).eval(e_i) is the weight-basis A_i: MatPoly.eval undoes
-    both the substitution and the similarity.
+    Every entry is a real rational, and twice every entry is an integer, so
+    each B_i is built from those integers over the denominator 2.
+    (sum_i y_i B_i).eval(e_i) is the weight-basis A_i: MatPoly.eval undoes
+    both the substitution and the similarity.  Cached per m; the numerator
+    arrays are read-only.
     """
     _check_m(m)
     d = 2 * m + 1
-    half = _Q(1, 2)
-    b1, b2, b3 = ([[_ZERO] * d for _ in range(d)] for _ in range(3))
+    twice = [np.zeros((d, d), dtype=object) for _ in range(3)]
     for p in range(d):
-        b1[p][p] = _Q(m - p)  # -mu
+        twice[0][p, p] = 2 * (m - p)  # -mu
     for p in range(d - 1):
         mu = p - m
         n = (m - mu) * (m + mu + 1)
         # B_2 = i A_2 = -Jx: -(1/2) sqrt(n) on both ladder entries -> -1/2 below, -n/2 above
         # B_3 = A_3 = i Jy: +(1/2) sqrt(n) below, -(1/2) sqrt(n) above -> 1/2 below, -n/2 above
-        b2[p + 1][p] = -half
-        b2[p][p + 1] = -half * n
-        b3[p + 1][p] = half
-        b3[p][p + 1] = -half * n
-    return tuple(tuple(tuple(r) for r in g) for g in (b1, b2, b3))
+        twice[1][p + 1, p], twice[1][p, p + 1] = -1, -n
+        twice[2][p + 1, p], twice[2][p, p + 1] = 1, -n
+    gens = tuple(_reduced(d, {(0, 0, 0): t}, 2) for t in twice)
+    for g in gens:
+        for num in g.terms.values():
+            num.setflags(write=False)
+    return gens
 
 
 @dataclass(frozen=True)
@@ -352,9 +327,11 @@ class CoeffTable:
         return np.array([float(x) for x in self.a], dtype=np.float64)
 
 
+@lru_cache(maxsize=None, typed=True)
 def coeff_table(m: int) -> CoeffTable:
     """Closed-form lowering coefficients: a_1 = c and
-    a_{k+1} = ((k+1)^2/(2k+1)) * (c + (k^2+2k)/4)."""
+    a_{k+1} = ((k+1)^2/(2k+1)) * (c + (k^2+2k)/4).  Cached per m and its
+    type; the table is immutable."""
     if m < 0 or m != int(m):
         raise ValueError("m must be a non-negative integer")
     c = _Q(-m * (m + 1))
@@ -439,44 +416,46 @@ def laplacian(P: MatPoly) -> MatPoly:
     return out
 
 
-def apply_dtau_op(gens, P: MatPoly) -> MatPoly:
+def apply_dtau_op(P: MatPoly) -> MatPoly:
     """The invariant operator sum_i A_i * dP/dx_i = sum_i eta_i B_i * dP/dy_i
-    (left multiplication), for the split-form generators B of
-    exact_generators."""
+    (left multiplication), with the split-form generators B of
+    exact_generators for P's type."""
+    gens = exact_generators((P.dim - 1) // 2)
     out = MatPoly.zero(P.dim)
     for i in range(3):
-        out = out + (MatPoly.constant(gens[i]).scale(_ETA[i]) @ P.diff(i))
+        out = out + (gens[i].scale(_ETA[i]) @ P.diff(i))
     return out
 
 
 def build_Q(m: int) -> list[MatPoly]:
     """The generator family Q_0..Q_{2m} by the lowering recursion
-    Q_{j+1} = Q_1 Q_j - (r^2 a_j / (2j+1)) Q_{j-1}."""
+    Q_{j+1} = Q_1 Q_j - (r^2 a_j / (2j+1)) Q_{j-1}, from
+    Q_1 = sum_i y_i B_i."""
     _check_m(m)
-    gens = exact_generators(m)
     table = coeff_table(m)
     d = 2 * m + 1
     qs = [MatPoly.identity(d)]
     if m == 0:
         return qs
-    qs.append(MatPoly.linear(gens))
+    q1 = MatPoly.zero(d)
+    for b, e in zip(exact_generators(m), _UNIT):
+        q1 = q1 + b.mul_monomial(e)
+    qs.append(q1)
     for j in range(1, 2 * m):
         coeff = table.a[j - 1] / (2 * j + 1)  # a_j / (2j+1)
         qs.append((qs[1] @ qs[j]) - qs[j - 1].mul_r2().scale(coeff))
     return qs
 
 
-def equivariance_defect(gens, P: MatPoly, i: int) -> MatPoly:
+def equivariance_defect(P: MatPoly, i: int) -> MatPoly:
     """c_i ([A_i, P(x)] - dP(x)[Y_i x]) = [B_i, P(y)] - dP(y)[K_i y], with
-    c = (i, i, 1), the split-form generators B of exact_generators and the
-    real fields K_i of _ROTATION_FIELDS.  The zero polynomial iff P is
-    equivariant at the infinitesimal level for axis i."""
-    bi = MatPoly.constant(gens[i])
+    c = (i, i, 1), the split-form generators B of exact_generators for P's
+    type and the real fields K_i of _ROTATION_FIELDS.  The zero polynomial
+    iff P is equivariant at the infinitesimal level for axis i."""
+    bi = exact_generators((P.dim - 1) // 2)[i]
     out = (bi @ P) - (P @ bi)
     for a, b, k in _ROTATION_FIELDS[i]:
-        mono = [0, 0, 0]
-        mono[b] = 1
-        out = out - P.diff(a).mul_monomial(tuple(mono), k)
+        out = out - P.diff(a).mul_monomial(_UNIT[b], k)
     return out
 
 

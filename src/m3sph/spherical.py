@@ -296,10 +296,14 @@ def phi_method2_batch(m: int, s: float, j: int, xs: np.ndarray) -> np.ndarray:
     e^{-i(a-b) phi}, so polar node k adds P_j(theta_k, 0) times G_{a-b}(x, k),
     the length n_az FFT over the azimuths of the phases e^{-is<x, xi_kl>}
     (the discrete Jacobi-Anger expansion).  The points go in blocks, so no
-    phase, FFT or gathered array holds more than _PHASE_ENTRIES entries."""
+    phase, FFT or gathered array holds more than _PHASE_ENTRIES entries.
+    An empty batch gives an empty stack."""
     _check_params(m, s, j)
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    radius = float(np.max(radii(xs)))
+    rs = radii(xs)
+    if not rs.size:
+        return np.empty((0, 2 * m + 1, 2 * m + 1), dtype=np.complex128)
+    radius = float(np.max(rs))
     # ceil((band_limit_degree + 1) / 2) <= _MAX_POLAR_NODES, without the ceil of a huge float
     if not math.e * s * radius <= 2 * _MAX_POLAR_NODES - 2 * m - 11:
         raise CapabilityError(
@@ -378,13 +382,15 @@ def check_positive_type(spec: SphericalFunctionSpec, points, vectors) -> float:
     """Minimum eigenvalue of the Gram matrix <Phi(x_a - x_b) v_b, v_a>.
 
     Positive-type functions give PSD Gram matrices, so the result should
-    only dip below zero by rounding error.
+    only dip below zero by rounding error.  It takes 1 to 12 points.
     """
     points = np.asarray(points, dtype=np.float64)
     vectors = np.asarray(vectors, dtype=np.complex128)
     n = points.shape[0]
     if n != vectors.shape[0]:
         raise ValueError("points and vectors must pair up")
+    if n == 0:
+        raise ValueError("Gram check needs at least one point")
     if n > 12:
         raise ValueError("Gram check is limited to 12 points")
     radii(points)  # the differences of refused points could overflow first

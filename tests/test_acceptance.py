@@ -26,16 +26,15 @@ def _report(name: str, detail: str):
 def test_A1_exact_identity_suite():
     t0 = time.time()
     for m in range(5):
-        gens = polyalg.exact_generators(m)
         table = polyalg.coeff_table(m)
         qs = polyalg.build_Q(m)
         for j, q in enumerate(qs):
             assert polyalg.laplacian(q).is_zero(), f"laplacian Q_{j} m={m}"
             if j >= 1:
-                defect = polyalg.apply_dtau_op(gens, q) - qs[j - 1].scale(table.a[j - 1])
+                defect = polyalg.apply_dtau_op(q) - qs[j - 1].scale(table.a[j - 1])
                 assert defect.is_zero(), f"lowering Q_{j} m={m}"
         if m >= 1:
-            top = (qs[1] @ qs[2 * m]) - polyalg.apply_dtau_op(gens, qs[2 * m]).mul_r2().scale(
+            top = (qs[1] @ qs[2 * m]) - polyalg.apply_dtau_op(qs[2 * m]).mul_r2().scale(
                 polyalg.rational(1, 4 * m + 1)
             )
             assert top.is_zero(), f"terminating identity m={m}"

@@ -156,6 +156,16 @@ def test_phi_table_non_finite_rmax_is_usage_error(capsys, value):
     assert err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("phi", "--m", "0", "--s", "1", "--j", "0", "--table", "-3"), "--table"),
+    (("radial", "--table", "--n", "-2"), "--n"),
+])
+def test_negative_row_count_names_its_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"{flag} must be a non-negative row count" in err
+
+
 def test_radial_table(capsys):
     code, out, _ = run_cli(capsys, "radial", "--table", "--jmax", "1", "--rmax", "1", "--n", "2")
     assert code == 0
@@ -587,6 +597,14 @@ def test_malformed_synth_params_is_usage_error(capsys, tmp_path, kind, params):
     )
     assert (code, out) == (2, "")
     assert err
+    assert not out_path.exists()
+
+
+def test_synth_negative_m_is_usage_error(capsys, tmp_path):
+    out_path = tmp_path / "f.m3sf"
+    code, out, err = run_cli(capsys, "synth", "gaussian", "--m", "-1", "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert "m must be a non-negative integer" in err
     assert not out_path.exists()
 
 

@@ -328,6 +328,12 @@ def test_synthesize_kinds_and_errors():
     assert np.allclose(P.profile(rr)[..., 0], np.cos(3 * rr) * np.exp(-(rr**2) / 2))
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "bump", "plane-wave-packet"])
+def test_synthesize_refuses_a_negative_m_first(kind):
+    with pytest.raises(ValueError, match="m must be a non-negative integer"):
+        synthesize(kind, -1)
+
+
 def test_bump_roundtrips_through_transform():
     B = synthesize("bump", 0, {"s0": 2.0, "width": 0.5})
     coeffs = transform.forward(B, s_max=6.0)

@@ -119,11 +119,44 @@ def test_exact_generators_match_numeric():
     # the exact generators B live in the split form and the rational basis;
     # Q_1 = sum_i y_i B_i evaluated at e_i restores A_i in the weight basis
     for m in range(5):
-        q1 = MatPoly.linear(exact_generators(m))
+        q1 = MatPoly.zero(2 * m + 1)
+        for i, b in enumerate(exact_generators(m)):
+            q1 = q1 + b.mul_monomial(tuple(int(k == i) for k in range(3)))
         numeric = build_irrep(m).generators
         for i, g_num in enumerate(numeric):
             mat = q1.eval(np.eye(3)[i])
             assert np.allclose(mat, g_num, atol=1e-15)
+
+
+def test_exact_generators_are_cached_read_only():
+    gens = exact_generators(2)
+    assert exact_generators(2) is gens
+    assert coeff_table(2) is coeff_table(2)
+    for g in gens:
+        for num in g.terms.values():
+            assert not num.flags.writeable
+            with pytest.raises(ValueError):
+                num[0, 0] = 1
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_float_terms_match_the_fraction_formula_bit_for_bit(m):
+    # one integer division p/q rounds as float(Fraction) does: every entry of
+    # every term of Q_0..Q_2m is float(x/den * c * sign) * sqrt(f), with the
+    # weight factor c * sqrt(f) = d_a/d_b from _square_free
+    d = 2 * m + 1
+    n = [(m - mu) * (m + mu + 1) for mu in range(-m, m)]
+    for q in build_Q(m):
+        assert [e for e, _ in q._float_terms] == list(q.terms)
+        for e, mat in q._float_terms:
+            sign, imag = polyalg._PHASES[(e[0] + e[1]) % 4]
+            want = np.empty((d, d))
+            for a in range(d):
+                for b in range(d):
+                    c, f = polyalg._square_free(math.prod(n[min(a, b) : max(a, b)]))
+                    c = Fraction(c) if a >= b else Fraction(1, c * f)
+                    want[a, b] = float(Fraction(q.terms[e][a, b], q.den) * c * sign) * math.sqrt(f)
+            assert (mat.imag if imag else mat.real).tobytes() == want.tobytes()
 
 
 def test_exact_generators_capability_cap():
@@ -134,18 +167,15 @@ def test_exact_generators_capability_cap():
 
 
 def test_m0_generators_zero():
-    gens = exact_generators(0)
-    assert all(not x for g in gens for row in g for x in row)
+    assert all(g.is_zero() for g in exact_generators(0))
     assert build_Q(0)[0] == MatPoly.identity(1)
 
 
 def test_exact_casimir():
     for m, expected in ((1, -2), (2, -6)):
-        gens = exact_generators(m)
         acc = MatPoly.zero(2 * m + 1)
-        for eta, g in zip((-1, -1, 1), gens):
-            gp = MatPoly.constant(g)
-            acc = acc + (gp @ gp).scale(eta)
+        for eta, g in zip((-1, -1, 1), exact_generators(m)):
+            acc = acc + (g @ g).scale(eta)
         assert acc == MatPoly.identity(2 * m + 1).scale(expected)
 
 
@@ -162,14 +192,13 @@ def test_laplacian_basics():
 
 def test_dtau_op_examples():
     for m in (1, 2, 3):
-        gens = exact_generators(m)
         qs = build_Q(m)
         table = coeff_table(m)
-        assert polyalg.apply_dtau_op(gens, qs[0]).is_zero()
-        lowered = polyalg.apply_dtau_op(gens, qs[1])
+        assert polyalg.apply_dtau_op(qs[0]).is_zero()
+        lowered = polyalg.apply_dtau_op(qs[1])
         assert lowered == MatPoly.identity(2 * m + 1).scale(rational(-m * (m + 1)))
         for j in range(1, 2 * m + 1):
-            assert (polyalg.apply_dtau_op(gens, qs[j]) - qs[j - 1].scale(table.a[j - 1])).is_zero()
+            assert (polyalg.apply_dtau_op(qs[j]) - qs[j - 1].scale(table.a[j - 1])).is_zero()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -184,8 +213,7 @@ def test_q_family_harmonic_homogeneous(m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_terminating_product_identity(m):
     qs = build_Q(m)
-    gens = exact_generators(m)
-    top = (qs[1] @ qs[2 * m]) - polyalg.apply_dtau_op(gens, qs[2 * m]).mul_r2().scale(
+    top = (qs[1] @ qs[2 * m]) - polyalg.apply_dtau_op(qs[2 * m]).mul_r2().scale(
         rational(1, 4 * m + 1)
     )
     assert top.is_zero()
@@ -194,21 +222,19 @@ def test_terminating_product_identity(m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_infinitesimal_equivariance_exact(m):
     qs = build_Q(m)
-    gens = exact_generators(m)
     for q in qs:
         for i in range(3):
-            assert polyalg.equivariance_defect(gens, q, i).is_zero()
+            assert polyalg.equivariance_defect(q, i).is_zero()
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_equivariance_defect_detects_non_equivariant_constant(m):
     # the constant B_1 commutes with B_1 only: its defect vanishes for
     # axis 1 and not for axes 2 and 3
-    gens = exact_generators(m)
-    P = MatPoly.constant(gens[0])
-    assert polyalg.equivariance_defect(gens, P, 0).is_zero()
-    assert not polyalg.equivariance_defect(gens, P, 1).is_zero()
-    assert not polyalg.equivariance_defect(gens, P, 2).is_zero()
+    P = exact_generators(m)[0]
+    assert polyalg.equivariance_defect(P, 0).is_zero()
+    assert not polyalg.equivariance_defect(P, 1).is_zero()
+    assert not polyalg.equivariance_defect(P, 2).is_zero()
 
 
 def test_rotation_fields_are_split_form_of_so3_generators():

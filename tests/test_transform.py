@@ -922,6 +922,31 @@ def test_every_evaluator_refuses_a_point_through_radii(refusing_evaluators, name
             evaluate(np.array([1e200, 1e200, 0.0]))
 
 
+@pytest.mark.parametrize("name", [
+    "eval_phi_batch", "apply_dtau_analytic", "phi_method2_batch", "eval_points", "inverse",
+    "check_positive_type",
+])
+def test_every_batch_evaluator_takes_an_empty_batch(gaussian_m1, name):
+    # an empty (0, d, d) stack, sized before any rule or table is; the Gram
+    # check has no value on no points and refuses them with ValueError
+    spec = spherical.phi_method1(1, 1.0, 1)
+    evaluate = {
+        "eval_phi_batch": lambda xs: spherical.eval_phi_batch(spec, xs),
+        "apply_dtau_analytic": lambda xs: spherical.apply_dtau_analytic(spec, xs),
+        "phi_method2_batch": lambda xs: spherical.phi_method2_batch(1, 1.0, 1, xs),
+        "eval_points": gaussian_m1.eval_points,
+        "inverse": lambda xs: transform.inverse(transform.forward(gaussian_m1), xs),
+        "check_positive_type": lambda xs: spherical.check_positive_type(spec, xs, np.ones((0, 3))),
+    }[name]
+    xs = np.empty((0, 3))
+    if name == "check_positive_type":
+        with pytest.raises(ValueError, match="at least one point"):
+            evaluate(xs)
+    else:
+        out = evaluate(xs)
+        assert out.shape == (0, 3, 3) and out.dtype == np.complex128
+
+
 @pytest.mark.parametrize("name", ["eval_phi_batch", "apply_dtau_analytic"])
 def test_every_evaluator_refuses_a_diagonal_out_of_float_range(name):
     # m = 2, s = 1e10, x = (1e300, 0, 0): the radius is finite, s|x| is not
