@@ -176,8 +176,9 @@ def _phases(z: np.ndarray, d: int, less_one: bool = False) -> np.ndarray:
     return as_strided(pw[d - 1 :], (d, d, z.size), (row, -row, col), writeable=False)
 
 
-def axis_transport(lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """W_p diag(lam[p]) W_p^* for an (n, d) batch of axis diagonals; (n, d, d).
+def axis_transport(lam: np.ndarray, xs: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """W_p diag(lam[p]) W_p^* for an (n, d) batch of axis diagonals at the
+    points xs with the radii rs = |x_p| (those of radii()); (n, d, d).
 
     W_p = tau(k_p) = diag(e^{-i mu phi}) E diag(e^{-i mu theta}) E^*, where
     k_p = exp(-phi Y_1) exp(-theta Y_3) carries e_1 to x_p/|x_p| = (cos theta,
@@ -192,7 +193,7 @@ def axis_transport(lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
     n, d = lam.shape
     e, to_frame = _frame(d)
     rho = np.hypot(xs[:, 1], xs[:, 2])
-    z_theta = _unit_phase(xs[:, 0], -rho, np.hypot(xs[:, 0], rho))
+    z_theta = _unit_phase(xs[:, 0], -rho, rs)
     z_phi = _unit_phase(xs[:, 1], -xs[:, 2], rho)
     y = (to_frame @ lam.T).reshape(d, d, n)
     y *= _phases(z_theta, d, less_one=True)
@@ -214,25 +215,26 @@ def axis_diagonals(m: int) -> np.ndarray:
     return q
 
 
-def q_series(weights_at, xs) -> np.ndarray:
-    """sum_l w_l(|x_p|) Q_l(x_p/|x_p|) for an (n, 3) batch of points; (n, d, d).
+def q_series(diagonal_at, xs) -> np.ndarray:
+    """The value at each point of an (n, 3) batch of an equivariant function
+    given by its e_1 diagonals; (n, d, d).  The gate of every off-axis value.
 
-    ``weights_at(rs)`` maps the distinct float radii of radii(xs) to their
-    (n_r, 2m+1) axis weights w_l(r) (c_l(r) r^l for a series
-    sum_l c_l(|x|) Q_l(x)); it is called once, with float overflow and
-    invalid operations silenced.  Q_l is equivariant, so the sum is the e_1
-    diagonal w(r) @ axis_diagonals(m) moved to each x_p.  A point refused
-    by radii() raises there, a diagonal out of float range CapabilityError.
+    ``diagonal_at(rs)`` maps the distinct float radii of radii(xs) to the
+    (n_r, d) diagonals of the function at r e_1 (for a series
+    sum_l c_l(|x|) Q_l(x), the axis weights c_l(r) r^l times
+    axis_diagonals(m)); it is called once, with float overflow and invalid
+    operations silenced.  Each diagonal is moved to its points by
+    axis_transport, with the same radii.  A point refused by radii() raises
+    there, a diagonal out of float range CapabilityError.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     rs, back = np.unique(radii(xs), return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = weights_at(rs)
-        lam = lam @ axis_diagonals((lam.shape[1] - 1) // 2)
+        lam = diagonal_at(rs)
     if not np.isfinite(lam).all():
-        raise CapabilityError("the Q-series diagonal is not finite: an axis weight is out of "
+        raise CapabilityError("the e_1 diagonal is not finite: a value on the axis is out of "
                               "float range")
-    return axis_transport(lam[back], xs)
+    return axis_transport(lam[back], xs, rs[back])
 
 
 # ---------------------------------------------------------------------------

@@ -158,14 +158,19 @@ def suite_polyalg(ms, rng, profile: str) -> dict:
             x = rng.normal(size=3)
             tk = tau(rep, k)
             for j, q in enumerate(qs):
-                lhs = q.eval(k.apply(x))
-                rhs = tk @ q.eval(x) @ tk.conj().T
-                rec.case(
-                    f"m={m} Q_{j} rotation equivariance",
-                    np.max(np.abs(lhs - rhs)),
-                    1e-10 * (1 + np.linalg.norm(x)) ** (2 * m),
-                )
+                rec.case(f"m={m} Q_{j} rotation equivariance", *_rotation_defect(q, k, tk, x))
     return rec.result()
+
+
+def _rotation_defect(q, k, tk, x) -> tuple[float, float]:
+    """max |Q(kx) - tau(k) Q(x) tau(k)^*| for the rotation k, tk = tau(k),
+    and its bound 128 eps (S(kx) + S(x)), S(y) the largest entry of
+    q.eval_abs(y): the residual is the rounding of the two monomial sums,
+    at most 14 of those units on 25-60 draws per m for m <= 8."""
+    kx = k.apply(x)
+    residual = np.max(np.abs(q.eval(kx) - tk @ q.eval(x) @ tk.conj().T))
+    scale = np.max(q.eval_abs(kx)) + np.max(q.eval_abs(x))
+    return residual, 128 * np.finfo(np.float64).eps * scale
 
 
 _FD_STEPS = np.array([-2.0, -1.0, 1.0, 2.0])  # the stencil of _fd_derivative, in units of h

@@ -17,7 +17,7 @@ from . import polyalg, spherical, transform
 from .errors import FieldFormatError, M3sphError, MalformedMultiplierError
 from .fieldio import Config, _finite_number, atomic_write, read_field, synthesize, write_field
 from .radial import f_upto
-from .so3rep import build_irrep
+from .so3rep import build_irrep, check_type_index
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -91,6 +91,7 @@ def cmd_qpoly(args) -> int:
 
 
 def cmd_radial(args) -> int:
+    check_type_index(args.m)
     if not args.table:
         raise _Usage("radial currently only emits tables; pass --table")
     if not (math.isfinite(args.s) and math.isfinite(args.rmax)):
@@ -109,6 +110,7 @@ def cmd_radial(args) -> int:
 
 def cmd_phi(args) -> int:
     m, s, j = args.m, args.s, args.j
+    check_type_index(m)
     if not -m <= j <= m:
         raise _Usage(f"index j={j} out of range for m={m}")
     if not (math.isfinite(s) and s > 0):

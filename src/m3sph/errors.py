@@ -8,8 +8,9 @@ class M3sphError(Exception):
 class CapabilityError(M3sphError):
     """Requested parameters exceed what the package can compute: the exact
     layer's m, the numeric spherical functions' m, the kernel orders, a
-    point whose |x| or s|x| leaves float range, or the sphere-rule byte
-    budget."""
+    point whose |x| or s|x| leaves float range, an s|x| whose sphere rule
+    would need more than 2048 polar nodes (construction 2), or a radial
+    forward transform whose kernel table would exceed 2^27 entries."""
 
 
 class ConsistencyError(M3sphError):

@@ -53,7 +53,8 @@ class Config:
     0 means "estimate from the field".  radial_nodes_per_panel and
     panel_width size forward()'s s-grid; the r-rule of the radial-form
     transform has max(32, ceil(4 s_max / pi) + 16) nodes per panel of
-    width 4 (transform._radial_ft_coeffs).
+    width 4 (transform._radial_ft_coeffs), and forward() refuses an s_max
+    whose kernel table of the two rules would exceed 2^27 entries.
     """
 
     radial_nodes_per_panel: int = transform.DEFAULT_NODES_PER_PANEL

@@ -256,6 +256,16 @@ class MatPoly:
             out += mono[..., None, None] * mat
         return out
 
+    def eval_abs(self, x) -> np.ndarray:
+        """sum_e |M_e| |x^e| with the terms of ``eval``, at a point (d, d) or
+        at a batch (..., 3) -> (..., d, d): the scale of eval's rounding."""
+        x = np.abs(np.asarray(x, dtype=np.float64))
+        out = np.zeros(x.shape[:-1] + (self.dim, self.dim))
+        for e, mat in self._float_terms:
+            mono = x[..., 0] ** e[0] * x[..., 1] ** e[1] * x[..., 2] ** e[2]
+            out += mono[..., None, None] * np.abs(mat)
+        return out
+
     def to_json_obj(self):
         """JSON form in x and the weight basis: one record per monomial;
         each matrix entry is a list of [re, im, radicand] term triples

@@ -71,13 +71,18 @@ class Irrep:
         return Irrep(m=data["m"], dim=data["dim"], generators=gens, basis_tag=data["basis_tag"])
 
 
+def check_type_index(m: int):
+    """Raise ValueError unless m is a non-negative integer."""
+    if m < 0 or m != int(m):
+        raise ValueError(f"type index must be a non-negative integer, got {m}")
+
+
 def build_irrep(m: int) -> Irrep:
     """Construct the type-m irrep in the weight basis.
 
     m = 0 gives the trivial representation (1x1 zero generators).
     """
-    if m < 0 or m != int(m):
-        raise ValueError(f"type index must be a non-negative integer, got {m}")
+    check_type_index(m)
     m = int(m)
     d = 2 * m + 1
     mu = np.arange(-m, m + 1, dtype=np.float64)

@@ -17,8 +17,8 @@ Constructions 1 and 3 are exact rational vectors u at s = 1
 Phi_{s,j}(x) = sum_l u_l T_l(s|x|) Q_l(x/|x|) with the bounded axis kernels
 T_l(t) = t^l f_l(t), so no power of s or |x| is formed; construction 2 is
 the independent float oracle.  Every off-axis value, D_tau Phi
-(apply_dtau_analytic) included, is a diagonal on the e_1 axis moved to x
-by _kernels.axis_transport.
+(apply_dtau_analytic) included, is a diagonal on the e_1 axis, formed once
+per distinct radius and moved to x by _kernels.q_series.
 
 Indexing: j is canonically the integer with eigenvalue s*j; the projection
 P_j(xi) projects onto the i*j*|xi| eigenspace of the axis matrix.
@@ -38,6 +38,7 @@ from ._kernels import (M_MAX_NUMERIC, axis_diagonals, axis_transport,  # noqa: F
 from .errors import CapabilityError
 from .polyalg import coeff_table, lagrange_unit_eigvec, unit_eigvec
 from .radial import _check_scale
+from .so3rep import check_type_index
 
 
 # the most polar nodes construction 2's sphere rule may have (degree 4095); it
@@ -119,6 +120,7 @@ class SphericalFunctionSpec:
 
 
 def _check_params(m: int, s: float, j: int):
+    check_type_index(m)
     _check_scale(s)
     if not -m <= j <= m:
         raise ValueError(f"index j must satisfy -m <= j <= m, got j={j}, m={m}")
@@ -178,14 +180,16 @@ def eval_phi(spec: SphericalFunctionSpec, x) -> np.ndarray:
 
 def eval_phi_batch(spec: SphericalFunctionSpec, xs: np.ndarray) -> np.ndarray:
     """Evaluate a spec on an (n, 3) batch of points; returns (n, d, d).  The
-    axis weights u_l T_l(s r) are tabulated once per distinct float radius.
+    e_1 diagonal sum_l u_l T_l(s r) Q_l(e_1) is formed once per distinct
+    float radius and moved to the points by q_series.
     A NaN or infinite coordinate raises ValueError, a point whose |x| or
     s|x| leaves float range CapabilityError."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if spec.s == 0.0:
         radii(xs)  # refuses the points q_series would refuse
         return np.tile(np.eye(2 * spec.m + 1, dtype=np.complex128), (xs.shape[0], 1, 1))
-    return q_series(lambda rs: f_table(2 * spec.m, spec.s * rs, axis=True).T * spec.coeffs, xs)
+    return q_series(lambda rs: (f_table(2 * spec.m, spec.s * rs, axis=True).T * spec.coeffs)
+                    @ axis_diagonals(spec.m), xs)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +218,8 @@ class ProjectionFamily:
 
 def _projection_stack(m: int, xis: np.ndarray, j: int) -> np.ndarray:
     """P_j(xi) = W E_jj W^* for a batch of directions; returns (n, d, d)."""
-    return axis_transport(np.broadcast_to(np.eye(2 * m + 1)[j + m], (len(xis), 2 * m + 1)), xis)
+    return axis_transport(np.broadcast_to(np.eye(2 * m + 1)[j + m], (len(xis), 2 * m + 1)), xis,
+                          radii(xis))
 
 
 def projections(m: int, xi) -> ProjectionFamily:
@@ -227,9 +232,10 @@ def projections(m: int, xi) -> ProjectionFamily:
         raise ValueError("direction must be a nonzero vector")
     with np.errstate(invalid="ignore"):  # inf/inf is NaN, which radii() refuses
         xin = xi / scale
-    xin = xin / radii(xin[None, :])[0]
-    mats = axis_transport(np.eye(2 * m + 1), np.broadcast_to(xin, (2 * m + 1, 3)))
-    return ProjectionFamily(m=m, direction=xin, matrices=mats)
+    r = radii(xin[None, :])
+    d = 2 * m + 1
+    mats = axis_transport(np.eye(d), np.broadcast_to(xin, (d, 3)), np.broadcast_to(r, d))
+    return ProjectionFamily(m=m, direction=xin / r[0], matrices=mats)
 
 
 @dataclass(frozen=True)
@@ -339,10 +345,11 @@ def apply_dtau_analytic(spec: SphericalFunctionSpec, x) -> np.ndarray:
     (d, d) or at an (n, 3) batch (n, d, d).
 
     D_tau Phi is equivariant and, at r e_1, commutes with the diagonal A_1:
-    it is a diagonal moved to x by axis_transport.  With L = diag(lam) =
-    Phi(r e_1), lam_l = u_l T_l(s r), the recurrence of the axis kernels
-    T_l(t) = t^l f_l(t) gives d_1 Phi = diag(lam') and L/r from T_{l-1} and
-    T_{l+1} alone (no power, no division by r, exact at x = 0):
+    it is a diagonal, formed once per distinct radius and moved to x by
+    q_series.  With L = diag(lam) = Phi(r e_1), lam_l = u_l T_l(s r), the
+    recurrence of the axis kernels T_l(t) = t^l f_l(t) gives
+    d_1 Phi = diag(lam') and L/r from T_{l-1} and T_{l+1} alone (no power,
+    no division by r, exact at x = 0):
       lam'_l  = s u_l (l T_{l-1} - (l+1) T_{l+1}/((2l+1)(2l+3))),
       (L/r)_l = s u_l (T_{l-1} + T_{l+1}/((2l+1)(2l+3))), l >= 1.
     [A_i, Phi(x)] = dPhi(x)[Y_i x] with Y_3 e_1 = -e_2, Y_2 e_1 = e_3 gives
@@ -350,26 +357,25 @@ def apply_dtau_analytic(spec: SphericalFunctionSpec, x) -> np.ndarray:
     radii() raises there, one whose s|x| leaves float range CapabilityError.
     """
     x = np.asarray(x, dtype=np.float64)
-    xs = np.atleast_2d(x)
     a1, a2, a3 = _rep(spec.m).generators
     diags = axis_diagonals(spec.m)
     ls = np.arange(2 * spec.m + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        T = f_table(ls.size, spec.s * radii(xs), axis=True).T  # (n, 2m+2): orders 0..2m+1
+
+    def diagonal_at(rs):
+        su = spec.s * spec.coeffs
+        T = f_table(ls.size, spec.s * rs, axis=True).T  # (n_r, 2m+2): orders 0..2m+1
         # T_{l-1}; l = 0 reads none
         below = np.concatenate([np.zeros((len(T), 1)), T[:, :-2]], axis=1)
         above = T[:, 1:] / ((2 * ls + 1) * (2 * ls + 3))
-        su = spec.s * spec.coeffs
         dlam = (su * (ls * below - (ls + 1) * above)) @ diags
         # L/r less its l = 0 term, which commutes with every A_i
         lam_r = (su * (below + above) * (ls > 0)) @ diags
-        # [A_2, L]/r and [A_3, L]/r, one (n, d, d) stack each
+        # [A_2, L]/r and [A_3, L]/r, one (n_r, d, d) stack each
         c2, c3 = (a * lam_r[:, None, :] - lam_r[:, :, None] * a for a in (a2, a3))
-        diag = (np.diagonal(a1) * dlam + np.einsum("ik,pki->pi", a3, c2)
+        return (np.diagonal(a1) * dlam + np.einsum("ik,pki->pi", a3, c2)
                 - np.einsum("ik,pki->pi", a2, c3))
-    if not np.isfinite(diag).all():
-        raise CapabilityError("the D_tau diagonal is not finite: s|x| is out of float range")
-    out = axis_transport(diag, xs)
+
+    out = q_series(diagonal_at, x)
     return out[0] if x.ndim == 1 else out
 
 

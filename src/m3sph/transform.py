@@ -29,14 +29,13 @@ import numpy as np
 from . import spherical
 from ._kernels import (
     axis_diagonals,
-    axis_transport,
     f_table,
     fourier_grid_sum,
     grid_convolution,
     q_series,
     radii,
 )
-from .errors import DecompositionError, MalformedCoefficientsError
+from .errors import CapabilityError, DecompositionError, MalformedCoefficientsError
 from .radial import RadialProfile, _check_scale, _spline_profile, double_factorial_odd
 from .so3rep import Rotation, tau
 
@@ -50,6 +49,10 @@ DEFAULT_GRID_N = 41
 _CHEB_EXTRA = 24       # nodes beyond s_max * R / 2 in the first try
 _CHEB_TAIL = 8         # trailing coefficients that must be negligible
 _CHEB_TAIL_TOL = 1e-14
+
+# the most entries the (2m+1, n_s, n_r) kernel table of the radial transform
+# may have (_radial_ft_coeffs): 9.3e7 at s_max = 1000, m = 1, r_grid to 12
+_MAX_KERNEL_ENTRIES = 2**27
 
 
 def inversion_constant(m: int) -> float:
@@ -71,13 +74,13 @@ def gl_panels(a: float, b: float, per_panel: int = DEFAULT_NODES_PER_PANEL,
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _axis_weights(g: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    """The axis weights g_k(r) r^k of q_series for the coefficients g,
-    (n_r, 2m+1), at the radii rs.  A zero coefficient gives a zero weight
-    at any radius, also where r^k alone overflows."""
+def _axis_diagonal(g: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """The e_1 diagonals sum_k g_k(r) r^k Q_k(e_1) of q_series for the
+    coefficients g, (n_r, 2m+1), at the radii rs.  A zero coefficient gives
+    a zero axis weight at any radius, also where r^k alone overflows."""
     w = g * rs[:, None] ** np.arange(g.shape[1])
     w[g == 0] = 0.0
-    return w
+    return w @ axis_diagonals((g.shape[1] - 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +239,7 @@ class MatrixField:
         |x| leaves float range CapabilityError."""
         if self.form != "radial":
             raise ValueError("pointwise evaluation is for radial-form fields")
-        return q_series(lambda rs: _axis_weights(self._coefficients(rs), rs), xs)
+        return q_series(lambda rs: _axis_diagonal(self._coefficients(rs), rs), xs)
 
     def to_grid(self, extent: float = DEFAULT_GRID_EXTENT, n: int = DEFAULT_GRID_N) -> "MatrixField":
         """Rasterize a radial-form field on the cube [-extent, extent]^3
@@ -304,6 +307,12 @@ class MatrixField:
 # ---------------------------------------------------------------------------
 
 
+def _r_nodes_per_panel(s_max: float) -> float:
+    """max(32, ceil(s_max * 4 / pi) + 16), the nodes per panel of the
+    r-rule, as a Python float: inf, with no warning, past float range."""
+    return max(DEFAULT_NODES_PER_PANEL, float(np.ceil(s_max * DEFAULT_PANEL_WIDTH / math.pi)) + 16)
+
+
 def _radial_ft_coeffs(field: MatrixField, s_arr: np.ndarray):
     """Fourier coefficients c_k(s) with Fhat(s*eta) = sum_k c_k(s) Q_k(eta).
 
@@ -317,8 +326,7 @@ def _radial_ft_coeffs(field: MatrixField, s_arr: np.ndarray):
         raise ValueError("classical transform requires a radial profile labelled as decaying")
     L = 2 * field.m + 1
     s_max = float(np.max(np.abs(s_arr), initial=0.0))
-    per_panel = max(DEFAULT_NODES_PER_PANEL, math.ceil(s_max * DEFAULT_PANEL_WIDTH / math.pi) + 16)
-    rq, wq = gl_panels(0.0, float(field.r_grid[-1]), per_panel)
+    rq, wq = gl_panels(0.0, float(field.r_grid[-1]), int(_r_nodes_per_panel(s_max)))
     # (L, n_r) with contiguous rows, so the products below keep their rounding
     gv = np.ascontiguousarray(field._coefficients(rq).T)
     ts = np.multiply.outer(s_arr, rq)  # (n_s, n_r)
@@ -335,16 +343,16 @@ def classical_ft(F: MatrixField, y) -> np.ndarray:
 
     Grid form: trapezoid sum over the lattice (fields are assumed decayed
     at the boundary).  Radial form: the diagonal Fhat(|y| e_1) from the
-    1-D radial kernel route, moved to y by the frame W; its equivalence
+    1-D radial kernel route, moved to y by q_series; its equivalence
     with the 3-D quadrature is part of the test suite.  A NaN or infinite
     coordinate of y raises ValueError, a |y| out of float range
     CapabilityError.
     """
     ys = np.asarray(y, dtype=np.float64)[None, :]
-    s = radii(ys)
     if F.form == "grid":
+        radii(ys)  # refuses the points q_series would refuse
         return fourier_grid_sum(F.values_flat(), F.grid_points(), ys, F.spacing**3)[0]
-    return axis_transport(_ft_along_e1(F, s), ys)[0]
+    return q_series(lambda s: _ft_along_e1(F, s), ys)[0]
 
 
 def _ft_along_e1(F: MatrixField, s_arr: np.ndarray) -> np.ndarray:
@@ -501,7 +509,10 @@ def forward(
     capped at the lattice Nyquist frequency pi/spacing: beyond it the
     discrete transform is pure aliasing.  A given s_max and panel_width
     must be positive and per_panel at least 1, and a given s_max finite
-    (ValueError otherwise).
+    (ValueError otherwise).  For a radial field, an s_max whose
+    (2m+1, n_s, n_r) kernel table in _radial_ft_coeffs would hold more than
+    _MAX_KERNEL_ENTRIES entries is refused with CapabilityError before
+    either rule is built.
     """
     requested = s_max is not None
     if requested and not 0 < s_max < math.inf:
@@ -522,14 +533,21 @@ def forward(
                     stacklevel=2,
                 )
             s_max = nyquist
+    else:  # the (2m+1, n_s, n_r) kernel table of _radial_ft_coeffs, before any rule is built
+        n_s = per_panel * max(1.0, float(np.ceil(s_max / panel_width)))
+        r_panels = max(1.0, float(np.ceil(F.r_grid[-1] / DEFAULT_PANEL_WIDTH)))
+        entries = F.dim * n_s * r_panels * _r_nodes_per_panel(s_max)
+        if entries > _MAX_KERNEL_ENTRIES:
+            raise CapabilityError(f"the radial transform to s_max = {s_max:.3g} needs a kernel "
+                                  f"table of {entries:.3g} entries, over {_MAX_KERNEL_ENTRIES}")
     s_nodes, s_w = gl_panels(0.0, float(s_max), per_panel, panel_width)
     vals = _ft_along_e1(F, s_nodes)[:, ::-1].T.copy()
     return SphericalCoefficients(m=F.m, s_grid=s_nodes, s_weights=s_w, values=vals)
 
 
-def _radial_sums(coeffs: SphericalCoefficients, rs: np.ndarray, kmax: int) -> np.ndarray:
+def _radial_sums(coeffs: SphericalCoefficients, rs: np.ndarray) -> np.ndarray:
     """The Q_l coefficients of the inversion formula at the radii ``rs``,
-    for l = 0..kmax; returns (rs.size, kmax+1).
+    for l = 0..2m; returns (rs.size, 2m+1).
 
     c_l(r) = sum_q G[l, q] f_l(s_q r) (_direct_sums) with the
     r-independent matrix G[l, q] = C s_q^l w_q s_q^2 sum_j u_{j,l}
@@ -547,7 +565,7 @@ def _radial_sums(coeffs: SphericalCoefficients, rs: np.ndarray, kmax: int) -> np
     small inputs never go through the interpolant.
     """
     s = coeffs.s_grid
-    G = _inversion_matrix(coeffs, kmax)
+    G = _inversion_matrix(coeffs)
     R = float(np.max(np.abs(rs), initial=0.0))
     n = math.ceil(float(np.max(s, initial=0.0)) * R / 2) + _CHEB_EXTRA
     if not (n < rs.size and 0.0 < R < math.inf):
@@ -559,19 +577,19 @@ def _radial_sums(coeffs: SphericalCoefficients, rs: np.ndarray, kmax: int) -> np
         if n >= rs.size:
             return _direct_sums(G, s, rs)
         nodes = _cheb_nodes(n, R)
-        finer = np.empty((n, kmax + 1), dtype=np.complex128)
+        finer = np.empty((n, G.shape[0]), dtype=np.complex128)
         finer[0::2] = at_nodes
         finer[1::2] = _direct_sums(G, s, nodes[1::2])
         at_nodes = finer
     return _barycentric(nodes, at_nodes, np.abs(rs))
 
 
-def _inversion_matrix(coeffs: SphericalCoefficients, kmax: int) -> np.ndarray:
-    """G[l, q] = C s_q^l w_q s_q^2 sum_j u_{j,l} values[j, q] for l = 0..kmax;
-    (kmax+1, n_s).  See _radial_sums."""
+def _inversion_matrix(coeffs: SphericalCoefficients) -> np.ndarray:
+    """G[l, q] = C s_q^l w_q s_q^2 sum_j u_{j,l} values[j, q] for l = 0..2m;
+    (2m+1, n_s).  See _radial_sums."""
     s, w, vals = coeffs.s_grid, coeffs.s_weights, coeffs.values
-    u = spherical.unit_eigvecs(coeffs.m)[:, : kmax + 1]  # (L_j, n_l)
-    powers = s[None, :] ** np.arange(kmax + 1)[:, None]  # (n_l, n_s)
+    u = spherical.unit_eigvecs(coeffs.m)  # (L_j, n_l)
+    powers = s[None, :] ** np.arange(u.shape[1])[:, None]  # (n_l, n_s)
     base = vals * (w * s**2)[None, :]  # (L_j, n_s)
     return inversion_constant(coeffs.m) * powers * (u.T @ base)
 
@@ -637,10 +655,8 @@ def inverse_profile(coeffs: SphericalCoefficients, label: dict) -> RadialProfile
     F(x) = sum_k g_k(|x|) Q_k(x), with g_k the inversion sum c_k of
     _radial_sums: one sum gives every k.  Its label is ``label`` plus the
     decay flag."""
-    L = 2 * coeffs.m + 1
-
     def ev(rho):
-        return _radial_sums(coeffs, rho.ravel(), L - 1).reshape(rho.shape + (L,))
+        return _radial_sums(coeffs, rho.ravel()).reshape(rho.shape + (2 * coeffs.m + 1,))
 
     return RadialProfile(evaluator=ev, label={**label, "decays": True})
 
@@ -657,8 +673,8 @@ def inverse(
     (quadrature weights stored with the coefficients).  The Q_l
     coefficients c_l(|x|), l = 0..2m, are the inversion sums of
     _radial_sums, computed once per distinct float radius and passed to
-    q_series as the axis weights c_l(r) r^l (_axis_weights).  A NaN or
-    infinite point raises ValueError, a radius out of float range
+    q_series as the e_1 diagonals of sum_l c_l(r) r^l Q_l (_axis_diagonal).
+    A NaN or infinite point raises ValueError, a radius out of float range
     CapabilityError.
     """
     vals = coeffs.values
@@ -670,7 +686,7 @@ def inverse(
             f"(relative tail {tail/peak:.2e}); inversion may be truncated",
             stacklevel=2,
         )
-    return q_series(lambda rs: _axis_weights(_radial_sums(coeffs, rs, 2 * coeffs.m), rs), xs)
+    return q_series(lambda rs: _axis_diagonal(_radial_sums(coeffs, rs), rs), xs)
 
 
 def apply_multiplier(coeffs: SphericalCoefficients, mu) -> SphericalCoefficients:

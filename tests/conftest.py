@@ -30,13 +30,14 @@ def phi_oracle():
 
     def oracle(m: int, s: float, j: int, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)[None, :]
+        radius = _kernels.radii(x)
         with mp.workdps(60):
-            t = mp.mpf(float(s * _kernels.radii(x)[0]))
+            t = mp.mpf(float(s * radius[0]))
             lam = [mp.mpc(0)] * (2 * m + 1)
             for l, (u, r) in enumerate(zip(unit_eigvec(m, j), e1_diagonals(m))):
                 w = mp.mpf(u.numerator) / u.denominator * _axis_kernel(l, t) * mp.mpc(0, 1) ** l
                 lam = [z + w * mp.mpf(q.numerator) / q.denominator for z, q in zip(lam, r)]
             diag = np.array([complex(z) for z in lam])
-        return _kernels.axis_transport(diag[None, :], x)[0]
+        return _kernels.axis_transport(diag[None, :], x, radius)[0]
 
     return oracle

@@ -6,7 +6,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from m3sph import checks, radial, spherical, transform
+from m3sph import checks, polyalg, radial, spherical, transform
+from m3sph.so3rep import Rotation, build_irrep, tau
 
 
 @pytest.mark.parametrize(
@@ -92,3 +93,20 @@ def test_laplacian_fd_is_its_points_and_their_combination():
     assert np.array_equal(pts[:3], xs)
     lap = checks._laplacian_fd(lambda p: spherical.eval_phi_batch(spec, p), xs, 1e-2)
     assert np.array_equal(lap, checks._laplacian_combine(spherical.eval_phi_batch(spec, pts), 1e-2))
+
+
+def test_rotation_equivariance_bound_holds_past_the_exact_cap(monkeypatch):
+    # at m = 7, where |Q_14(x)| is ~5e13, the residual stays within 128 eps
+    # times the rounding scale sum_e |M_e| |x^e| of the two evaluations
+    # (the absolute 1e-10 (1 + |x|)^(2m) failed here while Q_j is right)
+    monkeypatch.setattr(polyalg, "M_MAX_EXACT", 7)
+    qs = polyalg.build_Q(7)
+    rep = build_irrep(7)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        k = Rotation.random(rng)
+        x = rng.normal(size=3)
+        tk = tau(rep, k)
+        for q in qs:
+            residual, tol = checks._rotation_defect(q, k, tk, x)
+            assert residual <= tol

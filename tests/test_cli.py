@@ -499,6 +499,40 @@ def test_infinite_smax_on_a_grid_file_is_usage_error(capsys, tmp_path, coeff_fil
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("smax", ["1e4", "1e6", "1e300"])
+def test_radial_forward_refuses_a_kernel_table_it_cannot_build(capsys, tmp_path, smax):
+    # the r-rule of a radial field grows with s_max; beyond 2^27 kernel
+    # entries forward refuses before it builds either rule (at 1e6 numpy
+    # would ask for 11.8 TiB, at 1e300 for an array past its size limit)
+    field_path, out_path = tmp_path / "g.m3sf", tmp_path / "out.json"
+    code, _, _ = run_cli(capsys, "synth", "gaussian", "--m", "1", "--out", str(field_path))
+    assert code == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "transform", "forward", "--in", str(field_path), "--out", str(out_path),
+            "--smax", smax,
+        )
+    assert code == 2
+    assert "kernel table" in err and "s_max" in err
+    assert out == ""
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep"], ["qpoly"], ["radial", "--table"], ["phi", "--s", "1", "--j", "0", "--at", "0,0,0"],
+    ["synth", "gaussian", "--out", "never.m3sf"], ["check"],
+], ids=lambda argv: argv[0])
+def test_negative_type_index_is_named(capsys, tmp_path, monkeypatch, argv):
+    # the type index is checked before anything that depends on it
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--m", "-1")
+    assert code == 2
+    assert "non-negative integer" in err
+    assert out == ""
+    assert not any(tmp_path.iterdir())
+
+
 def test_config_value_that_is_not_a_number_names_its_line(capsys, tmp_path, coeff_file):
     conf = tmp_path / "m3s.conf"
     conf.write_text("grid_n = 9\ns_max = abc\n")

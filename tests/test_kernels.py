@@ -130,8 +130,8 @@ def test_axis_transport_moves_the_axis_matrix(m):
     # W diag(i mu |x|) W^* = dtau(x): the frame carries e_1 to x/|x|
     rep = build_irrep(m)
     xs = _frame_test_points(np.random.default_rng(20))
-    lam = 1j * np.outer(np.linalg.norm(xs, axis=1), np.arange(-m, m + 1))
-    out = _kernels.axis_transport(lam, xs)
+    rs = _kernels.radii(xs)
+    out = _kernels.axis_transport(1j * np.outer(rs, np.arange(-m, m + 1)), xs, rs)
     for p, x in enumerate(xs):
         assert np.max(np.abs(out[p] - dtau(rep, x))) <= 1e-13
 
@@ -157,7 +157,7 @@ def test_axis_transport_is_the_two_rotation_frame(m):
     rng = np.random.default_rng(21)
     xs = _frame_test_points(rng)
     lam = rng.normal(size=(len(xs), 2 * m + 1)) + 1j * rng.normal(size=(len(xs), 2 * m + 1))
-    out = _kernels.axis_transport(lam, xs)
+    out = _kernels.axis_transport(lam, xs, _kernels.radii(xs))
     for p, x in enumerate(xs):
         w = _two_rotation_frame(rep, x)
         ref = w @ np.diag(lam[p]) @ w.conj().T
@@ -177,14 +177,18 @@ _EDGE_POINTS = [
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_axis_transport_at_the_edges_of_float_range(m):
-    # the phases come from the coordinates by hypot and division, with no
-    # warning; each point is the two-rotation frame to 1e-13
+    # the phases come from the coordinates and the radii by hypot and
+    # division, with no warning; each point is the two-rotation frame to
+    # 1e-13.  radii() refuses the last two points, whose squares overflow;
+    # their radii are hypot norms.
     rep = build_irrep(m)
     xs = np.array(_EDGE_POINTS)
+    rs = np.hypot(xs[:, 0], np.hypot(xs[:, 1], xs[:, 2]))
+    rs[:3] = _kernels.radii(xs[:3])
     lam = np.random.default_rng(22).normal(size=(len(xs), 2 * m + 1)) + 0.5j
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = _kernels.axis_transport(lam, xs)
+        out = _kernels.axis_transport(lam, xs, rs)
     for p, x in enumerate(xs):
         with np.errstate(over="ignore", under="ignore"):  # the oracle's own |x|
             w = _two_rotation_frame(rep, x)
@@ -211,7 +215,7 @@ def test_axis_transport_at_the_origin_is_the_identity_frame(m):
     xs = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, -0.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = _kernels.axis_transport(lam, xs)
+        out = _kernels.axis_transport(lam, xs, _kernels.radii(xs))
     for p in range(len(xs)):
         assert np.array_equal(out[p], np.diag(lam[p]))
 
@@ -223,7 +227,8 @@ def test_axis_transport_at_the_top_of_the_numeric_range_is_small_in_memory():
     d = 2 * _kernels.M_MAX_NUMERIC + 1
     tracemalloc.start()
     try:
-        out = _kernels.axis_transport(np.ones((1, d), dtype=complex), np.array([[0.3, -0.4, 0.8]]))
+        xs = np.array([[0.3, -0.4, 0.8]])
+        out = _kernels.axis_transport(np.ones((1, d), dtype=complex), xs, _kernels.radii(xs))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -241,9 +246,12 @@ def test_q_series_against_exact_q(m):
     def coeffs_at(rs):
         return a * np.cos(rs[:, None]) + b * rs[:, None]
 
-    # the axis weights are the coefficients of Q_l(x/|x|): c_l(r) r^l
+    # the e_1 diagonal of sum_l c_l(|x|) Q_l(x): the axis weights c_l(r) r^l
+    # against the diagonals of Q_l(e_1)
     xs = rng.uniform(-3, 3, size=(n, 3))
-    out = _kernels.q_series(lambda rs: coeffs_at(rs) * rs[:, None] ** np.arange(2 * m + 1), xs)
+    diag = _kernels.axis_diagonals(m)
+    out = _kernels.q_series(lambda rs: coeffs_at(rs) * rs[:, None] ** np.arange(2 * m + 1) @ diag,
+                            xs)
     assert out.shape == (n, 2 * m + 1, 2 * m + 1)
     qs = [q.eval(xs) for q in build_Q(m)]
     for p in range(n):
@@ -257,10 +265,11 @@ def test_q_series_refuses_a_non_finite_diagonal():
     # the axis weight c_4 |x|^4 overflows at |x| = 1e100 while the radius
     # and the coefficient stay finite; no warning escapes
     coeffs = np.array([1.0, 1e-30, 1e-60, 1e-90, 1e-120], dtype=complex)
+    diag = _kernels.axis_diagonals(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(CapabilityError, match="not finite"):
-            _kernels.q_series(lambda rs: coeffs * rs[:, None] ** np.arange(5),
+            _kernels.q_series(lambda rs: coeffs * rs[:, None] ** np.arange(5) @ diag,
                               np.array([[1e100, 0.0, 0.0]]))
 
 

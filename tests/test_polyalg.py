@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from m3sph import polyalg
-from m3sph._kernels import q_series
+from m3sph._kernels import axis_diagonals, q_series
 from m3sph.checks import run_checks
 from m3sph.errors import CapabilityError
 from m3sph.polyalg import (
@@ -249,13 +249,12 @@ def test_rotation_fields_are_split_form_of_so3_generators():
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
 def test_exact_q_matches_numeric_recursion(m):
-    # the numeric Q_j is q_series with the axis weights r^j e_j: the axis
-    # diagonal of the recursion at e_1, rounded once, scaled and moved by the frame
+    # the numeric Q_j is q_series with the e_1 diagonals r^j Q_j(e_1): the
+    # axis diagonal of the recursion at e_1, rounded once, scaled and moved by the frame
     rng = np.random.default_rng(100 + m)
     xs = rng.normal(size=(5, 3))
     for j, q in enumerate(build_Q(m)):
-        unit = np.eye(2 * m + 1)[j]
-        numeric = q_series(lambda rs: np.outer(rs**j, unit), xs)
+        numeric = q_series(lambda rs: np.outer(rs**j, axis_diagonals(m)[j]), xs)
         exact = q.eval(xs)
         for p in range(len(xs)):
             assert np.max(np.abs(exact[p] - numeric[p])) <= 1e-12 * np.max(np.abs(numeric[p]))

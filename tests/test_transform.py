@@ -340,7 +340,7 @@ def test_inverse_matches_per_point_reference(m, monkeypatch):
     ax = np.linspace(-2.0, 2.0, 9)  # a lattice: many points share a radius
     lattice = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
     scattered = rng.uniform(-2.5, 2.5, size=(40, 3))
-    G = transform._inversion_matrix(coeffs, 2 * m)
+    G = transform._inversion_matrix(coeffs)
     evals = _counting_f_table(monkeypatch)
     for pts in (lattice, scattered):
         rec = transform.inverse(coeffs, pts)
@@ -351,7 +351,7 @@ def test_inverse_matches_per_point_reference(m, monkeypatch):
         rs = np.unique(transform.radii(pts))
         direct = transform._direct_sums(G, coeffs.s_grid, rs)
         evals.clear()
-        assert np.array_equal(transform._radial_sums(coeffs, rs, 2 * m), direct)
+        assert np.array_equal(transform._radial_sums(coeffs, rs), direct)
         assert sum(evals) == rs.size * coeffs.s_grid.size * (2 * m + 1)
 
 
@@ -947,20 +947,90 @@ def test_every_batch_evaluator_takes_an_empty_batch(gaussian_m1, name):
         assert out.shape == (0, 3, 3) and out.dtype == np.complex128
 
 
-@pytest.mark.parametrize("name", ["eval_phi_batch", "apply_dtau_analytic"])
-def test_every_evaluator_refuses_a_diagonal_out_of_float_range(name):
+@pytest.mark.parametrize("name", ["eval_phi_batch", "apply_dtau_analytic", "classical_ft_radial"])
+def test_every_evaluator_refuses_a_diagonal_out_of_float_range(monkeypatch, name):
     # m = 2, s = 1e10, x = (1e300, 0, 0): the radius is finite, s|x| is not
     # (at s = 1 and x = (1e100, 0, 0), where only |x|^4 is out of float
-    # range, both give values: test_spherical checks them against mpmath)
+    # range, both give values: test_spherical checks them against mpmath);
+    # and the transform of a finite radial field whose integral overflows.
+    # Each hands its e_1 diagonal to q_series, which refuses it.
+    raised = []
+
+    def spy(diagonal_at, xs):
+        try:
+            return _kernels.q_series(diagonal_at, xs)
+        except CapabilityError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(spherical, "q_series", spy)
+    monkeypatch.setattr(transform, "q_series", spy)
     spec = spherical.phi_method1(2, 1e10, 1)
+    huge = transform.MatrixField.radial(1, RadialProfile(
+        lambda r: np.stack([1e308 * np.exp(-r * r), 0 * r, 0 * r], axis=-1), {"decays": True},
+    ), np.linspace(0.0, 6.0, 33))
     evaluate = {
         "eval_phi_batch": lambda x: spherical.eval_phi_batch(spec, x[None, :]),
         "apply_dtau_analytic": lambda x: spherical.apply_dtau_analytic(spec, x),
+        "classical_ft_radial": lambda x: transform.classical_ft(huge, x * 1e-300),
     }[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(CapabilityError, match="not finite"):
             evaluate(np.array([1e300, 0.0, 0.0]))
+    assert len(raised) == 1
+
+
+def test_apply_dtau_analytic_tabulates_the_kernels_once_per_lattice_radius(monkeypatch):
+    # the D_tau diagonal is formed per distinct radius, as Phi's is
+    seen = []
+
+    def counting_f_table(jmax, t, axis=False):
+        seen.append(np.size(t))
+        return _kernels.f_table(jmax, t, axis=axis)
+
+    monkeypatch.setattr(spherical, "f_table", counting_f_table)
+    pts = transform.MatrixField.cube(1, 4.0, 17, lambda p: np.zeros((len(p), 3, 3))).grid_points()
+    spec = spherical.phi_method1(1, 1.0, 1)
+    vals = spherical.apply_dtau_analytic(spec, pts)
+    assert vals.shape == (pts.shape[0], 3, 3)
+    assert seen == [np.unique(_kernels.radii(pts)).size]
+    assert np.max(np.abs(vals - spec.s * spec.j * spherical.eval_phi_batch(spec, pts))) < 1e-6
+
+
+def test_radial_forward_refusal_is_sized_before_any_rule(monkeypatch, gaussian_m1):
+    # 2^27 kernel entries admit s_max = 1000 at m = 1 (9.3e7 entries) and
+    # refuse 1e4; the refusal comes before gl_panels builds either rule
+    built = []
+    monkeypatch.setattr(transform, "_ft_along_e1", lambda F, s: np.zeros((s.size, F.dim)))
+    gl = transform.gl_panels
+    monkeypatch.setattr(transform, "gl_panels", lambda *a: built.append(a) or gl(*a))
+    assert transform.forward(gaussian_m1, s_max=1000.0).s_grid.size == 8000
+    built.clear()
+    for s_max in (1e4, 1e300, 1.7e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapabilityError, match="kernel table"):
+                transform.forward(gaussian_m1, s_max=s_max)
+    with pytest.raises(CapabilityError, match="kernel table"):
+        transform.forward(gaussian_m1, s_max=1e308, panel_width=1e-300)
+    assert built == []
+
+
+def test_inverse_on_the_e1_axis_is_the_inverse_profile(gaussian_m1):
+    # both go through the one inversion sum over all 2m + 1 orders: on the
+    # e_1 axis the frame is the identity, so inverse is the diagonal of
+    # sum_l g_l(r) r^l Q_l(e_1) with g = inverse_profile, to the bit
+    coeffs = transform.forward(gaussian_m1)
+    rs = np.linspace(0.0, 5.0, 7)
+    g = transform.inverse_profile(coeffs, {})(rs)
+    assert g.shape == (7, 3)
+    xs = np.zeros((7, 3))
+    xs[:, 0] = rs
+    out = transform.inverse(coeffs, xs)
+    diag = transform._axis_diagonal(g, rs)
+    for p in range(7):
+        assert np.array_equal(out[p], np.diag(diag[p]))
 
 
 def test_eval_phi_batch_tabulates_the_kernels_once_per_lattice_radius(monkeypatch):
