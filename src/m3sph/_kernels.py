@@ -1,8 +1,8 @@
 """Hot numeric kernels, vectorized with numpy.
 
-One implementation per kernel: the radii of a caller's points, the radial
-kernel table, the off-axis evaluator (an e_1 diagonal moved to x by the
-frame W, whose phases are powers of two unit numbers read off x's
+One implementation per kernel: the radii of a caller's points, the
+Gauss-Legendre rules, the radial kernel table, the off-axis evaluator (an
+e_1 diagonal moved to x by the frame W, whose phases are powers of two unit numbers read off x's
 coordinates, in O(d^3) per point), the plane-wave Fourier sum of the
 lattice transform and the reference grid convolution (a zero-padded FFT
 convolution over the lattice axes).  Every
@@ -26,6 +26,7 @@ from .so3rep import build_irrep
 _MILLER_EXTRA = 25  # extra start orders for the downward recurrence
 F_TABLE_JMAX = 64   # highest order f_table serves (see f_table)
 _PHASE_ENTRIES = int(2e7)  # largest phase array of one block (plane_wave_sum, construction 2)
+GL_MAX_ORDER = 2048  # most nodes per panel of a rule (transform.gl_panels, construction 2)
 
 # the largest m the numeric constructions and the inversion sum serve: the top
 # of the range `check --profile full` verifies (the limits beyond: README)
@@ -72,6 +73,18 @@ def radii(xs: np.ndarray) -> np.ndarray:
     if not np.isfinite(r).all():
         raise CapabilityError("a point's radius |x| is not finite: it is out of float range")
     return r
+
+
+@lru_cache(maxsize=64)
+def gauss_legendre(n: int):
+    """The n-node Gauss-Legendre rule on [-1, 1], nodes and weights,
+    read-only and cached per n: the one place a rule is built (numpy's
+    leggauss, a dense eigenvalue solve of O(n^3) work).  Its callers refuse
+    an n above GL_MAX_ORDER before they call it."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,12 @@ class CapabilityError(M3sphError):
     """Requested parameters exceed what the package can compute: the exact
     layer's m, the numeric spherical functions' m, the kernel orders, a
     point whose |x| or s|x| leaves float range, an s|x| whose sphere rule
-    would need more than 2048 polar nodes (construction 2), or a radial
-    forward transform whose kernel table would exceed 2^27 entries."""
+    would need more than 2048 polar nodes (construction 2), a composite
+    Gauss-Legendre rule of more than 2048 nodes per panel or 2^20 in all
+    (transform.gl_panels; the radial transform's r-rule passes 2048 per
+    panel at |y| or s_max = 1595.9), or a radial kernel sum of more than
+    2^27 evaluations (transform._direct_sums; a radial forward transform
+    is refused by that count before either rule is built)."""
 
 
 class ConsistencyError(M3sphError):

@@ -54,7 +54,10 @@ class Config:
     panel_width size forward()'s s-grid; the r-rule of the radial-form
     transform has max(32, ceil(4 s_max / pi) + 16) nodes per panel of
     width 4 (transform._radial_ft_coeffs), and forward() refuses an s_max
-    whose kernel table of the two rules would exceed 2^27 entries.
+    whose one radial sum over the two rules would make more than 2^27
+    kernel evaluations.  Every rule comes from one cached Gauss-Legendre
+    source (_kernels.gauss_legendre); one of more than 2048 nodes per
+    panel, or 2^20 in all, is refused (CapabilityError).
     """
 
     radial_nodes_per_panel: int = transform.DEFAULT_NODES_PER_PANEL

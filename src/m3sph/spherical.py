@@ -41,9 +41,10 @@ from .radial import _check_scale
 from .so3rep import check_type_index
 
 
-# the most polar nodes construction 2's sphere rule may have (degree 4095); it
-# refuses an s*|x| that would need more, before it builds any array
-_MAX_POLAR_NODES = 2048
+# the most polar nodes construction 2's sphere rule may have (degree 4095), the
+# largest Gauss-Legendre rule; it refuses an s*|x| that would need more, before
+# it builds any array
+_MAX_POLAR_NODES = _kernels.GL_MAX_ORDER
 
 
 @lru_cache(maxsize=None)
@@ -255,10 +256,11 @@ class SphereRule:
 @lru_cache(maxsize=64)
 def _polar_factor(n_polar: int):
     """The factors of the sphere rules with n_polar polar nodes, read-only:
-    the Gauss-Legendre cosines mu of the polar angle from e_1 and their
-    sines, the node weights w / (2 n_az), and the cosines and sines of the
-    n_az = 2 n_polar azimuths."""
-    mu, w = np.polynomial.legendre.leggauss(n_polar)
+    the Gauss-Legendre cosines mu of the polar angle from e_1
+    (_kernels.gauss_legendre) and their sines, the node weights
+    w / (2 n_az), and the cosines and sines of the n_az = 2 n_polar
+    azimuths."""
+    mu, w = _kernels.gauss_legendre(n_polar)
     az = 2.0 * np.pi * np.arange(2 * n_polar) / (2 * n_polar)
     factor = mu, np.sqrt(1.0 - mu**2), w / (4.0 * n_polar), np.cos(az), np.sin(az)
     for a in factor:
@@ -353,11 +355,16 @@ def apply_dtau_analytic(spec: SphericalFunctionSpec, x) -> np.ndarray:
       lam'_l  = s u_l (l T_{l-1} - (l+1) T_{l+1}/((2l+1)(2l+3))),
       (L/r)_l = s u_l (T_{l-1} + T_{l+1}/((2l+1)(2l+3))), l >= 1.
     [A_i, Phi(x)] = dPhi(x)[Y_i x] with Y_3 e_1 = -e_2, Y_2 e_1 = e_3 gives
-    d_2 Phi = -[A_3, L]/r, d_3 Phi = [A_2, L]/r.  A point refused by
-    radii() raises there, one whose s|x| leaves float range CapabilityError.
+    d_2 Phi = -[A_3, L]/r, d_3 Phi = [A_2, L]/r.  The diagonal of
+    A_3 [A_2, L/r] - A_2 [A_3, L/r] is M (lam/r) with the constant
+    M = diag(rowsum K) - K, K = A_3 o A_2^T - A_2 o A_3^T (entrywise
+    products).  A point refused by radii() raises there, one whose s|x|
+    leaves float range CapabilityError.
     """
     x = np.asarray(x, dtype=np.float64)
     a1, a2, a3 = _rep(spec.m).generators
+    K = a3 * a2.T - a2 * a3.T
+    M = np.diag(K.sum(axis=1)) - K
     diags = axis_diagonals(spec.m)
     ls = np.arange(2 * spec.m + 1)
 
@@ -370,10 +377,7 @@ def apply_dtau_analytic(spec: SphericalFunctionSpec, x) -> np.ndarray:
         dlam = (su * (ls * below - (ls + 1) * above)) @ diags
         # L/r less its l = 0 term, which commutes with every A_i
         lam_r = (su * (below + above) * (ls > 0)) @ diags
-        # [A_2, L]/r and [A_3, L]/r, one (n_r, d, d) stack each
-        c2, c3 = (a * lam_r[:, None, :] - lam_r[:, :, None] * a for a in (a2, a3))
-        return (np.diagonal(a1) * dlam + np.einsum("ik,pki->pi", a3, c2)
-                - np.einsum("ik,pki->pi", a2, c3))
+        return np.diagonal(a1) * dlam + lam_r @ M.T
 
     out = q_series(diagonal_at, x)
     return out[0] if x.ndim == 1 else out

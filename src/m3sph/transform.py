@@ -28,9 +28,11 @@ import numpy as np
 
 from . import spherical
 from ._kernels import (
+    GL_MAX_ORDER,
     axis_diagonals,
     f_table,
     fourier_grid_sum,
+    gauss_legendre,
     grid_convolution,
     q_series,
     radii,
@@ -50,9 +52,11 @@ _CHEB_EXTRA = 24       # nodes beyond s_max * R / 2 in the first try
 _CHEB_TAIL = 8         # trailing coefficients that must be negligible
 _CHEB_TAIL_TOL = 1e-14
 
-# the most entries the (2m+1, n_s, n_r) kernel table of the radial transform
-# may have (_radial_ft_coeffs): 9.3e7 at s_max = 1000, m = 1, r_grid to 12
+# the most kernel evaluations one radial sum may make (_direct_sums), a bound
+# on work, not memory, since the sum goes in blocks: the radial forward to
+# s_max = 1000 at m = 1, r_grid to 12, makes 9.3e7
 _MAX_KERNEL_ENTRIES = 2**27
+_MAX_RULE_NODES = 2**20  # most nodes of one composite rule (gl_panels)
 
 
 def inversion_constant(m: int) -> float:
@@ -62,16 +66,19 @@ def inversion_constant(m: int) -> float:
 
 def gl_panels(a: float, b: float, per_panel: int = DEFAULT_NODES_PER_PANEL,
               panel_width: float = DEFAULT_PANEL_WIDTH):
-    """Composite Gauss-Legendre nodes/weights on [a, b]."""
-    n_panels = max(1, math.ceil((b - a) / panel_width))
-    edges = np.linspace(a, b, n_panels + 1)
-    x0, w0 = np.polynomial.legendre.leggauss(per_panel)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        nodes.append(mid + half * x0)
-        weights.append(half * w0)
-    return np.concatenate(nodes), np.concatenate(weights)
+    """Composite Gauss-Legendre nodes/weights on [a, b]: the rule
+    gauss_legendre(per_panel) on each of max(1, ceil((b - a) / panel_width))
+    equal panels, in one broadcast.  A rule of more than GL_MAX_ORDER nodes
+    per panel, or of more than _MAX_RULE_NODES in all, raises
+    CapabilityError before any array is built."""
+    n_panels = max(1.0, float(np.ceil((b - a) / panel_width)))
+    if not (per_panel <= GL_MAX_ORDER and n_panels * per_panel <= _MAX_RULE_NODES):
+        raise CapabilityError(f"a Gauss-Legendre rule of {n_panels:.3g} x {per_panel} nodes is "
+                              f"over {GL_MAX_ORDER} per panel or {_MAX_RULE_NODES} in all")
+    x0, w0 = gauss_legendre(per_panel)
+    edges = np.linspace(a, b, int(n_panels) + 1)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * x0).ravel(), (half[:, None] * w0).ravel()
 
 
 def _axis_diagonal(g: np.ndarray, rs: np.ndarray) -> np.ndarray:
@@ -317,25 +324,23 @@ def _radial_ft_coeffs(field: MatrixField, s_arr: np.ndarray):
     """Fourier coefficients c_k(s) with Fhat(s*eta) = sum_k c_k(s) Q_k(eta).
 
     c_k(s) = 4 pi (-i)^k int g_k(r) j_k(sr) r^{k+2} dr, via the axis
-    kernels: j_k(t) = t^k f_k(t) / (2k+1)!!.  The r-rule has panels of
-    width 4 on [0, r_grid[-1]] with max(32, ceil(s_max * 4 / pi) + 16)
-    Gauss-Legendre nodes each, s_max = max |s_arr|: the integrand
+    kernels: j_k(t) = T_k(t) / (2k+1)!!, T_k(t) = t^k f_k(t).  The r-rule has
+    panels of width 4 on [0, r_grid[-1]] with max(32, ceil(s_max * 4 / pi)
+    + 16) Gauss-Legendre nodes each, s_max = max |s_arr|: the integrand
     oscillates at frequency s_max, so the nodes per oscillation are fixed.
+    The integral is the inversion's radial sum run the other way,
+    sum_r H[k, r] T_k(s r) (_direct_sums), with the weight matrix
+    H[k, r] = 4 pi (-i)^k g_k(r) w_r r^{k+2} / (2k+1)!!; the phases (-i)^k
+    are exact.
     """
     if not (isinstance(field.profile, RadialProfile) and field.profile.decays):
         raise ValueError("classical transform requires a radial profile labelled as decaying")
-    L = 2 * field.m + 1
+    k = np.arange(field.dim)
     s_max = float(np.max(np.abs(s_arr), initial=0.0))
     rq, wq = gl_panels(0.0, float(field.r_grid[-1]), int(_r_nodes_per_panel(s_max)))
-    # (L, n_r) with contiguous rows, so the products below keep their rounding
-    gv = np.ascontiguousarray(field._coefficients(rq).T)
-    ts = np.multiply.outer(s_arr, rq)  # (n_s, n_r)
-    tv = f_table(L - 1, ts, axis=True)  # (L, n_s, n_r)
-    out = np.empty((s_arr.size, L), dtype=np.complex128)
-    for k in range(L):
-        integ = (tv[k] / double_factorial_odd(k) * (rq ** (k + 2) * wq)) @ gv[k]
-        out[:, k] = 4.0 * np.pi * (-1j) ** k * integ
-    return out
+    scale = 4.0 * np.pi * np.array([1, -1j, -1, 1j])[k % 4] / [double_factorial_odd(j) for j in k]
+    H = field._coefficients(rq).T * (rq ** (k[:, None] + 2) * wq) * scale[:, None]
+    return _direct_sums(H, rq, s_arr, axis=True)
 
 
 def classical_ft(F: MatrixField, y) -> np.ndarray:
@@ -509,10 +514,10 @@ def forward(
     capped at the lattice Nyquist frequency pi/spacing: beyond it the
     discrete transform is pure aliasing.  A given s_max and panel_width
     must be positive and per_panel at least 1, and a given s_max finite
-    (ValueError otherwise).  For a radial field, an s_max whose
-    (2m+1, n_s, n_r) kernel table in _radial_ft_coeffs would hold more than
-    _MAX_KERNEL_ENTRIES entries is refused with CapabilityError before
-    either rule is built.
+    (ValueError otherwise).  For a radial field, an s_max whose radial sum
+    in _radial_ft_coeffs would make more than _MAX_KERNEL_ENTRIES kernel
+    evaluations, (2m+1) n_s n_r, is refused with CapabilityError before
+    either rule is built; gl_panels refuses a rule it cannot build.
     """
     requested = s_max is not None
     if requested and not 0 < s_max < math.inf:
@@ -533,7 +538,7 @@ def forward(
                     stacklevel=2,
                 )
             s_max = nyquist
-    else:  # the (2m+1, n_s, n_r) kernel table of _radial_ft_coeffs, before any rule is built
+    else:  # the (2m+1) n_s n_r kernel values of _radial_ft_coeffs, before any rule is built
         n_s = per_panel * max(1.0, float(np.ceil(s_max / panel_width)))
         r_panels = max(1.0, float(np.ceil(F.r_grid[-1] / DEFAULT_PANEL_WIDTH)))
         entries = F.dim * n_s * r_panels * _r_nodes_per_panel(s_max)
@@ -594,16 +599,24 @@ def _inversion_matrix(coeffs: SphericalCoefficients) -> np.ndarray:
     return inversion_constant(coeffs.m) * powers * (u.T @ base)
 
 
-def _direct_sums(G: np.ndarray, s: np.ndarray, rs: np.ndarray) -> np.ndarray:
+def _direct_sums(G: np.ndarray, s: np.ndarray, rs: np.ndarray, axis: bool = False) -> np.ndarray:
     """sum_q G[l, q] f_l(s_q r) at each radius of ``rs`` for the rows
-    l = 0..n_l-1 of G; (rs.size, n_l).  Radii go in blocks to bound the
-    kernel table."""
+    l = 0..n_l-1 of G, or with ``axis`` the same sums of the axis kernels
+    T_l(s_q r) (f_table); (rs.size, n_l).  The one radial kernel sum: the
+    inversion sums, and the radial forward transform with the r-rule as
+    ``s`` and the scales as ``rs``.  Radii go in blocks of about 2e6 kernel
+    values (one radius at least), and a call of more than
+    _MAX_KERNEL_ENTRIES evaluations in all raises CapabilityError before
+    any is made."""
     n_l = G.shape[0]
+    if n_l * s.size * rs.size > _MAX_KERNEL_ENTRIES:
+        raise CapabilityError(f"a radial kernel sum of {n_l * s.size * rs.size:.3g} "
+                              f"evaluations is over {_MAX_KERNEL_ENTRIES}")
     c = np.empty((rs.size, n_l), dtype=np.complex128)
     block = max(1, int(2e6) // max(1, n_l * s.size))
     for b0 in range(0, rs.size, block):
-        fv = f_table(n_l - 1, np.multiply.outer(rs[b0 : b0 + block], s))  # (n_l, nb, n_s)
-        c[b0 : b0 + block] = np.einsum("lq,lpq->pl", G, fv)
+        fv = f_table(n_l - 1, np.multiply.outer(rs[b0 : b0 + block], s), axis=axis)
+        c[b0 : b0 + block] = np.einsum("lq,lpq->pl", G, fv)  # fv: (n_l, nb, n_s)
     return c
 
 

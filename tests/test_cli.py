@@ -520,6 +520,25 @@ def test_radial_forward_refuses_a_kernel_table_it_cannot_build(capsys, tmp_path,
 
 
 @pytest.mark.parametrize("argv", [
+    ["transform", "forward", "--nr", "100000"],
+    ["synth", "bump", "--params", '{"s0": 1e6}'],
+    ["synth", "bump", "--params", '{"s0": 1e300}'],
+], ids=["forward-nr", "bump-1e6", "bump-1e300"])
+def test_rule_that_cannot_be_built_is_refused(capsys, tmp_path, argv):
+    # 100 000 nodes per panel, or a bump s-grid of 8e6 and 2.5e300 nodes:
+    # refused by the rule's size before it is built (numpy would ask for
+    # 74.5 GiB, run for minutes, or pass its array size limit)
+    field_path, out_path = tmp_path / "g.m3sf", tmp_path / "out"
+    assert run_cli(capsys, "synth", "gaussian", "--m", "1", "--out", str(field_path))[0] == 0
+    io = ["--in", str(field_path)] if argv[0] == "transform" else ["--m", "1"]
+    code, out, err = run_cli(capsys, *argv, *io, "--out", str(out_path))
+    assert code == 2
+    assert "Gauss-Legendre rule" in err
+    assert out == ""
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["rep"], ["qpoly"], ["radial", "--table"], ["phi", "--s", "1", "--j", "0", "--at", "0,0,0"],
     ["synth", "gaussian", "--out", "never.m3sf"], ["check"],
 ], ids=lambda argv: argv[0])

@@ -119,6 +119,17 @@ def test_f_table_refuses_orders_above_its_cap():
         _kernels.f_table(top + 1, [1.0])
 
 
+def test_gauss_legendre_is_one_cached_read_only_rule_per_order():
+    # numpy's rule, built once per order and shared by every later call
+    _kernels.gauss_legendre.cache_clear()
+    x, w = _kernels.gauss_legendre(37)
+    ref = np.polynomial.legendre.leggauss(37)
+    assert np.array_equal(x, ref[0]) and np.array_equal(w, ref[1])
+    assert not (x.flags.writeable or w.flags.writeable)
+    assert _kernels.gauss_legendre(37)[0] is x
+    assert _kernels.gauss_legendre.cache_info().misses == 1
+
+
 def _frame_test_points(rng):
     """Random points plus the origin, +-e_1 and other points on the e_1 axis."""
     axis = [[0, 0, 0], [1, 0, 0], [-1, 0, 0], [2.5, 0, 0], [-0.3, 0, 0]]

@@ -649,6 +649,30 @@ def test_first_order_operator_takes_a_batch():
             spherical.apply_dtau_analytic(spec, np.concatenate([xs, [[np.nan, 0, 0]]]))
 
 
+@pytest.mark.parametrize("m", [1, 3, 8, 26])
+def test_first_order_operator_on_the_axis_is_the_two_commutators(m):
+    # on the e_1 axis D_tau Phi is A_1 diag(lam') + A_3 [A_2, L/r] - A_2 [A_3, L/r];
+    # the commutators, formed here as (d, d) matrices, agree with the one
+    # constant matrix applied to lam/r to rounding, 4e-15 of the largest entry
+    spec = phi_method1(m, 1.3, m)
+    rs = np.array([0.0, 0.4, 2.5, 9.0, 31.0])
+    xs = np.zeros((rs.size, 3))
+    xs[:, 0] = rs
+    a1, a2, a3 = build_irrep(m).generators
+    ls = np.arange(2 * m + 1)
+    T = _kernels.f_table(2 * m + 1, spec.s * rs, axis=True).T
+    below = np.concatenate([np.zeros((rs.size, 1)), T[:, :-2]], axis=1)
+    above = T[:, 1:] / ((2 * ls + 1) * (2 * ls + 3))
+    su = spec.s * spec.coeffs
+    diags = _kernels.axis_diagonals(m)
+    dlam = (su * (ls * below - (ls + 1) * above)) @ diags
+    lam_r = (su * (below + above) * (ls > 0)) @ diags
+    ref = np.array([a1 @ np.diag(dl) + a3 @ (a2 @ np.diag(lr) - np.diag(lr) @ a2)
+                    - a2 @ (a3 @ np.diag(lr) - np.diag(lr) @ a3) for dl, lr in zip(dlam, lam_r)])
+    out = spherical.apply_dtau_analytic(spec, xs)
+    assert np.max(np.abs(out - ref)) <= 4e-15 * np.max(np.abs(ref))
+
+
 def test_positive_type():
     rng = np.random.default_rng(12)
     for m in (0, 1, 2, 3):

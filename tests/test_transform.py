@@ -122,6 +122,104 @@ def test_ft_along_e1_matches_lattice_sum(m):
 
 
 # ---------------------------------------------------------------------------
+# quadrature rules and the radial sum
+# ---------------------------------------------------------------------------
+
+
+def _gl_panels_loop(a, b, per_panel, panel_width):
+    """Composite Gauss-Legendre rule built panel by panel: the reference
+    for transform.gl_panels."""
+    n_panels = max(1, int(np.ceil((b - a) / panel_width)))
+    edges = np.linspace(a, b, n_panels + 1)
+    x0, w0 = np.polynomial.legendre.leggauss(per_panel)
+    nodes, weights = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        nodes.append(mid + half * x0)
+        weights.append(half * w0)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("a, b, per_panel, width", [
+    (0.0, 30.0, 32, 4.0), (0.0, 12.0, 1290, 4.0), (0.0, 12.5, 1, 4.0), (0.0, 3.0, 32, 4.0),
+    (-1.0, 1.0, 7, 2.0), (0.3, 17.9, 48, 0.7), (0.0, 1e-3, 5, 4.0), (2.0, 2.0, 3, 1.0),
+    (0.0, 97.0, 40, 3.3),
+])
+def test_gl_panels_matches_the_per_panel_loop_bit_for_bit(a, b, per_panel, width):
+    nodes, weights = transform.gl_panels(a, b, per_panel, width)
+    ref_nodes, ref_weights = _gl_panels_loop(a, b, per_panel, width)
+    assert np.array_equal(nodes, ref_nodes)
+    assert np.array_equal(weights, ref_weights)
+
+
+def test_gl_panels_refuses_a_rule_before_building_it(monkeypatch):
+    # 2048 nodes per panel and 2^20 in all are served; one more of either
+    # is refused before numpy is asked for a rule or any array is made
+    assert transform.gl_panels(0.0, 4.0 * 512, 2048)[0].size == 2**20
+    asked = []
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: asked.append(n))
+    monkeypatch.setattr(np, "linspace", lambda *a, **k: asked.append(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b, per_panel, width in [(0.0, 30.0, 2049, 4.0), (0.0, 4.0 * 513, 2048, 4.0),
+                                       (0.0, 1e6, 32, 4.0), (0.0, 1e300, 32, 4.0),
+                                       (0.0, 1.0, 32, 1e-300), (0.0, 4.0, 10**9, 4.0)]:
+            with pytest.raises(CapabilityError, match="Gauss-Legendre rule"):
+                transform.gl_panels(a, b, per_panel, width)
+    assert asked == []
+
+
+def test_radial_forward_goes_through_the_blocked_sum(monkeypatch, gaussian_m1):
+    # one kernel value per (order, scale, r-node), as one unblocked table
+    # held them, but in calls of at most 2e6 values each
+    evals = _counting_f_table(monkeypatch)
+    coeffs = transform.forward(gaussian_m1, s_max=300.0)
+    n_r = 3 * transform._r_nodes_per_panel(300.0)  # r_grid to 12: three panels
+    assert sum(evals) == 3 * coeffs.s_grid.size * n_r
+    assert len(evals) > 1 and max(evals) <= 2e6
+
+
+def test_direct_sums_refuses_more_evaluations_than_its_bound(monkeypatch):
+    # 3 orders x 2^13 nodes x 2^13 radii is 1.5 times the bound; under a
+    # bound of 3 x 16 x 16 a sum at 16 radii is served and one at 17 is not
+    evals = _counting_f_table(monkeypatch)
+    G = np.ones((3, 2**13), dtype=complex)
+    nodes = np.linspace(0.0, 1.0, 2**13)
+    with pytest.raises(CapabilityError, match="radial kernel sum"):
+        transform._direct_sums(G, nodes, nodes)
+    assert evals == []
+    monkeypatch.setattr(transform, "_MAX_KERNEL_ENTRIES", 3 * 16 * 16)
+    assert transform._direct_sums(G[:, :16], nodes[:16], nodes[:16]).shape == (16, 3)
+    with pytest.raises(CapabilityError, match="radial kernel sum"):
+        transform._direct_sums(G[:, :16], nodes[:16], nodes[:17])
+    assert evals == [3 * 16 * 16]
+
+
+def test_radial_classical_ft_refuses_an_r_rule_it_cannot_build(monkeypatch, gaussian_m1):
+    # the r-rule has ceil(4 |y| / pi) + 16 nodes per panel: 1926 at |y| =
+    # 1500 is built (stopped at the rule here), 2563 at |y| = 2000 is
+    # refused, and 1.27e6 at |y| = 1e6 is refused for its 3.8e6 nodes in all
+    class Built(Exception):
+        pass
+
+    def rule(n):
+        assert n == 1926
+        raise Built
+
+    with pytest.raises(CapabilityError, match="Gauss-Legendre rule"):
+        transform.classical_ft(gaussian_m1, [1e6, 0.0, 0.0])
+    with pytest.raises(CapabilityError, match="Gauss-Legendre rule"):
+        transform.h_decompose(gaussian_m1, 1e6)
+    with pytest.raises(CapabilityError, match="Gauss-Legendre rule"):
+        transform.spherical_ft(gaussian_m1, 1e6, 0)
+    monkeypatch.setattr(transform, "gauss_legendre", rule)
+    with pytest.raises(Built):
+        transform.classical_ft(gaussian_m1, [0.0, 1500.0, 0.0])
+    with pytest.raises(CapabilityError, match="over 2048 per panel"):
+        transform.classical_ft(gaussian_m1, [0.0, 0.0, 2000.0])
+
+
+# ---------------------------------------------------------------------------
 # h decomposition and the spherical transform
 # ---------------------------------------------------------------------------
 
@@ -322,8 +420,8 @@ def _inverse_per_point(coeffs, xs):
 def _counting_f_table(monkeypatch):
     evals = []
 
-    def counted(jmax, t):
-        out = _kernels.f_table(jmax, t)
+    def counted(jmax, t, axis=False):
+        out = _kernels.f_table(jmax, t, axis=axis)
         evals.append(out.size)
         return out
 
