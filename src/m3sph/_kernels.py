@@ -27,6 +27,9 @@ _MILLER_EXTRA = 25  # extra start orders for the downward recurrence
 F_TABLE_JMAX = 64   # highest order f_table serves (see f_table)
 _PHASE_ENTRIES = int(2e7)  # largest phase array of one block (plane_wave_sum, construction 2)
 GL_MAX_ORDER = 2048  # most nodes per panel of a rule (transform.gl_panels, construction 2)
+# matrix entries per block of the cache-sized passes: the ingest diagnostic
+# (transform.MatrixField.equivariance_diagnostic) and axis_transport
+BLOCK_ENTRIES = 2**16
 
 # the largest m the numeric constructions and the inversion sum serve: the top
 # of the range `check --profile full` verifies (the limits beyond: README)
@@ -201,19 +204,28 @@ def axis_transport(lam: np.ndarray, xs: np.ndarray, rs: np.ndarray) -> np.ndarra
     (a, b) takes the power a - b of each.  The stack is held entries-first,
     (d^2, n): E^* diag(lam) E, its theta phases minus 1, then E on the left
     and E^* on the right as two GEMMs (O(n d^3)), the phi phases, plus
-    diag(lam), so the e_1 ray gives diag(lam) to the bit.
+    diag(lam), so the e_1 ray gives diag(lam) to the bit.  The points go in
+    blocks of max(1, BLOCK_ENTRIES // d^2), so every temporary stays
+    cache-sized, and each block's transpose is written straight into the
+    one (n, d, d) result.
     """
     n, d = lam.shape
     e, to_frame = _frame(d)
-    rho = np.hypot(xs[:, 1], xs[:, 2])
-    z_theta = _unit_phase(xs[:, 0], -rho, rs)
-    z_phi = _unit_phase(xs[:, 1], -xs[:, 2], rho)
-    y = (to_frame @ lam.T).reshape(d, d, n)
-    y *= _phases(z_theta, d, less_one=True)
-    np.matmul(e.conj(), (e @ y.reshape(d, d * n)).reshape(d, d, n), out=y)
-    y *= _phases(z_phi, d)
-    y.reshape(d * d, n)[:: d + 1] += lam.T
-    return np.ascontiguousarray(y.transpose(2, 0, 1))
+    out = np.empty((n, d, d), dtype=np.complex128)
+    step = max(1, BLOCK_ENTRIES // (d * d))
+    for p0 in range(0, n, step):
+        blk = slice(p0, p0 + step)
+        lb, xb, nb = lam[blk], xs[blk], min(step, n - p0)
+        rho = np.hypot(xb[:, 1], xb[:, 2])
+        z_theta = _unit_phase(xb[:, 0], -rho, rs[blk])
+        z_phi = _unit_phase(xb[:, 1], -xb[:, 2], rho)
+        y = (to_frame @ lb.T).reshape(d, d, nb)
+        y *= _phases(z_theta, d, less_one=True)
+        np.matmul(e.conj(), (e @ y.reshape(d, d * nb)).reshape(d, d, nb), out=y)
+        y *= _phases(z_phi, d)
+        y.reshape(d * d, nb)[:: d + 1] += lb.T
+        out[blk] = y.transpose(2, 0, 1)
+    return out
 
 
 @lru_cache(maxsize=None)

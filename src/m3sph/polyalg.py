@@ -13,7 +13,11 @@ Every coefficient is a real rational in the split form.  A MatPoly holds
 them as Python int numerators over one common denominator, and the
 generators B_i (exact_generators) are built once per m in that form;
 Fraction is used only for the scalar vectors above and for the strings of
-the JSON form.  Two changes of coordinates make the coefficients real
+the JSON form.  Each B_i is diagonal or tridiagonal (the ladder structure),
+so the identity checks multiply by it as at most three shifted elementwise
+products of P's stacked numerators (_band_mul), O(d^2) per term; general
+products (build_Q, the powers of Q_1, the terminating product) are
+MatPoly.__matmul__.  Two changes of coordinates make the coefficients real
 rationals, and every identity above is invariant under both.
 
 * A rescaled, rational basis.  The weight-basis generators have ladder
@@ -126,8 +130,10 @@ def _weight_basis(e: Monomial, num: np.ndarray, den: int) -> tuple[bool, list]:
 
 def _reduced(dim: int, terms: dict, den: int) -> "MatPoly":
     """The canonical MatPoly sum_e terms[e] y^e / den: all-zero matrices are
-    dropped and den is divided by its gcd with every numerator."""
-    terms = {e: n for e, n in terms.items() if n.any()}
+    dropped and den is divided by its gcd with every numerator.  The zero
+    test is any() over the flat iterator, which stops at the first nonzero
+    entry (ndarray.any on an object array visits every entry)."""
+    terms = {e: n for e, n in terms.items() if any(n.flat)}
     g = den
     for n in terms.values():
         if g == 1:
@@ -150,6 +156,11 @@ class MatPoly:
     So the zero polynomial has no terms, and two polynomials are equal iff
     their dens and numerator arrays are.  ``eval`` and ``to_json_obj``
     give the polynomial in x and the weight basis.
+
+    Numerator arrays are never written in place, so results share them
+    freely: a factor of 1 (in ``__add__``'s common denominator, ``scale``
+    and ``mul_monomial``) passes the arrays on, and a factor of -1 negates
+    them with no gcd pass, as the canonical form is kept by both.
     """
 
     dim: int
@@ -169,9 +180,11 @@ class MatPoly:
     def __add__(self, other: "MatPoly") -> "MatPoly":
         den = math.lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
-        out = {e: a * n for e, n in self.terms.items()}
+        out = dict(self.terms) if a == 1 else {e: a * n for e, n in self.terms.items()}
         for e, n in other.terms.items():
-            out[e] = out[e] + b * n if e in out else b * n
+            if b != 1:
+                n = b * n
+            out[e] = out[e] + n if e in out else n
         return _reduced(self.dim, out, den)
 
     def __sub__(self, other: "MatPoly") -> "MatPoly":
@@ -191,6 +204,10 @@ class MatPoly:
     def scale(self, s) -> "MatPoly":
         """Multiply by a rational scalar (a Fraction or an int)."""
         p, q = s.numerator, s.denominator
+        if q == 1 and p == 1:
+            return self
+        if q == 1 and p == -1:
+            return -self
         return _reduced(self.dim, {e: p * n for e, n in self.terms.items()}, self.den * q)
 
     def mul_monomial(self, mono: Monomial, coeff=1) -> "MatPoly":
@@ -214,7 +231,7 @@ class MatPoly:
     def diff(self, axis: int) -> "MatPoly":
         """d/dy_axis."""
         out = {
-            e[:axis] + (e[axis] - 1,) + e[axis + 1 :]: e[axis] * n
+            e[:axis] + (e[axis] - 1,) + e[axis + 1 :]: n if e[axis] == 1 else e[axis] * n
             for e, n in self.terms.items()
             if e[axis]
         }
@@ -325,6 +342,46 @@ def exact_generators(m: int) -> tuple:
     return gens
 
 
+@lru_cache(maxsize=None)
+def _generator_bands(m: int) -> tuple:
+    """Each exact_generators(m)[i] as (band, den): band lists the nonzero
+    diagonals of its numerator as (rows, cols, v), v the diagonal and rows,
+    cols the slices it spans, so v[t] is the entry (rows[t], cols[t]).
+    B_1 has the main diagonal only, B_2 and B_3 the two ladder diagonals;
+    at m = 0 every B_i is zero and has none.  Cached per m; the vectors are
+    read-only."""
+    d = 2 * m + 1
+    out = []
+    for g in exact_generators(m):
+        num = g.terms.get((0, 0, 0), np.zeros((d, d), dtype=object))
+        band = []
+        for k in (-1, 0, 1):
+            v = np.diagonal(num, k).copy()
+            if any(v):
+                v.setflags(write=False)
+                band.append((slice(max(-k, 0), d - max(k, 0)), slice(max(k, 0), d - max(-k, 0)), v))
+        out.append((tuple(band), g.den))
+    return tuple(out)
+
+
+def _stacked(P: MatPoly) -> np.ndarray:
+    """P's numerator arrays as one (T, d, d) object array, in P's term order."""
+    return np.array(list(P.terms.values()), dtype=object).reshape(-1, P.dim, P.dim)
+
+
+def _band_mul(stack: np.ndarray, band: tuple, left: bool) -> np.ndarray:
+    """B @ N (left) or N @ B for every N of a (T, d, d) object stack, with B
+    given by the nonzero diagonals of _generator_bands: one shifted
+    elementwise product per diagonal, O(d^2) per matrix, not O(d^3)."""
+    out = np.zeros_like(stack)
+    for rows, cols, v in band:
+        if left:  # (B N)[r] += B[r, r+k] N[r+k]
+            out[:, rows] += stack[:, cols] * v[:, None]
+        else:  # (N B)[:, r+k] += N[:, r] B[r, r+k]
+            out[:, :, cols] += stack[:, :, rows] * v
+    return out
+
+
 @dataclass(frozen=True)
 class CoeffTable:
     """The lowering scalars a_1..a_{2m} and the Casimir constant c = -m(m+1)."""
@@ -429,11 +486,13 @@ def laplacian(P: MatPoly) -> MatPoly:
 def apply_dtau_op(P: MatPoly) -> MatPoly:
     """The invariant operator sum_i A_i * dP/dx_i = sum_i eta_i B_i * dP/dy_i
     (left multiplication), with the split-form generators B of
-    exact_generators for P's type."""
-    gens = exact_generators((P.dim - 1) // 2)
+    exact_generators for P's type, each product a banded one (_band_mul)."""
+    bands = _generator_bands((P.dim - 1) // 2)
     out = MatPoly.zero(P.dim)
-    for i in range(3):
-        out = out + (gens[i].scale(_ETA[i]) @ P.diff(i))
+    for i, (band, den) in enumerate(bands):
+        dp = P.diff(i)
+        prod = _band_mul(_stacked(dp), band, left=True)
+        out = out + _reduced(P.dim, dict(zip(dp.terms, prod)), den * dp.den).scale(_ETA[i])
     return out
 
 
@@ -461,9 +520,13 @@ def equivariance_defect(P: MatPoly, i: int) -> MatPoly:
     """c_i ([A_i, P(x)] - dP(x)[Y_i x]) = [B_i, P(y)] - dP(y)[K_i y], with
     c = (i, i, 1), the split-form generators B of exact_generators for P's
     type and the real fields K_i of _ROTATION_FIELDS.  The zero polynomial
-    iff P is equivariant at the infinitesimal level for axis i."""
-    bi = exact_generators((P.dim - 1) // 2)[i]
-    out = (bi @ P) - (P @ bi)
+    iff P is equivariant at the infinitesimal level for axis i.  The
+    commutator is formed on P's stacked numerators by two banded products
+    (_band_mul), its terms in P's order."""
+    band, den = _generator_bands((P.dim - 1) // 2)[i]
+    stack = _stacked(P)
+    comm = _band_mul(stack, band, left=True) - _band_mul(stack, band, left=False)
+    out = _reduced(P.dim, dict(zip(P.terms, comm)), den * P.den)
     for a, b, k in _ROTATION_FIELDS[i]:
         out = out - P.diff(a).mul_monomial(_UNIT[b], k)
     return out

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import spherical
 from ._kernels import (
+    BLOCK_ENTRIES,
     GL_MAX_ORDER,
     axis_diagonals,
     f_table,
@@ -103,7 +104,6 @@ _INGEST_ROTATIONS = [
     Rotation(axis=np.array([0, 0, 1.0]), angle=np.pi / 2),
     Rotation(axis=np.array([0, 0, 1.0]), angle=np.pi),
 ]
-_DIAGNOSTIC_ENTRIES = 2**15  # matrix entries per block of the ingest diagnostic
 
 
 @dataclass
@@ -272,7 +272,7 @@ class MatrixField:
         flipped and transposed (no point coordinates are rounded), and the
         transport is a product of the flattened matrices with
         kron(tau, conj tau)^T, taken over blocks of first-axis slabs (about
-        _DIAGNOSTIC_ENTRIES entries) so that no full-size temporary is made.
+        BLOCK_ENTRIES entries) so that no full-size temporary is made.
         The modulus is a hypot, so no finite payload overflows.
         """
         if self.form == "radial":
@@ -295,7 +295,7 @@ class MatrixField:
             flipped = np.flip(self.values, axis=tuple(np.flatnonzero(perm[np.arange(3), p] < 0)))
             tk = tau(rep, rot)
             turns.append((flipped.transpose(*np.argsort(p), 3, 4), np.kron(tk, tk.conj()).T))
-        step = max(1, _DIAGNOSTIC_ENTRIES // (n1 * n2 * d2))
+        step = max(1, BLOCK_ENTRIES // (n1 * n2 * d2))
         scale = worst = 0.0
         for i in range(0, n0, step):
             flat = self.values[i:i + step].reshape(-1, d2)
@@ -516,7 +516,8 @@ def forward(
     must be positive and per_panel at least 1, and a given s_max finite
     (ValueError otherwise).  For a radial field, an s_max whose radial sum
     in _radial_ft_coeffs would make more than _MAX_KERNEL_ENTRIES kernel
-    evaluations, (2m+1) n_s n_r, is refused with CapabilityError before
+    evaluations, (2m+1) n_s n_r, or whose r-rule would have more than
+    GL_MAX_ORDER nodes per panel, is refused with CapabilityError before
     either rule is built; gl_panels refuses a rule it cannot build.
     """
     requested = s_max is not None
@@ -538,13 +539,17 @@ def forward(
                     stacklevel=2,
                 )
             s_max = nyquist
-    else:  # the (2m+1) n_s n_r kernel values of _radial_ft_coeffs, before any rule is built
+    else:  # the kernel values and r-rule of _radial_ft_coeffs, sized before any rule is built
+        r_per_panel = _r_nodes_per_panel(s_max)
         n_s = per_panel * max(1.0, float(np.ceil(s_max / panel_width)))
         r_panels = max(1.0, float(np.ceil(F.r_grid[-1] / DEFAULT_PANEL_WIDTH)))
-        entries = F.dim * n_s * r_panels * _r_nodes_per_panel(s_max)
+        entries = F.dim * n_s * r_panels * r_per_panel
         if entries > _MAX_KERNEL_ENTRIES:
             raise CapabilityError(f"the radial transform to s_max = {s_max:.3g} needs a kernel "
                                   f"table of {entries:.3g} entries, over {_MAX_KERNEL_ENTRIES}")
+        if r_per_panel > GL_MAX_ORDER:
+            raise CapabilityError(f"the radial transform to s_max = {s_max:.3g} needs an r-rule of "
+                                  f"{r_per_panel:.4g} nodes per panel, over {GL_MAX_ORDER}")
     s_nodes, s_w = gl_panels(0.0, float(s_max), per_panel, panel_width)
     vals = _ft_along_e1(F, s_nodes)[:, ::-1].T.copy()
     return SphericalCoefficients(m=F.m, s_grid=s_nodes, s_weights=s_w, values=vals)

@@ -247,6 +247,56 @@ def test_axis_transport_at_the_top_of_the_numeric_range_is_small_in_memory():
     assert peak < 8 << 20
 
 
+def _axis_transport_one_pass(lam, xs, rs):
+    """axis_transport as one pass over all n points, the whole (d^2, n)
+    stack at once: the reference for the blocked kernel."""
+    n, d = lam.shape
+    e, to_frame = _kernels._frame(d)
+    rho = np.hypot(xs[:, 1], xs[:, 2])
+    z_theta = _kernels._unit_phase(xs[:, 0], -rho, rs)
+    z_phi = _kernels._unit_phase(xs[:, 1], -xs[:, 2], rho)
+    y = (to_frame @ lam.T).reshape(d, d, n)
+    y *= _kernels._phases(z_theta, d, less_one=True)
+    np.matmul(e.conj(), (e @ y.reshape(d, d * n)).reshape(d, d, n), out=y)
+    y *= _kernels._phases(z_phi, d)
+    y.reshape(d * d, n)[:: d + 1] += lam.T
+    return np.ascontiguousarray(y.transpose(2, 0, 1))
+
+
+@pytest.mark.parametrize("m", [0, 1, 4])
+def test_blocked_axis_transport_is_the_one_pass_bit_for_bit(m):
+    # three full blocks and a short one, with points on the e_1 ray, on the
+    # -e_1 ray and at the origin on both sides of every block edge
+    d = 2 * m + 1
+    step = max(1, _kernels.BLOCK_ENTRIES // (d * d))
+    n = 3 * step + 5
+    rng = np.random.default_rng(24)
+    xs = rng.normal(size=(n, 3)) * 2.0
+    special = np.array([[1.5, 0.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for k, p in enumerate([0, step - 1, step, 2 * step - 1, 2 * step, 3 * step - 1, 3 * step, n - 1]):
+        xs[p] = special[k % 3]
+    rs = _kernels.radii(xs)
+    lam = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    assert np.array_equal(_kernels.axis_transport(lam, xs, rs), _axis_transport_one_pass(lam, xs, rs))
+
+
+def test_axis_transport_holds_no_full_size_temporary():
+    # at m = 1 on the 41^3 lattice points (10 MB per (n, d, d) stack) the
+    # result is the one array of its size; every temporary is one block's
+    axis = np.linspace(-8.0, 8.0, 41)
+    xs = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    rs = _kernels.radii(xs)
+    lam = np.random.default_rng(25).normal(size=(xs.shape[0], 3)) + 0.5j
+    _kernels._frame(3)
+    tracemalloc.start()
+    try:
+        out = _kernels.axis_transport(lam, xs, rs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + (4 << 20)
+
+
 @pytest.mark.parametrize("m", [0, 1, 3])
 def test_q_series_against_exact_q(m):
     rng = np.random.default_rng(0)

@@ -237,6 +237,62 @@ def test_equivariance_defect_detects_non_equivariant_constant(m):
     assert not polyalg.equivariance_defect(P, 2).is_zero()
 
 
+def _random_matpoly(rng, m: int, n_terms: int = 6) -> MatPoly:
+    """A canonical MatPoly of type m with random integer numerators (some
+    past int64) over a random denominator, of mixed degree: not
+    equivariant, so its products with the generators are nonzero."""
+    d = 2 * m + 1
+    terms = {}
+    while len(terms) < n_terms:
+        e = tuple(int(k) for k in rng.integers(0, 4, size=3))
+        terms[e] = rng.integers(-9, 10, size=(d, d)).astype(object) * (2**70 if len(terms) % 2 else 1)
+    return polyalg._reduced(d, terms, int(rng.integers(1, 60)))
+
+
+def _is_canonical(P: MatPoly) -> bool:
+    nums = [x for n in P.terms.values() for x in n.flat]
+    return P.den > 0 and math.gcd(P.den, *nums) == 1 and all(any(n.flat) for n in P.terms.values())
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_banded_generator_products_match_the_dense_ones(m):
+    # the banded commutator and operator against the dense MatPoly products,
+    # on polynomials whose results are nonzero; the terms come in the same order
+    rng = np.random.default_rng(40 + m)
+    gens = exact_generators(m)
+    for _ in range(3):
+        P = _random_matpoly(rng, m)
+        for i in range(3):
+            ref = (gens[i] @ P) - (P @ gens[i])
+            for a, b, k in polyalg._ROTATION_FIELDS[i]:
+                ref = ref - P.diff(a).mul_monomial(polyalg._UNIT[b], k)
+            out = polyalg.equivariance_defect(P, i)
+            assert out == ref and list(out.terms) == list(ref.terms)
+            assert _is_canonical(out) and not out.is_zero()
+        ref = MatPoly.zero(2 * m + 1)
+        for i in range(3):
+            ref = ref + (gens[i] @ P.diff(i)).scale(Fraction(polyalg._ETA[i]))
+        out = polyalg.apply_dtau_op(P)
+        assert out == ref and list(out.terms) == list(ref.terms)
+        assert _is_canonical(out) and out.is_zero() == (m == 0)
+
+
+def test_scale_by_plus_or_minus_one_is_canonical_and_exact():
+    # the factors 1 and -1 skip the gcd pass; the result is the one the
+    # general path gives, and canonical
+    rng = np.random.default_rng(45)
+    for m in range(5):
+        P = _random_matpoly(rng, m)
+        for s in (1, -1, Fraction(1), Fraction(-1)):
+            out = P.scale(s)
+            ref = polyalg._reduced(P.dim, {e: int(s) * n for e, n in P.terms.items()}, P.den)
+            assert out == ref and _is_canonical(out)
+        assert P.scale(1) == P and P.scale(-1) == -P
+        assert (P + P.scale(-1)).is_zero()
+        general = P.mul_monomial((1, 0, 2)).scale(Fraction(-2)).scale(Fraction(1, 2))
+        assert P.mul_monomial((1, 0, 2), -1) == general
+
+
 def test_rotation_fields_are_split_form_of_so3_generators():
     # K_i = c_i S^-1 Y_i S with S = diag(i, i, 1) and c = (i, i, 1)
     S = np.diag([1j, 1j, 1])

@@ -873,8 +873,8 @@ def test_blocked_diagnostic_matches_the_whole_array_pass(monkeypatch, m, n, slab
     # still takes one slab per block; every other case ends in a short block
     d = 2 * m + 1
     if slabs is not None:
-        monkeypatch.setattr(transform, "_DIAGNOSTIC_ENTRIES", slabs * n * n * d * d)
-    step = max(1, transform._DIAGNOSTIC_ENTRIES // (n * n * d * d))
+        monkeypatch.setattr(transform, "BLOCK_ENTRIES", slabs * n * n * d * d)
+    step = max(1, transform.BLOCK_ENTRIES // (n * n * d * d))
     assert step == 1 or n % step != 0
     rng = np.random.default_rng(10 * m + n)
     G = fieldio.synthesize("gaussian", m, {"component": m}).to_grid(extent=3.0, n=n)
@@ -1113,6 +1113,22 @@ def test_radial_forward_refusal_is_sized_before_any_rule(monkeypatch, gaussian_m
     with pytest.raises(CapabilityError, match="kernel table"):
         transform.forward(gaussian_m1, s_max=1e308, panel_width=1e-300)
     assert built == []
+
+
+def test_radial_forward_refuses_an_r_rule_before_either_rule(monkeypatch):
+    # at m = 0 (r_grid to 12) the kernel bound admits s_max to 2088, but the
+    # r-rule passes 2048 nodes per panel above 1595.9: s_max = 1800 (2308
+    # per panel) is refused before gl_panels is called, 1500 (1926) is served
+    F = fieldio.synthesize("gaussian", 0)
+    built = []
+    monkeypatch.setattr(transform, "_ft_along_e1", lambda F, s: np.zeros((s.size, F.dim)))
+    gl = transform.gl_panels
+    monkeypatch.setattr(transform, "gl_panels", lambda *a: built.append(a) or gl(*a))
+    with pytest.raises(CapabilityError, match="r-rule of 2308 nodes per panel, over 2048"):
+        transform.forward(F, s_max=1800.0)
+    assert built == []
+    assert transform.forward(F, s_max=1500.0).s_grid.size == 32 * 375
+    assert len(built) == 1
 
 
 def test_inverse_on_the_e1_axis_is_the_inverse_profile(gaussian_m1):
