@@ -3,7 +3,7 @@
 One implementation per kernel: the radii of a caller's points, the
 Gauss-Legendre rules, the radial kernel table, the off-axis evaluator (an
 e_1 diagonal moved to x by the frame W, whose phases are powers of two unit numbers read off x's
-coordinates, in O(d^3) per point), the plane-wave Fourier sum of the
+coordinates, in O(d^3) real products per point), the plane-wave Fourier sum of the
 lattice transform and the reference grid convolution (a zero-padded FFT
 convolution over the lattice axes).  Every
 kernel accumulates in a fixed order, so a call is bit-for-bit reproducible
@@ -112,6 +112,12 @@ def f_table(jmax: int, t, axis: bool = False) -> np.ndarray:
     T_1 = 3 (f_0 - cos t) / t.  Just below the switch the error grows with
     the order (5.1e-14 of the envelope at jmax = 53, 6.9e-13 at 64, 1.5e-10
     at 100), so orders above F_TABLE_JMAX raise CapabilityError.
+
+    cos t is formed once.  The upward branch runs in place on the rows of
+    the result over every point, with no gather of the points past the
+    switch; the downward branch gathers the points below it, runs on one
+    quotient row per order (a division, a product and a difference, each
+    into its buffer) and overwrites their columns.
     """
     if jmax > F_TABLE_JMAX:
         raise CapabilityError(f"radial kernels support orders <= {F_TABLE_JMAX} (requested {jmax})")
@@ -119,30 +125,35 @@ def f_table(jmax: int, t, axis: bool = False) -> np.ndarray:
     shape = t.shape
     t = t.reshape(-1)
     f0 = np.divide(np.sin(t), t, out=np.ones_like(t), where=t > 0)
+    cos_t = np.cos(t)
     tt = np.maximum(t, 1.0)  # f_1's closed form is read only past t = 1
-    f1 = 3.0 * (f0 - np.cos(t)) / tt / tt
+    f1 = 3.0 * (f0 - cos_t) / tt / tt
     out = np.empty((jmax + 1, t.size))
+    out[0] = f0
     up = t >= jmax + 2.0
-    if up.any():
-        tu = t[up]
-        it2 = None if axis else (1.0 / tu) ** 2
-        fu = np.empty((jmax + 1, tu.size))
-        fu[0] = f0[up]
-        if jmax >= 1:
-            fu[1] = 3.0 * (fu[0] - np.cos(tu)) / tu if axis else f1[up]
-        for l in range(1, jmax):
-            c = (2 * l + 1) * (2 * l + 3)
-            fu[l + 1] = (fu[l] / tu - fu[l - 1]) * c if axis else (fu[l] - fu[l - 1]) * c * it2
-        out[:, up] = fu
+    if up.any() and jmax >= 1:
+        # every column, those below the switch overwritten after
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            it2 = None if axis else (1.0 / t) ** 2
+            out[1] = 3.0 * (f0 - cos_t) / t if axis else f1
+            for l in range(1, jmax):
+                c = (2 * l + 1) * (2 * l + 3)
+                if axis:
+                    out[l + 1] = (out[l] / t - out[l - 1]) * c
+                else:
+                    out[l + 1] = (out[l] - out[l - 1]) * c * it2
     down = ~up
     if down.any():
         td = t[down]
         t2 = td * td
         nstart = jmax + _MILLER_EXTRA
-        w = np.zeros((nstart + 2, td.size))
-        w[nstart] = 1.0
+        w = np.empty((nstart + 2, td.size))
+        w[nstart], w[nstart + 1] = 1.0, 0.0
+        q = np.empty_like(t2)  # t^2 / ((2l+1)(2l+3)) w_{l+1}
         for l in range(nstart, 0, -1):
-            w[l - 1] = w[l] - t2 / ((2 * l + 1) * (2 * l + 3)) * w[l + 1]
+            np.divide(t2, (2 * l + 1) * (2 * l + 3), out=q)
+            np.multiply(q, w[l + 1], out=q)
+            np.subtract(w[l], q, out=w[l - 1])
         f0d, f1d = f0[down], f1[down]
         use1 = (td > 1.0) & (np.abs(f0d) < td * np.abs(f1d) / 3.0)
         fd = w[: jmax + 1] * (np.where(use1, f1d, f0d) / np.where(use1, w[1], w[0]))
@@ -157,15 +168,20 @@ def f_table(jmax: int, t, axis: bool = False) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _frame(d: int):
-    """With -i A_3 = E diag(mu) E^*: E and the map lam -> E^* diag(lam) E as a
-    (d^2, d) matrix, rows flattened row-major; both read-only.  A d above
+    """The real frame R and the map lam -> R^T diag(lam) R as a (d, d, d)
+    stack, entry (a, b, c) = R_ca R_cb; both read-only.  With D = diag(i^a),
+    D^* (-i A_3) D is real, symmetric and tridiagonal, and R is its
+    eigenbasis (the real Wigner d(pi/2) factor, T. Risbo, J. Geodesy 70
+    (1996) 383-396), so -i A_3 = E diag(mu) E^* with E = D R.  A d above
     2 M_MAX_NUMERIC + 1 raises CapabilityError before either is built."""
-    check_numeric_m((d - 1) // 2)
-    _, e = np.linalg.eigh(-1j * build_irrep((d - 1) // 2).generators[2])
-    to_frame = np.einsum("ca,cb->abc", e.conj(), e).reshape(d * d, d)
-    e.setflags(write=False)
+    m = (d - 1) // 2
+    check_numeric_m(m)
+    ia = np.array([1, 1j, -1, -1j])[np.arange(d) % 4]  # i^a, exact
+    _, r = np.linalg.eigh((ia.conj()[:, None] * (-1j * build_irrep(m).generators[2]) * ia).real)
+    to_frame = np.einsum("ca,cb->abc", r, r)
+    r.setflags(write=False)
     to_frame.setflags(write=False)
-    return e, to_frame
+    return r, to_frame
 
 
 def _unit_phase(re: np.ndarray, im: np.ndarray, norm: np.ndarray) -> np.ndarray:
@@ -198,32 +214,48 @@ def axis_transport(lam: np.ndarray, xs: np.ndarray, rs: np.ndarray) -> np.ndarra
 
     W_p = tau(k_p) = diag(e^{-i mu phi}) E diag(e^{-i mu theta}) E^*, where
     k_p = exp(-phi Y_1) exp(-theta Y_3) carries e_1 to x_p/|x_p| = (cos theta,
-    sin theta cos phi, sin theta sin phi).  The phases come from the
-    coordinates: with rho = |(x_2, x_3)|, e^{-i theta} = (x_1 - i rho)/|x| and
-    e^{-i phi} = (x_2 - i x_3)/rho, each 1 where its norm is 0, and entry
-    (a, b) takes the power a - b of each.  The stack is held entries-first,
-    (d^2, n): E^* diag(lam) E, its theta phases minus 1, then E on the left
-    and E^* on the right as two GEMMs (O(n d^3)), the phi phases, plus
-    diag(lam), so the e_1 ray gives diag(lam) to the bit.  The points go in
-    blocks of max(1, BLOCK_ENTRIES // d^2), so every temporary stays
-    cache-sized, and each block's transpose is written straight into the
-    one (n, d, d) result.
+    sin theta cos phi, sin theta sin phi), and E = D R with D = diag(i^a) and
+    the real frame R of _frame.  The phases come from the coordinates: with
+    rho = |(x_2, x_3)|, e^{-i theta} = (x_1 - i rho)/|x| and
+    i e^{-i phi} = (x_3 + i x_2)/rho, which takes D's phases i^(a-b) in;
+    each is 1 where its norm is 0, and entry (a, b) takes the power a - b
+    of each.  The stack is held entries-first, (d, d, n): R^T diag(lam) R,
+    its theta phases minus 1, then R on the left and R^T on the right
+    (O(n d^3)), the phi phases, plus diag(lam), so the e_1 ray gives
+    diag(lam) to the bit.  The three products are real constant matrices
+    times float64 views of the complex stacks, half the multiplies of
+    complex ones.  The points go in blocks of max(1, BLOCK_ENTRIES // d^2),
+    each through one stack allocated once per call and, for the middle
+    product, the block's own slab of the (n, d, d) result, so every
+    temporary stays cache-sized; each block's transpose is then written
+    straight over that slab.  At d = 1 every frame is 1 and the value is
+    lam.
     """
     n, d = lam.shape
-    e, to_frame = _frame(d)
+    if d == 1:
+        return np.array(lam, dtype=np.complex128).reshape(n, 1, 1)
+    r, to_frame = _frame(d)
     out = np.empty((n, d, d), dtype=np.complex128)
     step = max(1, BLOCK_ENTRIES // (d * d))
+    size = min(step, n)
+    lam_buf = np.empty(d * size, dtype=np.complex128)
+    y_buf = np.empty(d * d * size, dtype=np.complex128)
     for p0 in range(0, n, step):
         blk = slice(p0, p0 + step)
         lb, xb, nb = lam[blk], xs[blk], min(step, n - p0)
         rho = np.hypot(xb[:, 1], xb[:, 2])
         z_theta = _unit_phase(xb[:, 0], -rho, rs[blk])
-        z_phi = _unit_phase(xb[:, 1], -xb[:, 2], rho)
-        y = (to_frame @ lb.T).reshape(d, d, nb)
+        z_phi = _unit_phase(xb[:, 2], xb[:, 1], rho)
+        lt = lam_buf[: d * nb].reshape(d, nb)
+        lt[...] = lb.T
+        y = y_buf[: d * d * nb].reshape(d, d, nb)
+        z = out[blk].reshape(d, d, nb)  # a view: the slab is free until the transpose
+        np.matmul(to_frame, lt.view(np.float64), out=y.view(np.float64))
         y *= _phases(z_theta, d, less_one=True)
-        np.matmul(e.conj(), (e @ y.reshape(d, d * nb)).reshape(d, d, nb), out=y)
+        np.matmul(r, y.reshape(d, d * nb).view(np.float64), out=z.reshape(d, d * nb).view(np.float64))
+        np.matmul(r, z.view(np.float64), out=y.view(np.float64))
         y *= _phases(z_phi, d)
-        y.reshape(d * d, nb)[:: d + 1] += lb.T
+        y.reshape(d * d, nb)[:: d + 1] += lt
         out[blk] = y.transpose(2, 0, 1)
     return out
 

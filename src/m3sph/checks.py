@@ -51,6 +51,14 @@ class _Recorder:
         }
 
 
+_EPS = np.finfo(np.float64).eps
+
+# the casimir residual's bound in rounding units of m(m+1): the residual is
+# at most 1.0 of them for every m <= 26 (1.137e-13 at m = 23, 24 and 26,
+# where a fixed 1e-13 failed), so 2 keeps a margin of 2 or more
+_CASIMIR_UNITS = 2
+
+
 def _random_unit(rng) -> np.ndarray:
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
@@ -68,7 +76,7 @@ def suite_so3rep(ms, rng, profile: str) -> dict:
         rec.case(
             f"m={m} casimir",
             np.max(np.abs(a1 @ a1 + a2 @ a2 + a3 @ a3 + m * (m + 1) * eye)),
-            1e-13,
+            _CASIMIR_UNITS * _EPS * m * (m + 1),
         )
         for g in rep.generators:
             rec.case(f"m={m} skew-hermitian", np.max(np.abs(g + g.conj().T)), 1e-14 * (m + 1))
@@ -145,12 +153,8 @@ def suite_polyalg(ms, rng, profile: str) -> dict:
             and all(u == polyalg.lagrange_unit_eigvec(m, j) for j, u in enumerate(units, -m)),
         )
         if m <= 3:
-            for j in range(2 * m + 1):
-                try:
-                    coeffs = polyalg.expand_in_q1_powers(qs, j)
-                    rec.exact(f"m={m} Q_{j} monic in Q_1", coeffs[0] == 1)
-                except ValueError:
-                    rec.exact(f"m={m} Q_{j} monic in Q_1", False)
+            for j, coeffs in enumerate(polyalg.expand_in_q1_powers(qs)):
+                rec.exact(f"m={m} Q_{j} monic in Q_1", coeffs is not None and coeffs[0] == 1)
         # finite-rotation equivariance, numeric spot check
         rep = build_irrep(m)
         for _ in range(3 if profile == "quick" else 6):
@@ -170,7 +174,7 @@ def _rotation_defect(q, k, tk, x) -> tuple[float, float]:
     kx = k.apply(x)
     residual = np.max(np.abs(q.eval(kx) - tk @ q.eval(x) @ tk.conj().T))
     scale = np.max(q.eval_abs(kx)) + np.max(q.eval_abs(x))
-    return residual, 128 * np.finfo(np.float64).eps * scale
+    return residual, 128 * _EPS * scale
 
 
 _FD_STEPS = np.array([-2.0, -1.0, 1.0, 2.0])  # the stencil of _fd_derivative, in units of h

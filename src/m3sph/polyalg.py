@@ -178,17 +178,26 @@ class MatPoly:
 
     # -- ring operations -----------------------------------------------
     def __add__(self, other: "MatPoly") -> "MatPoly":
+        return self._signed_add(other, False)
+
+    def __sub__(self, other: "MatPoly") -> "MatPoly":
+        return self._signed_add(other, True)
+
+    def _signed_add(self, other: "MatPoly", minus: bool) -> "MatPoly":
+        """self + other, or self - other with ``minus``: other's terms are
+        subtracted where self has the monomial and negated only where it
+        does not, over the lcm of the denominators."""
         den = math.lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
         out = dict(self.terms) if a == 1 else {e: a * n for e, n in self.terms.items()}
         for e, n in other.terms.items():
             if b != 1:
                 n = b * n
-            out[e] = out[e] + n if e in out else n
+            if e in out:
+                out[e] = out[e] - n if minus else out[e] + n
+            else:
+                out[e] = -n if minus else n
         return _reduced(self.dim, out, den)
-
-    def __sub__(self, other: "MatPoly") -> "MatPoly":
-        return self + (-other)
 
     def __neg__(self) -> "MatPoly":
         return MatPoly(self.dim, {e: -n for e, n in self.terms.items()}, self.den)
@@ -532,39 +541,38 @@ def equivariance_defect(P: MatPoly, i: int) -> MatPoly:
     return out
 
 
-def expand_in_q1_powers(qs: list[MatPoly], j: int) -> list:
-    """Express Q_j as the monic polynomial Q_1^j + sum_k b_k r^{2k} Q_1^{j-2k}.
+def expand_in_q1_powers(qs: list[MatPoly]) -> list:
+    """Express each Q_j of a family Q_0..Q_{2m} as the monic polynomial
+    Q_1^j + sum_k b_k r^{2k} Q_1^{j-2k}, in one pass over j.
 
     The coefficients follow the recursion of build_Q with scalars in place
     of polynomials: b^{(0)} = b^{(1)} = [1] and
-    b^{(l+1)}_k = b^{(l)}_k - (a_l / (2l+1)) b^{(l-1)}_{k-1}.
-    Returns the rationals [1, b_1, b_2, ...] after rebuilding Q_j from the
-    powers of Q_1 and checking that the difference is the zero polynomial;
-    raises ValueError otherwise, also for a Q_j that is some other monic
-    polynomial in Q_1 and r^2.
+    b^{(l+1)}_k = b^{(l)}_k - (a_l / (2l+1)) b^{(l-1)}_{k-1}.  Each power
+    Q_1^j is built once, from Q_1^{j-1} (2m - 1 products for the family),
+    and Q_j is rebuilt from the powers and compared exactly.  Returns, per
+    j, the rationals [1, b_1, b_2, ...] where the difference is the zero
+    polynomial, and None where it is not, also for a Q_j that is some other
+    monic polynomial in Q_1 and r^2.
     """
     m = (len(qs) - 1) // 2
     a = coeff_table(m).a
+    powers = [MatPoly.identity(qs[0].dim)] + qs[1:2]  # Q_1^0, Q_1^1
     prev, coeffs = [_Q(1)], [_Q(1)]  # b^{(0)}, b^{(1)}
-    for l in range(1, j):
-        c = a[l - 1] / (2 * l + 1)
-        nxt = coeffs + [_Q(0)] * (l % 2)  # b^{(l+1)} gains a term when l+1 is even
-        for k in range(1, len(nxt)):
-            nxt[k] -= c * prev[k - 1]
-        prev, coeffs = coeffs, nxt
-    # verify the full polynomial identity exactly
-    dim = 2 * m + 1
-    recon = MatPoly.zero(dim)
-    q1p = MatPoly.identity(dim)
-    q1_powers = [q1p]
-    for _ in range(j):
-        q1p = q1p @ qs[1]
-        q1_powers.append(q1p)
-    for k, b in enumerate(coeffs):
-        term = q1_powers[j - 2 * k].scale(b)
-        for _ in range(k):
-            term = term.mul_r2()
-        recon = recon + term
-    if not (recon - qs[j]).is_zero():
-        raise ValueError(f"Q_{j} does not re-expand over powers of Q_1")
-    return coeffs
+    out = []
+    for j, q in enumerate(qs):
+        if j >= 2:
+            powers.append(powers[-1] @ qs[1])
+            l = j - 1
+            c = a[l - 1] / (2 * l + 1)
+            nxt = coeffs + [_Q(0)] * (l % 2)  # b^{(l+1)} gains a term when l+1 is even
+            for k in range(1, len(nxt)):
+                nxt[k] -= c * prev[k - 1]
+            prev, coeffs = coeffs, nxt
+        recon = MatPoly.zero(q.dim)
+        for k, b in enumerate(coeffs):
+            term = powers[j - 2 * k].scale(b)
+            for _ in range(k):
+                term = term.mul_r2()
+            recon = recon + term
+        out.append(coeffs if (recon - q).is_zero() else None)
+    return out

@@ -110,3 +110,22 @@ def test_rotation_equivariance_bound_holds_past_the_exact_cap(monkeypatch):
         for q in qs:
             residual, tol = checks._rotation_defect(q, k, tk, x)
             assert residual <= tol
+
+
+def test_so3rep_suite_passes_at_the_top_of_the_numeric_range():
+    # the casimir residual reaches 1.137e-13 at m = 23, 24 and 26, one
+    # rounding unit of m(m+1) at most; its bound scales with m(m+1)
+    report = checks.suite_so3rep([23, 24, 25, 26], np.random.default_rng(0), "quick")
+    assert report["pass"], report["failures"]
+
+
+@pytest.mark.parametrize("m", [1, 3, 26])
+def test_so3rep_suite_fails_a_generator_off_by_1e12(monkeypatch, m):
+    # the casimir bound, 2 rounding units of m(m+1), is far below what a
+    # relative perturbation of 1e-12 in one generator leaves
+    rep = build_irrep(m)
+    gens = rep.generators.copy()
+    gens[1] *= 1 + 1e-12
+    monkeypatch.setattr(checks, "build_irrep", lambda m: type(rep)(m=rep.m, dim=rep.dim, generators=gens))
+    report = checks.suite_so3rep([m], np.random.default_rng(0), "quick")
+    assert any(f.startswith(f"m={m} casimir:") for f in report["failures"])

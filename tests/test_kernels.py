@@ -1,14 +1,16 @@
 """The numpy kernels against direct references.
 
 ``axis_transport`` is checked against the frame tau(k) built from two
-explicit rotations and against the axis matrix ``dtau``; ``q_series``
+explicit rotations, against the axis matrix ``dtau`` and against its
+earlier form on the complex frame E of -i A_3; ``q_series``
 point by point against the exact ``polyalg.build_Q`` evaluated in floats;
 the plane-wave and lattice Fourier sums against
 explicit Python sums over their nodes; the grid convolution against a
 loop over lattice indices.  ``f_table`` is checked against scipy's
 spherical Bessel functions, a power series and mpmath in ``test_radial.py``;
-here it is checked for evenness, warnings and its order cap, and its axis
-kernels T_l(t) = t^l f_l(t) against mpmath.
+here it is checked for evenness, warnings and its order cap, its axis
+kernels T_l(t) = t^l f_l(t) against mpmath, and both outputs bit for bit
+against its earlier form with the branches gathered and scattered.
 """
 
 import cmath
@@ -54,31 +56,41 @@ def test_f_table_emits_no_warning():
         assert np.all(_kernels.f_table(jmax, [0.0]) == 1.0)
 
 
-def _f_recurrence(jmax, t):
-    """The f output of f_table written out once more, operation for
-    operation: Miller downward below jmax + 2, upward from f_0 and f_1 past it."""
+def _f_table_gathered(jmax, t, axis=False):
+    """f_table as it was with the branches gathered and scattered: the
+    upward recurrence on the points past the switch alone, cos t formed
+    again for them, and the Miller quotients t^2/((2l+1)(2l+3)) inline.
+    The reference the kernel keeps to the bit."""
     t = np.abs(np.asarray(t, dtype=np.float64)).reshape(-1)
     f0 = np.divide(np.sin(t), t, out=np.ones_like(t), where=t > 0)
     tt = np.maximum(t, 1.0)
     f1 = 3.0 * (f0 - np.cos(t)) / tt / tt
     out = np.empty((jmax + 1, t.size))
     up = t >= jmax + 2.0
-    it2 = (1.0 / t[up]) ** 2
-    fu = np.empty((jmax + 1, it2.size))
-    fu[0] = f0[up]
-    if jmax >= 1:
-        fu[1] = f1[up]
-    for l in range(1, jmax):
-        fu[l + 1] = (fu[l] - fu[l - 1]) * ((2 * l + 1) * (2 * l + 3)) * it2
-    out[:, up] = fu
-    td = t[~up]
-    w = np.zeros((jmax + 27, td.size))
-    w[jmax + 25] = 1.0
-    for l in range(jmax + 25, 0, -1):
-        w[l - 1] = w[l] - td * td / ((2 * l + 1) * (2 * l + 3)) * w[l + 1]
-    f0d, f1d = f0[~up], f1[~up]
-    use1 = (td > 1.0) & (np.abs(f0d) < td * np.abs(f1d) / 3.0)
-    out[:, ~up] = w[: jmax + 1] * (np.where(use1, f1d, f0d) / np.where(use1, w[1], w[0]))
+    if up.any():
+        tu = t[up]
+        it2 = None if axis else (1.0 / tu) ** 2
+        fu = np.empty((jmax + 1, tu.size))
+        fu[0] = f0[up]
+        if jmax >= 1:
+            fu[1] = 3.0 * (fu[0] - np.cos(tu)) / tu if axis else f1[up]
+        for l in range(1, jmax):
+            c = (2 * l + 1) * (2 * l + 3)
+            fu[l + 1] = (fu[l] / tu - fu[l - 1]) * c if axis else (fu[l] - fu[l - 1]) * c * it2
+        out[:, up] = fu
+    down = ~up
+    if down.any():
+        td = t[down]
+        t2 = td * td
+        nstart = jmax + 25
+        w = np.zeros((nstart + 2, td.size))
+        w[nstart] = 1.0
+        for l in range(nstart, 0, -1):
+            w[l - 1] = w[l] - t2 / ((2 * l + 1) * (2 * l + 3)) * w[l + 1]
+        f0d, f1d = f0[down], f1[down]
+        use1 = (td > 1.0) & (np.abs(f0d) < td * np.abs(f1d) / 3.0)
+        fd = w[: jmax + 1] * (np.where(use1, f1d, f0d) / np.where(use1, w[1], w[0]))
+        out[:, down] = fd * td ** np.arange(jmax + 1)[:, None] if axis else fd
     return out
 
 
@@ -87,10 +99,33 @@ def _switch_and_far_points(jmax):
     return [0.0, 1e-300, 0.5, jmax + 1.99, jmax + 2.0, 1e4, 1e100, 1e300]
 
 
-@pytest.mark.parametrize("jmax", [0, 8, 26, _kernels.F_TABLE_JMAX])
+def _f_table_points(jmax):
+    """The switch and far points, the float just below the switch, the
+    zeros of f_0 (where the downward branch normalizes on f_1) and 200
+    random points below 3 jmax + 10."""
+    rand = np.random.default_rng(jmax).uniform(0, 3 * jmax + 10, 200)
+    near = [np.nextafter(jmax + 2.0, 0.0)] + [k * np.pi for k in range(1, 6)]
+    return _switch_and_far_points(jmax) + near + list(rand)
+
+
+_F_TABLE_ORDERS = [0, 1, 8, 26, 53, _kernels.F_TABLE_JMAX]
+
+
+@pytest.mark.parametrize("jmax", _F_TABLE_ORDERS)
 def test_f_table_plain_output_is_the_f_recurrence_bit_for_bit(jmax):
-    ts = _switch_and_far_points(jmax) + list(np.random.default_rng(jmax).uniform(0, 3 * jmax + 10, 200))
-    assert np.array_equal(_kernels.f_table(jmax, ts), _f_recurrence(jmax, ts))
+    ts = _f_table_points(jmax)
+    assert np.array_equal(_kernels.f_table(jmax, ts), _f_table_gathered(jmax, ts))
+
+
+@pytest.mark.parametrize("jmax", _F_TABLE_ORDERS)
+def test_f_table_axis_output_is_the_gathered_recurrence_bit_for_bit(jmax):
+    # the in-place upward branch runs over every point; the columns below
+    # the switch, overwritten after, must leave no trace and no warning
+    ts = _f_table_points(jmax)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _kernels.f_table(jmax, ts, axis=True)
+    assert np.array_equal(out, _f_table_gathered(jmax, ts, axis=True))
 
 
 @pytest.mark.parametrize("jmax, tol", [(0, 1e-14), (8, 1e-14), (26, 1e-14),
@@ -232,8 +267,8 @@ def test_axis_transport_at_the_origin_is_the_identity_frame(m):
 
 
 def test_axis_transport_at_the_top_of_the_numeric_range_is_small_in_memory():
-    # one point at m = 26 on a cold cache: the frame E and the (d^2, d) map
-    # are the only cached arrays, O(d^3) memory
+    # one point at m = 26 on a cold cache: the real frame R and the
+    # (d, d, d) map are the only cached arrays, O(d^3) memory
     _kernels._frame.cache_clear()
     d = 2 * _kernels.M_MAX_NUMERIC + 1
     tracemalloc.start()
@@ -251,16 +286,102 @@ def _axis_transport_one_pass(lam, xs, rs):
     """axis_transport as one pass over all n points, the whole (d^2, n)
     stack at once: the reference for the blocked kernel."""
     n, d = lam.shape
-    e, to_frame = _kernels._frame(d)
+    r, to_frame = _kernels._frame(d)
     rho = np.hypot(xs[:, 1], xs[:, 2])
     z_theta = _kernels._unit_phase(xs[:, 0], -rho, rs)
-    z_phi = _kernels._unit_phase(xs[:, 1], -xs[:, 2], rho)
-    y = (to_frame @ lam.T).reshape(d, d, n)
+    z_phi = _kernels._unit_phase(xs[:, 2], xs[:, 1], rho)
+    lt = np.ascontiguousarray(lam.T, dtype=complex)
+    y = (to_frame @ lt.view(np.float64)).view(complex)
     y *= _kernels._phases(z_theta, d, less_one=True)
-    np.matmul(e.conj(), (e @ y.reshape(d, d * n)).reshape(d, d, n), out=y)
+    z = (r @ y.reshape(d, d * n).view(np.float64)).view(complex).reshape(d, d, n)
+    y = (r @ z.view(np.float64)).view(complex)
     y *= _kernels._phases(z_phi, d)
-    y.reshape(d * d, n)[:: d + 1] += lam.T
+    y.reshape(d * d, n)[:: d + 1] += lt
     return np.ascontiguousarray(y.transpose(2, 0, 1))
+
+
+def _complex_frame(d):
+    """The complex frame E of -i A_3 = E diag(mu) E^*, by a Hermitian
+    eigendecomposition, and the map lam -> E^* diag(lam) E as (d^2, d)."""
+    _, e = np.linalg.eigh(-1j * build_irrep((d - 1) // 2).generators[2])
+    return e, np.einsum("ca,cb->abc", e.conj(), e).reshape(d * d, d)
+
+
+def _complex_frame_transport(lam, xs, rs):
+    """axis_transport as it was on the complex frame: the same phases (those
+    of phi without the factor i of D), E and E^* as complex products, the
+    points in the kernel's blocks."""
+    n, d = lam.shape
+    e, to_frame = _complex_frame(d)
+    out = np.empty((n, d, d), dtype=np.complex128)
+    step = max(1, _kernels.BLOCK_ENTRIES // (d * d))
+    for p0 in range(0, n, step):
+        blk = slice(p0, p0 + step)
+        lb, xb, nb = lam[blk], xs[blk], min(step, n - p0)
+        rho = np.hypot(xb[:, 1], xb[:, 2])
+        z_theta = _kernels._unit_phase(xb[:, 0], -rho, rs[blk])
+        z_phi = _kernels._unit_phase(xb[:, 1], -xb[:, 2], rho)
+        y = (to_frame @ lb.T).reshape(d, d, nb)
+        y *= _kernels._phases(z_theta, d, less_one=True)
+        np.matmul(e.conj(), (e @ y.reshape(d, d * nb)).reshape(d, d, nb), out=y)
+        y *= _kernels._phases(z_phi, d)
+        y.reshape(d * d, nb)[:: d + 1] += lb.T
+        out[blk] = y.transpose(2, 0, 1)
+    return out
+
+
+def _frame_edge_case_points(rng, d, n):
+    """n random points with the e_1 ray, the -e_1 ray, the origin, tiny and
+    huge radii placed at both ends of the batch and, where n reaches it, on
+    both sides of the kernel's first block edge for the dimension d."""
+    xs = rng.normal(size=(n, 3)) * 2.0
+    special = [[1.5, 0.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1e-170, -2e-170, 3e-170],
+               [3e-300, 0.0, -1e-300], [1e150, -2e150, 5e149], [-1e300, 1e299, 0.0]]
+    edge = max(1, _kernels.BLOCK_ENTRIES // (d * d))
+    at = [0, 1, 2, 3, n - 4, n - 3, n - 2, n - 1] + [p for p in range(edge - 3, edge + 3) if 3 < p < n - 4]
+    for k, p in enumerate(at):
+        xs[p] = special[k % len(special)]
+    return xs
+
+
+@pytest.mark.parametrize("m, tol", [(0, 4e-15), (1, 4e-15), (2, 4e-15), (3, 4e-15), (4, 4e-15),
+                                    (12, 1e-14), (26, 1e-14)])
+def test_real_frame_is_the_complex_frame(m, tol):
+    # E = D R: the real frame's products agree with the complex frame's to
+    # rounding, relative to the largest entry, over two blocks and a short
+    # one; the e_1 ray and the origin give diag(lam) to the bit in both
+    d = 2 * m + 1
+    n = 2 * max(1, _kernels.BLOCK_ENTRIES // (d * d)) + 7
+    rng = np.random.default_rng(26 + m)
+    xs = _frame_edge_case_points(rng, d, n)
+    rs = np.hypot(xs[:, 0], np.hypot(xs[:, 1], xs[:, 2]))
+    lam = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _kernels.axis_transport(lam, xs, rs)
+    ref = _complex_frame_transport(lam, xs, rs)
+    assert np.max(np.abs(out - ref)) <= tol * np.max(np.abs(ref))
+    on_ray = np.flatnonzero((xs[:, 1] == 0) & (xs[:, 2] == 0) & (xs[:, 0] >= 0))
+    assert on_ray.size >= 4
+    for p in on_ray:
+        assert np.array_equal(out[p], np.diag(lam[p])) and np.array_equal(ref[p], out[p])
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 4])
+def test_real_frame_takes_a_real_read_only_diagonal(m):
+    # projections pass rows of np.eye broadcast over the points: a float64,
+    # read-only, non-contiguous (n, d) batch
+    d = 2 * m + 1
+    xs = _frame_edge_case_points(np.random.default_rng(40 + m), d, 30)
+    rs = np.hypot(xs[:, 0], np.hypot(xs[:, 1], xs[:, 2]))
+    for j in range(d):
+        lam = np.broadcast_to(np.eye(d)[j], (len(xs), d))
+        out = _kernels.axis_transport(lam, xs, rs)
+        ref = _complex_frame_transport(lam, xs, rs)
+        assert out.dtype == np.complex128 and out.shape == (len(xs), d, d)
+        assert np.max(np.abs(out - ref)) <= 4e-15
+    assert np.array_equal(_kernels.axis_transport(np.eye(d), xs[:d], rs[:d]),
+                          _kernels.axis_transport(np.eye(d).astype(complex), xs[:d], rs[:d]))
 
 
 @pytest.mark.parametrize("m", [0, 1, 4])

@@ -44,6 +44,23 @@ def test_numerators_are_python_ints_over_a_coprime_denominator():
         assert all(n.any() for n in q.terms.values())
 
 
+def test_subtraction_is_the_sum_with_the_negation(monkeypatch):
+    # shared and disjoint monomials, over unequal denominators: a - b is
+    # a + (-b) exactly, and negates no whole polynomial
+    q = build_Q(2)
+    a = q[2] + q[1].scale(Fraction(1, 3))
+    b = q[2].scale(Fraction(5, 7)) + MatPoly.identity(5).scale(Fraction(2, 9))
+    assert a.den != b.den and a.terms.keys() & b.terms.keys() and b.terms.keys() - a.terms.keys()
+    expected = [(x, y, x + (-y)) for x, y in [(a, b), (b, a), (a, a), (a, MatPoly.zero(5))]]
+    negations = []
+    neg = MatPoly.__neg__
+    monkeypatch.setattr(MatPoly, "__neg__", lambda p: negations.append(None) or neg(p))
+    for x, y, ref in expected:
+        assert x - y == ref
+    assert (a - a).is_zero()
+    assert not negations
+
+
 def test_numerators_above_int64_stay_exact():
     eye = MatPoly.identity(3)
     assert eye.scale(2**70).scale(Fraction(1, 2**70)) == eye
@@ -332,23 +349,33 @@ def test_finite_rotation_equivariance_numeric():
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_expand_in_q1_powers(m):
+def test_expand_in_q1_powers(m, monkeypatch):
     qs = build_Q(m)
-    for j in range(2 * m + 1):
-        coeffs = polyalg.expand_in_q1_powers(qs, j)
+    products = []
+    matmul = MatPoly.__matmul__
+    monkeypatch.setattr(MatPoly, "__matmul__", lambda p, q: products.append(None) or matmul(p, q))
+    expansions = polyalg.expand_in_q1_powers(qs)
+    monkeypatch.undo()
+    # one pass: Q_1^2..Q_1^{2m}, each from the one before (Q_1^0 = I and
+    # Q_1^1 = Q_1 need none)
+    assert len(products) == 2 * m - 1
+    assert len(expansions) == 2 * m + 1
+    for j, coeffs in enumerate(expansions):
         assert coeffs[0] == 1
         assert len(coeffs) == j // 2 + 1
-    # a different monic polynomial in Q_1 and r^2 is refused
+    # a different monic polynomial in Q_1 and r^2 is refused, the rest of
+    # the family still expands
     shifted = list(qs)
     shifted[2] = qs[2] + MatPoly.identity(2 * m + 1).mul_r2()
-    with pytest.raises(ValueError):
-        polyalg.expand_in_q1_powers(shifted, 2)
+    refused = polyalg.expand_in_q1_powers(shifted)
+    assert refused[2] is None
+    assert refused[:2] + refused[3:] == expansions[:2] + expansions[3:]
     # m=1: Q_2 = Q_1^2 + (2/3) r^2
-    assert polyalg.expand_in_q1_powers(build_Q(1), 2) == [rational(1), rational(2, 3)]
-    assert polyalg.expand_in_q1_powers(build_Q(2), 4) == [
+    assert polyalg.expand_in_q1_powers(build_Q(1))[2] == [rational(1), rational(2, 3)]
+    assert polyalg.expand_in_q1_powers(build_Q(2))[4] == [
         rational(1), rational(31, 7), rational(72, 35)
     ]
-    assert polyalg.expand_in_q1_powers(build_Q(3), 6) == [
+    assert polyalg.expand_in_q1_powers(build_Q(3))[6] == [
         rational(1), rational(145, 11), rational(434, 11), rational(1200, 77)
     ]
 
