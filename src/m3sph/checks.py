@@ -140,8 +140,9 @@ def suite_polyalg(ms, rng, profile: str) -> dict:
                 polyalg.rational(1, 4 * m + 1)
             )
             rec.exact(f"m={m} terminating product", top.is_zero())
-        # the spectrum {j} as an exact identity: unit_eigvec raises unless
-        # row 2m closes on its recursion's vector
+        # the spectrum {j} as an exact identity: e1_diagonals raises unless
+        # row 2m closes at every j; as u_l(j) = r_l(j) / (a_1 ... a_l), method
+        # 1 = method 3 decides every entry of the e_1 diagonals too
         try:
             units = [polyalg.unit_eigvec(m, j) for j in range(-m, m + 1)]
         except ConsistencyError:

@@ -101,10 +101,7 @@ def cmd_radial(args) -> int:
     jmax = args.jmax if args.jmax is not None else 2 * args.m
     rs = np.linspace(0.0, args.rmax, args.n)
     cols = f_upto(jmax, args.s * rs)
-    header = "r," + ",".join(f"f_{j}" for j in range(jmax + 1))
-    print(header)
-    for i, r in enumerate(rs):
-        print(",".join([f"{r:.17g}"] + [f"{cols[j, i]:.17g}" for j in range(jmax + 1)]))
+    _print_csv("r," + ",".join(f"f_{j}" for j in range(jmax + 1)), np.column_stack([rs, cols.T]))
     return EXIT_OK
 
 
@@ -161,15 +158,16 @@ def _phi_table(m: int, s: float, j: int, args) -> int:
     vals = spherical.eval_phi_batch(spec, xs)
     d = 2 * m + 1
     names = [f"phi_{a}{b}_{part}" for a in range(d) for b in range(d) for part in ("re", "im")]
-    print("r," + ",".join(names))
-    for i, r in enumerate(rs):
-        row = [f"{r:.17g}"]
-        for a in range(d):
-            for b in range(d):
-                row.append(f"{vals[i, a, b].real:.17g}")
-                row.append(f"{vals[i, a, b].imag:.17g}")
-        print(",".join(row))
+    parts = np.ascontiguousarray(vals).view(np.float64).reshape(rs.size, 2 * d * d)
+    _print_csv("r," + ",".join(names), np.column_stack([rs, parts]))
     return EXIT_OK
+
+
+def _print_csv(header: str, cols: np.ndarray):
+    """The CSV table of ``radial --table`` and ``phi --table``: the header,
+    then one row of ``cols`` per line, every float as repr-exact %.17g."""
+    print(header)
+    np.savetxt(sys.stdout, cols, fmt="%.17g", delimiter=",")
 
 
 def _inverse_on_cube(coeffs, cfg: Config):

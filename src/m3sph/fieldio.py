@@ -37,6 +37,7 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .radial import RadialProfile, _spline_profile
+from .so3rep import check_type_index
 from .transform import MatrixField
 
 MAGIC = "M3SF"
@@ -267,7 +268,7 @@ def read_field(path: str, ingest_tol: float = 1e-6) -> MatrixField:
         return fld
     r_grid = np.array(geometry["r_grid"], dtype=np.float64)
     samples = data.reshape(r_grid.size, d)
-    profile = _spline_profile(r_grid, samples, {"kind": "from-file", "decays": True})
+    profile = _spline_profile(r_grid, samples)
     return MatrixField.radial(m, profile, r_grid, samples=samples)
 
 
@@ -290,8 +291,7 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
     must be finite and positive, amplitude and s0 finite (s0 >= 0 for the
     bump), and component an integer; anything else raises ValueError.
     """
-    if m < 0 or m != int(m):
-        raise ValueError("m must be a non-negative integer")
+    check_type_index(m)
     if params is not None and not isinstance(params, Mapping):
         raise ValueError(f"synthesis parameters must be a mapping, got {params!r}")
     params = dict(params or {})
@@ -323,7 +323,7 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
             evaluator=in_column(
                 comp, lambda r: amp * np.exp(-(r**2) / (2 * sigma * sigma)).astype(np.complex128)
             ),
-            label={"kind": "gaussian", "component": comp, "sigma": sigma, "decays": True},
+            decays=True,
         )
         r_max = 12.0 * sigma
     elif kind == "plane-wave-packet":
@@ -335,7 +335,7 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
             evaluator=in_column(
                 0, lambda r: amp * np.cos(s0 * r) * np.exp(-(r**2) / (2 * sigma * sigma))
             ),
-            label={"kind": "plane-wave-packet", "s0": s0, "sigma": sigma, "decays": True},
+            decays=True,
         )
         r_max = 12.0 * sigma
     elif kind == "bump":
@@ -351,7 +351,7 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
         bump = transform.SphericalCoefficients(
             m=m, s_grid=s_nodes, s_weights=s_w, values=np.tile(bump_vals, (L, 1))
         )
-        profile = transform.inverse_profile(bump, {"kind": "bump-g", "s0": s0})
+        profile = transform.inverse_profile(bump)
         r_max = max(12.0 / width, 12.0)
     else:
         raise ValueError(f"unknown field kind {kind!r}")

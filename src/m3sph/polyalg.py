@@ -5,9 +5,11 @@ defining identities of the generator family (harmonicity, the lowering
 identity D Q_j = a_j Q_{j-1}, the terminating product identity, and
 infinitesimal equivariance) can be decided as exact zero polynomials, not
 by tolerances.  The module also holds the exact vectors the numeric layer
-rounds once: the s = 1 coefficients of the spherical functions
-(unit_eigvec, lagrange_unit_eigvec) and the diagonals of Q_l(e_1)
-(e1_diagonals).
+rounds once: the diagonals of Q_l(e_1) (e1_diagonals, one scalar
+recursion, cached per m) and the s = 1 coefficients of the spherical
+functions.  Construction 1's are read off those diagonals,
+u_l(j) = r_l(j) / (a_1 ... a_l) (unit_eigvec); construction 3's come from
+the Lagrange product (lagrange_unit_eigvec).
 
 Every coefficient is a real rational in the split form.  A MatPoly holds
 them as Python int numerators over one common denominator, and the
@@ -39,13 +41,16 @@ y^e coefficient, and its entry (a, b) carries the factor d_a/d_b =
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction as _Q
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import CapabilityError, ConsistencyError
+from .so3rep import check_type_index
 
 # exact mode is capped: the cost of build_Q and of the exact identity checks
 # grows steeply with m, and m <= 4 keeps them to seconds
@@ -307,8 +312,7 @@ class MatPoly:
 
 
 def _check_m(m: int):
-    if m < 0 or m != int(m):
-        raise ValueError("m must be a non-negative integer")
+    check_type_index(m)
     if m > M_MAX_EXACT:
         raise CapabilityError(
             f"exact mode supports m <= {M_MAX_EXACT} (requested m={m}); "
@@ -408,8 +412,7 @@ def coeff_table(m: int) -> CoeffTable:
     """Closed-form lowering coefficients: a_1 = c and
     a_{k+1} = ((k+1)^2/(2k+1)) * (c + (k^2+2k)/4).  Cached per m and its
     type; the table is immutable."""
-    if m < 0 or m != int(m):
-        raise ValueError("m must be a non-negative integer")
+    check_type_index(m)
     c = _Q(-m * (m + 1))
     a = []
     if m > 0:
@@ -430,22 +433,16 @@ def unit_eigvec(m: int, j: int) -> tuple:
     (superdiagonal a_1..a_{2m}, subdiagonal -1/(2l+3)), with u_0 = 1.
 
     Rows 0..2m-1 of (M - j) u = 0 give u_1 = j / a_1 and
-    u_{l+1} = (j u_l + u_{l-1}/(2l+1)) / a_{l+1}; no a_{l+1} vanishes, as
-    c + (k^2+2k)/4 = 0 only at k = 2m.  Row 2m, -u_{2m-1}/(4m+1) = j u_{2m},
-    then holds exactly iff j is an eigenvalue, and ConsistencyError is
-    raised if it does not.  At scale s, coefficient l is s^l u_l.
+    u_{l+1} = (j u_l + u_{l-1}/(2l+1)) / a_{l+1}, the e1_diagonals
+    recursion at the weight mu = j divided by a_1 ... a_{l+1}; so
+    u_l = r_l(j) / (a_1 ... a_l), read off e1_diagonals.  No a_l vanishes,
+    as c + (k^2+2k)/4 = 0 only at k = 2m.  Row 2m closes iff r_{2m+1}(j)
+    vanishes, which e1_diagonals decides for every j (ConsistencyError).
+    At scale s, coefficient l is s^l u_l.
     """
     _check_index(m, j)
-    a = coeff_table(m).a
-    u = [_Q(1)]
-    if m == 0:
-        return tuple(u)
-    u.append(_Q(j) / a[0])
-    for l in range(1, 2 * m):
-        u.append((j * u[l] + u[l - 1] / (2 * l + 1)) / a[l])
-    if -u[2 * m - 1] / (4 * m + 1) != j * u[2 * m]:
-        raise ConsistencyError(f"row 2m of the tridiagonal operator does not close at m={m}, j={j}")
-    return tuple(u)
+    prods = accumulate(coeff_table(m).a, operator.mul, initial=_Q(1))
+    return tuple(r[j + m] / p for r, p in zip(e1_diagonals(m), prods))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -470,17 +467,27 @@ def lagrange_unit_eigvec(m: int, j: int) -> tuple:
     return tuple(n * x for x in v)
 
 
+@lru_cache(maxsize=None, typed=True)
 def e1_diagonals(m: int) -> tuple:
     """The rationals r_l with Q_l(e_1) = i^l diag(r_l), l = 0..2m: the
     build_Q recursion at x = e_1, where Q_1(e_1) = A_1 = diag(i mu) with
     mu = -m..m, gives r_0 = 1, r_1 = mu and
-    r_{l+1} = mu r_l + (a_l/(2l+1)) r_{l-1}."""
+    r_{l+1} = mu r_l + (a_l/(2l+1)) r_{l-1}.
+
+    The recursion runs one step further: r_{2m+1} is the axis form of
+    Q_{2m+1} = 0 (the terminating product) and must vanish on every weight.
+    At the weight mu = j that is row 2m of the s = 1 operator closing on
+    unit_eigvec(m, j), and ConsistencyError names the first j where it does
+    not.  Cached per m and its type; the tuples are immutable."""
     a = coeff_table(m).a
     mu = [_Q(p) for p in range(-m, m + 1)]
     r = [tuple(_Q(1) for _ in mu), tuple(mu)]
-    for l in range(1, 2 * m):
+    for l in range(1, 2 * m + 1):
         c = a[l - 1] / (2 * l + 1)
         r.append(tuple(x * y + c * z for x, y, z in zip(mu, r[l], r[l - 1])))
+    for j, x in enumerate(r[2 * m + 1], -m):
+        if x:
+            raise ConsistencyError(f"row 2m of the tridiagonal operator does not close at m={m}, j={j}")
     return tuple(r[: 2 * m + 1])
 
 

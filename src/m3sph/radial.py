@@ -17,7 +17,7 @@ The kernel is ``_kernels.f_table``; it serves orders up to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -77,28 +77,23 @@ def check_ode(j: int, s: float, r: float, h: float) -> float:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """A function of r >= 0 with metadata: radii of shape S map to values
-    of shape S + V, with V = () for a scalar profile and V = (2m+1,) for
-    the coefficients g_0..g_{2m} of a radial-form field.
+    """A function of r >= 0: radii of shape S map to values of shape
+    S + V, with V = () for a scalar profile and V = (2m+1,) for the
+    coefficients g_0..g_{2m} of a radial-form field.
 
-    ``label`` records what the profile is (kind, indices, scale) and
-    whether it decays at infinity; transforms consult the ``decays`` flag
+    ``decays`` says whether it decays at infinity; transforms consult it
     before integrating.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-    label: dict = field(default_factory=dict)
+    decays: bool = False
 
     def __call__(self, r):
         return self.evaluator(np.asarray(r, dtype=np.float64))
 
-    @property
-    def decays(self) -> bool:
-        return bool(self.label.get("decays", False))
 
-
-def _spline_profile(grid: np.ndarray, samples: np.ndarray, label: dict) -> RadialProfile:
-    """Cubic-spline profile through complex ``samples`` of shape
+def _spline_profile(grid: np.ndarray, samples: np.ndarray) -> RadialProfile:
+    """Decaying cubic-spline profile through complex ``samples`` of shape
     (grid.size,) + V on ``grid``; zero outside the grid.  One real spline
     runs through the real parts and then the imaginary parts of every
     column."""
@@ -114,4 +109,4 @@ def _spline_profile(grid: np.ndarray, samples: np.ndarray, label: dict) -> Radia
         out = np.where(((r >= lo) & (r <= hi))[..., None], v[..., :n] + 1j * v[..., n:], 0.0 + 0.0j)
         return out.reshape(r.shape + samples.shape[1:])
 
-    return RadialProfile(evaluator=ev, label=label)
+    return RadialProfile(evaluator=ev, decays=True)

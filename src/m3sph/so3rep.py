@@ -72,9 +72,10 @@ class Irrep:
 
 
 def check_type_index(m: int):
-    """Raise ValueError unless m is a non-negative integer."""
+    """Raise ValueError unless the type index m is a non-negative integer:
+    the one check of m."""
     if m < 0 or m != int(m):
-        raise ValueError(f"type index must be a non-negative integer, got {m}")
+        raise ValueError(f"m must be a non-negative integer, got {m}")
 
 
 def build_irrep(m: int) -> Irrep:

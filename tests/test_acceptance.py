@@ -273,7 +273,7 @@ def test_A8_transform_roundtrip():
             s = float(rng.uniform(0.2, 3.0))
             j = int(rng.integers(-m, m + 1))
             fast = transform.spherical_ft(F, s, j, mode="fast")
-            direct = transform.spherical_ft(F, s, j, mode="direct", grid_extent=8.0, grid_n=41)
+            direct = transform.spherical_ft(F.to_grid(extent=8.0, n=41), s, j, mode="direct")
             rel = abs(direct - fast) / (1 + abs(fast))
             assert rel <= 1e-4, (m, s, j, rel)
             worst_df = max(worst_df, rel)

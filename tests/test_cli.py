@@ -175,6 +175,55 @@ def test_radial_table(capsys):
     assert float(row[1]) == pytest.approx(np.sin(1.0), abs=1e-15)
 
 
+# values whose %.17g forms differ in sign, exponent width and subnormal
+# digits: a signed zero, the smallest subnormal and a tiny normal number
+_CSV_SPECIALS = [-0.0, 5e-324, 1e-300, -1.7976931348623157e308, 0.1, -2.5e-7, 1.0, 0.0]
+
+
+def _radial_rows_reference(rs, cols):
+    """The per-row writer radial --table had: the reference for its CSV."""
+    jmax = cols.shape[0] - 1
+    lines = ["r," + ",".join(f"f_{j}" for j in range(jmax + 1))]
+    for i, r in enumerate(rs):
+        lines.append(",".join([f"{r:.17g}"] + [f"{cols[j, i]:.17g}" for j in range(jmax + 1)]))
+    return "".join(line + "\n" for line in lines)
+
+
+def _phi_rows_reference(rs, vals):
+    """The per-row writer phi --table had: the reference for its CSV."""
+    d = vals.shape[1]
+    names = [f"phi_{a}{b}_{part}" for a in range(d) for b in range(d) for part in ("re", "im")]
+    lines = ["r," + ",".join(names)]
+    for i, r in enumerate(rs):
+        row = [f"{r:.17g}"]
+        for a in range(d):
+            for b in range(d):
+                row.append(f"{vals[i, a, b].real:.17g}")
+                row.append(f"{vals[i, a, b].imag:.17g}")
+        lines.append(",".join(row))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_table_csv_bytes_are_the_per_row_writer(capsys, monkeypatch, n):
+    # the kernels are replaced by tables that cycle through the special
+    # values (each of them at n = 5), so every byte of both CSV writers is
+    # pinned, also for a table of no rows
+    jmax, m = 2, 1
+    cols = np.resize(_CSV_SPECIALS, (jmax + 1, n))
+    monkeypatch.setattr("m3sph.cli.f_upto", lambda j, t: cols)
+    code, out, _ = run_cli(capsys, "radial", "--table", "--jmax", str(jmax), "--rmax", "1e-300",
+                           "--n", str(n))
+    assert code == 0
+    assert out == _radial_rows_reference(np.linspace(0.0, 1e-300, n), cols)
+    vals = np.resize(_CSV_SPECIALS, (n, 3, 3)) + 1j * np.resize(_CSV_SPECIALS[::-1], (n, 3, 3))
+    monkeypatch.setattr(spherical, "eval_phi_batch", lambda spec, xs: vals)
+    code, out, _ = run_cli(capsys, "phi", "--m", str(m), "--s", "1", "--j", "0", "--table", str(n),
+                           "--rmax", "3")
+    assert code == 0
+    assert out == _phi_rows_reference(np.linspace(0.0, 3.0, n), vals)
+
+
 def test_radial_table_above_the_kernel_orders_is_refused(capsys):
     code, out, err = run_cli(
         capsys, "radial", "--table", "--jmax", "150", "--rmax", "2", "--n", "3"

@@ -46,7 +46,7 @@ def _per_component_spline_field(path):
         re, im = CubicSpline(F.r_grid, g.real), CubicSpline(F.r_grid, g.imag)
         return fieldio.RadialProfile(
             evaluator=lambda r: np.where((r >= lo) & (r <= hi), re(r) + 1j * im(r), 0.0 + 0.0j),
-            label={"decays": True},
+            decays=True,
         )
 
     samples = F.sample_profiles()

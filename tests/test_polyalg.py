@@ -7,7 +7,7 @@ import pytest
 from m3sph import polyalg
 from m3sph._kernels import axis_diagonals, q_series
 from m3sph.checks import run_checks
-from m3sph.errors import CapabilityError
+from m3sph.errors import CapabilityError, ConsistencyError
 from m3sph.polyalg import (
     MatPoly,
     build_Q,
@@ -108,6 +108,47 @@ def test_unit_eigvec_values():
     assert polyalg.unit_eigvec(0, 0) == (1,)
     with pytest.raises(ValueError):
         polyalg.unit_eigvec(1, 2)
+
+
+def _unit_eigvec_recurrence(m, j):
+    """The s = 1 vector by its own three-term recurrence, rows 0..2m-1 of
+    (M - j) u = 0 from u_0 = 1, with row 2m asserted: the reference for
+    unit_eigvec, which reads u_l = r_l(j) / (a_1 ... a_l) off e1_diagonals."""
+    a = polyalg.coeff_table(m).a
+    u = [Fraction(1)]
+    if m == 0:
+        return tuple(u)
+    u.append(Fraction(j) / a[0])
+    for l in range(1, 2 * m):
+        u.append((j * u[l] + u[l - 1] / (2 * l + 1)) / a[l])
+    assert -u[2 * m - 1] / (4 * m + 1) == j * u[2 * m]
+    return tuple(u)
+
+
+def test_unit_eigvec_is_the_recurrence_exactly():
+    # every j at every m of the numeric range
+    for m in range(27):
+        for j in range(-m, m + 1):
+            assert polyalg.unit_eigvec(m, j) == _unit_eigvec_recurrence(m, j)
+
+
+@pytest.mark.parametrize("m, scale", [(1, Fraction(37, 10)), (4, Fraction(-1))])
+def test_a_corrupted_table_fails_row_2m(monkeypatch, m, scale):
+    # the e_1 diagonal of order 2m + 1 must vanish on every weight; a table
+    # whose a_{2m} is scaled breaks it for every j with r_{2m-1}(j) != 0
+    table = polyalg.coeff_table
+    good = table(m)
+    bad = polyalg.CoeffTable(m=m, a=good.a[:-1] + (good.a[-1] * scale,), c=good.c)
+    monkeypatch.setattr(polyalg, "coeff_table", lambda k: bad if k == m else table(k))
+    polyalg.e1_diagonals.cache_clear()
+    try:
+        for call in (lambda: polyalg.e1_diagonals(m), lambda: polyalg.unit_eigvec(m, 0)):
+            with pytest.raises(ConsistencyError, match=f"row 2m .* m={m}, j={-m}"):
+                call()
+    finally:
+        monkeypatch.undo()
+        polyalg.e1_diagonals.cache_clear()
+    assert polyalg.unit_eigvec(m, 0) == _unit_eigvec_recurrence(m, 0)
 
 
 @pytest.mark.parametrize("m", [0, 1, 3, 8, 12])

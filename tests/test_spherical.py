@@ -192,11 +192,13 @@ def test_method1_internal_consistency_guard(monkeypatch):
     bad = polyalg.CoeffTable(m=2, a=tuple(x * polyalg.rational(37, 10) for x in good.a), c=good.c)
     monkeypatch.setattr(polyalg, "coeff_table", lambda m: bad if m == 2 else table(m))
     spherical.unit_eigvecs.cache_clear()
+    polyalg.e1_diagonals.cache_clear()
     try:
         with pytest.raises(ConsistencyError, match="row 2m"):
             phi_method1(2, 1.0, 1)
     finally:
         spherical.unit_eigvecs.cache_clear()
+        polyalg.e1_diagonals.cache_clear()
 
 
 def test_method1_valid_scales_at_both_ends(phi_oracle):

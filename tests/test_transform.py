@@ -86,7 +86,7 @@ def test_zero_field_transforms_to_zero():
     prof = [
         fieldio.RadialProfile(
             evaluator=lambda r: np.zeros_like(np.asarray(r), dtype=complex),
-            label={"decays": True},
+            decays=True,
         )
         for _ in range(3)
     ]
@@ -97,7 +97,7 @@ def test_zero_field_transforms_to_zero():
 
 def test_classical_ft_requires_decay_metadata():
     prof = [
-        fieldio.RadialProfile(evaluator=lambda r: np.ones_like(r, dtype=complex), label={})
+        fieldio.RadialProfile(evaluator=lambda r: np.ones_like(r, dtype=complex))
         for _ in range(3)
     ]
     F = transform.MatrixField.radial(1, prof, np.linspace(0, 10, 50))
@@ -284,7 +284,7 @@ def test_spherical_ft_direct_vs_fast():
             s = float(rng.uniform(0.3, 2.5))
             j = int(rng.integers(-m, m + 1))
             fast = transform.spherical_ft(F, s, j, mode="fast")
-            direct = transform.spherical_ft(F, s, j, mode="direct", grid_n=33)
+            direct = transform.spherical_ft(F.to_grid(n=33), s, j, mode="direct")
             assert abs(direct - fast) / (1 + abs(fast)) < 1e-4
 
 
@@ -477,38 +477,30 @@ def test_interpolated_inverse_matches_per_point_reference(m):
     assert np.array_equal(rec[0], transform.inverse(coeffs, pts[:1])[0])
 
 
-def _barycentric_complex(nodes, values, rs):
-    """The second barycentric formula as a complex product over a dense
-    zero test: the reference for transform._barycentric."""
-    wts = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
-    wts[[0, -1]] *= 0.5
-    diff = rs[:, None] - nodes[None, :]
-    hit, at = np.nonzero(diff == 0.0)
-    diff[hit, at] = 1.0
-    kern = wts / diff
-    out = (kern @ values) / np.sum(kern, axis=1)[:, None]
-    out[hit] = values[at]
-    return out
-
-
 @pytest.mark.parametrize("n, L", [(2, 1), (35, 9), (69, 5)])
-def test_barycentric_hits_nodes_to_the_bit(n, L):
+def test_chebyshev_series_hits_nodes_to_the_bit(n, L):
     # radii at 0, at R and at interior nodes, mixed unsorted with others:
     # a radius on a node gets its values to the bit, every other radius the
-    # complex formula to 1e-15 of the largest value
+    # complex Clenshaw sum of the same coefficients to 1e-15 of the largest
+    # value
     R = 3.0
     nodes = transform._cheb_nodes(n, R)
     rng = np.random.default_rng(n)
     values = np.cos(np.outer(nodes, 1 + np.arange(L))) * (1 + 1j * np.arange(L))
     on = np.concatenate([[0.0, R], nodes[1:-1][::3]])
     rs = rng.permutation(np.concatenate([on, rng.uniform(0.0, R, 50)]))
-    out = transform._barycentric(nodes, values, rs)
-    ref = _barycentric_complex(nodes, values, rs)
+    coef = transform._cheb_coeffs(values)
+    out = transform._cheb_series(nodes, values, coef, rs)
+    ref = np.polynomial.chebyshev.chebval(1.0 - 2.0 * rs / R, coef).T
     is_node = np.isin(rs, nodes)
     assert is_node.sum() == on.size
     for p in np.flatnonzero(is_node):
         assert np.array_equal(out[p], values[np.flatnonzero(nodes == rs[p])[0]])
-    assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(values))
+    assert np.max(np.abs(out - ref)[~is_node]) <= 1e-15 * np.max(np.abs(values))
+    # the coefficients are those of the interpolant: their series meets the
+    # values at every node to rounding (seen: 8.5e-15 at n = 35)
+    at_nodes = np.polynomial.chebyshev.chebval(1.0 - 2.0 * nodes / R, coef).T
+    assert np.max(np.abs(at_nodes - values)) <= 4e-14 * np.max(np.abs(values))
 
 
 def test_interpolated_inverse_of_non_decaying_coefficients():
@@ -593,7 +585,7 @@ def test_forward_validates_quadrature_geometry(gaussian_m1):
 def test_a_profile_of_the_wrong_width_is_refused():
     # at m = 1 the profile must give 3 coefficients per radius, not 2
     prof = RadialProfile(
-        evaluator=lambda r: np.stack([np.exp(-r * r), r * 0.0], axis=-1), label={"decays": True}
+        evaluator=lambda r: np.stack([np.exp(-r * r), r * 0.0], axis=-1), decays=True
     )
     F = transform.MatrixField.radial(1, prof, np.linspace(0.0, 6.0, 31))
     with pytest.raises(ValueError, match=r"\(2, 3\)"):
@@ -611,11 +603,6 @@ def test_coefficients_json_roundtrip():
     assert again.m == coeffs.m
     assert np.array_equal(again.s_grid, coeffs.s_grid)
     assert np.array_equal(again.values, coeffs.values)
-    prof = again.profile(0)
-    mid = 0.5 * (again.s_grid[3] + again.s_grid[4])
-    # spline-level accuracy only; quadrature never goes through the spline
-    assert abs(complex(prof(np.array([mid]))[0]) - GAUSS_FT(mid)) < 1e-4
-    assert complex(prof(np.array([again.s_grid[-1] + 1.0]))[0]) == 0.0
 
 
 def test_coefficients_json_refuses_negative_nodes_and_keeps_zero():
@@ -1137,7 +1124,7 @@ def test_inverse_on_the_e1_axis_is_the_inverse_profile(gaussian_m1):
     # sum_l g_l(r) r^l Q_l(e_1) with g = inverse_profile, to the bit
     coeffs = transform.forward(gaussian_m1)
     rs = np.linspace(0.0, 5.0, 7)
-    g = transform.inverse_profile(coeffs, {})(rs)
+    g = transform.inverse_profile(coeffs)(rs)
     assert g.shape == (7, 3)
     xs = np.zeros((7, 3))
     xs[:, 0] = rs
