@@ -15,11 +15,6 @@ h_{-j}(s) = Tr[P_{-j}(e_1) Fhat(s e_1)] - the "fast" path.  In the weight
 basis A_1 = diag(i j), so P_j(e_1) is the coordinate projection E_jj and
 h_j(s) is the diagonal entry j+m of Fhat(s e_1).  The "direct" path
 integrates Tr[F(x) Phi_{s,j}(x)^*] over a grid; the two must agree.
-
-The inversion formula needs its radial sums c_l(r) once per distinct
-radius.  When the radii outnumber the Chebyshev-Lobatto nodes the sums
-need, the sums are taken at the nodes only and held as one Chebyshev
-series per l, its coefficients read off one FFT (_radial_sums).
 """
 
 from __future__ import annotations
@@ -559,13 +554,13 @@ def _radial_sums(coeffs: SphericalCoefficients, rs: np.ndarray) -> np.ndarray:
 
     Each c_l is an even entire function of r, band-limited by s_max, so
     it is sampled at n Chebyshev-Lobatto points of [0, R], R = max |rs|,
-    and held as its Chebyshev coefficients (_cheb_coeffs), whose series is
-    evaluated at ``rs`` (_cheb_series).  n starts at ceil(s_max R / 2) +
-    _CHEB_EXTRA and is accepted when the last _CHEB_TAIL coefficients of
-    every c_l are at most _CHEB_TAIL_TOL times its largest one
-    (_cheb_converged); otherwise n becomes 2n - 1, whose points include the
-    old ones.  When n is not smaller than rs.size the direct sum at ``rs``
-    is returned instead, so small inputs never go through the interpolant.
+    and evaluated at ``rs`` by the barycentric formula (_barycentric).
+    n starts at ceil(s_max R / 2) + _CHEB_EXTRA and is accepted when the
+    last _CHEB_TAIL Chebyshev coefficients of every c_l are at most
+    _CHEB_TAIL_TOL times its largest one (_cheb_converged); otherwise n
+    becomes 2n - 1, whose points include the old ones.  When n is not
+    smaller than rs.size the direct sum at ``rs`` is returned instead, so
+    small inputs never go through the interpolant.
     """
     s = coeffs.s_grid
     G = _inversion_matrix(coeffs)
@@ -575,7 +570,7 @@ def _radial_sums(coeffs: SphericalCoefficients, rs: np.ndarray) -> np.ndarray:
         return _direct_sums(G, s, rs)
     nodes = _cheb_nodes(n, R)
     at_nodes = _direct_sums(G, s, nodes)
-    while not _cheb_converged(coef := _cheb_coeffs(at_nodes)):
+    while not _cheb_converged(at_nodes):
         n = 2 * n - 1
         if n >= rs.size:
             return _direct_sums(G, s, rs)
@@ -584,7 +579,7 @@ def _radial_sums(coeffs: SphericalCoefficients, rs: np.ndarray) -> np.ndarray:
         finer[0::2] = at_nodes
         finer[1::2] = _direct_sums(G, s, nodes[1::2])
         at_nodes = finer
-    return _cheb_series(nodes, at_nodes, coef, np.abs(rs))
+    return _barycentric(nodes, at_nodes, np.abs(rs))
 
 
 def _inversion_matrix(coeffs: SphericalCoefficients) -> np.ndarray:
@@ -624,42 +619,39 @@ def _cheb_nodes(n: int, R: float) -> np.ndarray:
     return 0.5 * R * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1)))
 
 
-def _cheb_coeffs(values: np.ndarray) -> np.ndarray:
-    """The Chebyshev coefficients, in y = 1 - 2r/R, of the interpolant
-    through ``values`` at the n _cheb_nodes of [0, R], column by column;
-    (n, L).  They are the FFT of the even extension of the values, scaled
-    by 1/(n-1), with both end coefficients halved."""
+def _cheb_converged(values: np.ndarray) -> bool:
+    """Whether, for every column, the last _CHEB_TAIL Chebyshev coefficients
+    of the interpolant through ``values`` at _cheb_nodes are at most
+    _CHEB_TAIL_TOL times its largest one.  The coefficients are read off
+    an FFT of the even extension of the values."""
     n = values.shape[0]
-    a = np.fft.fft(np.concatenate([values, values[-2:0:-1]]), axis=0)[:n] / (n - 1)
+    a = np.abs(np.fft.fft(np.concatenate([values, values[-2:0:-1]]), axis=0)[:n])
     a[[0, -1]] *= 0.5
-    return a
-
-
-def _cheb_converged(coef: np.ndarray) -> bool:
-    """Whether, for every column of _cheb_coeffs, the last _CHEB_TAIL
-    coefficients are at most _CHEB_TAIL_TOL times its largest one."""
-    a = np.abs(coef)
     return bool(np.all(np.max(a[-_CHEB_TAIL:], axis=0) <= _CHEB_TAIL_TOL * np.max(a, axis=0)))
 
 
-def _cheb_series(nodes: np.ndarray, values: np.ndarray, coef: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    """The Chebyshev series sum_k coef[k] T_k(1 - 2r/R) of the interpolant
-    through (nodes, values), R = nodes[-1], at each radius of ``rs`` in
-    [0, R]; a radius equal to a node gets that node's values.  The
+def _barycentric(nodes: np.ndarray, values: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """The polynomial through (nodes, values) at ``rs`` by the second
+    barycentric formula with the Chebyshev-Lobatto weights (-1)^k, halved
+    at both ends; a radius equal to a node gets that node's values.  The
     (ascending) nodes a radius equals are found by binary search, and the
-    Chebyshev-Vandermonde block meets the (n, 2L) float view of the
-    complex coefficients in one real product.  Radii go in blocks to bound
-    the (block, n) Vandermonde block."""
+    real weight matrix meets the (n, 2L) float view of the complex values
+    in one real product.  Radii go in blocks to bound the (block, n) weight
+    matrix."""
     n = nodes.size
-    re_im = np.ascontiguousarray(coef, dtype=np.complex128).view(np.float64)
-    ys = 1.0 - 2.0 * rs / nodes[-1]
-    out = np.empty((rs.size, coef.shape[1]), dtype=np.complex128)
-    block = max(1, int(2e6) // n)
-    for b0 in range(0, rs.size, block):
-        vander = np.polynomial.chebyshev.chebvander(ys[b0 : b0 + block], n - 1)
-        out[b0 : b0 + block] = (vander @ re_im).view(np.complex128)
+    wts = np.where(np.arange(n) % 2, -1.0, 1.0)
+    wts[[0, -1]] *= 0.5
+    re_im = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
     at = np.minimum(np.searchsorted(nodes, rs), n - 1)
     hit = np.flatnonzero(nodes[at] == rs)
+    out = np.empty((rs.size, values.shape[1]), dtype=np.complex128)
+    block = max(1, int(2e6) // n)
+    for b0 in range(0, rs.size, block):
+        kern = rs[b0 : b0 + block, None] - nodes[None, :]
+        h = hit[(hit >= b0) & (hit < b0 + block)]
+        kern[h - b0, at[h]] = 1.0  # any nonzero; those rows are set below
+        np.divide(wts, kern, out=kern)
+        out[b0 : b0 + block] = (kern @ re_im).view(np.complex128) / np.sum(kern, axis=1)[:, None]
     out[hit] = values[at[hit]]
     return out
 

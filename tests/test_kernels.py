@@ -384,13 +384,10 @@ def test_real_frame_takes_a_real_read_only_diagonal(m):
                           _kernels.axis_transport(np.eye(d).astype(complex), xs[:d], rs[:d]))
 
 
-@pytest.mark.parametrize("m", [0, 1, 4, 6, 8, 12, 20, 26])
-def test_blocked_axis_transport_is_the_one_pass_bit_for_bit(m):
-    # three full blocks and a short one, with points on the e_1 ray, on the
-    # -e_1 ray and at the origin on both sides of every block edge.  Bit for
-    # bit up to m = 5; above it BLAS may round a block's tail columns of the
-    # real products differently from the one pass, so there the bound is
-    # 8 eps of the largest entry
+def _blocked_and_one_pass_transport(m):
+    """axis_transport and its one-pass reference on three full blocks and a
+    short one, with points on the e_1 ray, on the -e_1 ray and at the origin
+    on both sides of every block edge."""
     d = 2 * m + 1
     step = max(1, _kernels.BLOCK_ENTRIES // (d * d))
     n = 3 * step + 5
@@ -401,11 +398,22 @@ def test_blocked_axis_transport_is_the_one_pass_bit_for_bit(m):
         xs[p] = special[k % 3]
     rs = _kernels.radii(xs)
     lam = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
-    out, ref = _kernels.axis_transport(lam, xs, rs), _axis_transport_one_pass(lam, xs, rs)
-    if m <= 5:
-        assert np.array_equal(out, ref)
-    else:
-        assert np.max(np.abs(out - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
+    return _kernels.axis_transport(lam, xs, rs), _axis_transport_one_pass(lam, xs, rs)
+
+
+@pytest.mark.parametrize("m", [0, 1, 4])
+def test_blocked_axis_transport_is_the_one_pass_bit_for_bit(m):
+    out, ref = _blocked_and_one_pass_transport(m)
+    assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("m", [6, 8, 12, 20, 26])
+def test_blocked_axis_transport_is_the_one_pass_to_8_eps(m):
+    # above m = 5 BLAS may round a block's tail columns of the real products
+    # differently from the one pass (seen: at most 2.3 eps of the largest
+    # entry)
+    out, ref = _blocked_and_one_pass_transport(m)
+    assert np.max(np.abs(out - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
 
 
 def test_axis_transport_holds_no_full_size_temporary():

@@ -8,7 +8,7 @@ import pytest
 
 from m3sph import _kernels, fieldio, polyalg, spherical, transform
 from m3sph.errors import CapabilityError, DecompositionError, MalformedCoefficientsError
-from m3sph.radial import RadialProfile
+from m3sph.radial import RadialProfile, _spline_profile
 from m3sph.so3rep import Rotation, build_irrep, tau
 
 GAUSS_FT = lambda s: (2 * np.pi) ** 1.5 * np.exp(-s * s / 2.0)
@@ -477,30 +477,63 @@ def test_interpolated_inverse_matches_per_point_reference(m):
     assert np.array_equal(rec[0], transform.inverse(coeffs, pts[:1])[0])
 
 
+def _barycentric_complex(nodes, values, rs):
+    """The second barycentric formula as a complex product over a dense
+    zero test: the reference for transform._barycentric."""
+    wts = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
+    wts[[0, -1]] *= 0.5
+    diff = rs[:, None] - nodes[None, :]
+    hit, at = np.nonzero(diff == 0.0)
+    diff[hit, at] = 1.0
+    kern = wts / diff
+    out = (kern @ values) / np.sum(kern, axis=1)[:, None]
+    out[hit] = values[at]
+    return out
+
+
 @pytest.mark.parametrize("n, L", [(2, 1), (35, 9), (69, 5)])
-def test_chebyshev_series_hits_nodes_to_the_bit(n, L):
+def test_barycentric_hits_nodes_to_the_bit(n, L):
     # radii at 0, at R and at interior nodes, mixed unsorted with others:
     # a radius on a node gets its values to the bit, every other radius the
-    # complex Clenshaw sum of the same coefficients to 1e-15 of the largest
-    # value
+    # complex formula to 1e-15 of the largest value
     R = 3.0
     nodes = transform._cheb_nodes(n, R)
     rng = np.random.default_rng(n)
     values = np.cos(np.outer(nodes, 1 + np.arange(L))) * (1 + 1j * np.arange(L))
     on = np.concatenate([[0.0, R], nodes[1:-1][::3]])
     rs = rng.permutation(np.concatenate([on, rng.uniform(0.0, R, 50)]))
-    coef = transform._cheb_coeffs(values)
-    out = transform._cheb_series(nodes, values, coef, rs)
-    ref = np.polynomial.chebyshev.chebval(1.0 - 2.0 * rs / R, coef).T
+    out = transform._barycentric(nodes, values, rs)
+    ref = _barycentric_complex(nodes, values, rs)
     is_node = np.isin(rs, nodes)
     assert is_node.sum() == on.size
     for p in np.flatnonzero(is_node):
         assert np.array_equal(out[p], values[np.flatnonzero(nodes == rs[p])[0]])
-    assert np.max(np.abs(out - ref)[~is_node]) <= 1e-15 * np.max(np.abs(values))
-    # the coefficients are those of the interpolant: their series meets the
-    # values at every node to rounding (seen: 8.5e-15 at n = 35)
-    at_nodes = np.polynomial.chebyshev.chebval(1.0 - 2.0 * nodes / R, coef).T
-    assert np.max(np.abs(at_nodes - values)) <= 4e-14 * np.max(np.abs(values))
+    assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(values))
+
+
+def test_interpolated_sums_keep_the_decayed_orders_accurate():
+    # the bump of `synth bump --m 2` at its 257 radii out to r = 24, where
+    # the higher c_k have decayed far below their peaks: the interpolated
+    # sums against the direct ones, per order on the field's scale
+    # max |c_k r^k| (seen: 6.9e-13 at k = 4), and the forward transform of
+    # the two sample sets (seen: 2.5e-14 of its largest value).  A global
+    # Chebyshev series, accurate only to eps times its largest coefficient,
+    # reads 2.4e-11 and 2.6e-13 here
+    s, w = transform.gl_panels(0.0, 7.0)
+    coeffs = transform.SphericalCoefficients(
+        m=2, s_grid=s, s_weights=w, values=np.tile(np.exp(-((s - 2.0) ** 2) / 0.5), (5, 1)) + 0j
+    )
+    r = np.linspace(0.0, 24.0, 257)
+    sums = transform._radial_sums(coeffs, r)
+    direct = transform._direct_sums(transform._inversion_matrix(coeffs), s, r)
+    scale = r[:, None] ** np.arange(5)
+    err = np.max(np.abs(sums - direct) * scale, axis=0) / np.max(np.abs(direct) * scale, axis=0)
+    assert np.all(err <= 5e-12)
+    fwd = [
+        transform.forward(transform.MatrixField.radial(2, _spline_profile(r, g), r, samples=g), s_max=7.0).values
+        for g in (sums, direct)
+    ]
+    assert np.max(np.abs(fwd[0] - fwd[1])) <= 1e-13 * np.max(np.abs(fwd[1]))
 
 
 def test_interpolated_inverse_of_non_decaying_coefficients():
