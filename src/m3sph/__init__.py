@@ -31,7 +31,6 @@ from .spherical import (
     TridiagonalOperator,
     build_tridiagonal,
     check_positive_type,
-    constant_spherical_function,
     eval_phi,
     eval_phi_batch,
     phi_method1,
@@ -83,7 +82,6 @@ __all__ = [
     "projections",
     "sphere_rule",
     "check_positive_type",
-    "constant_spherical_function",
     "MatrixField",
     "SphericalCoefficients",
     "classical_ft",

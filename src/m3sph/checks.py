@@ -136,7 +136,7 @@ def suite_polyalg(ms, rng, profile: str) -> dict:
                     polyalg.equivariance_defect(q, i).is_zero(),
                 )
         if m >= 1:
-            top = (qs[1] @ qs[2 * m]) - polyalg.apply_dtau_op(qs[2 * m]).mul_r2().scale(
+            top = qs[2 * m].mul_q1() - polyalg.apply_dtau_op(qs[2 * m]).mul_r2().scale(
                 polyalg.rational(1, 4 * m + 1)
             )
             rec.exact(f"m={m} terminating product", top.is_zero())

@@ -17,7 +17,7 @@ from . import polyalg, spherical, transform
 from .errors import FieldFormatError, M3sphError, MalformedMultiplierError
 from .fieldio import Config, _finite_number, atomic_write, read_field, synthesize, write_field
 from .radial import f_upto
-from .so3rep import build_irrep, check_type_index
+from .so3rep import build_irrep, check_type_index, check_weight_index
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -99,6 +99,8 @@ def cmd_radial(args) -> int:
     if args.n < 0:
         raise _Usage(f"--n must be a non-negative row count, got {args.n}")
     jmax = args.jmax if args.jmax is not None else 2 * args.m
+    # the r column is built even for a jmax that f_upto refuses
+    transform.check_array_entries(args.n * max(jmax + 1, 1), f"a table of {args.n} rows")
     rs = np.linspace(0.0, args.rmax, args.n)
     cols = f_upto(jmax, args.s * rs)
     _print_csv("r," + ",".join(f"f_{j}" for j in range(jmax + 1)), np.column_stack([rs, cols.T]))
@@ -108,8 +110,7 @@ def cmd_radial(args) -> int:
 def cmd_phi(args) -> int:
     m, s, j = args.m, args.s, args.j
     check_type_index(m)
-    if not -m <= j <= m:
-        raise _Usage(f"index j={j} out of range for m={m}")
+    check_weight_index(m, j)
     if not (math.isfinite(s) and s > 0):
         raise _Usage("scale s must be finite and positive")
     if args.at is not None:
@@ -151,6 +152,7 @@ def _phi_table(m: int, s: float, j: int, args) -> int:
         raise _Usage("--rmax must be finite")
     if args.table < 0:
         raise _Usage(f"--table must be a non-negative row count, got {args.table}")
+    transform.check_array_entries(args.table * (2 * m + 1) ** 2, f"a table of {args.table} rows")
     rs = np.linspace(0.0, args.rmax, args.table)
     spec = spherical.phi_method1(m, s, j)
     xs = np.zeros((rs.size, 3))

@@ -50,8 +50,10 @@ class Config:
 
     The environment variable M3S_CONFIG names a default file.  All
     tolerances must be positive, the lattice needs at least two nodes per
-    axis on a positive extent, every float must be finite, and an s_max of
-    0 means "estimate from the field".  radial_nodes_per_panel and
+    axis on a positive extent whose spacing is finite, every float must be
+    finite, and an s_max of 0 means "estimate from the field".  A cube of
+    grid_n^3 nodes holding more than 2^28 matrix entries is refused when
+    it is sampled (transform.MatrixField.cube).  radial_nodes_per_panel and
     panel_width size forward()'s s-grid; the r-rule of the radial-form
     transform has max(32, ceil(4 s_max / pi) + 16) nodes per panel of
     width 4 (transform._radial_ft_coeffs), and forward() refuses an s_max
@@ -77,6 +79,8 @@ class Config:
             raise ValueError("radial_nodes_per_panel must be at least 4")
         if self.grid_n < 2:
             raise ValueError("grid_n must be at least 2")
+        if not math.isfinite(2 * self.grid_extent / (self.grid_n - 1)):
+            raise ValueError("grid_extent must give a finite spacing 2 * grid_extent / (grid_n - 1)")
         if not 0 <= self.s_max < math.inf:
             raise ValueError("s_max must be non-negative and finite (0 = estimate)")
 

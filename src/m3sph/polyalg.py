@@ -16,11 +16,15 @@ them as Python int numerators over one common denominator, and the
 generators B_i (exact_generators) are built once per m in that form;
 Fraction is used only for the scalar vectors above and for the strings of
 the JSON form.  Each B_i is diagonal or tridiagonal (the ladder structure),
-so the identity checks multiply by it as at most three shifted elementwise
-products of P's stacked numerators (_band_mul), O(d^2) per term; general
-products (build_Q, the powers of Q_1, the terminating product) are
-MatPoly.__matmul__.  Two changes of coordinates make the coefficients real
-rationals, and every identity above is invariant under both.
+so a product by it is at most three shifted elementwise products of P's
+stacked numerators (_band_mul), O(d^2) per term.  Every product the layer
+makes has a generator as its left factor: Q_1 P = sum_i B_i (y_i P)
+(MatPoly.mul_q1, which serves build_Q, the powers of Q_1 and the
+terminating product) and D_tau P = sum_i B_i (eta_i dP/dy_i)
+(apply_dtau_op) are one generator sum (_left_generators), and
+equivariance_defect forms the commutator [B_i, P].  Two changes of
+coordinates make the coefficients real rationals, and every identity
+above is invariant under both.
 
 * A rescaled, rational basis.  The weight-basis generators have ladder
   entries proportional to sqrt((m-mu)(m+mu+1)); conjugating by the
@@ -50,7 +54,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import CapabilityError, ConsistencyError
-from .so3rep import check_type_index
+from .so3rep import check_type_index, check_weight_index
 
 # exact mode is capped: the cost of build_Q and of the exact identity checks
 # grows steeply with m, and m <= 4 keeps them to seconds
@@ -207,14 +211,6 @@ class MatPoly:
     def __neg__(self) -> "MatPoly":
         return MatPoly(self.dim, {e: -n for e, n in self.terms.items()}, self.den)
 
-    def __matmul__(self, other: "MatPoly") -> "MatPoly":
-        out = {}
-        for e1, n1 in self.terms.items():
-            for e2, n2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                out[e] = out[e] + n1 @ n2 if e in out else n1 @ n2
-        return _reduced(self.dim, out, self.den * other.den)
-
     def scale(self, s) -> "MatPoly":
         """Multiply by a rational scalar (a Fraction or an int)."""
         p, q = s.numerator, s.denominator
@@ -240,6 +236,11 @@ class MatPoly:
             + self.mul_monomial((0, 2, 0), _ETA[1])
             + self.mul_monomial((0, 0, 2), _ETA[2])
         )
+
+    def mul_q1(self) -> "MatPoly":
+        """Multiply by Q_1 = sum_i y_i B_i from the left (_left_generators),
+        with the terms in the order of the dense product Q_1 P."""
+        return _left_generators([self.mul_monomial(e) for e in _UNIT])
 
     # -- calculus ------------------------------------------------------
     def diff(self, axis: int) -> "MatPoly":
@@ -395,6 +396,23 @@ def _band_mul(stack: np.ndarray, band: tuple, left: bool) -> np.ndarray:
     return out
 
 
+def _left_generators(xs) -> MatPoly:
+    """sum_i B_i X_i for three MatPolys X_i of one type, B the split-form
+    generators of exact_generators: each product banded (_band_mul), all
+    three accumulated over the one denominator lcm_i(den(B_i) X_i.den) and
+    reduced once.  A monomial keeps the place it first takes, i then X_i's
+    order, which is the term order of the dense product sum_i B_i X_i."""
+    bands = _generator_bands((xs[0].dim - 1) // 2)
+    den = math.lcm(*(bden * x.den for (_, bden), x in zip(bands, xs)))
+    out = {}
+    for (band, bden), x in zip(bands, xs):
+        prod = _band_mul(_stacked(x), band, left=True)
+        f = den // (bden * x.den)
+        for e, n in zip(x.terms, prod if f == 1 else f * prod):
+            out[e] = out[e] + n if e in out else n
+    return _reduced(xs[0].dim, out, den)
+
+
 @dataclass(frozen=True)
 class CoeffTable:
     """The lowering scalars a_1..a_{2m} and the Casimir constant c = -m(m+1)."""
@@ -422,11 +440,6 @@ def coeff_table(m: int) -> CoeffTable:
     return CoeffTable(m=m, a=tuple(a), c=c)
 
 
-def _check_index(m: int, j: int):
-    if not -m <= j <= m:
-        raise ValueError(f"index j must satisfy -m <= j <= m, got j={j}, m={m}")
-
-
 def unit_eigvec(m: int, j: int) -> tuple:
     """The coefficients u_0..u_{2m} of Phi_{1,j} in the basis {f_l Q_l}: the
     eigenvector for the eigenvalue j of the tridiagonal operator at s = 1
@@ -440,7 +453,7 @@ def unit_eigvec(m: int, j: int) -> tuple:
     vanishes, which e1_diagonals decides for every j (ConsistencyError).
     At scale s, coefficient l is s^l u_l.
     """
-    _check_index(m, j)
+    check_weight_index(m, j)
     prods = accumulate(coeff_table(m).a, operator.mul, initial=_Q(1))
     return tuple(r[j + m] / p for r, p in zip(e1_diagonals(m), prods))
 
@@ -453,7 +466,7 @@ def lagrange_unit_eigvec(m: int, j: int) -> tuple:
     projects e_0 onto the j eigenvector; it equals unit_eigvec(m, j).
     Cached per (m, j) and their types (a float j would give floats): the
     tuple of Fractions is immutable."""
-    _check_index(m, j)
+    check_weight_index(m, j)
     a = coeff_table(m).a
     n = 2 * m + 1
     v = [_Q(1)] + [_ZERO] * (n - 1)
@@ -502,33 +515,23 @@ def laplacian(P: MatPoly) -> MatPoly:
 def apply_dtau_op(P: MatPoly) -> MatPoly:
     """The invariant operator sum_i A_i * dP/dx_i = sum_i eta_i B_i * dP/dy_i
     (left multiplication), with the split-form generators B of
-    exact_generators for P's type, each product a banded one (_band_mul)."""
-    bands = _generator_bands((P.dim - 1) // 2)
-    out = MatPoly.zero(P.dim)
-    for i, (band, den) in enumerate(bands):
-        dp = P.diff(i)
-        prod = _band_mul(_stacked(dp), band, left=True)
-        out = out + _reduced(P.dim, dict(zip(dp.terms, prod)), den * dp.den).scale(_ETA[i])
-    return out
+    exact_generators for P's type: one generator sum (_left_generators)."""
+    return _left_generators([P.diff(i).scale(_ETA[i]) for i in range(3)])
 
 
 def build_Q(m: int) -> list[MatPoly]:
     """The generator family Q_0..Q_{2m} by the lowering recursion
     Q_{j+1} = Q_1 Q_j - (r^2 a_j / (2j+1)) Q_{j-1}, from
-    Q_1 = sum_i y_i B_i."""
+    Q_1 = sum_i y_i B_i; every product by Q_1 is MatPoly.mul_q1."""
     _check_m(m)
     table = coeff_table(m)
-    d = 2 * m + 1
-    qs = [MatPoly.identity(d)]
+    qs = [MatPoly.identity(2 * m + 1)]
     if m == 0:
         return qs
-    q1 = MatPoly.zero(d)
-    for b, e in zip(exact_generators(m), _UNIT):
-        q1 = q1 + b.mul_monomial(e)
-    qs.append(q1)
+    qs.append(qs[0].mul_q1())
     for j in range(1, 2 * m):
         coeff = table.a[j - 1] / (2 * j + 1)  # a_j / (2j+1)
-        qs.append((qs[1] @ qs[j]) - qs[j - 1].mul_r2().scale(coeff))
+        qs.append(qs[j].mul_q1() - qs[j - 1].mul_r2().scale(coeff))
     return qs
 
 
@@ -554,9 +557,10 @@ def expand_in_q1_powers(qs: list[MatPoly]) -> list:
 
     The coefficients follow the recursion of build_Q with scalars in place
     of polynomials: b^{(0)} = b^{(1)} = [1] and
-    b^{(l+1)}_k = b^{(l)}_k - (a_l / (2l+1)) b^{(l-1)}_{k-1}.  Each power
-    Q_1^j is built once, from Q_1^{j-1} (2m - 1 products for the family),
-    and Q_j is rebuilt from the powers and compared exactly.  Returns, per
+    b^{(l+1)}_k = b^{(l)}_k - (a_l / (2l+1)) b^{(l-1)}_{k-1}.  Q_1^1 is
+    qs[1], and each higher power is built once, as Q_1 Q_1^{j-1} with the
+    type's Q_1 (mul_q1: 2m - 1 products for the family), and Q_j is
+    rebuilt from the powers and compared exactly.  Returns, per
     j, the rationals [1, b_1, b_2, ...] where the difference is the zero
     polynomial, and None where it is not, also for a Q_j that is some other
     monic polynomial in Q_1 and r^2.
@@ -568,7 +572,7 @@ def expand_in_q1_powers(qs: list[MatPoly]) -> list:
     out = []
     for j, q in enumerate(qs):
         if j >= 2:
-            powers.append(powers[-1] @ qs[1])
+            powers.append(powers[-1].mul_q1())
             l = j - 1
             c = a[l - 1] / (2 * l + 1)
             nxt = coeffs + [_Q(0)] * (l % 2)  # b^{(l+1)} gains a term when l+1 is even

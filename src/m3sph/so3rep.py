@@ -78,6 +78,13 @@ def check_type_index(m: int):
         raise ValueError(f"m must be a non-negative integer, got {m}")
 
 
+def check_weight_index(m: int, j: int):
+    """Raise ValueError unless -m <= j <= m: the one check of the weight
+    index j of type m."""
+    if not -m <= j <= m:
+        raise ValueError(f"index j={j} out of range for m={m}: need -m <= j <= m")
+
+
 def build_irrep(m: int) -> Irrep:
     """Construct the type-m irrep in the weight basis.
 

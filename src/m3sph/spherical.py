@@ -40,7 +40,7 @@ from ._kernels import (M_MAX_NUMERIC, axis_diagonals, axis_transport,  # noqa: F
 from .errors import CapabilityError
 from .polyalg import coeff_table, lagrange_unit_eigvec, unit_eigvec
 from .radial import _check_scale
-from .so3rep import check_type_index
+from .so3rep import check_type_index, check_weight_index
 
 
 # the most polar nodes construction 2's sphere rule may have (degree 4095), the
@@ -108,15 +108,14 @@ class SphericalFunctionSpec:
     Phi_{s,j} has the coefficients s^l u_l in the basis {f_l^s Q_l}, and
     Phi_{s,j}(x) = sum_l u_l T_l(s|x|) Q_l(x/|x|), T_l(t) = t^l f_l(t).
     coeffs[0] = 1 always (Phi(0) = I).  ``method`` records which
-    construction produced u.  s = 0 is reserved for the trivial (constant
-    identity) function.
+    construction produced u.
     """
 
     m: int
     s: float
     j: int
     coeffs: np.ndarray
-    method: int | str
+    method: int
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
@@ -125,8 +124,7 @@ class SphericalFunctionSpec:
 def _check_params(m: int, s: float, j: int):
     check_type_index(m)
     _check_scale(s)
-    if not -m <= j <= m:
-        raise ValueError(f"index j must satisfy -m <= j <= m, got j={j}, m={m}")
+    check_weight_index(m, j)
     check_numeric_m(m)
 
 
@@ -168,14 +166,6 @@ def phi_method3(m: int, s: float, j: int) -> SphericalFunctionSpec:
     return SphericalFunctionSpec(m=m, s=float(s), j=j, coeffs=coeffs, method=3)
 
 
-def constant_spherical_function(m: int) -> SphericalFunctionSpec:
-    """The trivial spherical function (constant identity), kept separate
-    from the s > 0 family rather than as an s -> 0 limit."""
-    e0 = np.zeros(2 * m + 1)
-    e0[0] = 1.0
-    return SphericalFunctionSpec(m=m, s=0.0, j=0, coeffs=e0, method="trivial")
-
-
 def eval_phi(spec: SphericalFunctionSpec, x) -> np.ndarray:
     """Evaluate sum_l u_l T_l(s|x|) Q_l(x/|x|) at one point."""
     return eval_phi_batch(spec, np.asarray(x, dtype=np.float64)[None, :])[0]
@@ -188,9 +178,6 @@ def eval_phi_batch(spec: SphericalFunctionSpec, xs: np.ndarray) -> np.ndarray:
     A NaN or infinite coordinate raises ValueError, a point whose |x| or
     s|x| leaves float range CapabilityError."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    if spec.s == 0.0:
-        radii(xs)  # refuses the points q_series would refuse
-        return np.tile(np.eye(2 * spec.m + 1, dtype=np.complex128), (xs.shape[0], 1, 1))
     return q_series(lambda rs: (f_table(2 * spec.m, spec.s * rs, axis=True).T * spec.coeffs)
                     @ axis_diagonals(spec.m), xs)
 
@@ -214,8 +201,7 @@ class ProjectionFamily:
     matrices: np.ndarray  # (2m+1, d, d), index j+m
 
     def P(self, j: int) -> np.ndarray:
-        if not -self.m <= j <= self.m:
-            raise ValueError(f"index j out of range for m={self.m}")
+        check_weight_index(self.m, j)
         return self.matrices[j + self.m]
 
 

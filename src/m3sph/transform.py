@@ -40,7 +40,7 @@ from ._kernels import (
 )
 from .errors import CapabilityError, DecompositionError, MalformedCoefficientsError
 from .radial import RadialProfile, _check_scale, double_factorial_odd
-from .so3rep import Rotation, tau
+from .so3rep import Rotation, check_weight_index, tau
 
 # default quadrature geometry (overridable per call; Config feeds the CLI)
 DEFAULT_PANEL_WIDTH = 4.0
@@ -58,6 +58,17 @@ _CHEB_TAIL_TOL = 1e-14
 # s_max = 1000 at m = 1, r_grid to 12, makes 9.3e7
 _MAX_KERNEL_ENTRIES = 2**27
 _MAX_RULE_NODES = 2**20  # most nodes of one composite rule (gl_panels)
+# the most entries of one array whose size the caller picks (a field on a
+# cube, a CSV table), a bound on memory: the default 41^3 cube at m = 26
+# holds 1.94e8
+MAX_ARRAY_ENTRIES = 2**28
+
+
+def check_array_entries(entries: int, what: str):
+    """Raise CapabilityError if ``what`` would hold more than
+    MAX_ARRAY_ENTRIES entries, before it is built."""
+    if entries > MAX_ARRAY_ENTRIES:
+        raise CapabilityError(f"{what} needs {entries:.3g} entries, over {MAX_ARRAY_ENTRIES}")
 
 
 def inversion_constant(m: int) -> float:
@@ -149,8 +160,10 @@ class MatrixField:
 
         ``sample`` maps the (n^3, 3) grid_points() of that lattice to the
         (n^3, d, d) field values there.  n should be odd so the lattice
-        contains the origin.
+        contains the origin.  A field of more than MAX_ARRAY_ENTRIES
+        entries raises CapabilityError before any array is built.
         """
+        check_array_entries(int(n) ** 3 * (2 * m + 1) ** 2, f"a field on a {n}^3 cube")
         ax = np.linspace(-extent, extent, n)
         lattice = MatrixField(
             m=m, form="grid", origin=np.full(3, ax[0]), spacing=float(ax[1] - ax[0]), shape=(n,) * 3
@@ -395,8 +408,7 @@ def spherical_ft(F: MatrixField, s: float, j: int, mode: str = "fast") -> comple
             the to_grid() defaults.
     """
     _check_scale(s)
-    if not -F.m <= j <= F.m:
-        raise ValueError("index j out of range")
+    check_weight_index(F.m, j)
     if mode == "fast":
         return complex(_ft_along_e1(F, np.array([float(s)]))[0, F.m - j])
     if mode != "direct":

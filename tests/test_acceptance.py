@@ -34,7 +34,7 @@ def test_A1_exact_identity_suite():
                 defect = polyalg.apply_dtau_op(q) - qs[j - 1].scale(table.a[j - 1])
                 assert defect.is_zero(), f"lowering Q_{j} m={m}"
         if m >= 1:
-            top = (qs[1] @ qs[2 * m]) - polyalg.apply_dtau_op(qs[2 * m]).mul_r2().scale(
+            top = qs[2 * m].mul_q1() - polyalg.apply_dtau_op(qs[2 * m]).mul_r2().scale(
                 polyalg.rational(1, 4 * m + 1)
             )
             assert top.is_zero(), f"terminating identity m={m}"

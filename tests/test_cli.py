@@ -514,6 +514,7 @@ def test_degenerate_flag_is_usage_error(capsys, tmp_path, coeff_file, direction,
         ("forward", "panel_width = inf"),
         ("forward", "truncation_tol = inf"),
         ("inverse", "grid_extent = inf"),
+        ("inverse", "grid_extent = 1e308"),
         ("forward", "s_max = abc"),
     ],
 )
@@ -584,6 +585,47 @@ def test_rule_that_cannot_be_built_is_refused(capsys, tmp_path, argv):
     assert code == 2
     assert "Gauss-Legendre rule" in err
     assert out == ""
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["transform", "inverse", "--grid-n", "646"], "646^3 cube"),
+    (["filter", "--multiplier", "laplacian", "--grid-n", "646"], "646^3 cube"),
+    (["phi", "--m", "1", "--s", "1", "--j", "0", "--table", "29826162"], "29826162 rows"),
+    (["radial", "--table", "--n", "268435457"], "268435457 rows"),
+    (["radial", "--table", "--jmax", "-3", "--n", "268435457"], "268435457 rows"),
+], ids=["transform-grid-n", "filter-grid-n", "phi-table", "radial-table", "radial-negative-jmax"])
+def test_array_over_the_entry_budget_is_refused(capsys, tmp_path, coeff_file, argv, what):
+    # each just over transform.MAX_ARRAY_ENTRIES = 2^28 entries: 646^3 at
+    # m = 0, 29 826 162 rows of 3x3 matrices, 268 435 457 rows of f_0 (or
+    # of r alone, for a jmax that f_upto refuses after the r column is
+    # built); refused before any array is built, so no memory limit is needed
+    assert 646**3 > transform.MAX_ARRAY_ENTRIES >= 645**3
+    assert 29826162 * 9 > transform.MAX_ARRAY_ENTRIES >= 29826161 * 9
+    field_path, coeff_path = coeff_file
+    out_path = tmp_path / "out"
+    io = {"transform": ["--in", str(coeff_path), "--out", str(out_path)],
+          "filter": ["--in", str(field_path), "--out", str(out_path)]}.get(argv[0], [])
+    code, out, err = run_cli(capsys, *argv, *io)
+    assert code == 2
+    assert what in err and f"over {2**28}" in err
+    assert out == ""
+    assert not out_path.exists()
+
+
+def test_grid_extent_whose_spacing_overflows_is_usage_error(capsys, tmp_path, coeff_file):
+    # 2 * 1e308 overflows, so the spacing 2 extent / (n - 1) is not finite;
+    # Config names the flag's key before numpy sees the extent
+    out_path = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "transform", "inverse", "--in", str(coeff_file[1]), "--out", str(out_path),
+            "--grid-extent", "1e308",
+        )
+    assert code == 2
+    assert "grid_extent" in err and "spacing" in err
+    assert "RuntimeWarning" not in err and out == ""
     assert not out_path.exists()
 
 

@@ -18,6 +18,26 @@ from m3sph.polyalg import (
 from m3sph.so3rep import SO3_GENERATORS, Rotation, build_irrep, tau
 
 
+def _dense_matmul(p: MatPoly, q: MatPoly) -> MatPoly:
+    """The general product p q, one object-array product per pair of
+    monomials: the reference the banded generator products are checked
+    against, terms in first-seen order over p's then q's terms."""
+    out = {}
+    for e1, n1 in p.terms.items():
+        for e2, n2 in q.terms.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+            out[e] = out[e] + n1 @ n2 if e in out else n1 @ n2
+    return polyalg._reduced(p.dim, out, p.den * q.den)
+
+
+def _dense_q1(m: int) -> MatPoly:
+    """Q_1 = sum_i y_i B_i from the exact generators."""
+    q1 = MatPoly.zero(2 * m + 1)
+    for b, e in zip(exact_generators(m), polyalg._UNIT):
+        q1 = q1 + b.mul_monomial(e)
+    return q1
+
+
 # ---------------------------------------------------------------------------
 # exact scalar domain
 # ---------------------------------------------------------------------------
@@ -233,7 +253,7 @@ def test_exact_casimir():
     for m, expected in ((1, -2), (2, -6)):
         acc = MatPoly.zero(2 * m + 1)
         for eta, g in zip((-1, -1, 1), exact_generators(m)):
-            acc = acc + (g @ g).scale(eta)
+            acc = acc + _dense_matmul(g, g).scale(eta)
         assert acc == MatPoly.identity(2 * m + 1).scale(expected)
 
 
@@ -242,7 +262,7 @@ def test_laplacian_basics():
     assert polyalg.laplacian(eye_r2) == MatPoly.identity(1).scale(6)
     qs = build_Q(1)
     assert polyalg.laplacian(qs[1]).is_zero()
-    q1sq = qs[1] @ qs[1]
+    q1sq = qs[1].mul_q1()
     q2 = q1sq + MatPoly.identity(3).mul_r2().scale(rational(2, 3))
     assert polyalg.laplacian(q2).is_zero()
     assert qs[2] == q2
@@ -271,7 +291,7 @@ def test_q_family_harmonic_homogeneous(m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_terminating_product_identity(m):
     qs = build_Q(m)
-    top = (qs[1] @ qs[2 * m]) - polyalg.apply_dtau_op(qs[2 * m]).mul_r2().scale(
+    top = qs[2 * m].mul_q1() - polyalg.apply_dtau_op(qs[2 * m]).mul_r2().scale(
         rational(1, 4 * m + 1)
     )
     assert top.is_zero()
@@ -314,14 +334,16 @@ def _is_canonical(P: MatPoly) -> bool:
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
 def test_banded_generator_products_match_the_dense_ones(m):
-    # the banded commutator and operator against the dense MatPoly products,
-    # on polynomials whose results are nonzero; the terms come in the same order
+    # the banded commutator, operator and product by Q_1 against the dense
+    # MatPoly products, on polynomials whose results are nonzero; the terms
+    # come in the same order
     rng = np.random.default_rng(40 + m)
     gens = exact_generators(m)
+    q1 = _dense_q1(m)
     for _ in range(3):
         P = _random_matpoly(rng, m)
         for i in range(3):
-            ref = (gens[i] @ P) - (P @ gens[i])
+            ref = _dense_matmul(gens[i], P) - _dense_matmul(P, gens[i])
             for a, b, k in polyalg._ROTATION_FIELDS[i]:
                 ref = ref - P.diff(a).mul_monomial(polyalg._UNIT[b], k)
             out = polyalg.equivariance_defect(P, i)
@@ -329,10 +351,41 @@ def test_banded_generator_products_match_the_dense_ones(m):
             assert _is_canonical(out) and not out.is_zero()
         ref = MatPoly.zero(2 * m + 1)
         for i in range(3):
-            ref = ref + (gens[i] @ P.diff(i)).scale(Fraction(polyalg._ETA[i]))
+            ref = ref + _dense_matmul(gens[i], P.diff(i)).scale(Fraction(polyalg._ETA[i]))
         out = polyalg.apply_dtau_op(P)
         assert out == ref and list(out.terms) == list(ref.terms)
         assert _is_canonical(out) and out.is_zero() == (m == 0)
+        ref, out = _dense_matmul(q1, P), P.mul_q1()
+        assert out == ref and list(out.terms) == list(ref.terms)
+        assert _is_canonical(out) and out.is_zero() == (m == 0)
+
+
+@pytest.fixture
+def exact_cap_6(monkeypatch):
+    """M_MAX_EXACT raised to 6; the per-m generator caches are cleared
+    after, so the cap holds again for m = 5 and 6."""
+    monkeypatch.setattr(polyalg, "M_MAX_EXACT", 6)
+    yield
+    exact_generators.cache_clear()
+    polyalg._generator_bands.cache_clear()
+
+
+@pytest.mark.parametrize("m", [1, 4, 5, 6])
+def test_products_by_q1_match_the_dense_recursion(m, exact_cap_6):
+    # build_Q and the powers of Q_1 against the dense products Q_1 P, in
+    # values and in term order (the float evaluation sums terms in that order)
+    q1 = _dense_q1(m)
+    qs = build_Q(m)
+    ref = [MatPoly.identity(2 * m + 1), q1]
+    for j in range(1, 2 * m):
+        coeff = coeff_table(m).a[j - 1] / (2 * j + 1)
+        ref.append(_dense_matmul(q1, ref[j]) - ref[j - 1].mul_r2().scale(coeff))
+    for q, r in zip(qs, ref, strict=True):
+        assert q == r and list(q.terms) == list(r.terms)
+    power = q1
+    for _ in range(2 * m):
+        power, ref_power = power.mul_q1(), _dense_matmul(q1, power)
+        assert power == ref_power and list(power.terms) == list(ref_power.terms)
 
 
 def test_scale_by_plus_or_minus_one_is_canonical_and_exact():
@@ -393,8 +446,8 @@ def test_finite_rotation_equivariance_numeric():
 def test_expand_in_q1_powers(m, monkeypatch):
     qs = build_Q(m)
     products = []
-    matmul = MatPoly.__matmul__
-    monkeypatch.setattr(MatPoly, "__matmul__", lambda p, q: products.append(None) or matmul(p, q))
+    mul_q1 = MatPoly.mul_q1
+    monkeypatch.setattr(MatPoly, "mul_q1", lambda p: products.append(None) or mul_q1(p))
     expansions = polyalg.expand_in_q1_powers(qs)
     monkeypatch.undo()
     # one pass: Q_1^2..Q_1^{2m}, each from the one before (Q_1^0 = I and

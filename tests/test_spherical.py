@@ -13,7 +13,6 @@ from m3sph.so3rep import Rotation, build_irrep, dtau, tau
 from m3sph.spherical import (
     build_tridiagonal,
     check_positive_type,
-    constant_spherical_function,
     eval_phi,
     eval_phi_batch,
     phi_method1,
@@ -303,13 +302,6 @@ def test_m1_j0_series_expansion():
             d @ d + (2 / 3) * r * r * np.eye(3)
         )
         assert np.allclose(eval_phi(spec, x), expected, atol=1e-13)
-
-
-def test_constant_spec_evaluates_to_identity():
-    spec = constant_spherical_function(2)
-    xs = np.random.default_rng(1).normal(size=(4, 3))
-    vals = eval_phi_batch(spec, xs)
-    assert np.allclose(vals, np.eye(5), atol=0)
 
 
 # ---------------------------------------------------------------------------
