@@ -16,6 +16,7 @@ import numpy as np
 from scipy.special import spherical_jn
 
 from . import polyalg, radial, spherical, transform
+from ._kernels import check_numeric_m
 from .errors import ConsistencyError
 from .fieldio import synthesize
 from .polyalg import M_MAX_EXACT
@@ -227,6 +228,20 @@ def suite_radial(rng, profile: str) -> dict:
     return rec.result()
 
 
+def _jacobi_spectrum(op) -> np.ndarray:
+    """The eigenvalues of a tridiagonal operator, ascending.  When every
+    product b_l c_l of its super- and subdiagonal is positive, op is similar
+    to the symmetric Jacobi matrix with off-diagonals sqrt(b_l c_l), whose
+    eigvalsh is stable at every m (Wilkinson, The Algebraic Eigenvalue
+    Problem, 1965), where eigvals of the nonsymmetric op is off by O(1)
+    from m = 38.  A product <= 0 gives inf, which fails any bound."""
+    prod = op.superdiag * op.subdiag
+    if not np.all(prod > 0):
+        return np.full(op.size, np.inf)
+    off = np.diag(np.sqrt(prod), 1)
+    return np.linalg.eigvalsh(off + off.T)
+
+
 def suite_spherical(ms, rng, profile: str) -> dict:
     rec = _Recorder("spherical")
     svals = (0.5, 1.0, 2.0, 7.3)
@@ -234,10 +249,9 @@ def suite_spherical(ms, rng, profile: str) -> dict:
     for m in sorted(set(list(ms) + ([4, 6, top] if profile == "full" else []))):
         for s in svals:
             op = spherical.build_tridiagonal(m, s)
-            eigs = np.sort(np.linalg.eigvals(op.matrix()).real)
             rec.case(
                 f"m={m} s={s} spectrum",
-                np.max(np.abs(eigs - op.eigenvalues())),
+                np.max(np.abs(_jacobi_spectrum(op) - op.eigenvalues())),
                 1e-10 * s,
             )
     if profile == "full":
@@ -508,6 +522,8 @@ def run_checks(ms=(0, 1), seed: int = 0, profile: str = "quick") -> dict:
     if profile not in ("quick", "full"):
         raise ValueError("profile must be 'quick' or 'full'")
     ms = sorted(set(int(m) for m in ms))
+    for m in ms:  # an m above the numeric range is refused before any suite runs
+        check_numeric_m(m)
     rng = np.random.default_rng(seed)
     exact_ms = [m for m in ms if m <= M_MAX_EXACT]
     if profile == "full":

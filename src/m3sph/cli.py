@@ -78,6 +78,8 @@ def _forward(field, cfg: Config):
 
 
 def cmd_rep(args) -> int:
+    check_type_index(args.m)
+    transform.check_array_entries(3 * (2 * args.m + 1) ** 2, f"the generators of type m={args.m}")
     rep = build_irrep(args.m)
     print(rep.to_json())
     return EXIT_OK

@@ -21,7 +21,6 @@ import json
 import math
 import numbers
 import os
-import tempfile
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transform
+from ._kernels import check_numeric_m
 from .errors import (
     ChecksumMismatchError,
     MalformedHeaderError,
@@ -159,9 +159,14 @@ def write_field(field: MatrixField, path: str) -> None:
 
 def atomic_write(path: str, *chunks) -> None:
     """Write the chunks to ``path`` through a temporary file in the same
-    directory and a rename, so ``path`` never holds a partial file."""
+    directory and a rename, so ``path`` never holds a partial file.  The
+    file gets the mode open() gives, 0666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".m3sf-")
+    # a fresh random name, created exclusively with mode 0666 so that the
+    # kernel applies the umask: mkstemp makes 0600, and reading the umask
+    # means setting it, which races with other threads
+    tmp = os.path.join(directory, f".m3sf-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
@@ -299,7 +304,8 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
     if params is not None and not isinstance(params, Mapping):
         raise ValueError(f"synthesis parameters must be a mapping, got {params!r}")
     params = dict(params or {})
-    L = 2 * m + 1
+    L, n_r = 2 * m + 1, 257
+    transform.check_array_entries(n_r * L, f"a radial profile of {n_r} samples at m={m}")
 
     def in_column(k, g):
         """The evaluator with g(r) in column k and zeros elsewhere."""
@@ -349,6 +355,7 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
         width = _positive_param(params, "width", 0.5)
         amp = _finite_param(params, "amplitude", 1.0, complex)
         _reject_unknown(kind, params)
+        check_numeric_m(m)
         s_nodes, s_w = transform.gl_panels(0.0, s0 + 10.0 * width)
         bump_vals = amp * np.exp(-((s_nodes - s0) ** 2) / (2 * width * width))
         # every one of the 2m+1 transform rows carries the same bump
@@ -360,7 +367,6 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
     else:
         raise ValueError(f"unknown field kind {kind!r}")
 
-    n_r = 257
     return MatrixField.radial(m, profile, np.linspace(0.0, r_max, n_r))
 
 

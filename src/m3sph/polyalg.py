@@ -9,13 +9,16 @@ rounds once: the diagonals of Q_l(e_1) (e1_diagonals, one scalar
 recursion, cached per m) and the s = 1 coefficients of the spherical
 functions.  Construction 1's are read off those diagonals,
 u_l(j) = r_l(j) / (a_1 ... a_l) (unit_eigvec); construction 3's come from
-the Lagrange product (lagrange_unit_eigvec).
+the Lagrange product (lagrange_unit_eigvec).  The lowering scalars a_l are
+a closed form (coeff_table).
 
 Every coefficient is a real rational in the split form.  A MatPoly holds
 them as Python int numerators over one common denominator, and the
-generators B_i (exact_generators) are built once per m in that form;
-Fraction is used only for the scalar vectors above and for the strings of
-the JSON form.  Each B_i is diagonal or tridiagonal (the ladder structure),
+generators B_i (exact_generators) are built once per m in that form, as
+are the e_1 diagonals and the Lagrange product.  Fraction only builds
+the values those functions return and the strings of the JSON form;
+expand_in_q1_powers' few scalar coefficients are the one recursion left
+in it.  Each B_i is diagonal or tridiagonal (the ladder structure),
 so a product by it is at most three shifted elementwise products of P's
 stacked numerators (_band_mul), O(d^2) per term.  Every product the layer
 makes has a generator as its left factor: Q_1 P = sum_i B_i (y_i P)
@@ -61,8 +64,6 @@ from .so3rep import check_type_index, check_weight_index
 M_MAX_EXACT = 4
 
 Monomial = tuple[int, int, int]
-
-_ZERO = _Q(0)
 
 # the split-form metric: |x|^2 = sum_i eta_i y_i^2
 _ETA = (-1, -1, 1)
@@ -427,17 +428,22 @@ class CoeffTable:
 
 @lru_cache(maxsize=None, typed=True)
 def coeff_table(m: int) -> CoeffTable:
-    """Closed-form lowering coefficients: a_1 = c and
-    a_{k+1} = ((k+1)^2/(2k+1)) * (c + (k^2+2k)/4).  Cached per m and its
-    type; the table is immutable."""
+    """The lowering scalars in closed form, a_l = l^2 (l^2 - d^2) / (4 (2l - 1))
+    for l = 1..2m with d = 2m + 1, so a_1 = c.  (The lowering recursion
+    gives a_{l} = (l^2/(2l-1)) (c + (l^2 - 1)/4), and 4c = 1 - d^2.)  No a_l
+    vanishes, as l < d.  Cached per m and its type; the table is immutable,
+    its numerators and denominators Python ints for a numpy int m too."""
     check_type_index(m)
-    c = _Q(-m * (m + 1))
-    a = []
-    if m > 0:
-        a.append(c)
-        for k in range(1, 2 * m):
-            a.append(_Q((k + 1) ** 2, 2 * k + 1) * (c + _Q(k * k + 2 * k, 4)))
-    return CoeffTable(m=m, a=tuple(a), c=c)
+    m = int(m)
+    a = (_Q(l * l * (l * l - (2 * m + 1) ** 2), 4 * (2 * l - 1)) for l in range(1, 2 * m + 1))
+    return CoeffTable(m=m, a=tuple(a), c=_Q(-m * (m + 1)))
+
+
+def _lowest(num: np.ndarray, den: int) -> tuple:
+    """The rationals num/den, num an object array of ints and den a nonzero
+    int, over their least common denominator: one gcd pass."""
+    g = math.gcd(den, *num)
+    return num // g, den // g
 
 
 def unit_eigvec(m: int, j: int) -> tuple:
@@ -448,14 +454,17 @@ def unit_eigvec(m: int, j: int) -> tuple:
     Rows 0..2m-1 of (M - j) u = 0 give u_1 = j / a_1 and
     u_{l+1} = (j u_l + u_{l-1}/(2l+1)) / a_{l+1}, the e1_diagonals
     recursion at the weight mu = j divided by a_1 ... a_{l+1}; so
-    u_l = r_l(j) / (a_1 ... a_l), read off e1_diagonals.  No a_l vanishes,
-    as c + (k^2+2k)/4 = 0 only at k = 2m.  Row 2m closes iff r_{2m+1}(j)
-    vanishes, which e1_diagonals decides for every j (ConsistencyError).
-    At scale s, coefficient l is s^l u_l.
+    u_l = r_l(j) / (a_1 ... a_l), read off e1_diagonals with the prefix
+    products of the a_l's numerators and denominators as integers.  No a_l
+    vanishes (coeff_table).  Row 2m closes iff r_{2m+1}(j) vanishes, which
+    e1_diagonals decides for every j (ConsistencyError).  At scale s,
+    coefficient l is s^l u_l.
     """
     check_weight_index(m, j)
-    prods = accumulate(coeff_table(m).a, operator.mul, initial=_Q(1))
-    return tuple(r[j + m] / p for r, p in zip(e1_diagonals(m), prods))
+    nums = accumulate((x.numerator for x in coeff_table(m).a), operator.mul, initial=1)
+    dens = accumulate((x.denominator for x in coeff_table(m).a), operator.mul, initial=1)
+    rows = (r[j + m] for r in e1_diagonals(m))
+    return tuple(_Q(x.numerator * q, x.denominator * p) for x, p, q in zip(rows, nums, dens))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -464,20 +473,26 @@ def lagrange_unit_eigvec(m: int, j: int) -> tuple:
     (M - l)/(j - l) applied to e_0, the coefficient vector of the scalar
     spherical function, with M the operator of unit_eigvec.  The product
     projects e_0 onto the j eigenvector; it equals unit_eigvec(m, j).
-    Cached per (m, j) and their types (a float j would give floats): the
-    tuple of Fractions is immutable."""
+
+    The vector is held as integer numerators over one denominator.  L, the
+    lcm of the a_l's denominators and of 1, 3, ..., 4m + 1, makes L M an
+    integer matrix, so each factor is the integer step
+    v <- (L M) v - L l v over the denominator times L (j - l), and one gcd
+    pass; 2m + 1 and j - l are taken as Python ints, so a numpy int m or j,
+    or a float j = 3.0, gives the same Fractions.  Cached per (m, j) and their types: the tuple
+    of Fractions is immutable."""
     check_weight_index(m, j)
     a = coeff_table(m).a
-    n = 2 * m + 1
-    v = [_Q(1)] + [_ZERO] * (n - 1)
+    L = math.lcm(*(x.denominator for x in a), *range(1, 4 * m + 2, 2))
+    # the diagonals of L M, each padded by a zero where np.roll wraps around
+    sup = np.array([L * x.numerator // x.denominator for x in a] + [0], dtype=object)
+    sub = np.array([0] + [-(L // k) for k in range(3, 4 * m + 2, 2)], dtype=object)
+    v, den = np.array([1] + [0] * 2 * m, dtype=object), 1
     for l in range(-m, m + 1):
         if l != j:
-            mv = [
-                (a[k] * v[k + 1] if k < n - 1 else _ZERO) - (v[k - 1] / (2 * k + 1) if k else _ZERO)
-                for k in range(n)
-            ]
-            v = [(x - l * y) / (j - l) for x, y in zip(mv, v)]
-    return tuple(n * x for x in v)
+            w = sup * np.roll(v, -1) + sub * np.roll(v, 1) - L * l * v
+            v, den = _lowest(w, den * L * int(j - l))
+    return tuple(_Q(len(v) * x, den) for x in v)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -485,23 +500,24 @@ def e1_diagonals(m: int) -> tuple:
     """The rationals r_l with Q_l(e_1) = i^l diag(r_l), l = 0..2m: the
     build_Q recursion at x = e_1, where Q_1(e_1) = A_1 = diag(i mu) with
     mu = -m..m, gives r_0 = 1, r_1 = mu and
-    r_{l+1} = mu r_l + (a_l/(2l+1)) r_{l-1}.
+    r_{l+1} = mu r_l + (a_l/(2l+1)) r_{l-1}.  Each r_l is held as integer
+    numerators over one denominator, and each step is one gcd pass.
 
     The recursion runs one step further: r_{2m+1} is the axis form of
     Q_{2m+1} = 0 (the terminating product) and must vanish on every weight.
     At the weight mu = j that is row 2m of the s = 1 operator closing on
     unit_eigvec(m, j), and ConsistencyError names the first j where it does
     not.  Cached per m and its type; the tuples are immutable."""
-    a = coeff_table(m).a
-    mu = [_Q(p) for p in range(-m, m + 1)]
-    r = [tuple(_Q(1) for _ in mu), tuple(mu)]
-    for l in range(1, 2 * m + 1):
-        c = a[l - 1] / (2 * l + 1)
-        r.append(tuple(x * y + c * z for x, y, z in zip(mu, r[l], r[l - 1])))
-    for j, x in enumerate(r[2 * m + 1], -m):
+    mu = np.arange(-m, m + 1).astype(object)
+    r = [(np.ones(2 * m + 1, dtype=object), 1), (mu, 1)]
+    for l, x in enumerate(coeff_table(m).a, 1):
+        (n1, d1), (n0, d0) = r[l], r[l - 1]
+        q = x.denominator * (2 * l + 1) * d0
+        r.append(_lowest(mu * n1 * q + n0 * x.numerator * d1, d1 * q))
+    for j, x in enumerate(r[2 * m + 1][0], -m):
         if x:
             raise ConsistencyError(f"row 2m of the tridiagonal operator does not close at m={m}, j={j}")
-    return tuple(r[: 2 * m + 1])
+    return tuple(tuple(_Q(x, d) for x in num) for num, d in r[: 2 * m + 1])
 
 
 def laplacian(P: MatPoly) -> MatPoly:

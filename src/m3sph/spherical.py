@@ -12,10 +12,11 @@ central oracle of the package:
 3. a Lagrange polynomial in the tridiagonal matrix applied to the
    coefficient vector of the scalar spherical function.
 
-Constructions 1 and 3 are exact rational vectors u at s = 1, rounded once:
-construction 1's are the exact e_1 diagonals over the products of the
-lowering scalars (polyalg.unit_eigvec), construction 3's a Lagrange
-product (polyalg.lagrange_unit_eigvec); and
+Constructions 1 and 3 are exact rational vectors u at s = 1, computed in
+integers over one denominator and rounded once: construction 1's are the
+exact e_1 diagonals over the products of the closed-form lowering scalars
+(polyalg.unit_eigvec), construction 3's a Lagrange product that does not
+read those diagonals (polyalg.lagrange_unit_eigvec); and
 Phi_{s,j}(x) = sum_l u_l T_l(s|x|) Q_l(x/|x|) with the bounded axis kernels
 T_l(t) = t^l f_l(t), so no power of s or |x| is formed; construction 2 is
 the independent float oracle.  Every off-axis value, D_tau Phi

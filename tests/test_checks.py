@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from m3sph import checks, polyalg, radial, spherical, transform
+from m3sph.errors import CapabilityError
 from m3sph.so3rep import Rotation, build_irrep, tau
 
 
@@ -117,6 +118,34 @@ def test_so3rep_suite_passes_at_the_top_of_the_numeric_range():
     # rounding unit of m(m+1) at most; its bound scales with m(m+1)
     report = checks.suite_so3rep([23, 24, 25, 26], np.random.default_rng(0), "quick")
     assert report["pass"], report["failures"]
+
+
+@pytest.mark.parametrize("m", [0, 1, 26, 38, 46, 80])
+def test_spectrum_case_holds_past_the_numeric_range(m):
+    # the Jacobi form keeps the spectrum residual far inside 1e-10 s where
+    # eigvals of the nonsymmetric operator was off by 6.7-610 (m = 38-80)
+    for s in (0.5, 7.3):
+        op = spherical.build_tridiagonal(m, s)
+        assert np.max(np.abs(checks._jacobi_spectrum(op) - op.eigenvalues())) <= 1e-12 * s
+
+
+def test_spectrum_case_fails_an_off_diagonal_product_of_the_wrong_sign():
+    op = spherical.build_tridiagonal(3, 1.0)
+    sup = op.superdiag.copy()
+    sup[2] = -sup[2]
+    bad = type(op)(m=op.m, s=op.s, superdiag=sup, subdiag=op.subdiag)
+    assert not np.max(np.abs(checks._jacobi_spectrum(bad) - bad.eigenvalues())) <= 1e-10
+
+
+def test_above_the_numeric_range_is_refused_before_any_suite(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a suite ran before the refusal")
+
+    for suite in ("so3rep", "polyalg", "radial", "spherical", "transform"):
+        monkeypatch.setattr(checks, f"suite_{suite}", refuse)
+    top = spherical.M_MAX_NUMERIC
+    with pytest.raises(CapabilityError, match=rf"\(requested m={top + 1}\)"):
+        checks.run_checks([top + 374, 0, top + 1])
 
 
 @pytest.mark.parametrize("m", [1, 3, 26])

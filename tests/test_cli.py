@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -640,6 +641,25 @@ def test_negative_type_index_is_named(capsys, tmp_path, monkeypatch, argv):
     assert code == 2
     assert "non-negative integer" in err
     assert out == ""
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep"], ["synth", "gaussian", "--out", "never.m3sf"], ["synth", "bump", "--out", "never.m3sf"],
+    ["check"],
+], ids=["rep", "synth-gaussian", "synth-bump", "check"])
+def test_huge_type_index_is_refused_before_allocation(capsys, tmp_path, monkeypatch, argv):
+    # the size of type m is checked before anything of that size is built
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv, "--m", "1000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert "m=1000000000" in err and "Traceback" not in err
+    assert peak < 32 << 20
     assert not any(tmp_path.iterdir())
 
 

@@ -437,6 +437,17 @@ def test_write_refuses_a_profile_of_the_wrong_width(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_take_the_mode_the_umask_gives(tmp_path, umask, mode):
+    # the temporary file is made 0600; the renamed output must not keep that
+    old = os.umask(umask)
+    try:
+        write_field(synthesize("gaussian", 0), str(tmp_path / "out.m3sf"))
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "out.m3sf").st_mode & 0o777 == mode
+
+
 def test_write_is_atomic(tmp_path):
     F = synthesize("gaussian", 0)
     target = tmp_path / "out.m3sf"

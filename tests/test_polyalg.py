@@ -104,7 +104,7 @@ def test_coeff_table_values():
     assert str(t1.c) == "-2"
     t2 = coeff_table(2)
     assert [str(a) for a in t2.a] == ["-6", "-7", "-36/5", "-36/7"]
-    for m in range(7):
+    for m in range(27):
         t = coeff_table(m)
         assert t.c == rational(-m * (m + 1))
         if m:
@@ -171,10 +171,22 @@ def test_a_corrupted_table_fails_row_2m(monkeypatch, m, scale):
     assert polyalg.unit_eigvec(m, 0) == _unit_eigvec_recurrence(m, 0)
 
 
-@pytest.mark.parametrize("m", [0, 1, 3, 8, 12])
+@pytest.mark.parametrize("m", range(27))
 def test_lagrange_product_equals_the_recursion_exactly(m):
     for j in range(-m, m + 1):
         assert polyalg.lagrange_unit_eigvec(m, j) == polyalg.unit_eigvec(m, j)
+
+
+def test_exact_vectors_take_any_integral_m_and_j():
+    # no fixed-width int may enter the integer steps: the numerators pass
+    # 2^63 from m = 12 (L of the Lagrange product, the prefix products)
+    for m, j in ((3, 1), (12, 3), (26, -5)):
+        assert coeff_table(np.int64(m)) == coeff_table(m)
+        assert polyalg.e1_diagonals(np.int64(m)) == polyalg.e1_diagonals(m)
+        assert polyalg.unit_eigvec(np.int64(m), j) == polyalg.unit_eigvec(m, j)
+        exact = polyalg.lagrange_unit_eigvec(m, j)
+        for mm, jj in ((np.int64(m), j), (m, np.int64(j)), (m, float(j))):
+            assert polyalg.lagrange_unit_eigvec(mm, jj) == exact
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
