@@ -3,11 +3,17 @@
 Each suite exercises the documented invariants of one module and returns a
 dict with the case count, the worst residual, and pass/fail.  Everything
 is driven by one seeded generator in a fixed order, so a report for a
-given (seed, profile, ms) is byte-identical across runs.  For each spec
-(m, s, j) a suite first draws every random input that the spec's cases
-use, then evaluates all of the spec's points in one call and reads each
-case from a slice of the result; the radial suite takes each derivative
-stencil, with its f_{j+1} value, from one kernel table.
+given (seed, profile, ms) is byte-identical across runs.  For each type m
+the spherical suite first draws every random input of its (s, j) cases,
+in case order, then takes every construction-1 value of those cases (and
+of their parity partners), every D_tau Phi value and every positive-type
+Gram matrix from one stacked evaluation each (spherical.eval_phi_stack,
+apply_dtau_stack, positive_type_stack; a stack holds at most
+_STACK_ENTRIES matrix entries) and reads each case from a slice of the
+results; construction 2 stays one call per (s, j).  The polyalg suite
+evaluates each Q_j once at every draw of its rotation check, and the
+radial suite takes each derivative stencil, with its f_{j+1} value, from
+one kernel table.
 """
 
 from __future__ import annotations
@@ -157,26 +163,31 @@ def suite_polyalg(ms, rng, profile: str) -> dict:
         if m <= 3:
             for j, coeffs in enumerate(polyalg.expand_in_q1_powers(qs)):
                 rec.exact(f"m={m} Q_{j} monic in Q_1", coeffs is not None and coeffs[0] == 1)
-        # finite-rotation equivariance, numeric spot check
+        # finite-rotation equivariance, numeric spot check: every draw first
         rep = build_irrep(m)
-        for _ in range(3 if profile == "quick" else 6):
-            k = Rotation.random(rng)
-            x = rng.normal(size=3)
-            tk = tau(rep, k)
-            for j, q in enumerate(qs):
-                rec.case(f"m={m} Q_{j} rotation equivariance", *_rotation_defect(q, k, tk, x))
+        ks, xs = zip(*((Rotation.random(rng), rng.normal(size=3))
+                       for _ in range(3 if profile == "quick" else 6)))
+        tks = np.array([tau(rep, k) for k in ks])
+        defects = [_rotation_defects(q, ks, tks, np.array(xs)) for q in qs]
+        for p in range(len(ks)):
+            for j, (residual, tol) in enumerate(defects):
+                rec.case(f"m={m} Q_{j} rotation equivariance", residual[p], tol[p])
     return rec.result()
 
 
-def _rotation_defect(q, k, tk, x) -> tuple[float, float]:
-    """max |Q(kx) - tau(k) Q(x) tau(k)^*| for the rotation k, tk = tau(k),
-    and its bound 128 eps (S(kx) + S(x)), S(y) the largest entry of
-    q.eval_abs(y): the residual is the rounding of the two monomial sums,
-    at most 14 of those units on 25-60 draws per m for m <= 8."""
-    kx = k.apply(x)
-    residual = np.max(np.abs(q.eval(kx) - tk @ q.eval(x) @ tk.conj().T))
-    scale = np.max(q.eval_abs(kx)) + np.max(q.eval_abs(x))
-    return residual, 128 * _EPS * scale
+def _rotation_defects(q, ks, tks, xs) -> tuple[np.ndarray, np.ndarray]:
+    """max |Q(k x) - tau(k) Q(x) tau(k)^*| for each rotation k of ``ks``,
+    tks[p] = tau(ks[p]), at its point xs[p], and its bound
+    128 eps (S(k x) + S(x)), S(y) the largest entry of q.eval_abs(y): the
+    residual is the rounding of the two monomial sums, at most 14 of those
+    units on 25-60 draws per m for m <= 8.  One q.eval and one q.eval_abs
+    take every x and k x."""
+    pts = np.concatenate([xs, [k.apply(x) for k, x in zip(ks, xs)]])
+    n = len(xs)
+    vals, scale = q.eval(pts), np.max(q.eval_abs(pts), axis=(1, 2))
+    moved = tks @ vals[:n] @ tks.conj().transpose(0, 2, 1)
+    residual = np.max(np.abs(vals[n:] - moved), axis=(1, 2))
+    return residual, 128 * _EPS * (scale[n:] + scale[:n])
 
 
 _FD_STEPS = np.array([-2.0, -1.0, 1.0, 2.0])  # the stencil of _fd_derivative, in units of h
@@ -242,6 +253,13 @@ def _jacobi_spectrum(op) -> np.ndarray:
     return np.linalg.eigvalsh(off + off.T)
 
 
+# the most matrix entries (4 MB of complex values) of one stacked evaluation
+# of the spherical suite's (s, j) cases; in the quick profile every case of
+# one m up to m = 5 is one stack (m = 3 holds 49 392 entries), and m = 26
+# takes one case at a time
+_STACK_ENTRIES = 2**18
+
+
 def suite_spherical(ms, rng, profile: str) -> dict:
     rec = _Recorder("spherical")
     svals = (0.5, 1.0, 2.0, 7.3)
@@ -278,79 +296,21 @@ def suite_spherical(ms, rng, profile: str) -> dict:
             )
     n_x = 5 if profile == "quick" else 20
     n_lap = 2 if profile == "quick" else 4
+    n_pts = 1 + 3 * n_x + 13 * n_lap + 6  # the points of one (s, j) case, its parity partner's too
     for m in ms:
         rep = build_irrep(m)
         eye = np.eye(rep.dim)
+        # every random input of the type's (s, j) cases first, in case order,
+        # then the cases in runs of at most _STACK_ENTRIES values
+        draws = []
         for s in (0.5, 1.0, 2.0):
             for j in range(-m, m + 1):
-                spec1 = spherical.phi_method1(m, s, j)
-                spec3 = spherical.phi_method3(m, s, j)
-                rec.case(
-                    f"m={m} s={s} j={j} method1 vs method3",
-                    np.max(np.abs(spec1.coeffs - spec3.coeffs)),
-                    1e-10,
-                )
-                v = spec1.coeffs * s ** np.arange(2 * m + 1)
-                rec.case(
-                    f"m={m} s={s} j={j} eigenvector scaling",
-                    np.max(np.abs(spherical.build_tridiagonal(m, s).matrix() @ v - s * j * v)),
-                    1e-9 * max(1.0, s) ** (2 * m),
-                )
-                # every random input first, then every value of Phi_{s,j} from one
-                # call: the origin, xs, -xs, the Laplacian stencils, k^-1 y, y
                 xs = rng.uniform(-5 / np.sqrt(3), 5 / np.sqrt(3), size=(n_x, 3))
                 ks, ys = zip(*((Rotation.random(rng), rng.normal(size=3)) for _ in range(3)))
-                lap_pts = _laplacian_points(xs[:n_lap], 1e-2)
-                eq_pts = np.array([k.inverse().apply(y) for k, y in zip(ks, ys)] + list(ys))
-                vals = spherical.eval_phi_batch(
-                    spec1, np.concatenate([np.zeros((1, 3)), xs, -xs, lap_pts, eq_pts])
-                )
-                phi0, vals1, valsc, vals_lap, vals_eq = np.split(
-                    vals, np.cumsum([1, n_x, n_x, len(lap_pts)])
-                )
-                rec.case(
-                    f"m={m} s={s} j={j} phi(0) = I",
-                    np.max(np.abs(phi0[0] - eye)),
-                    1e-12,
-                )
-                vals2 = spherical.phi_method2_batch(m, s, j, xs)
-                rec.case(
-                    f"m={m} s={s} j={j} method1 vs method2",
-                    np.max(np.abs(vals1 - vals2)),
-                    1e-6,
-                )
-                specm = spherical.phi_method1(m, s, -j)
-                valsm = spherical.eval_phi_batch(specm, -xs)
-                rec.case(
-                    f"m={m} s={s} j={j} parity",
-                    np.max(np.abs(vals1 - valsm)),
-                    1e-10,
-                )
-                rec.case(
-                    f"m={m} s={s} j={j} conjugate symmetry",
-                    np.max(np.abs(vals1.conj().transpose(0, 2, 1) - valsc)),
-                    1e-10,
-                )
-                lap = _laplacian_combine(vals_lap, 1e-2)
-                dts = spherical.apply_dtau_analytic(spec1, xs[:n_lap])
-                for i in range(n_lap):
-                    rec.case(
-                        f"m={m} s={s} j={j} laplacian eigenfunction",
-                        np.max(np.abs(lap[i] + s * s * vals1[i])),
-                        1e-5 * (1 + s * s),
-                    )
-                    rec.case(
-                        f"m={m} s={s} j={j} first-order eigenfunction",
-                        np.max(np.abs(dts[i] - s * j * vals1[i])),
-                        1e-6 * (1 + s),
-                    )
-                for i, k in enumerate(ks):
-                    tk = tau(rep, k)
-                    rec.case(
-                        f"m={m} s={s} j={j} equivariance",
-                        np.max(np.abs(tk @ vals_eq[i] @ tk.conj().T - vals_eq[3 + i])),
-                        1e-8,
-                    )
+                draws.append((s, j, xs, ks, ys))
+        per_run = max(1, _STACK_ENTRIES // (n_pts * rep.dim**2))
+        for r0 in range(0, len(draws), per_run):
+            _phi_cases(rec, rep, draws[r0 : r0 + per_run], n_lap)
         # projections
         for _ in range(2 if profile == "quick" else 4):
             xi = _random_unit(rng) * rng.uniform(0.5, 2.0)
@@ -389,17 +349,85 @@ def suite_spherical(ms, rng, profile: str) -> dict:
                     np.max(np.abs(fam2.P(j) - tk @ fam.P(j) @ tk.conj().T)),
                     1e-10,
                 )
-        # positive type
+        # positive type: every draw first, then every Gram matrix from one
+        # stacked evaluation
         if m <= 3:
-            for s in (1.0, 2.0):
-                for j in range(-m, m + 1):
-                    spec1 = spherical.phi_method1(m, s, j)
-                    for _ in range(2 if profile == "quick" else 10):
-                        pts = rng.uniform(-2, 2, size=(6, 3))
-                        vecs = rng.normal(size=(6, rep.dim)) + 1j * rng.normal(size=(6, rep.dim))
-                        lam = spherical.check_positive_type(spec1, pts, vecs)
-                        rec.case(f"m={m} s={s} j={j} positive type", max(0.0, -lam), 1e-8)
+            draws = [
+                (s, j, rng.uniform(-2, 2, size=(6, 3)),
+                 rng.normal(size=(6, rep.dim)) + 1j * rng.normal(size=(6, rep.dim)))
+                for s in (1.0, 2.0)
+                for j in range(-m, m + 1)
+                for _ in range(2 if profile == "quick" else 10)
+            ]
+            ss, js, pts, vecs = zip(*draws)
+            specs = [spherical.phi_method1(m, s, j) for s, j in zip(ss, js)]
+            for spec, lam in zip(specs, spherical.positive_type_stack(specs, pts, vecs)):
+                rec.case(f"m={m} s={spec.s} j={spec.j} positive type", max(0.0, -lam), 1e-8)
     return rec.result()
+
+
+def _phi_cases(rec, rep, run, n_lap: int):
+    """Record the construction-1 cases of a run of (s, j, xs, ks, ys) draws
+    of type rep.m.  Every value of Phi comes from one stacked evaluation
+    (per case the origin, xs, -xs, the Laplacian stencils at the first n_lap
+    of xs, k^-1 y and y, then Phi_{s,-j} at -xs) and every D_tau Phi from a
+    second; each case reads slices of them."""
+    m, eye, n_x = rep.m, np.eye(rep.dim), len(run[0][2])
+    specs, pts = [], []
+    for s, j, xs, ks, ys in run:
+        eq_pts = np.array([k.inverse().apply(y) for k, y in zip(ks, ys)] + list(ys))
+        lap_pts = _laplacian_points(xs[:n_lap], 1e-2)
+        specs += [spherical.phi_method1(m, s, j), spherical.phi_method1(m, s, -j)]
+        pts += [np.concatenate([np.zeros((1, 3)), xs, -xs, lap_pts, eq_pts]), -xs]
+    vals = spherical.eval_phi_stack(specs, pts)
+    dts = spherical.apply_dtau_stack(specs[::2], [xs[:n_lap] for _, _, xs, _, _ in run])
+    for i, (s, j, xs, ks, _) in enumerate(run):
+        spec1 = specs[2 * i]
+        rec.case(
+            f"m={m} s={s} j={j} method1 vs method3",
+            np.max(np.abs(spec1.coeffs - spherical.phi_method3(m, s, j).coeffs)),
+            1e-10,
+        )
+        v = spec1.coeffs * s ** np.arange(2 * m + 1)
+        rec.case(
+            f"m={m} s={s} j={j} eigenvector scaling",
+            np.max(np.abs(spherical.build_tridiagonal(m, s).matrix() @ v - s * j * v)),
+            1e-9 * max(1.0, s) ** (2 * m),
+        )
+        phi0, vals1, valsc, vals_lap, vals_eq = np.split(
+            vals[2 * i], np.cumsum([1, n_x, n_x, 13 * n_lap])
+        )
+        rec.case(f"m={m} s={s} j={j} phi(0) = I", np.max(np.abs(phi0[0] - eye)), 1e-12)
+        rec.case(
+            f"m={m} s={s} j={j} method1 vs method2",
+            np.max(np.abs(vals1 - spherical.phi_method2_batch(m, s, j, xs))),
+            1e-6,
+        )
+        rec.case(f"m={m} s={s} j={j} parity", np.max(np.abs(vals1 - vals[2 * i + 1])), 1e-10)
+        rec.case(
+            f"m={m} s={s} j={j} conjugate symmetry",
+            np.max(np.abs(vals1.conj().transpose(0, 2, 1) - valsc)),
+            1e-10,
+        )
+        lap = _laplacian_combine(vals_lap, 1e-2)
+        for p in range(n_lap):
+            rec.case(
+                f"m={m} s={s} j={j} laplacian eigenfunction",
+                np.max(np.abs(lap[p] + s * s * vals1[p])),
+                1e-5 * (1 + s * s),
+            )
+            rec.case(
+                f"m={m} s={s} j={j} first-order eigenfunction",
+                np.max(np.abs(dts[i][p] - s * j * vals1[p])),
+                1e-6 * (1 + s),
+            )
+        for p, k in enumerate(ks):
+            tk = tau(rep, k)
+            rec.case(
+                f"m={m} s={s} j={j} equivariance",
+                np.max(np.abs(tk @ vals_eq[p] @ tk.conj().T - vals_eq[3 + p])),
+                1e-8,
+            )
 
 
 def _laplacian_points(xs, h: float) -> np.ndarray:

@@ -478,9 +478,10 @@ def lagrange_unit_eigvec(m: int, j: int) -> tuple:
     lcm of the a_l's denominators and of 1, 3, ..., 4m + 1, makes L M an
     integer matrix, so each factor is the integer step
     v <- (L M) v - L l v over the denominator times L (j - l), and one gcd
-    pass; 2m + 1 and j - l are taken as Python ints, so a numpy int m or j,
-    or a float j = 3.0, gives the same Fractions.  Cached per (m, j) and their types: the tuple
-    of Fractions is immutable."""
+    pass; 2m + 1 and j - l are taken as Python ints, so a numpy int m or j
+    gives the same Fractions (a float index is refused by
+    check_weight_index).  Cached per (m, j) and their types: the tuple of
+    Fractions is immutable."""
     check_weight_index(m, j)
     a = coeff_table(m).a
     L = math.lcm(*(x.denominator for x in a), *range(1, 4 * m + 2, 2))

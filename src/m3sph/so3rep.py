@@ -16,6 +16,7 @@ A_1^2 + A_2^2 + A_3^2 = -m(m+1) I.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,16 +72,23 @@ class Irrep:
         return Irrep(m=data["m"], dim=data["dim"], generators=gens, basis_tag=data["basis_tag"])
 
 
+def _is_integer(v) -> bool:
+    """Whether v is an int or a numpy integer: an integral float or a bool is not."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, (bool, np.bool_))
+
+
 def check_type_index(m: int):
     """Raise ValueError unless the type index m is a non-negative integer:
     the one check of m."""
-    if m < 0 or m != int(m):
+    if not _is_integer(m) or m < 0:
         raise ValueError(f"m must be a non-negative integer, got {m}")
 
 
 def check_weight_index(m: int, j: int):
-    """Raise ValueError unless -m <= j <= m: the one check of the weight
-    index j of type m."""
+    """Raise ValueError unless j is an integer with -m <= j <= m: the one
+    check of the weight index j of type m."""
+    if not _is_integer(j):
+        raise ValueError(f"index j must be an integer, got {j}")
     if not -m <= j <= m:
         raise ValueError(f"index j={j} out of range for m={m}: need -m <= j <= m")
 

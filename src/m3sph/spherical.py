@@ -19,9 +19,14 @@ exact e_1 diagonals over the products of the closed-form lowering scalars
 read those diagonals (polyalg.lagrange_unit_eigvec); and
 Phi_{s,j}(x) = sum_l u_l T_l(s|x|) Q_l(x/|x|) with the bounded axis kernels
 T_l(t) = t^l f_l(t), so no power of s or |x| is formed; construction 2 is
-the independent float oracle.  Every off-axis value, D_tau Phi
-(apply_dtau_analytic) included, is a diagonal on the e_1 axis, formed once
-per distinct radius and moved to x by _kernels.q_series.
+the independent float oracle.  Every off-axis value of construction 1,
+D_tau Phi (apply_dtau_stack) and the positive-type Gram matrices
+(positive_type_stack) included, is a diagonal on the e_1 axis, moved to x
+by _kernels.q_series.  One evaluator serves them: a stack of specs of one
+m at their own points (_stack), each diagonal formed once per distinct
+(spec, radius) pair in one q_series call; eval_phi_batch,
+apply_dtau_analytic and check_positive_type are its one-spec case, which
+q_series deduplicates by radius alone.
 
 Indexing: j is canonically the integer with eigenvalue s*j; the projection
 P_j(xi) projects onto the i*j*|xi| eigenspace of the axis matrix.
@@ -173,14 +178,57 @@ def eval_phi(spec: SphericalFunctionSpec, x) -> np.ndarray:
 
 
 def eval_phi_batch(spec: SphericalFunctionSpec, xs: np.ndarray) -> np.ndarray:
-    """Evaluate a spec on an (n, 3) batch of points; returns (n, d, d).  The
-    e_1 diagonal sum_l u_l T_l(s r) Q_l(e_1) is formed once per distinct
-    float radius and moved to the points by q_series.
-    A NaN or infinite coordinate raises ValueError, a point whose |x| or
-    s|x| leaves float range CapabilityError."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    return q_series(lambda rs: (f_table(2 * spec.m, spec.s * rs, axis=True).T * spec.coeffs)
-                    @ axis_diagonals(spec.m), xs)
+    """Evaluate a spec on an (n, 3) batch of points; returns (n, d, d): the
+    one-spec case of eval_phi_stack.  A NaN or infinite coordinate raises
+    ValueError, a point whose |x| or s|x| leaves float range CapabilityError."""
+    return eval_phi_stack([spec], [xs])[0]
+
+
+def eval_phi_stack(specs, xss) -> list[np.ndarray]:
+    """Construction 1 for a stack of specs of one type m: specs[i] at the
+    (n_i, 3) points xss[i], an (n_i, d, d) array each.  The e_1 diagonal
+    sum_l u_l T_l(s r) Q_l(e_1) is formed once per distinct (spec, float
+    radius) pair and moved to the points by one q_series call (_stack)."""
+    return _stack(_phi_diagonal, specs, xss)
+
+
+def _phi_diagonal(m: int, rs, s, u) -> np.ndarray:
+    """The (n_r, d) e_1 diagonals sum_l u_l T_l(s r) Q_l(e_1), one per row of
+    the radii rs, scales s (n_r,) and s = 1 vectors u (n_r, 2m+1)."""
+    return (f_table(2 * m, s * rs, axis=True).T * u) @ axis_diagonals(m)
+
+
+def _stack(diagonal, specs, xss) -> list[np.ndarray]:
+    """The values of an equivariant function of each spec, given by its e_1
+    diagonals ``diagonal(m, rs, s, u)`` (row k at radius rs[k] for the scale
+    s[k] and the s = 1 vector u[k]), at that spec's points; one q_series
+    call for the whole stack.  One spec takes q_series's radius-only path;
+    a stack labels each point with its spec's index.  As every kernel is
+    pointwise, a point's value is the one its spec alone gives, to the bit
+    up to m = 5, except where the spec alone has one radius (numpy forms a
+    lone diagonal as a matrix-vector product, which BLAS rounds apart from
+    the rows of a matrix product); above m = 5 axis_transport's products may
+    also round a point's row in the last bits with the batch around it.
+    The specs must share m."""
+    if len(specs) != len(xss):
+        raise ValueError("a stack pairs each spec with one batch of points")
+    if not specs:
+        return []
+    m = specs[0].m
+    if any(spec.m != m for spec in specs):
+        raise ValueError("a stack takes the specs of one type m")
+    xss = [np.atleast_2d(np.asarray(xs, dtype=np.float64)) for xs in xss]
+    s = np.array([spec.s for spec in specs])
+    u = np.stack([spec.coeffs for spec in specs])
+
+    def rows(rs, labels):
+        return diagonal(m, rs, s[labels], u[labels])
+
+    if len(specs) == 1:
+        return [q_series(lambda rs: rows(rs, np.zeros(rs.size, dtype=np.intp)), xss[0])]
+    counts = [xs.shape[0] for xs in xss]
+    out = q_series(rows, np.concatenate(xss), np.repeat(np.arange(len(specs)), counts))
+    return np.split(out, np.cumsum(counts)[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +381,23 @@ def phi_method2_batch(m: int, s: float, j: int, xs: np.ndarray) -> np.ndarray:
 
 def apply_dtau_analytic(spec: SphericalFunctionSpec, x) -> np.ndarray:
     """sum_i A_i d/dx_i Phi(x), differentiated on the e_1 axis, at one point
-    (d, d) or at an (n, 3) batch (n, d, d).
+    (d, d) or at an (n, 3) batch (n, d, d): the one-spec case of
+    apply_dtau_stack.  A point refused by radii() raises there, one whose
+    s|x| leaves float range CapabilityError."""
+    x = np.asarray(x, dtype=np.float64)
+    out = apply_dtau_stack([spec], [x])[0]
+    return out[0] if x.ndim == 1 else out
+
+
+def apply_dtau_stack(specs, xss) -> list[np.ndarray]:
+    """D_tau Phi for a stack of specs of one type m: specs[i] at the (n_i, 3)
+    points xss[i], an (n_i, d, d) array each, from one q_series call
+    (_stack).
 
     D_tau Phi is equivariant and, at r e_1, commutes with the diagonal A_1:
-    it is a diagonal, formed once per distinct radius and moved to x by
-    q_series.  With L = diag(lam) = Phi(r e_1), lam_l = u_l T_l(s r), the
-    recurrence of the axis kernels T_l(t) = t^l f_l(t) gives
+    it is a diagonal, formed once per distinct (spec, radius) pair and moved
+    to x by q_series.  With L = diag(lam) = Phi(r e_1), lam_l = u_l T_l(s r),
+    the recurrence of the axis kernels T_l(t) = t^l f_l(t) gives
     d_1 Phi = diag(lam') and L/r from T_{l-1} and T_{l+1} alone (no power,
     no division by r, exact at x = 0):
       lam'_l  = s u_l (l T_{l-1} - (l+1) T_{l+1}/((2l+1)(2l+3))),
@@ -347,29 +406,27 @@ def apply_dtau_analytic(spec: SphericalFunctionSpec, x) -> np.ndarray:
     d_2 Phi = -[A_3, L]/r, d_3 Phi = [A_2, L]/r.  The diagonal of
     A_3 [A_2, L/r] - A_2 [A_3, L/r] is M (lam/r) with the constant
     M = diag(rowsum K) - K, K = A_3 o A_2^T - A_2 o A_3^T (entrywise
-    products).  A point refused by radii() raises there, one whose s|x|
-    leaves float range CapabilityError.
+    products).
     """
-    x = np.asarray(x, dtype=np.float64)
-    a1, a2, a3 = _rep(spec.m).generators
+    return _stack(_dtau_diagonal, specs, xss)
+
+
+def _dtau_diagonal(m: int, rs, s, u) -> np.ndarray:
+    """The (n_r, d) e_1 diagonals of D_tau Phi (apply_dtau_stack), one per
+    row of rs, s and u as in _phi_diagonal."""
+    a1, a2, a3 = _rep(m).generators
     K = a3 * a2.T - a2 * a3.T
     M = np.diag(K.sum(axis=1)) - K
-    diags = axis_diagonals(spec.m)
-    ls = np.arange(2 * spec.m + 1)
-
-    def diagonal_at(rs):
-        su = spec.s * spec.coeffs
-        T = f_table(ls.size, spec.s * rs, axis=True).T  # (n_r, 2m+2): orders 0..2m+1
-        # T_{l-1}; l = 0 reads none
-        below = np.concatenate([np.zeros((len(T), 1)), T[:, :-2]], axis=1)
-        above = T[:, 1:] / ((2 * ls + 1) * (2 * ls + 3))
-        dlam = (su * (ls * below - (ls + 1) * above)) @ diags
-        # L/r less its l = 0 term, which commutes with every A_i
-        lam_r = (su * (below + above) * (ls > 0)) @ diags
-        return np.diagonal(a1) * dlam + lam_r @ M.T
-
-    out = q_series(diagonal_at, x)
-    return out[0] if x.ndim == 1 else out
+    ls = np.arange(2 * m + 1)
+    su = s[:, None] * u
+    T = f_table(ls.size, s * rs, axis=True).T  # (n_r, 2m+2): orders 0..2m+1
+    # T_{l-1}; l = 0 reads none
+    below = np.concatenate([np.zeros((len(T), 1)), T[:, :-2]], axis=1)
+    above = T[:, 1:] / ((2 * ls + 1) * (2 * ls + 3))
+    dlam = (su * (ls * below - (ls + 1) * above)) @ axis_diagonals(m)
+    # L/r less its l = 0 term, which commutes with every A_i
+    lam_r = (su * (below + above) * (ls > 0)) @ axis_diagonals(m)
+    return np.diagonal(a1) * dlam + lam_r @ M.T
 
 
 # ---------------------------------------------------------------------------
@@ -378,24 +435,39 @@ def apply_dtau_analytic(spec: SphericalFunctionSpec, x) -> np.ndarray:
 
 
 def check_positive_type(spec: SphericalFunctionSpec, points, vectors) -> float:
-    """Minimum eigenvalue of the Gram matrix <Phi(x_a - x_b) v_b, v_a>.
+    """Minimum eigenvalue of the Gram matrix <Phi(x_a - x_b) v_b, v_a>: the
+    one-spec case of positive_type_stack.
 
     Positive-type functions give PSD Gram matrices, so the result should
     only dip below zero by rounding error.  It takes 1 to 12 points.
     """
-    points = np.asarray(points, dtype=np.float64)
-    vectors = np.asarray(vectors, dtype=np.complex128)
-    n = points.shape[0]
-    if n != vectors.shape[0]:
-        raise ValueError("points and vectors must pair up")
-    if n == 0:
-        raise ValueError("Gram check needs at least one point")
-    if n > 12:
-        raise ValueError("Gram check is limited to 12 points")
-    radii(points)  # the differences of refused points could overflow first
-    diffs = (points[:, None, :] - points[None, :, :]).reshape(n * n, 3)
-    d = 2 * spec.m + 1
-    vals = eval_phi_batch(spec, diffs).reshape(n, n, d, d)
-    gram = np.einsum("ai,abij,bj->ab", vectors.conj(), vals, vectors)
-    gram = 0.5 * (gram + gram.conj().T)
-    return float(np.linalg.eigvalsh(gram)[0])
+    return positive_type_stack([spec], [points], [vectors])[0]
+
+
+def positive_type_stack(specs, points, vectors) -> list[float]:
+    """check_positive_type of specs[i] on points[i] and vectors[i], for every
+    i of a stack of one type m, with every Gram value from one
+    eval_phi_stack call."""
+    if not len(specs) == len(points) == len(vectors):
+        raise ValueError("a stack pairs each spec with one set of points and vectors")
+    diffs, vecs = [], []
+    for pts, v in zip(points, vectors):
+        pts = np.asarray(pts, dtype=np.float64)
+        v = np.asarray(v, dtype=np.complex128)
+        n = pts.shape[0]
+        if n != v.shape[0]:
+            raise ValueError("points and vectors must pair up")
+        if n == 0:
+            raise ValueError("Gram check needs at least one point")
+        if n > 12:
+            raise ValueError("Gram check is limited to 12 points")
+        radii(pts)  # the differences of refused points could overflow first
+        diffs.append((pts[:, None, :] - pts[None, :, :]).reshape(n * n, 3))
+        vecs.append(v)
+    out = []
+    for vals, v in zip(eval_phi_stack(specs, diffs), vecs):
+        n, d = v.shape[0], vals.shape[-1]
+        gram = np.einsum("ai,abij,bj->ab", v.conj(), vals.reshape(n, n, d, d), v)
+        gram = 0.5 * (gram + gram.conj().T)
+        out.append(float(np.linalg.eigvalsh(gram)[0]))
+    return out

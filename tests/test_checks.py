@@ -56,11 +56,24 @@ def _counting(monkeypatch, module, name):
 
 
 def test_spherical_suite_evaluates_each_spec_in_one_call(monkeypatch):
-    # at m = 3: one call per (s, j) for the spec and one for its parity
-    # partner (21 each), and one per positive-type case (28)
-    calls = _counting(monkeypatch, spherical, "eval_phi_batch")
+    # at m = 3, quick: one stacked q_series call for every construction-1
+    # value of the 21 (s, j) cases and their parity partners, one for every
+    # D_tau value and one for every positive-type Gram matrix; none
+    # through the one-spec evaluators
+    calls = _counting(monkeypatch, spherical, "q_series")
+    one_spec = [_counting(monkeypatch, spherical, name)
+                for name in ("eval_phi_batch", "apply_dtau_analytic", "check_positive_type")]
     assert checks.suite_spherical([3], np.random.default_rng(0), "quick")["pass"]
-    assert len(calls) <= 70
+    assert len(calls) == 3
+    assert one_spec == [[], [], []]
+
+
+def test_polyalg_suite_evaluates_each_q_once_for_its_rotation_check(monkeypatch):
+    # at m = 3: one eval and one eval_abs per Q_j, each at every draw's x and kx
+    evals = _counting(monkeypatch, polyalg.MatPoly, "eval")
+    abs_evals = _counting(monkeypatch, polyalg.MatPoly, "eval_abs")
+    assert checks.suite_polyalg([3], np.random.default_rng(0), "quick")["pass"]
+    assert len(evals) == len(abs_evals) == 7
 
 
 def test_spherical_suite_builds_each_projection_family_once(monkeypatch):
@@ -104,13 +117,11 @@ def test_rotation_equivariance_bound_holds_past_the_exact_cap(monkeypatch):
     qs = polyalg.build_Q(7)
     rep = build_irrep(7)
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        k = Rotation.random(rng)
-        x = rng.normal(size=3)
-        tk = tau(rep, k)
-        for q in qs:
-            residual, tol = checks._rotation_defect(q, k, tk, x)
-            assert residual <= tol
+    ks, xs = zip(*((Rotation.random(rng), rng.normal(size=3)) for _ in range(20)))
+    tks = np.array([tau(rep, k) for k in ks])
+    for q in qs:
+        residual, tol = checks._rotation_defects(q, ks, tks, np.array(xs))
+        assert np.all(residual <= tol)
 
 
 def test_so3rep_suite_passes_at_the_top_of_the_numeric_range():

@@ -470,6 +470,29 @@ def test_q_series_refuses_a_non_finite_diagonal():
                               np.array([[1e100, 0.0, 0.0]]))
 
 
+def test_grouped_q_series_forms_each_label_and_radius_once():
+    # a point and its coordinate permutations share one float radius: the
+    # grouped call takes each (label, radius) pair once, sorted by label and
+    # then radius, and each point gets its own label's diagonal
+    xs = np.array([[1.0, 2.0, 2.0], [2.0, -2.0, 1.0], [0.0, 3.0, 0.0], [0.5, 0.0, 0.0],
+                   [1.0, 2.0, 2.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]])
+    labels = np.array([2, 0, 0, 0, 2, 1, 2])
+    seen = []
+
+    def diagonal_at(rs, groups):
+        seen.append((rs.tolist(), groups.tolist()))
+        return (groups[:, None] + 1.0) * np.array([1.0, 2.0, 3.0]) + rs[:, None]
+
+    out = _kernels.q_series(diagonal_at, xs, labels)
+    assert seen == [([0.5, 3.0, 0.5, 0.0, 3.0], [0, 0, 1, 2, 2])]
+    for p, label in enumerate(labels):
+        one = _kernels.q_series(lambda rs: (label + 1.0) * np.array([1.0, 2.0, 3.0]) + rs[:, None],
+                                xs[p : p + 1])
+        assert np.array_equal(out[p], one[0])
+    empty = _kernels.q_series(diagonal_at, np.empty((0, 3)), np.empty(0, dtype=int))
+    assert empty.shape == (0, 3, 3)
+
+
 def test_plane_wave_sum_against_node_loop():
     rng = np.random.default_rng(1)
     nodes = rng.normal(size=(40, 3))

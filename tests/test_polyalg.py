@@ -177,16 +177,25 @@ def test_lagrange_product_equals_the_recursion_exactly(m):
         assert polyalg.lagrange_unit_eigvec(m, j) == polyalg.unit_eigvec(m, j)
 
 
+def test_build_q_refuses_a_float_m():
+    with pytest.raises(ValueError, match="m must be a non-negative integer, got 2.0"):
+        build_Q(2.0)
+
+
 def test_exact_vectors_take_any_integral_m_and_j():
     # no fixed-width int may enter the integer steps: the numerators pass
-    # 2^63 from m = 12 (L of the Lagrange product, the prefix products)
+    # 2^63 from m = 12 (L of the Lagrange product, the prefix products);
+    # an integral float is no index and is refused
     for m, j in ((3, 1), (12, 3), (26, -5)):
         assert coeff_table(np.int64(m)) == coeff_table(m)
         assert polyalg.e1_diagonals(np.int64(m)) == polyalg.e1_diagonals(m)
         assert polyalg.unit_eigvec(np.int64(m), j) == polyalg.unit_eigvec(m, j)
         exact = polyalg.lagrange_unit_eigvec(m, j)
-        for mm, jj in ((np.int64(m), j), (m, np.int64(j)), (m, float(j))):
+        for mm, jj in ((np.int64(m), j), (m, np.int64(j))):
             assert polyalg.lagrange_unit_eigvec(mm, jj) == exact
+        for mm, jj in ((float(m), j), (m, float(j))):
+            with pytest.raises(ValueError, match="integer"):
+                polyalg.lagrange_unit_eigvec(mm, jj)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])

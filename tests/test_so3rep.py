@@ -165,6 +165,22 @@ def test_build_irrep_rejects_negative():
         build_irrep(-1)
 
 
+def test_indices_must_be_integers():
+    # numpy integers are indices; integral floats and bools are not
+    from m3sph.so3rep import check_type_index, check_weight_index
+
+    check_type_index(np.int64(3))
+    check_weight_index(3, np.int32(-2))
+    for m in (2.0, 2.5, True, np.bool_(False), "2", None):
+        with pytest.raises(ValueError, match="m must be a non-negative integer"):
+            check_type_index(m)
+    for j in (0.5, 1.0, False, np.float64(1.0), "1", None):
+        with pytest.raises(ValueError, match="index j must be an integer"):
+            check_weight_index(2, j)
+    with pytest.raises(ValueError):
+        build_irrep(1.0)
+
+
 def test_irrep_json_roundtrip():
     rep = build_irrep(2)
     again = Irrep.from_json(rep.to_json())

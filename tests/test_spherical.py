@@ -703,3 +703,131 @@ def test_positive_type_rejects_large_configs():
     vecs = np.ones((13, 1))
     with pytest.raises(ValueError):
         check_positive_type(spec, pts, vecs)
+
+
+# ---------------------------------------------------------------------------
+# the stacked evaluation
+# ---------------------------------------------------------------------------
+
+
+def _stack_case(m, seed):
+    """Specs of type m at four scales and four weights, each with its own
+    batch: 0 or 2 to 40 points, the origin, a point and its negative (one
+    shared radius), and draws for a Gram check of 1 to 12 points.  No batch
+    has one radius alone: numpy forms a lone diagonal as a matrix-vector
+    product, which BLAS rounds apart from the rows of a matrix product."""
+    rng = np.random.default_rng(seed)
+    specs, xss, pts, vecs = [], [], [], []
+    for s in (0.5, 1.0, 2.0, 7.3):
+        for j in sorted({-m, 0, min(1, m), m}):
+            xs = 2.0 * rng.normal(size=(int(rng.choice([0, *range(2, 41)])), 3))
+            if len(xs) > 2:
+                xs[1], xs[2] = -xs[0], 0.0
+            n = int(rng.integers(1, 13))
+            specs.append(phi_method1(m, s, j))
+            xss.append(xs)
+            pts.append(rng.uniform(-2, 2, size=(n, 3)))
+            vecs.append(rng.normal(size=(n, 2 * m + 1)) + 1j * rng.normal(size=(n, 2 * m + 1)))
+    return specs, xss, pts, vecs
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5])
+def test_stacked_evaluation_is_the_per_spec_calls_bit_for_bit(m):
+    specs, xss, pts, vecs = _stack_case(m, 40 + m)
+    for stacked, one in (
+        (spherical.eval_phi_stack(specs, xss), eval_phi_batch),
+        (spherical.apply_dtau_stack(specs, xss), spherical.apply_dtau_analytic),
+    ):
+        assert len(stacked) == len(specs)
+        for spec, xs, vals in zip(specs, xss, stacked):
+            assert np.array_equal(vals, one(spec, xs))
+    assert spherical.positive_type_stack(specs, pts, vecs) == [
+        check_positive_type(spec, p, v) for spec, p, v in zip(specs, pts, vecs)
+    ]
+
+
+@pytest.mark.parametrize("m", [6, 26])
+def test_stacked_evaluation_is_the_per_spec_calls_to_8_eps(m):
+    # above m = 5 axis_transport may round a point's row in the last bits
+    # with the batch around it: each value stays within 8 eps of the peak of
+    # its spec's values (D_tau Phi = s j Phi: s m times Phi's peak); a Gram
+    # matrix moves by at most 8 eps peak (sum_a |v_a|_1)^2 in norm, and its
+    # least eigenvalue by that plus eigvalsh's rounding on either side
+    eps = np.finfo(np.float64).eps
+    specs, xss, pts, vecs = _stack_case(m, 40 + m)
+    phis = spherical.eval_phi_stack(specs, xss)
+    dts = spherical.apply_dtau_stack(specs, xss)
+    for spec, xs, phi, dt in zip(specs, xss, phis, dts):
+        if len(xs):
+            one = eval_phi_batch(spec, xs)
+            peak = np.max(np.abs(one))
+            assert np.max(np.abs(phi - one)) <= 8 * eps * peak
+            dt_one = spherical.apply_dtau_analytic(spec, xs)
+            assert np.max(np.abs(dt - dt_one)) <= 8 * eps * spec.s * m * peak
+    lams = spherical.positive_type_stack(specs, pts, vecs)
+    for spec, p, v, lam in zip(specs, pts, vecs, lams):
+        peak = np.max(np.abs(eval_phi_batch(spec, (p[:, None] - p[None, :]).reshape(-1, 3))))
+        bound = 16 * eps * peak * np.sum(np.abs(v)) ** 2
+        assert abs(lam - check_positive_type(spec, p, v)) <= bound
+
+
+def test_stacked_evaluation_refuses_what_q_series_refuses():
+    specs = [phi_method1(2, s, j) for s, j in ((1.0, 0), (2.0, -1), (0.5, 2))]
+    xss = [np.ones((3, 3)), np.ones((4, 3)), np.ones((2, 3))]
+    for evaluate in (spherical.eval_phi_stack, spherical.apply_dtau_stack):
+        bad = [xs.copy() for xs in xss]
+        bad[1][2, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(specs, bad)
+        bad[1][2] = [1e200, 1e200, 0.0]
+        with pytest.raises(CapabilityError, match="not finite"):
+            evaluate(specs, bad)
+    with pytest.raises(ValueError, match="one type m"):
+        spherical.eval_phi_stack([specs[0], phi_method1(1, 1.0, 0)], xss[:2])
+    with pytest.raises(ValueError, match="pairs"):
+        spherical.eval_phi_stack(specs, xss[:2])
+    assert spherical.eval_phi_stack([], []) == []
+
+
+def test_a_stack_takes_one_q_series_call_per_function(monkeypatch):
+    # one spec takes q_series's radius-only path; a stack passes a label per
+    # point, and its diagonal is formed once per distinct (spec, radius)
+    calls = []
+
+    def spy(diagonal_at, xs, *groups):
+        calls.append(len(groups))
+        return _kernels.q_series(diagonal_at, xs, *groups)
+
+    seen = []
+
+    def counting_f_table(jmax, t, axis=False):
+        seen.append(np.size(t))
+        return _kernels.f_table(jmax, t, axis=axis)
+
+    monkeypatch.setattr(spherical, "q_series", spy)
+    monkeypatch.setattr(spherical, "f_table", counting_f_table)
+    xs = np.array([[1.0, 2.0, 2.0], [-2.0, 1.0, 2.0], [0.0, 0.0, 3.0], [0.5, 0.0, 0.0]])
+    specs = [phi_method1(1, 1.0, 0), phi_method1(1, 1.0, 1), phi_method1(1, 2.0, 0)]
+    spherical.eval_phi_batch(specs[0], xs)
+    spherical.eval_phi_stack(specs, [xs, xs[:2], xs[1:]])
+    spherical.apply_dtau_stack(specs, [xs, xs, xs])
+    assert calls == [0, 1, 1]
+    assert seen == [2, 2 + 1 + 2, 3 * 2]
+
+
+def test_non_integer_indices_are_refused_with_value_error():
+    # an integral float or a bool is no index either
+    for call in (
+        lambda: phi_method3(1, 1.0, 0.5),
+        lambda: phi_method1(1, 1.0, 0.5),
+        lambda: phi_method1(1, 1.0, 1.0),
+        lambda: phi_method1(1.0, 1.0, 0),
+        lambda: phi_method1(True, 1.0, 0),
+        lambda: phi_method2(1, 1.0, 0.5, np.ones(3)),
+        lambda: spherical.eval_phi_stack(
+            [phi_method1(1, 1.0, j) for j in (0, 0.5)], [np.ones((1, 3))] * 2),
+    ):
+        with pytest.raises(ValueError, match="integer"):
+            call()
+    assert phi_method1(np.int64(1), 1.0, np.int64(-1)).coeffs.tolist() == (
+        phi_method1(1, 1.0, -1).coeffs.tolist())
