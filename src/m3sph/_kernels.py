@@ -272,39 +272,34 @@ def axis_diagonals(m: int) -> np.ndarray:
     return q
 
 
-def q_series(diagonal_at, xs, groups=None) -> np.ndarray:
+def q_series(diagonal_at, xs, labels=None) -> np.ndarray:
     """The value at each point of an (n, 3) batch of an equivariant function
     given by its e_1 diagonals; (n, d, d).  The gate of every off-axis value:
     the one place their radii are formed, refused and deduplicated.
 
-    ``diagonal_at(rs)`` maps the distinct float radii of radii(xs) to the
-    (n_r, d) diagonals of the function at r e_1 (for a series
+    ``labels`` (n,) names each point's function in a stack of several of
+    one d (all 0 when omitted).  ``diagonal_at(rs, labels)`` maps the
+    distinct (label, float radius) pairs of radii(xs), sorted by label and
+    then radius, to the (n_r, d) diagonals at r e_1 (for a series
     sum_l c_l(|x|) Q_l(x), the axis weights c_l(r) r^l times
     axis_diagonals(m)); it is called once, with float overflow and invalid
-    operations silenced.  A stack of several functions of one d passes
-    ``groups``, an (n,) integer label per point naming its function: the
-    distinct (label, radius) pairs are formed instead, sorted by label and
-    then radius, and ``diagonal_at(rs, labels)`` gets them as two (n_r,)
-    arrays.  Each diagonal is moved to its points by axis_transport, with
-    the same radii.  A point refused by radii() raises there, a diagonal out
-    of float range CapabilityError.
+    operations silenced.  Each diagonal is moved to its points by
+    axis_transport, with the same radii.  A point refused by radii() raises
+    there, a diagonal out of float range CapabilityError.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    if groups is None:
-        rs, back = np.unique(radii(xs), return_inverse=True)
-        keys = (rs,)
-    else:
-        r, groups = radii(xs), np.asarray(groups)
-        order = np.lexsort((r, groups))
-        r, groups = r[order], groups[order]
-        first = np.ones(r.size, dtype=bool)
-        first[1:] = (r[1:] != r[:-1]) | (groups[1:] != groups[:-1])
-        back = np.empty(r.size, dtype=np.intp)
-        back[order] = np.cumsum(first) - 1
-        rs = r[first]
-        keys = (rs, groups[first])
+    r = radii(xs)
+    labels = np.zeros(r.size, dtype=np.intp) if labels is None else np.asarray(labels)
+    order = np.argsort(r)
+    order = order[np.argsort(labels[order], kind="stable")]
+    r, labels = r[order], labels[order]
+    first = np.ones(r.size, dtype=bool)
+    first[1:] = (r[1:] != r[:-1]) | (labels[1:] != labels[:-1])
+    back = np.empty(r.size, dtype=np.intp)
+    back[order] = np.cumsum(first) - 1
+    rs = r[first]
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = diagonal_at(*keys)
+        lam = diagonal_at(rs, labels[first])
     if not np.isfinite(lam).all():
         raise CapabilityError("the e_1 diagonal is not finite: a value on the axis is out of "
                               "float range")

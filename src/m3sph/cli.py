@@ -199,13 +199,18 @@ def cmd_transform(args) -> int:
 
 def _multiplier_from_spec(spec: str, m: int):
     """The multiplier mu(s, j) named by ``spec``; a table file is checked
-    in full against the field type ``m`` before it is used."""
+    in full against the field type ``m`` before it is used, and a key given
+    twice, as written or as the integer j it names, is refused."""
     if spec == "laplacian":
         return lambda s, j: -s * s
     if spec == "dtau":
         return lambda s, j: s * j
+    def unique_keys(pairs):
+        if len({key for key, _ in pairs}) < len(pairs):
+            raise MalformedMultiplierError(f"{spec}: a key is given twice in one object")
+        return dict(pairs)
     with open(spec) as fh:
-        table = json.load(fh)
+        table = json.load(fh, object_pairs_hook=unique_keys)
     # custom table: {"j": {"s": [...], "re": [...], "im": [...]}, ...}
     if not isinstance(table, dict):
         raise MalformedMultiplierError(f"{spec}: expected an object keyed by j")
@@ -217,6 +222,8 @@ def _multiplier_from_spec(spec: str, m: int):
             raise MalformedMultiplierError(f"{spec}: key {jkey!r} is not an integer j") from None
         if not -m <= j <= m:
             raise MalformedMultiplierError(f"{spec}: key j={j} is outside -{m}..{m}")
+        if j in curves:
+            raise MalformedMultiplierError(f"{spec}: key j={j} is given twice")
         if not (isinstance(entry, dict) and "s" in entry and "re" in entry):
             raise MalformedMultiplierError(f"{spec}: entry j={j} needs 's' and 're' lists")
         cols = [entry["s"], entry["re"], entry.get("im", [])]

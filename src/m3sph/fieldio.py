@@ -99,6 +99,8 @@ class Config:
                 key, raw = key.strip(), raw.strip()
                 if key not in fields:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+                if key in kwargs:
+                    raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
                 default = getattr(Config, key)
                 try:
                     value = float(raw)

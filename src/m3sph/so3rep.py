@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,10 +94,12 @@ def check_weight_index(m: int, j: int):
         raise ValueError(f"index j={j} out of range for m={m}: need -m <= j <= m")
 
 
+@lru_cache(maxsize=None, typed=True)
 def build_irrep(m: int) -> Irrep:
     """Construct the type-m irrep in the weight basis.
 
-    m = 0 gives the trivial representation (1x1 zero generators).
+    m = 0 gives the trivial representation (1x1 zero generators).  Cached
+    per m and its type, so a bool or a float m is refused on every call.
     """
     check_type_index(m)
     m = int(m)

@@ -25,8 +25,8 @@ D_tau Phi (apply_dtau_stack) and the positive-type Gram matrices
 by _kernels.q_series.  One evaluator serves them: a stack of specs of one
 m at their own points (_stack), each diagonal formed once per distinct
 (spec, radius) pair in one q_series call; eval_phi_batch,
-apply_dtau_analytic and check_positive_type are its one-spec case, which
-q_series deduplicates by radius alone.
+apply_dtau_analytic and check_positive_type are its one-element stacks.
+Construction 2's spectral projections pass q_series too.
 
 Indexing: j is canonically the integer with eigenvalue s*j; the projection
 P_j(xi) projects onto the i*j*|xi| eigenspace of the axis matrix.
@@ -41,8 +41,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels, so3rep
-from ._kernels import (M_MAX_NUMERIC, axis_diagonals, axis_transport,  # noqa: F401
-                       check_numeric_m, f_table, q_series, radii)
+from ._kernels import (M_MAX_NUMERIC, axis_diagonals, check_numeric_m,  # noqa: F401
+                       f_table, q_series, radii)
 from .errors import CapabilityError
 from .polyalg import coeff_table, lagrange_unit_eigvec, unit_eigvec
 from .radial import _check_scale
@@ -53,11 +53,6 @@ from .so3rep import check_type_index, check_weight_index
 # largest Gauss-Legendre rule; it refuses an s*|x| that would need more, before
 # it builds any array
 _MAX_POLAR_NODES = _kernels.GL_MAX_ORDER
-
-
-@lru_cache(maxsize=None)
-def _rep(m: int) -> so3rep.Irrep:
-    return so3rep.build_irrep(m)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +197,7 @@ def _stack(diagonal, specs, xss) -> list[np.ndarray]:
     """The values of an equivariant function of each spec, given by its e_1
     diagonals ``diagonal(m, rs, s, u)`` (row k at radius rs[k] for the scale
     s[k] and the s = 1 vector u[k]), at that spec's points; one q_series
-    call for the whole stack.  One spec takes q_series's radius-only path;
-    a stack labels each point with its spec's index.  As every kernel is
+    call, labelled by spec index, for the whole stack.  As every kernel is
     pointwise, a point's value is the one its spec alone gives, to the bit
     up to m = 5, except where the spec alone has one radius (numpy forms a
     lone diagonal as a matrix-vector product, which BLAS rounds apart from
@@ -221,13 +215,9 @@ def _stack(diagonal, specs, xss) -> list[np.ndarray]:
     s = np.array([spec.s for spec in specs])
     u = np.stack([spec.coeffs for spec in specs])
 
-    def rows(rs, labels):
-        return diagonal(m, rs, s[labels], u[labels])
-
-    if len(specs) == 1:
-        return [q_series(lambda rs: rows(rs, np.zeros(rs.size, dtype=np.intp)), xss[0])]
     counts = [xs.shape[0] for xs in xss]
-    out = q_series(rows, np.concatenate(xss), np.repeat(np.arange(len(specs)), counts))
+    out = q_series(lambda rs, labels: diagonal(m, rs, s[labels], u[labels]),
+                   np.concatenate(xss), np.repeat(np.arange(len(specs)), counts))
     return np.split(out, np.cumsum(counts)[:-1])
 
 
@@ -242,7 +232,7 @@ class ProjectionFamily:
 
     P_j is the rank-one orthogonal projection onto the i*j eigenspace of
     the axis matrix of the unit direction: the coordinate projection E_jj
-    at e_1, moved to the direction by the frame W (``axis_transport``).
+    at e_1, moved to the direction by the frame W (``q_series``).
     """
 
     m: int
@@ -256,14 +246,16 @@ class ProjectionFamily:
 
 def _projection_stack(m: int, xis: np.ndarray, j: int) -> np.ndarray:
     """P_j(xi) = W E_jj W^* for a batch of directions; returns (n, d, d)."""
-    return axis_transport(np.broadcast_to(np.eye(2 * m + 1)[j + m], (len(xis), 2 * m + 1)), xis,
-                          radii(xis))
+    return q_series(lambda rs, _: np.eye(2 * m + 1)[np.full(rs.size, j + m)], xis)
 
 
 def projections(m: int, xi) -> ProjectionFamily:
-    """The projection family for the direction xi/|xi| (xi nonzero).  xi is
-    scaled by max |xi_k| before radii() normalises it, so every finite
-    nonzero xi has a direction; a NaN or infinite xi raises ValueError."""
+    """The projection family for the direction xi/|xi| (xi nonzero): each
+    E_jj, labelled j, moved to xi by q_series.  xi is scaled by max |xi_k|
+    before radii() normalises it, so every finite nonzero xi has a
+    direction; a NaN or infinite xi, or an m that is no type index, raises
+    ValueError."""
+    check_type_index(m)
     xi = np.asarray(xi, dtype=np.float64)
     scale = np.max(np.abs(xi))
     if scale == 0:
@@ -272,7 +264,7 @@ def projections(m: int, xi) -> ProjectionFamily:
         xin = xi / scale
     r = radii(xin[None, :])
     d = 2 * m + 1
-    mats = axis_transport(np.eye(d), np.broadcast_to(xin, (d, 3)), np.broadcast_to(r, d))
+    mats = q_series(lambda rs, js: np.eye(d)[js], np.broadcast_to(xin, (d, 3)), np.arange(d))
     return ProjectionFamily(m=m, direction=xin / r[0], matrices=mats)
 
 
@@ -414,7 +406,7 @@ def apply_dtau_stack(specs, xss) -> list[np.ndarray]:
 def _dtau_diagonal(m: int, rs, s, u) -> np.ndarray:
     """The (n_r, d) e_1 diagonals of D_tau Phi (apply_dtau_stack), one per
     row of rs, s and u as in _phi_diagonal."""
-    a1, a2, a3 = _rep(m).generators
+    a1, a2, a3 = so3rep.build_irrep(m).generators
     K = a3 * a2.T - a2 * a3.T
     M = np.diag(K.sum(axis=1)) - K
     ls = np.arange(2 * m + 1)

@@ -40,7 +40,7 @@ from ._kernels import (
 )
 from .errors import CapabilityError, DecompositionError, MalformedCoefficientsError
 from .radial import RadialProfile, _check_scale, double_factorial_odd
-from .so3rep import Rotation, check_weight_index, tau
+from .so3rep import Rotation, build_irrep, check_weight_index, tau
 
 # default quadrature geometry (overridable per call; Config feeds the CLI)
 DEFAULT_PANEL_WIDTH = 4.0
@@ -259,7 +259,7 @@ class MatrixField:
         |x| leaves float range CapabilityError."""
         if self.form != "radial":
             raise ValueError("pointwise evaluation is for radial-form fields")
-        return q_series(lambda rs: _axis_diagonal(self._coefficients(rs), rs), xs)
+        return q_series(lambda rs, _: _axis_diagonal(self._coefficients(rs), rs), xs)
 
     def to_grid(self, extent: float = DEFAULT_GRID_EXTENT, n: int = DEFAULT_GRID_N) -> "MatrixField":
         """Rasterize a radial-form field on the cube [-extent, extent]^3
@@ -298,7 +298,7 @@ class MatrixField:
         )
         if not symmetric:
             return None
-        rep = spherical._rep(self.m)
+        rep = build_irrep(self.m)
         d2 = self.dim * self.dim
         turns = []
         for rot in _INGEST_ROTATIONS:
@@ -370,7 +370,7 @@ def classical_ft(F: MatrixField, y) -> np.ndarray:
     if F.form == "grid":
         radii(ys)  # refuses the points q_series would refuse
         return fourier_grid_sum(F.values_flat(), F.grid_points(), ys, F.spacing**3)[0]
-    return q_series(lambda s: _ft_along_e1(F, s), ys)[0]
+    return q_series(lambda s, _: _ft_along_e1(F, s), ys)[0]
 
 
 def _ft_along_e1(F: MatrixField, s_arr: np.ndarray) -> np.ndarray:
@@ -703,7 +703,7 @@ def inverse(
             f"(relative tail {tail/peak:.2e}); inversion may be truncated",
             stacklevel=2,
         )
-    return q_series(lambda rs: _axis_diagonal(_radial_sums(coeffs, rs), rs), xs)
+    return q_series(lambda rs, _: _axis_diagonal(_radial_sums(coeffs, rs), rs), xs)
 
 
 def apply_multiplier(coeffs: SphericalCoefficients, mu) -> SphericalCoefficients:

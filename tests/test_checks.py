@@ -56,15 +56,18 @@ def _counting(monkeypatch, module, name):
 
 
 def test_spherical_suite_evaluates_each_spec_in_one_call(monkeypatch):
-    # at m = 3, quick: one stacked q_series call for every construction-1
-    # value of the 21 (s, j) cases and their parity partners, one for every
-    # D_tau value and one for every positive-type Gram matrix; none
-    # through the one-spec evaluators
+    # at m = 3, quick: one stack for every construction-1 value of the 21
+    # (s, j) cases and their parity partners, one for every D_tau value and
+    # one for every positive-type Gram matrix; none through the one-spec
+    # evaluators.  q_series takes those 3 stacks, the 6 projection families
+    # and the 21 polar projection stacks of construction 2
+    stacks = _counting(monkeypatch, spherical, "_stack")
     calls = _counting(monkeypatch, spherical, "q_series")
     one_spec = [_counting(monkeypatch, spherical, name)
                 for name in ("eval_phi_batch", "apply_dtau_analytic", "check_positive_type")]
     assert checks.suite_spherical([3], np.random.default_rng(0), "quick")["pass"]
-    assert len(calls) == 3
+    assert len(stacks) == 3
+    assert len(calls) == 3 + 6 + 21
     assert one_spec == [[], [], []]
 
 

@@ -663,6 +663,19 @@ def test_huge_type_index_is_refused_before_allocation(capsys, tmp_path, monkeypa
     assert not any(tmp_path.iterdir())
 
 
+def test_config_key_given_twice_is_usage_error(capsys, tmp_path, coeff_file):
+    conf = tmp_path / "m3s.conf"
+    conf.write_text("grid_n = 9\ns_max = 4\ngrid_n = 11\n")
+    out_path = tmp_path / "out.json"
+    code, _, err = run_cli(
+        capsys, "transform", "forward", "--in", str(coeff_file[0]), "--out", str(out_path),
+        "--config", str(conf),
+    )
+    assert code == 2
+    assert f"{conf}:3: duplicate key 'grid_n'" in err
+    assert not out_path.exists()
+
+
 def test_config_value_that_is_not_a_number_names_its_line(capsys, tmp_path, coeff_file):
     conf = tmp_path / "m3s.conf"
     conf.write_text("grid_n = 9\ns_max = abc\n")
@@ -789,11 +802,13 @@ def test_synth_negative_m_is_usage_error(capsys, tmp_path):
         {"0": {"s": [0.0, float("nan")], "re": [1.0, 1.0]}},
         {"0": {"s": [0.0, 20.0], "re": [1.0, float("inf")]}},
         {"0": {"s": [0.0, 20.0], "re": [1.0, "1"]}},
+        {"1": {"s": [0.0, 20.0], "re": [1.0, 1.0]}, "01": {"s": [0.0, 20.0], "re": [2.0, 2.0]}},
+        '{"1": {"s": [0.0, 20.0], "re": [1.0, 1.0]}, "1": {"s": [0.0, 20.0], "re": [2.0, 2.0]}}',
     ],
     ids=[
         "list", "entry_list", "no_re", "s_decreasing", "s_repeated", "j_outside",
         "j_not_integer", "re_length", "im_length", "empty", "scalars", "nan_s",
-        "inf_re", "text_re",
+        "inf_re", "text_re", "j_twice", "key_twice",
     ],
 )
 def test_malformed_multiplier_table_is_format_error(capsys, tmp_path, table):
@@ -801,7 +816,8 @@ def test_malformed_multiplier_table_is_format_error(capsys, tmp_path, table):
     path = tmp_path / "f.m3sf"
     fieldio.write_field(F, str(path))
     tab_path = tmp_path / "mu.json"
-    tab_path.write_text(json.dumps(table))
+    # a str is the file's text as it stands (json.dumps cannot repeat a key)
+    tab_path.write_text(table if isinstance(table, str) else json.dumps(table))
     out_path = tmp_path / "out.m3sf"
     code, _, err = run_cli(
         capsys, "filter", "--in", str(path), "--out", str(out_path), "--multiplier", str(tab_path)

@@ -402,6 +402,13 @@ def test_config_validation(tmp_path):
         Config.from_file(str(bad))
 
 
+def test_config_refuses_a_key_given_twice(tmp_path):
+    path = tmp_path / "m3s.conf"
+    path.write_text("grid_n = 9\n# the same key again\ngrid_n = 11\n")
+    with pytest.raises(ValueError, match=r"m3s.conf:3: duplicate key 'grid_n'"):
+        Config.from_file(str(path))
+
+
 def test_config_integer_keys_reject_fractions(tmp_path):
     path = tmp_path / "m3s.conf"
     for raw, expected in (("5", 5), ("5.0", 5)):

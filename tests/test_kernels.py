@@ -447,7 +447,7 @@ def test_q_series_against_exact_q(m):
     # against the diagonals of Q_l(e_1)
     xs = rng.uniform(-3, 3, size=(n, 3))
     diag = _kernels.axis_diagonals(m)
-    out = _kernels.q_series(lambda rs: coeffs_at(rs) * rs[:, None] ** np.arange(2 * m + 1) @ diag,
+    out = _kernels.q_series(lambda rs, _: coeffs_at(rs) * rs[:, None] ** np.arange(2 * m + 1) @ diag,
                             xs)
     assert out.shape == (n, 2 * m + 1, 2 * m + 1)
     qs = [q.eval(xs) for q in build_Q(m)]
@@ -466,7 +466,7 @@ def test_q_series_refuses_a_non_finite_diagonal():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(CapabilityError, match="not finite"):
-            _kernels.q_series(lambda rs: coeffs * rs[:, None] ** np.arange(5) @ diag,
+            _kernels.q_series(lambda rs, _: coeffs * rs[:, None] ** np.arange(5) @ diag,
                               np.array([[1e100, 0.0, 0.0]]))
 
 
@@ -486,11 +486,51 @@ def test_grouped_q_series_forms_each_label_and_radius_once():
     out = _kernels.q_series(diagonal_at, xs, labels)
     assert seen == [([0.5, 3.0, 0.5, 0.0, 3.0], [0, 0, 1, 2, 2])]
     for p, label in enumerate(labels):
-        one = _kernels.q_series(lambda rs: (label + 1.0) * np.array([1.0, 2.0, 3.0]) + rs[:, None],
+        one = _kernels.q_series(lambda rs, _: (label + 1.0) * np.array([1.0, 2.0, 3.0]) + rs[:, None],
                                 xs[p : p + 1])
         assert np.array_equal(out[p], one[0])
     empty = _kernels.q_series(diagonal_at, np.empty((0, 3)), np.empty(0, dtype=int))
     assert empty.shape == (0, 3, 3)
+
+
+def _q_series_by_unique(diagonal_at, xs):
+    """q_series as it was without labels: the distinct radii by np.unique,
+    diagonal_at(rs) called on them alone."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    rs, back = np.unique(_kernels.radii(xs), return_inverse=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = diagonal_at(rs)
+    return _kernels.axis_transport(lam[back], xs, rs[back])
+
+
+@pytest.mark.parametrize("points", ["lattice", "scattered"])
+def test_q_series_without_labels_is_the_unique_radii_path_bit_for_bit(points):
+    # without labels q_series forms the radii of np.unique, each once, all
+    # labelled 0, and returns the values of the radius-only path to the bit:
+    # at m = 1 on the 41^3 lattice (about 1% distinct radii) and on 5000
+    # scattered points (all distinct)
+    if points == "lattice":
+        axis = np.linspace(-8.0, 8.0, 41)
+        xs = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    else:
+        rng = np.random.default_rng(34)
+        xs = rng.normal(size=(5000, 3)) * rng.uniform(0.0, 3.0, size=(5000, 1))
+    diag = _kernels.axis_diagonals(1)
+
+    def diagonal(rs):
+        return (np.exp(-rs[:, None]) * [1.0, 0.5, -0.25]) * rs[:, None] ** np.arange(3) @ diag
+
+    seen = []
+
+    def diagonal_at(rs, labels):
+        seen.append((rs, labels))
+        return diagonal(rs)
+
+    out = _kernels.q_series(diagonal_at, xs)
+    (rs, labels), = seen
+    assert np.array_equal(rs, np.unique(_kernels.radii(xs)))
+    assert labels.shape == rs.shape and not labels.any()
+    assert np.array_equal(out, _q_series_by_unique(diagonal, xs))
 
 
 def test_plane_wave_sum_against_node_loop():

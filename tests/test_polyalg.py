@@ -442,7 +442,7 @@ def test_exact_q_matches_numeric_recursion(m):
     rng = np.random.default_rng(100 + m)
     xs = rng.normal(size=(5, 3))
     for j, q in enumerate(build_Q(m)):
-        numeric = q_series(lambda rs: np.outer(rs**j, axis_diagonals(m)[j]), xs)
+        numeric = q_series(lambda rs, _: np.outer(rs**j, axis_diagonals(m)[j]), xs)
         exact = q.eval(xs)
         for p in range(len(xs)):
             assert np.max(np.abs(exact[p] - numeric[p])) <= 1e-12 * np.max(np.abs(numeric[p]))

@@ -181,6 +181,17 @@ def test_indices_must_be_integers():
         build_irrep(1.0)
 
 
+def test_cached_irrep_still_refuses_a_bool_or_a_float():
+    # the cache is typed: True == 1.0 == 1 and they hash alike, but only
+    # the int is a type index, before and after it is cached
+    assert build_irrep(1) is build_irrep(1)
+    assert build_irrep(np.int64(1)).m == 1
+    for m in (True, 1.0, np.bool_(True)):
+        with pytest.raises(ValueError, match="m must be a non-negative integer"):
+            build_irrep(m)
+    assert not build_irrep(1).generators.flags.writeable
+
+
 def test_irrep_json_roundtrip():
     rep = build_irrep(2)
     again = Irrep.from_json(rep.to_json())

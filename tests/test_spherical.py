@@ -395,6 +395,33 @@ def test_projections_reject_zero():
         projections(1, [0.0, 0.0, 0.0])
 
 
+def test_projections_check_m():
+    # a bool, an integral float and a negative m are no type index
+    for m in (True, 2.0, -1):
+        with pytest.raises(ValueError, match="m must be a non-negative integer"):
+            projections(m, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 6, 26])
+def test_projections_through_q_series_are_the_direct_transport_bit_for_bit(m):
+    # the family and the polar stacks of construction 2 go through
+    # q_series; each is axis_transport of the rows of the identity, with
+    # the radii of radii(), to the bit
+    d = 2 * m + 1
+    rng = np.random.default_rng(60 + m)
+    xi = rng.normal(size=3) * 3.0
+    xin = xi / np.max(np.abs(xi))
+    r = _kernels.radii(xin[None, :])
+    direct = _kernels.axis_transport(np.eye(d), np.broadcast_to(xin, (d, 3)), np.broadcast_to(r, d))
+    assert np.array_equal(projections(m, xi).matrices, direct)
+    xis = rng.normal(size=(23, 3))
+    xis[3], xis[4], xis[5] = [1.0, 0.0, 0.0], [-2.0, 0.0, 0.0], xis[6][[2, 0, 1]]
+    for j in (-m, 0, m):
+        row = np.broadcast_to(np.eye(d)[j + m], (len(xis), d))
+        direct = _kernels.axis_transport(row, xis, _kernels.radii(xis))
+        assert np.array_equal(spherical._projection_stack(m, xis, j), direct)
+
+
 def test_projections_take_the_direction_of_any_finite_vector():
     # |xi|^2 overflows at the first vector and underflows at the last two
     # (a subnormal or a tiny coordinate): each still has a unit direction
@@ -790,13 +817,13 @@ def test_stacked_evaluation_refuses_what_q_series_refuses():
 
 
 def test_a_stack_takes_one_q_series_call_per_function(monkeypatch):
-    # one spec takes q_series's radius-only path; a stack passes a label per
-    # point, and its diagonal is formed once per distinct (spec, radius)
+    # one spec is a one-element stack: every stack passes a label per point,
+    # and its diagonal is formed once per distinct (spec, radius)
     calls = []
 
-    def spy(diagonal_at, xs, *groups):
-        calls.append(len(groups))
-        return _kernels.q_series(diagonal_at, xs, *groups)
+    def spy(diagonal_at, xs, labels=None):
+        calls.append(np.unique(labels).tolist())
+        return _kernels.q_series(diagonal_at, xs, labels)
 
     seen = []
 
@@ -811,7 +838,7 @@ def test_a_stack_takes_one_q_series_call_per_function(monkeypatch):
     spherical.eval_phi_batch(specs[0], xs)
     spherical.eval_phi_stack(specs, [xs, xs[:2], xs[1:]])
     spherical.apply_dtau_stack(specs, [xs, xs, xs])
-    assert calls == [0, 1, 1]
+    assert calls == [[0], [0, 1, 2], [0, 1, 2]]
     assert seen == [2, 2 + 1 + 2, 3 * 2]
 
 

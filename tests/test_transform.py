@@ -1074,9 +1074,9 @@ def test_every_evaluator_refuses_a_diagonal_out_of_float_range(monkeypatch, name
     # Each hands its e_1 diagonal to q_series, which refuses it.
     raised = []
 
-    def spy(diagonal_at, xs):
+    def spy(diagonal_at, xs, labels=None):
         try:
-            return _kernels.q_series(diagonal_at, xs)
+            return _kernels.q_series(diagonal_at, xs, labels)
         except CapabilityError as exc:
             raised.append(exc)
             raise
