@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import CapabilityError
 from .polyalg import e1_diagonals
-from .so3rep import build_irrep
+from .so3rep import _cached_per_type, build_irrep
 
 _MILLER_EXTRA = 25  # extra start orders for the downward recurrence
 F_TABLE_JMAX = 64   # highest order f_table serves (see f_table)
@@ -260,7 +260,7 @@ def axis_transport(lam: np.ndarray, xs: np.ndarray, rs: np.ndarray) -> np.ndarra
     return out
 
 
-@lru_cache(maxsize=None)
+@_cached_per_type
 def axis_diagonals(m: int) -> np.ndarray:
     """The diagonals of Q_0(e_1)..Q_{2m}(e_1), (2m+1, d), read-only: the exact
     rationals of polyalg.e1_diagonals rounded once, times i^l.  (The same

@@ -12,8 +12,7 @@ apply_dtau_stack, positive_type_stack; a stack holds at most
 _STACK_ENTRIES matrix entries) and reads each case from a slice of the
 results; construction 2 stays one call per (s, j).  The polyalg suite
 evaluates each Q_j once at every draw of its rotation check, and the
-radial suite takes each derivative stencil, with its f_{j+1} value, from
-one kernel table.
+radial suite reads each of its grids from one kernel table (f_upto).
 """
 
 from __future__ import annotations
@@ -205,7 +204,7 @@ def suite_radial(rng, profile: str) -> dict:
     jmax = 8
     fv = radial.f_scaled(0, 1.0, rs)  # warm path; also the closed form below
     rec.case("f_0 closed form", np.max(np.abs(fv - np.sin(rs) / rs)), 1e-14)
-    table = np.stack([radial.f(j, rs) for j in range(jmax + 2)])
+    table = radial.f_upto(jmax + 1, rs)
     for j in range(1, jmax + 1):
         resid = table[j] - table[j - 1] - rs**2 / ((2 * j + 1) * (2 * j + 3)) * table[j + 1]
         rec.case(f"recurrence j={j}", np.max(np.abs(resid)), 1e-12)
@@ -213,15 +212,14 @@ def suite_radial(rng, profile: str) -> dict:
     for j in range(jmax + 1):
         oracle = radial.double_factorial_odd(j) * spherical_jn(j, rs) / rs**j
         rec.case(f"bessel oracle j={j}", np.max(np.abs(table[j] - oracle)), 1e-12)
-    rb = np.linspace(0.0, 100.0, 400)
+    bounded = radial.f_upto(jmax, np.linspace(0.0, 100.0, 400))
     for j in range(jmax + 1):
-        rec.case(f"bounded j={j}", np.max(np.abs(radial.f(j, rb))) - 1.0, 1e-12)
-    # per order, one table of f_j on every stencil and f_{j+1} at its centre
+        rec.case(f"bounded j={j}", np.max(np.abs(bounded[j])) - 1.0, 1e-12)
+    # one table of f_0..f_4 on every stencil and at its centre, unscaled and scaled
     rd, s, h = np.array([0.7, 2.3, 11.0]), 1.7, 5e-3
     pts = np.concatenate([rd[:, None] + h * _FD_STEPS, rd[:, None]], axis=1)  # (3, 5)
+    fj, fs = radial.f_upto(4, pts), radial.f_upto(4, s * pts)
     for j in range(4):
-        fj = radial.f_upto(j + 1, pts)
-        fs = radial.f_upto(j + 1, s * pts)
         d, ds = _fd_derivative(fj[j, :, :4], h), _fd_derivative(fs[j, :, :4], h)
         for i, r in enumerate(rd):
             rec.case(

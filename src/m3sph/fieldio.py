@@ -21,6 +21,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -299,8 +300,9 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
                         width, pushed through the inversion formula.
 
     m must be a non-negative integer and params a mapping.  sigma and width
-    must be finite and positive, amplitude and s0 finite (s0 >= 0 for the
-    bump), and component an integer; anything else raises ValueError.
+    must be positive, with 2 w^2 normal and r_max^2 finite (_width_param),
+    amplitude and s0 finite (s0 >= 0 for the bump), and component an
+    integer; anything else raises ValueError before any sample is formed.
     """
     check_type_index(m)
     if params is not None and not isinstance(params, Mapping):
@@ -320,7 +322,7 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
         return ev
 
     if kind == "gaussian":
-        sigma = _positive_param(params, "sigma", 1.0)
+        sigma, r_max = _width_param(params, "sigma", 1.0, lambda w: 12.0 * w)
         amp = _finite_param(params, "amplitude", 1.0, complex)
         comp = params.pop("component", 0)
         if isinstance(comp, float) and comp.is_integer():
@@ -337,9 +339,8 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
             ),
             decays=True,
         )
-        r_max = 12.0 * sigma
     elif kind == "plane-wave-packet":
-        sigma = _positive_param(params, "sigma", 1.0)
+        sigma, r_max = _width_param(params, "sigma", 1.0, lambda w: 12.0 * w)
         s0 = _finite_param(params, "s0", 2.0)
         amp = _finite_param(params, "amplitude", 1.0, complex)
         _reject_unknown(kind, params)
@@ -349,12 +350,11 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
             ),
             decays=True,
         )
-        r_max = 12.0 * sigma
     elif kind == "bump":
         s0 = _finite_param(params, "s0", 2.0)
         if s0 < 0:
             raise ValueError(f"bump s0 must be non-negative, got {s0!r}")
-        width = _positive_param(params, "width", 0.5)
+        width, r_max = _width_param(params, "width", 0.5, lambda w: max(12.0 / w, 12.0))
         amp = _finite_param(params, "amplitude", 1.0, complex)
         _reject_unknown(kind, params)
         check_numeric_m(m)
@@ -365,7 +365,6 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
             m=m, s_grid=s_nodes, s_weights=s_w, values=np.tile(bump_vals, (L, 1))
         )
         profile = transform.inverse_profile(bump)
-        r_max = max(12.0 / width, 12.0)
     else:
         raise ValueError(f"unknown field kind {kind!r}")
 
@@ -389,6 +388,18 @@ def _positive_param(params: dict, key: str, default) -> float:
     if not value > 0:
         raise ValueError(f"{key} must be positive, got {value!r}")
     return value
+
+
+def _width_param(params: dict, key: str, default, end) -> tuple:
+    """Pop ``key`` as the width w of a factor exp(-x^2 / (2 w^2)) sampled on
+    [0, end(w)]; returns (w, end(w)).  w must be positive with 2 w^2 a
+    normal float and end(w)^2 finite, so every sample's exponent is."""
+    w = _positive_param(params, key, default)
+    if not sys.float_info.min <= 2.0 * w * w < math.inf:
+        raise ValueError(f"{key} must have 2 {key}^2 a positive normal float, got {w!r}")
+    if not math.isfinite(end(w) * end(w)):
+        raise ValueError(f"{key}={w!r} puts the sample grid's end at {end(w)!r}; its square overflows")
+    return w, end(w)
 
 
 def _reject_unknown(kind: str, params: dict):

@@ -25,7 +25,9 @@ makes has a generator as its left factor: Q_1 P = sum_i B_i (y_i P)
 (MatPoly.mul_q1, which serves build_Q, the powers of Q_1 and the
 terminating product) and D_tau P = sum_i B_i (eta_i dP/dy_i)
 (apply_dtau_op) are one generator sum (_left_generators), and
-equivariance_defect forms the commutator [B_i, P].  Two changes of
+equivariance_defect forms the commutator [B_i, P].  Every sum, scale and
+shift is one pass over one denominator, reduced once (_lincomb), so the
+layer has two primitives: _band_mul and _lincomb.  Two changes of
 coordinates make the coefficients real rationals, and every identity
 above is invariant under both.
 
@@ -57,7 +59,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import CapabilityError, ConsistencyError
-from .so3rep import check_type_index, check_weight_index
+from .so3rep import _cached_per_type, check_weight_index
 
 # exact mode is capped: the cost of build_Q and of the exact identity checks
 # grows steeply with m, and m <= 4 keeps them to seconds
@@ -68,8 +70,12 @@ Monomial = tuple[int, int, int]
 # the split-form metric: |x|^2 = sum_i eta_i y_i^2
 _ETA = (-1, -1, 1)
 
-# the exponents of y_1, y_2, y_3
+# the exponents of 1 and of y_1, y_2, y_3
+_ORIGIN = (0, 0, 0)
 _UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+# |x|^2 as its terms (eta_i, the exponent of y_i^2)
+_R2 = tuple(zip(_ETA, ((2, 0, 0), (0, 2, 0), (0, 0, 2))))
 
 # K_i = c_i S^-1 Y_i S, the rotation field x -> Y_i x of so3rep.SO3_GENERATORS
 # written in y (x = S y, S = diag(i, i, 1)) and scaled by c = (i, i, 1) so it
@@ -154,6 +160,24 @@ def _reduced(dim: int, terms: dict, den: int) -> "MatPoly":
     return MatPoly(dim, terms, den // g)
 
 
+def _lincomb(dim: int, parts) -> "MatPoly":
+    """The one sum of the layer: sum_k c_k y^(e_k) P_k over parts (c_k, e_k, P_k),
+    c an int or a Fraction and P a MatPoly, canonical or not, over the one
+    denominator lcm_k(den(c_k) P_k.den), in part order and then P_k's term
+    order (a monomial keeps its first place), and reduced once."""
+    den = math.lcm(*(c.denominator * P.den for c, _, P in parts))
+    out = {}
+    for c, e, P in parts:
+        f = c.numerator * (den // (c.denominator * P.den))
+        for t, n in P.terms.items():
+            if e != _ORIGIN:
+                t = (t[0] + e[0], t[1] + e[1], t[2] + e[2])
+            if f != 1:
+                n = f * n
+            out[t] = out[t] + n if t in out else n
+    return _reduced(dim, out, den)
+
+
 @dataclass(frozen=True)
 class MatPoly:
     """Matrix-valued polynomial in the split-form variables y with real
@@ -167,10 +191,9 @@ class MatPoly:
     their dens and numerator arrays are.  ``eval`` and ``to_json_obj``
     give the polynomial in x and the weight basis.
 
-    Numerator arrays are never written in place, so results share them
-    freely: a factor of 1 (in ``__add__``'s common denominator, ``scale``
-    and ``mul_monomial``) passes the arrays on, and a factor of -1 negates
-    them with no gcd pass, as the canonical form is kept by both.
+    Every sum, scale and shift is one _lincomb pass.  Numerator arrays are
+    never written in place, so results share them freely: a factor of 1 (a
+    common denominator, ``scale(1)``, ``mul_monomial``) passes them on.
     """
 
     dim: int
@@ -184,64 +207,34 @@ class MatPoly:
 
     @staticmethod
     def identity(dim: int) -> "MatPoly":
-        return MatPoly(dim, {(0, 0, 0): np.identity(dim, dtype=object)})
+        return MatPoly(dim, {_ORIGIN: np.identity(dim, dtype=object)})
 
     # -- ring operations -----------------------------------------------
     def __add__(self, other: "MatPoly") -> "MatPoly":
-        return self._signed_add(other, False)
+        return _lincomb(self.dim, [(1, _ORIGIN, self), (1, _ORIGIN, other)])
 
     def __sub__(self, other: "MatPoly") -> "MatPoly":
-        return self._signed_add(other, True)
-
-    def _signed_add(self, other: "MatPoly", minus: bool) -> "MatPoly":
-        """self + other, or self - other with ``minus``: other's terms are
-        subtracted where self has the monomial and negated only where it
-        does not, over the lcm of the denominators."""
-        den = math.lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        out = dict(self.terms) if a == 1 else {e: a * n for e, n in self.terms.items()}
-        for e, n in other.terms.items():
-            if b != 1:
-                n = b * n
-            if e in out:
-                out[e] = out[e] - n if minus else out[e] + n
-            else:
-                out[e] = -n if minus else n
-        return _reduced(self.dim, out, den)
+        return _lincomb(self.dim, [(1, _ORIGIN, self), (-1, _ORIGIN, other)])
 
     def __neg__(self) -> "MatPoly":
-        return MatPoly(self.dim, {e: -n for e, n in self.terms.items()}, self.den)
+        return _lincomb(self.dim, [(-1, _ORIGIN, self)])
 
     def scale(self, s) -> "MatPoly":
         """Multiply by a rational scalar (a Fraction or an int)."""
-        p, q = s.numerator, s.denominator
-        if q == 1 and p == 1:
-            return self
-        if q == 1 and p == -1:
-            return -self
-        return _reduced(self.dim, {e: p * n for e, n in self.terms.items()}, self.den * q)
+        return _lincomb(self.dim, [(s, _ORIGIN, self)])
 
     def mul_monomial(self, mono: Monomial, coeff=1) -> "MatPoly":
         """Multiply by coeff * y^mono."""
-        out = self.scale(coeff)
-        return MatPoly(
-            self.dim,
-            {(e[0] + mono[0], e[1] + mono[1], e[2] + mono[2]): n for e, n in out.terms.items()},
-            out.den,
-        )
+        return _lincomb(self.dim, [(coeff, mono, self)])
 
     def mul_r2(self) -> "MatPoly":
         """Multiply by |x|^2 = -y1^2 - y2^2 + y3^2."""
-        return (
-            self.mul_monomial((2, 0, 0), _ETA[0])
-            + self.mul_monomial((0, 2, 0), _ETA[1])
-            + self.mul_monomial((0, 0, 2), _ETA[2])
-        )
+        return _lincomb(self.dim, [(eta, e, self) for eta, e in _R2])
 
     def mul_q1(self) -> "MatPoly":
         """Multiply by Q_1 = sum_i y_i B_i from the left (_left_generators),
         with the terms in the order of the dense product Q_1 P."""
-        return _left_generators([self.mul_monomial(e) for e in _UNIT])
+        return _left_generators([(1, e, self) for e in _UNIT])
 
     # -- calculus ------------------------------------------------------
     def diff(self, axis: int) -> "MatPoly":
@@ -313,16 +306,7 @@ class MatPoly:
         return records
 
 
-def _check_m(m: int):
-    check_type_index(m)
-    if m > M_MAX_EXACT:
-        raise CapabilityError(
-            f"exact mode supports m <= {M_MAX_EXACT} (requested m={m}); "
-            "use the numeric construction for larger types"
-        )
-
-
-@lru_cache(maxsize=None)
+@_cached_per_type
 def exact_generators(m: int) -> tuple:
     """Exact generators B = (i A_1, i A_2, A_3) of the type-m irrep in the
     split form and the rational basis, as constant MatPolys.
@@ -336,9 +320,12 @@ def exact_generators(m: int) -> tuple:
     each B_i is built from those integers over the denominator 2.
     (sum_i y_i B_i).eval(e_i) is the weight-basis A_i: MatPoly.eval undoes
     both the substitution and the similarity.  Cached per m; the numerator
-    arrays are read-only.
-    """
-    _check_m(m)
+    arrays are read-only.  An m above M_MAX_EXACT raises CapabilityError."""
+    if m > M_MAX_EXACT:
+        raise CapabilityError(
+            f"exact mode supports m <= {M_MAX_EXACT} (requested m={m}); "
+            "use the numeric construction for larger types"
+        )
     d = 2 * m + 1
     twice = [np.zeros((d, d), dtype=object) for _ in range(3)]
     for p in range(d):
@@ -350,14 +337,14 @@ def exact_generators(m: int) -> tuple:
         # B_3 = A_3 = i Jy: +(1/2) sqrt(n) below, -(1/2) sqrt(n) above -> 1/2 below, -n/2 above
         twice[1][p + 1, p], twice[1][p, p + 1] = -1, -n
         twice[2][p + 1, p], twice[2][p, p + 1] = 1, -n
-    gens = tuple(_reduced(d, {(0, 0, 0): t}, 2) for t in twice)
+    gens = tuple(_reduced(d, {_ORIGIN: t}, 2) for t in twice)
     for g in gens:
         for num in g.terms.values():
             num.setflags(write=False)
     return gens
 
 
-@lru_cache(maxsize=None)
+@_cached_per_type
 def _generator_bands(m: int) -> tuple:
     """Each exact_generators(m)[i] as (band, den): band lists the nonzero
     diagonals of its numerator as (rows, cols, v), v the diagonal and rows,
@@ -368,7 +355,7 @@ def _generator_bands(m: int) -> tuple:
     d = 2 * m + 1
     out = []
     for g in exact_generators(m):
-        num = g.terms.get((0, 0, 0), np.zeros((d, d), dtype=object))
+        num = g.terms.get(_ORIGIN, np.zeros((d, d), dtype=object))
         band = []
         for k in (-1, 0, 1):
             v = np.diagonal(num, k).copy()
@@ -397,21 +384,17 @@ def _band_mul(stack: np.ndarray, band: tuple, left: bool) -> np.ndarray:
     return out
 
 
-def _left_generators(xs) -> MatPoly:
-    """sum_i B_i X_i for three MatPolys X_i of one type, B the split-form
-    generators of exact_generators: each product banded (_band_mul), all
-    three accumulated over the one denominator lcm_i(den(B_i) X_i.den) and
-    reduced once.  A monomial keeps the place it first takes, i then X_i's
-    order, which is the term order of the dense product sum_i B_i X_i."""
-    bands = _generator_bands((xs[0].dim - 1) // 2)
-    den = math.lcm(*(bden * x.den for (_, bden), x in zip(bands, xs)))
-    out = {}
-    for (band, bden), x in zip(bands, xs):
-        prod = _band_mul(_stacked(x), band, left=True)
-        f = den // (bden * x.den)
-        for e, n in zip(x.terms, prod if f == 1 else f * prod):
-            out[e] = out[e] + n if e in out else n
-    return _reduced(xs[0].dim, out, den)
+def _left_generators(parts) -> MatPoly:
+    """sum_i c_i y^(e_i) B_i X_i over three parts (c_i, e_i, X_i) of one type,
+    B the generators of exact_generators: one _lincomb of the banded
+    products B_i X_i (_band_mul), which keeps the term order of the dense
+    product sum_i B_i (c_i y^(e_i) X_i)."""
+    dim = parts[0][2].dim
+    bands = _generator_bands((dim - 1) // 2)
+    return _lincomb(dim, [
+        (c, e, MatPoly(dim, dict(zip(x.terms, _band_mul(_stacked(x), band, left=True))), bden * x.den))
+        for (c, e, x), (band, bden) in zip(parts, bands)
+    ])
 
 
 @dataclass(frozen=True)
@@ -426,15 +409,13 @@ class CoeffTable:
         return np.array([float(x) for x in self.a], dtype=np.float64)
 
 
-@lru_cache(maxsize=None, typed=True)
+@_cached_per_type
 def coeff_table(m: int) -> CoeffTable:
     """The lowering scalars in closed form, a_l = l^2 (l^2 - d^2) / (4 (2l - 1))
     for l = 1..2m with d = 2m + 1, so a_1 = c.  (The lowering recursion
     gives a_{l} = (l^2/(2l-1)) (c + (l^2 - 1)/4), and 4c = 1 - d^2.)  No a_l
-    vanishes, as l < d.  Cached per m and its type; the table is immutable,
-    its numerators and denominators Python ints for a numpy int m too."""
-    check_type_index(m)
-    m = int(m)
+    vanishes, as l < d.  Cached per m; the table is immutable, its
+    numerators and denominators Python ints for a numpy int m too."""
     a = (_Q(l * l * (l * l - (2 * m + 1) ** 2), 4 * (2 * l - 1)) for l in range(1, 2 * m + 1))
     return CoeffTable(m=m, a=tuple(a), c=_Q(-m * (m + 1)))
 
@@ -467,7 +448,7 @@ def unit_eigvec(m: int, j: int) -> tuple:
     return tuple(_Q(x.numerator * q, x.denominator * p) for x, p, q in zip(rows, nums, dens))
 
 
-@lru_cache(maxsize=None, typed=True)
+@_cached_per_type
 def lagrange_unit_eigvec(m: int, j: int) -> tuple:
     """Construction 3's coefficients at s = 1: (2m+1) prod_{l != j}
     (M - l)/(j - l) applied to e_0, the coefficient vector of the scalar
@@ -478,10 +459,9 @@ def lagrange_unit_eigvec(m: int, j: int) -> tuple:
     lcm of the a_l's denominators and of 1, 3, ..., 4m + 1, makes L M an
     integer matrix, so each factor is the integer step
     v <- (L M) v - L l v over the denominator times L (j - l), and one gcd
-    pass; 2m + 1 and j - l are taken as Python ints, so a numpy int m or j
-    gives the same Fractions (a float index is refused by
-    check_weight_index).  Cached per (m, j) and their types: the tuple of
-    Fractions is immutable."""
+    pass; j - l is taken as a Python int, so a numpy int j gives the same
+    Fractions (a float j is refused by check_weight_index).  Cached per
+    (m, j) and j's type: the tuple of Fractions is immutable."""
     check_weight_index(m, j)
     a = coeff_table(m).a
     L = math.lcm(*(x.denominator for x in a), *range(1, 4 * m + 2, 2))
@@ -496,7 +476,7 @@ def lagrange_unit_eigvec(m: int, j: int) -> tuple:
     return tuple(_Q(len(v) * x, den) for x in v)
 
 
-@lru_cache(maxsize=None, typed=True)
+@_cached_per_type
 def e1_diagonals(m: int) -> tuple:
     """The rationals r_l with Q_l(e_1) = i^l diag(r_l), l = 0..2m: the
     build_Q recursion at x = e_1, where Q_1(e_1) = A_1 = diag(i mu) with
@@ -508,7 +488,7 @@ def e1_diagonals(m: int) -> tuple:
     Q_{2m+1} = 0 (the terminating product) and must vanish on every weight.
     At the weight mu = j that is row 2m of the s = 1 operator closing on
     unit_eigvec(m, j), and ConsistencyError names the first j where it does
-    not.  Cached per m and its type; the tuples are immutable."""
+    not.  Cached per m; the tuples are immutable."""
     mu = np.arange(-m, m + 1).astype(object)
     r = [(np.ones(2 * m + 1, dtype=object), 1), (mu, 1)]
     for l, x in enumerate(coeff_table(m).a, 1):
@@ -523,24 +503,21 @@ def e1_diagonals(m: int) -> tuple:
 
 def laplacian(P: MatPoly) -> MatPoly:
     """sum_i d^2 P / dx_i^2 = sum_i eta_i d^2 P / dy_i^2, exact."""
-    out = MatPoly.zero(P.dim)
-    for i in range(3):
-        out = out + P.diff(i).diff(i).scale(_ETA[i])
-    return out
+    return _lincomb(P.dim, [(eta, _ORIGIN, P.diff(i).diff(i)) for i, eta in enumerate(_ETA)])
 
 
 def apply_dtau_op(P: MatPoly) -> MatPoly:
     """The invariant operator sum_i A_i * dP/dx_i = sum_i eta_i B_i * dP/dy_i
     (left multiplication), with the split-form generators B of
     exact_generators for P's type: one generator sum (_left_generators)."""
-    return _left_generators([P.diff(i).scale(_ETA[i]) for i in range(3)])
+    return _left_generators([(eta, _ORIGIN, P.diff(i)) for i, eta in enumerate(_ETA)])
 
 
 def build_Q(m: int) -> list[MatPoly]:
     """The generator family Q_0..Q_{2m} by the lowering recursion
     Q_{j+1} = Q_1 Q_j - (r^2 a_j / (2j+1)) Q_{j-1}, from
-    Q_1 = sum_i y_i B_i; every product by Q_1 is MatPoly.mul_q1."""
-    _check_m(m)
+    Q_1 = sum_i y_i B_i; each step is one _lincomb of Q_1 Q_j (mul_q1) and
+    three shifts of Q_{j-1}.  An m above M_MAX_EXACT is refused (exact_generators)."""
     table = coeff_table(m)
     qs = [MatPoly.identity(2 * m + 1)]
     if m == 0:
@@ -548,7 +525,8 @@ def build_Q(m: int) -> list[MatPoly]:
     qs.append(qs[0].mul_q1())
     for j in range(1, 2 * m):
         coeff = table.a[j - 1] / (2 * j + 1)  # a_j / (2j+1)
-        qs.append(qs[j].mul_q1() - qs[j - 1].mul_r2().scale(coeff))
+        shifts = [(-coeff * eta, e, qs[j - 1]) for eta, e in _R2]
+        qs.append(_lincomb(qs[0].dim, [(1, _ORIGIN, qs[j].mul_q1())] + shifts))
     return qs
 
 
@@ -558,14 +536,14 @@ def equivariance_defect(P: MatPoly, i: int) -> MatPoly:
     type and the real fields K_i of _ROTATION_FIELDS.  The zero polynomial
     iff P is equivariant at the infinitesimal level for axis i.  The
     commutator is formed on P's stacked numerators by two banded products
-    (_band_mul), its terms in P's order."""
+    (_band_mul), its terms in P's order, and reduced before one _lincomb
+    adds the field terms, so a cancelled monomial holds no place for them."""
     band, den = _generator_bands((P.dim - 1) // 2)[i]
     stack = _stacked(P)
     comm = _band_mul(stack, band, left=True) - _band_mul(stack, band, left=False)
-    out = _reduced(P.dim, dict(zip(P.terms, comm)), den * P.den)
-    for a, b, k in _ROTATION_FIELDS[i]:
-        out = out - P.diff(a).mul_monomial(_UNIT[b], k)
-    return out
+    comm = _reduced(P.dim, dict(zip(P.terms, comm)), den * P.den)
+    fields = [(-k, _UNIT[b], P.diff(a)) for a, b, k in _ROTATION_FIELDS[i]]
+    return _lincomb(P.dim, [(1, _ORIGIN, comm)] + fields)
 
 
 def expand_in_q1_powers(qs: list[MatPoly]) -> list:
@@ -576,8 +554,8 @@ def expand_in_q1_powers(qs: list[MatPoly]) -> list:
     of polynomials: b^{(0)} = b^{(1)} = [1] and
     b^{(l+1)}_k = b^{(l)}_k - (a_l / (2l+1)) b^{(l-1)}_{k-1}.  Q_1^1 is
     qs[1], and each higher power is built once, as Q_1 Q_1^{j-1} with the
-    type's Q_1 (mul_q1: 2m - 1 products for the family), and Q_j is
-    rebuilt from the powers and compared exactly.  Returns, per
+    type's Q_1 (mul_q1: 2m - 1 products for the family), and Q_j less its
+    rebuild from the powers is one _lincomb tested for zero.  Returns, per
     j, the rationals [1, b_1, b_2, ...] where the difference is the zero
     polynomial, and None where it is not, also for a Q_j that is some other
     monic polynomial in Q_1 and r^2.
@@ -585,6 +563,7 @@ def expand_in_q1_powers(qs: list[MatPoly]) -> list:
     m = (len(qs) - 1) // 2
     a = coeff_table(m).a
     powers = [MatPoly.identity(qs[0].dim)] + qs[1:2]  # Q_1^0, Q_1^1
+    r2k = [MatPoly.identity(1)]  # r^0, r^2, ... as 1 x 1 polynomials over den 1
     prev, coeffs = [_Q(1)], [_Q(1)]  # b^{(0)}, b^{(1)}
     out = []
     for j, q in enumerate(qs):
@@ -596,11 +575,9 @@ def expand_in_q1_powers(qs: list[MatPoly]) -> list:
             for k in range(1, len(nxt)):
                 nxt[k] -= c * prev[k - 1]
             prev, coeffs = coeffs, nxt
-        recon = MatPoly.zero(q.dim)
-        for k, b in enumerate(coeffs):
-            term = powers[j - 2 * k].scale(b)
-            for _ in range(k):
-                term = term.mul_r2()
-            recon = recon + term
-        out.append(coeffs if (recon - q).is_zero() else None)
+        if len(r2k) < len(coeffs):
+            r2k.append(r2k[-1].mul_r2())
+        parts = [(b * n[0, 0], e, powers[j - 2 * k]) for k, b in enumerate(coeffs)
+                 for e, n in r2k[k].terms.items()]
+        out.append(coeffs if _lincomb(q.dim, [(-1, _ORIGIN, q)] + parts).is_zero() else None)
     return out

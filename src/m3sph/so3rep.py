@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -94,15 +94,27 @@ def check_weight_index(m: int, j: int):
         raise ValueError(f"index j={j} out of range for m={m}: need -m <= j <= m")
 
 
-@lru_cache(maxsize=None, typed=True)
+def _cached_per_type(builder):
+    """``builder`` cached per type index m, its first argument, and per its
+    other arguments and their types: the one per-type cache.  m is checked
+    (check_type_index) before the cache and passed on as a Python int."""
+    cached = lru_cache(maxsize=None, typed=True)(builder)
+
+    @wraps(builder)
+    def checked(m, *args):
+        check_type_index(m)
+        return cached(int(m), *args)
+
+    checked.cache_clear = cached.cache_clear
+    return checked
+
+
+@_cached_per_type
 def build_irrep(m: int) -> Irrep:
     """Construct the type-m irrep in the weight basis.
 
-    m = 0 gives the trivial representation (1x1 zero generators).  Cached
-    per m and its type, so a bool or a float m is refused on every call.
+    m = 0 gives the trivial representation (1x1 zero generators).
     """
-    check_type_index(m)
-    m = int(m)
     d = 2 * m + 1
     mu = np.arange(-m, m + 1, dtype=np.float64)
     # ladder amplitudes sqrt((m - mu)(m + mu + 1)) connect mu -> mu + 1

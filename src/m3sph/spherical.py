@@ -46,7 +46,7 @@ from ._kernels import (M_MAX_NUMERIC, axis_diagonals, check_numeric_m,  # noqa: 
 from .errors import CapabilityError
 from .polyalg import coeff_table, lagrange_unit_eigvec, unit_eigvec
 from .radial import _check_scale
-from .so3rep import check_type_index, check_weight_index
+from .so3rep import _cached_per_type, check_type_index, check_weight_index
 
 
 # the most polar nodes construction 2's sphere rule may have (degree 4095), the
@@ -129,7 +129,7 @@ def _check_params(m: int, s: float, j: int):
     check_numeric_m(m)
 
 
-@lru_cache(maxsize=None)
+@_cached_per_type
 def unit_eigvecs(m: int) -> np.ndarray:
     """The coefficient vectors of Phi_{1,j}, j = -m..m, as row j+m of a
     read-only (2m+1, 2m+1) table: the exact polyalg.unit_eigvec rounded

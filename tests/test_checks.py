@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from m3sph import checks, polyalg, radial, spherical, transform
+from m3sph import _kernels, checks, polyalg, radial, spherical, transform
 from m3sph.errors import CapabilityError
 from m3sph.so3rep import Rotation, build_irrep, tau
 
@@ -96,9 +96,19 @@ def test_transform_suite_rasterizes_each_field_once(monkeypatch):
 
 
 def test_radial_suite_reads_each_stencil_from_one_table(monkeypatch):
+    # one f_upto per grid: f_0's closed form, the recurrence and Bessel
+    # table, the bounded table, the stencils unscaled and scaled, and the
+    # three ODE cases; so `check --m 3` makes 11 f_table calls in all (3 in
+    # the spherical suite), where one call per order made 34
     calls = _counting(monkeypatch, radial, "f_upto")
     assert checks.suite_radial(np.random.default_rng(0), "quick")["pass"]
-    assert len(calls) <= 50
+    assert len(calls) == 8
+    tables = []
+    f_table = _kernels.f_table
+    for module in (_kernels, radial, spherical, transform):
+        monkeypatch.setattr(module, "f_table", lambda *a, **k: tables.append(None) or f_table(*a, **k))
+    assert checks.run_checks([3], seed=0, profile="quick")["pass"]
+    assert len(tables) == 11
 
 
 def test_laplacian_fd_is_its_points_and_their_combination():

@@ -765,8 +765,13 @@ def test_malformed_field_is_format_error(capsys, tmp_path, breakage):
         ("bump", '{"width": -0.5}'),
         ("bump", '{"s0": -20}'),
         ("bump", '{"amplitude": "inf"}'),
+        # widths the formula cannot represent, refused before any sample
+        ("gaussian", '{"sigma": 1e-300}'),
+        ("gaussian", '{"sigma": 1e300}'),
+        ("bump", '{"width": 1e-300}'),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_synth_params_is_usage_error(capsys, tmp_path, kind, params):
     out_path = tmp_path / "f.m3sf"
     code, out, err = run_cli(

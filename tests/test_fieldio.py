@@ -328,6 +328,24 @@ def test_synthesize_kinds_and_errors():
     assert np.allclose(P.profile(rr)[..., 0], np.cos(3 * rr) * np.exp(-(rr**2) / 2))
 
 
+# widths whose 2 w^2 is no positive normal float, or whose sample grid end
+# r_max (12 sigma, or 12 / width for the bump) has an overflowing square
+UNREPRESENTABLE_WIDTHS = [
+    ("gaussian", 1, {"sigma": 1e-300}, "sigma"),
+    ("gaussian", 1, {"sigma": 1e300}, "sigma"),
+    ("bump", 0, {"width": 1e-300}, "width"),
+    ("plane-wave-packet", 0, {"sigma": 5e153}, "sigma"),
+    ("bump", 0, {"width": 2e-154}, "width"),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind, m, params, key", UNREPRESENTABLE_WIDTHS)
+def test_synthesize_refuses_a_width_its_formula_cannot_represent(kind, m, params, key):
+    with pytest.raises(ValueError, match=f"^{key}[ =]"):
+        synthesize(kind, m, params)
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "bump", "plane-wave-packet"])
 def test_synthesize_refuses_a_negative_m_first(kind):
     with pytest.raises(ValueError, match="m must be a non-negative integer"):

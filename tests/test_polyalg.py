@@ -30,12 +30,35 @@ def _dense_matmul(p: MatPoly, q: MatPoly) -> MatPoly:
     return polyalg._reduced(p.dim, out, p.den * q.den)
 
 
+def _pairwise_sum(*parts) -> MatPoly:
+    """sum_k c_k y^(e_k) P_k of parts (c_k, e_k, P_k) the pairwise way, the
+    reference for the one-pass polyalg._lincomb: each part scaled and
+    shifted on its own and reduced, then added to the running sum one at a
+    time over the lcm of the two denominators, with a reduce at every step.
+    A monomial that cancels in a running sum and comes back in a later part
+    moves to the end."""
+    dim = parts[0][2].dim
+    acc = MatPoly.zero(dim)
+    for c, e, P in parts:
+        c = Fraction(c)
+        shifted = {(t[0] + e[0], t[1] + e[1], t[2] + e[2]): c.numerator * n for t, n in P.terms.items()}
+        term = polyalg._reduced(dim, shifted, P.den * c.denominator)
+        den = math.lcm(acc.den, term.den)
+        out = {t: den // acc.den * n for t, n in acc.terms.items()}
+        for t, n in term.terms.items():
+            out[t] = out[t] + den // term.den * n if t in out else den // term.den * n
+        acc = polyalg._reduced(dim, out, den)
+    return acc
+
+
+def _pairwise_r2(P: MatPoly) -> MatPoly:
+    """|x|^2 P as three shifts of P joined by pairwise sums."""
+    return _pairwise_sum(*[(eta, e, P) for eta, e in polyalg._R2])
+
+
 def _dense_q1(m: int) -> MatPoly:
-    """Q_1 = sum_i y_i B_i from the exact generators."""
-    q1 = MatPoly.zero(2 * m + 1)
-    for b, e in zip(exact_generators(m), polyalg._UNIT):
-        q1 = q1 + b.mul_monomial(e)
-    return q1
+    """Q_1 = sum_i y_i B_i from the exact generators, summed pairwise."""
+    return _pairwise_sum(*[(1, e, b) for b, e in zip(exact_generators(m), polyalg._UNIT)])
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +423,8 @@ def test_products_by_q1_match_the_dense_recursion(m, exact_cap_6):
     ref = [MatPoly.identity(2 * m + 1), q1]
     for j in range(1, 2 * m):
         coeff = coeff_table(m).a[j - 1] / (2 * j + 1)
-        ref.append(_dense_matmul(q1, ref[j]) - ref[j - 1].mul_r2().scale(coeff))
+        O = polyalg._ORIGIN
+        ref.append(_pairwise_sum((1, O, _dense_matmul(q1, ref[j])), (-coeff, O, _pairwise_r2(ref[j - 1]))))
     for q, r in zip(qs, ref, strict=True):
         assert q == r and list(q.terms) == list(r.terms)
     power = q1
@@ -410,8 +434,7 @@ def test_products_by_q1_match_the_dense_recursion(m, exact_cap_6):
 
 
 def test_scale_by_plus_or_minus_one_is_canonical_and_exact():
-    # the factors 1 and -1 skip the gcd pass; the result is the one the
-    # general path gives, and canonical
+    # the factors 1 and -1 give the result of the general path, canonical
     rng = np.random.default_rng(45)
     for m in range(5):
         P = _random_matpoly(rng, m)
@@ -423,6 +446,106 @@ def test_scale_by_plus_or_minus_one_is_canonical_and_exact():
         assert (P + P.scale(-1)).is_zero()
         general = P.mul_monomial((1, 0, 2)).scale(Fraction(-2)).scale(Fraction(1, 2))
         assert P.mul_monomial((1, 0, 2), -1) == general
+
+
+def _random_parts(rng, m: int, n_parts: int) -> list:
+    """Parts (c, e, P) for _lincomb: int and Fraction factors (1 and -1
+    among them), shifts (the origin among them) and random MatPolys of type
+    m, some repeated so their monomials meet and cancel."""
+    polys = [_random_matpoly(rng, m) for _ in range(3)]
+    factors = [1, -1, 3, Fraction(-2, 7), Fraction(5, 3)]
+    parts = []
+    for _ in range(n_parts):
+        c = factors[rng.integers(len(factors))]
+        e = tuple(int(k) for k in rng.integers(0, 2, size=3))
+        parts.append((c, e, polys[rng.integers(len(polys))]))
+    return parts + [(-c, e, P) for c, e, P in parts[:1]]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_one_pass_sum_is_the_pairwise_sum(m):
+    # in values on random mixed-degree polynomials, canonical; one and two
+    # parts (sum, difference, negation, scale, shift) also in term order
+    rng = np.random.default_rng(350 + m)
+    O = polyalg._ORIGIN
+    for n_parts in (1, 2, 3, 5, 8):
+        for _ in range(4):
+            parts = _random_parts(rng, m, n_parts)
+            out, ref = polyalg._lincomb(2 * m + 1, parts), _pairwise_sum(*parts)
+            assert out == ref and _is_canonical(out)
+    a, b = _random_matpoly(rng, m), _random_matpoly(rng, m)
+    for out, ref in [
+        (a + b, _pairwise_sum((1, O, a), (1, O, b))),
+        (a - b, _pairwise_sum((1, O, a), (-1, O, b))),
+        (-a, _pairwise_sum((-1, O, a))),
+        (a.scale(Fraction(-4, 9)), _pairwise_sum((Fraction(-4, 9), O, a))),
+        (a.mul_monomial((2, 0, 1), Fraction(3, 2)), _pairwise_sum((Fraction(3, 2), (2, 0, 1), a))),
+        (a.mul_r2(), _pairwise_r2(a)),
+        (a - a, MatPoly.zero(2 * m + 1)),
+    ]:
+        assert out == ref and _is_canonical(out)
+        assert list(out.terms) == list(ref.terms)
+    assert polyalg._lincomb(2 * m + 1, []) == MatPoly.zero(2 * m + 1)
+
+
+def _same(out: MatPoly, ref: MatPoly) -> bool:
+    """Equal in values and in term order."""
+    return out == ref and list(out.terms) == list(ref.terms)
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_one_pass_families_are_the_pairwise_ones(m, exact_cap_6):
+    # every family the package builds from sums, against the pairwise
+    # reference with the same banded products, in values and in term order
+    # (the float evaluation sums terms in that order): the lowering operator,
+    # the Laplacian, the equivariance defect, the identities of the polyalg
+    # suite and the expansion in powers of Q_1
+    O = polyalg._ORIGIN
+    qs = build_Q(m)
+    bands = polyalg._generator_bands(m)
+    table = coeff_table(m)
+
+    def banded(i, P, left=True):
+        band, den = bands[i]
+        prods = polyalg._band_mul(polyalg._stacked(P), band, left)
+        return MatPoly(P.dim, dict(zip(P.terms, prods)), den * P.den)
+
+    for j, q in enumerate(qs):
+        dtau = polyalg.apply_dtau_op(q)
+        ref = _pairwise_sum(*[(eta, O, banded(i, q.diff(i))) for i, eta in enumerate(polyalg._ETA)])
+        assert _same(dtau, ref)
+        lap = _pairwise_sum(*[(eta, O, q.diff(i).diff(i)) for i, eta in enumerate(polyalg._ETA)])
+        assert _same(polyalg.laplacian(q), lap) and lap.is_zero()
+        for i in range(3):
+            comm = _pairwise_sum((1, O, banded(i, q)), (-1, O, banded(i, q, left=False)))
+            fields = [(-k, polyalg._UNIT[b], q.diff(a)) for a, b, k in polyalg._ROTATION_FIELDS[i]]
+            ref = _pairwise_sum((1, O, comm), *fields)
+            assert _same(polyalg.equivariance_defect(q, i), ref) and ref.is_zero()
+        if j:
+            lowered = _pairwise_sum((1, O, dtau), (-table.a[j - 1], O, qs[j - 1]))
+            assert _same(dtau - qs[j - 1].scale(table.a[j - 1]), lowered) and lowered.is_zero()
+    top = qs[-1].mul_q1() - polyalg.apply_dtau_op(qs[-1]).mul_r2().scale(Fraction(1, 4 * m + 1))
+    ref = _pairwise_sum(
+        (1, O, qs[-1].mul_q1()), (Fraction(-1, 4 * m + 1), O, _pairwise_r2(polyalg.apply_dtau_op(qs[-1])))
+    )
+    assert _same(top, ref) and ref.is_zero()
+    # the expansion: Q_j rebuilt the pairwise way from the coefficients and
+    # the powers of Q_1 is Q_j exactly, and Q_2 + r^2 is refused
+    powers = [MatPoly.identity(2 * m + 1)] + qs[1:2]
+    while len(powers) < len(qs):
+        powers.append(powers[-1].mul_q1())
+    shifted = qs[:2] + [qs[2] + _pairwise_r2(MatPoly.identity(2 * m + 1))] + qs[3:] if m else qs
+    for family in (qs, shifted):
+        for j, (q, coeffs) in enumerate(zip(family, polyalg.expand_in_q1_powers(family))):
+            b = coeffs or polyalg.expand_in_q1_powers(qs)[j]
+            parts = [(1, O, q)]
+            for k, bk in enumerate(b):
+                term = powers[j - 2 * k]
+                for _ in range(k):
+                    term = _pairwise_r2(term)
+                parts.append((-bk, O, term))
+            assert _pairwise_sum(*parts).is_zero() == (coeffs is not None)
+            assert (coeffs is None) == (family is shifted and j == 2)
 
 
 def test_rotation_fields_are_split_form_of_so3_generators():

@@ -192,6 +192,41 @@ def test_cached_irrep_still_refuses_a_bool_or_a_float():
     assert not build_irrep(1).generators.flags.writeable
 
 
+def _per_type_builders():
+    """Every builder cached per type index m (so3rep._cached_per_type), and
+    build_tridiagonal, which reads coeff_table, as (builder, cached)."""
+    from m3sph import _kernels, polyalg, spherical
+
+    return [
+        (build_irrep, True),
+        (polyalg.coeff_table, True),
+        (polyalg.exact_generators, True),
+        (polyalg._generator_bands, True),
+        (lambda m: polyalg.lagrange_unit_eigvec(m, 0), True),
+        (polyalg.e1_diagonals, True),
+        (_kernels.axis_diagonals, True),
+        (spherical.unit_eigvecs, True),
+        (lambda m: spherical.build_tridiagonal(m, 1.0), False),
+    ]
+
+
+@pytest.mark.parametrize("m", [[1], 1.0, True, -1, "1"], ids=repr)
+def test_every_per_type_cache_checks_m_before_the_cache(m):
+    # an unhashable, float, bool, negative or string m is a ValueError, not
+    # a TypeError of the cache or an empty table
+    for build, _ in _per_type_builders():
+        with pytest.raises(ValueError, match="m must be a non-negative integer"):
+            build(m)
+
+
+def test_a_numpy_int_m_shares_the_int_entry_of_every_per_type_cache():
+    for build, cached in _per_type_builders():
+        if cached:
+            assert build(np.int64(1)) is build(1)
+        else:
+            assert np.array_equal(build(np.int64(1)).superdiag, build(1).superdiag)
+
+
 def test_irrep_json_roundtrip():
     rep = build_irrep(2)
     again = Irrep.from_json(rep.to_json())
