@@ -518,6 +518,7 @@ def build_Q(m: int) -> list[MatPoly]:
     Q_{j+1} = Q_1 Q_j - (r^2 a_j / (2j+1)) Q_{j-1}, from
     Q_1 = sum_i y_i B_i; each step is one _lincomb of Q_1 Q_j (mul_q1) and
     three shifts of Q_{j-1}.  An m above M_MAX_EXACT is refused (exact_generators)."""
+    exact_generators(m)  # the cap, before anything of type m is built or cached
     table = coeff_table(m)
     qs = [MatPoly.identity(2 * m + 1)]
     if m == 0:

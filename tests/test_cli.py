@@ -646,8 +646,8 @@ def test_negative_type_index_is_named(capsys, tmp_path, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", [
     ["rep"], ["synth", "gaussian", "--out", "never.m3sf"], ["synth", "bump", "--out", "never.m3sf"],
-    ["check"],
-], ids=["rep", "synth-gaussian", "synth-bump", "check"])
+    ["check"], ["qpoly"],
+], ids=["rep", "synth-gaussian", "synth-bump", "check", "qpoly"])
 def test_huge_type_index_is_refused_before_allocation(capsys, tmp_path, monkeypatch, argv):
     # the size of type m is checked before anything of that size is built
     monkeypatch.chdir(tmp_path)

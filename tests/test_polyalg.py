@@ -288,6 +288,18 @@ def test_exact_generators_capability_cap():
         build_Q(5)
 
 
+@pytest.mark.parametrize("m", [5, 10**9])
+def test_build_Q_refuses_above_the_cap_before_building(monkeypatch, m):
+    # the cap is checked before the coefficient table or any matrix of type m
+    def never(*args):
+        raise AssertionError("built before the cap was checked")
+
+    monkeypatch.setattr(polyalg, "coeff_table", never)
+    monkeypatch.setattr(MatPoly, "identity", never)
+    with pytest.raises(CapabilityError, match=f"m={m}"):
+        build_Q(m)
+
+
 def test_m0_generators_zero():
     assert all(g.is_zero() for g in exact_generators(0))
     assert build_Q(0)[0] == MatPoly.identity(1)
