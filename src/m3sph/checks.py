@@ -10,9 +10,14 @@ of their parity partners), every D_tau Phi value and every positive-type
 Gram matrix from one stacked evaluation each (spherical.eval_phi_stack,
 apply_dtau_stack, positive_type_stack; a stack holds at most
 _STACK_ENTRIES matrix entries) and reads each case from a slice of the
-results; construction 2 stays one call per (s, j).  The polyalg suite
-evaluates each Q_j once at every draw of its rotation check, and the
-radial suite reads each of its grids from one kernel table (f_upto).
+results.  Construction 2 takes the same runs, with the polar projections
+of every draw from one q_series call (spherical.phi_method2_stack), and
+every tau(k) of a run comes from one so3rep.tau_stack, its equivariance
+residuals from one stacked conjugation.  The polyalg suite evaluates each
+Q_j once at every draw of its rotation check, with every tau(k) from one
+tau_stack, and forms each derivative of a Q_j once (MatPoly.diff keeps
+it); the radial suite reads each of its grids from one kernel table
+(f_upto).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from ._kernels import check_numeric_m
 from .errors import ConsistencyError
 from .fieldio import synthesize
 from .polyalg import M_MAX_EXACT
-from .so3rep import Rotation, build_irrep, dtau, tau
+from .so3rep import Rotation, build_irrep, dtau, tau, tau_stack
 
 
 class _Recorder:
@@ -166,7 +171,7 @@ def suite_polyalg(ms, rng, profile: str) -> dict:
         rep = build_irrep(m)
         ks, xs = zip(*((Rotation.random(rng), rng.normal(size=3))
                        for _ in range(3 if profile == "quick" else 6)))
-        tks = np.array([tau(rep, k) for k in ks])
+        tks = tau_stack(rep, ks)
         defects = [_rotation_defects(q, ks, tks, np.array(xs)) for q in qs]
         for p in range(len(ks)):
             for j, (residual, tol) in enumerate(defects):
@@ -309,9 +314,11 @@ def suite_spherical(ms, rng, profile: str) -> dict:
         per_run = max(1, _STACK_ENTRIES // (n_pts * rep.dim**2))
         for r0 in range(0, len(draws), per_run):
             _phi_cases(rec, rep, draws[r0 : r0 + per_run], n_lap)
-        # projections
-        for _ in range(2 if profile == "quick" else 4):
-            xi = _random_unit(rng) * rng.uniform(0.5, 2.0)
+        # projections: every draw first, then every tau(k) from one stack
+        proj_draws = [(_random_unit(rng) * rng.uniform(0.5, 2.0), Rotation.random(rng))
+                      for _ in range(2 if profile == "quick" else 4)]
+        tks = tau_stack(rep, [k for _, k in proj_draws])
+        for (xi, k), tk in zip(proj_draws, tks):
             fam = spherical.projections(m, xi)
             famneg = spherical.projections(m, -xi)
             total = np.zeros((rep.dim, rep.dim), dtype=np.complex128)
@@ -338,9 +345,7 @@ def suite_spherical(ms, rng, profile: str) -> dict:
                     1e-12,
                 )
             rec.case(f"m={m} resolution of identity", np.max(np.abs(total - eye)), 1e-12)
-            k = Rotation.random(rng)
             fam2 = spherical.projections(m, k.apply(fam.direction))
-            tk = tau(rep, k)
             for j in (-m, 0, m):
                 rec.case(
                     f"m={m} P_{j} covariance",
@@ -368,8 +373,11 @@ def _phi_cases(rec, rep, run, n_lap: int):
     """Record the construction-1 cases of a run of (s, j, xs, ks, ys) draws
     of type rep.m.  Every value of Phi comes from one stacked evaluation
     (per case the origin, xs, -xs, the Laplacian stencils at the first n_lap
-    of xs, k^-1 y and y, then Phi_{s,-j} at -xs) and every D_tau Phi from a
-    second; each case reads slices of them."""
+    of xs, k^-1 y and y, then Phi_{s,-j} at -xs), every D_tau Phi from a
+    second and every construction-2 value from a third
+    (spherical.phi_method2_stack); every tau(k) of the run comes from one
+    tau_stack, and the equivariance residuals from one stacked conjugation
+    tau(k) Phi(k^-1 y) tau(k)^*.  Each case reads slices of them."""
     m, eye, n_x = rep.m, np.eye(rep.dim), len(run[0][2])
     specs, pts = [], []
     for s, j, xs, ks, ys in run:
@@ -379,6 +387,13 @@ def _phi_cases(rec, rep, run, n_lap: int):
         pts += [np.concatenate([np.zeros((1, 3)), xs, -xs, lap_pts, eq_pts]), -xs]
     vals = spherical.eval_phi_stack(specs, pts)
     dts = spherical.apply_dtau_stack(specs[::2], [xs[:n_lap] for _, _, xs, _, _ in run])
+    method2 = spherical.phi_method2_stack(m, [(s, j, xs) for s, j, xs, _, _ in run])
+    # tau(k) Phi(k^-1 y) tau(k)^* against Phi(y), for every rotation of the run at once
+    n_k = len(run[0][3])
+    eq = np.array([vals[2 * i][-2 * n_k:] for i in range(len(run))])  # (run, 2 n_k, d, d)
+    tks = tau_stack(rep, [k for *_, ks, _ in run for k in ks]).reshape(len(run), n_k, rep.dim, rep.dim)
+    moved = tks @ eq[:, :n_k] @ tks.conj().swapaxes(-1, -2)
+    eq_defects = np.max(np.abs(moved - eq[:, n_k:]), axis=(2, 3))
     for i, (s, j, xs, ks, _) in enumerate(run):
         spec1 = specs[2 * i]
         rec.case(
@@ -392,13 +407,12 @@ def _phi_cases(rec, rep, run, n_lap: int):
             np.max(np.abs(spherical.build_tridiagonal(m, s).matrix() @ v - s * j * v)),
             1e-9 * max(1.0, s) ** (2 * m),
         )
-        phi0, vals1, valsc, vals_lap, vals_eq = np.split(
-            vals[2 * i], np.cumsum([1, n_x, n_x, 13 * n_lap])
-        )
+        phi0, vals1, valsc, vals_lap = np.split(vals[2 * i][: 1 + 2 * n_x + 13 * n_lap],
+                                                np.cumsum([1, n_x, n_x]))
         rec.case(f"m={m} s={s} j={j} phi(0) = I", np.max(np.abs(phi0[0] - eye)), 1e-12)
         rec.case(
             f"m={m} s={s} j={j} method1 vs method2",
-            np.max(np.abs(vals1 - spherical.phi_method2_batch(m, s, j, xs))),
+            np.max(np.abs(vals1 - method2[i])),
             1e-6,
         )
         rec.case(f"m={m} s={s} j={j} parity", np.max(np.abs(vals1 - vals[2 * i + 1])), 1e-10)
@@ -419,13 +433,8 @@ def _phi_cases(rec, rep, run, n_lap: int):
                 np.max(np.abs(dts[i][p] - s * j * vals1[p])),
                 1e-6 * (1 + s),
             )
-        for p, k in enumerate(ks):
-            tk = tau(rep, k)
-            rec.case(
-                f"m={m} s={s} j={j} equivariance",
-                np.max(np.abs(tk @ vals_eq[p] @ tk.conj().T - vals_eq[3 + p])),
-                1e-8,
-            )
+        for defect in eq_defects[i]:
+            rec.case(f"m={m} s={s} j={j} equivariance", defect, 1e-8)
 
 
 def _laplacian_points(xs, h: float) -> np.ndarray:

@@ -178,6 +178,16 @@ def _lincomb(dim: int, parts) -> "MatPoly":
     return _reduced(dim, out, den)
 
 
+def _derivative(P: "MatPoly", axis: int) -> "MatPoly":
+    """d/dy_axis of P, formed afresh (MatPoly.diff keeps it)."""
+    out = {
+        e[:axis] + (e[axis] - 1,) + e[axis + 1 :]: n if e[axis] == 1 else e[axis] * n
+        for e, n in P.terms.items()
+        if e[axis]
+    }
+    return _reduced(P.dim, out, P.den)
+
+
 @dataclass(frozen=True)
 class MatPoly:
     """Matrix-valued polynomial in the split-form variables y with real
@@ -193,7 +203,11 @@ class MatPoly:
 
     Every sum, scale and shift is one _lincomb pass.  Numerator arrays are
     never written in place, so results share them freely: a factor of 1 (a
-    common denominator, ``scale(1)``, ``mul_monomial``) passes them on.
+    common denominator, ``scale(1)``, ``mul_monomial``) passes them on.  As
+    a MatPoly is immutable, what it derives is kept on it, formed on first
+    use: its float terms (_float_terms) and its first derivative along each
+    axis (diff), which laplacian, apply_dtau_op and equivariance_defect of
+    one polynomial share.
     """
 
     dim: int
@@ -238,13 +252,17 @@ class MatPoly:
 
     # -- calculus ------------------------------------------------------
     def diff(self, axis: int) -> "MatPoly":
-        """d/dy_axis."""
-        out = {
-            e[:axis] + (e[axis] - 1,) + e[axis + 1 :]: n if e[axis] == 1 else e[axis] * n
-            for e, n in self.terms.items()
-            if e[axis]
-        }
-        return _reduced(self.dim, out, self.den)
+        """d/dy_axis, formed once per polynomial and axis (_derivative) and
+        then returned as the same object."""
+        out = self._derivatives.get(axis)
+        if out is None:
+            out = self._derivatives[axis] = _derivative(self, axis)
+        return out
+
+    @cached_property
+    def _derivatives(self) -> dict:
+        """The derivatives diff has formed, by axis."""
+        return {}
 
     # -- queries ---------------------------------------------------------
     def is_zero(self) -> bool:

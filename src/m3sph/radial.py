@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ._kernels import f_table
+from .errors import CapabilityError
 
 
 def double_factorial_odd(j: int) -> float:
@@ -96,12 +97,19 @@ def _spline_profile(grid: np.ndarray, samples: np.ndarray) -> RadialProfile:
     """Decaying cubic-spline profile through complex ``samples`` of shape
     (grid.size,) + V on ``grid``; zero outside the grid.  One real spline
     runs through the real parts and then the imaginary parts of every
-    column."""
+    column.  Samples whose spline coefficients (slopes over the grid
+    spacing and their differences) leave float range raise CapabilityError."""
     from scipy.interpolate import CubicSpline
 
     flat = samples.reshape(grid.size, -1)
     n = flat.shape[1]
-    spline = CubicSpline(grid, np.concatenate([flat.real, flat.imag], axis=1))
+    with np.errstate(all="ignore"):
+        spline = CubicSpline(grid, np.concatenate([flat.real, flat.imag], axis=1))
+    if not np.isfinite(spline.c).all():
+        raise CapabilityError(
+            "the radial samples change too fast for their grid: their cubic spline's "
+            "coefficients are out of float range"
+        )
     lo, hi = float(grid[0]), float(grid[-1])
 
     def ev(r):

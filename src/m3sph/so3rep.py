@@ -87,7 +87,9 @@ def check_type_index(m: int):
 
 def check_weight_index(m: int, j: int):
     """Raise ValueError unless j is an integer with -m <= j <= m: the one
-    check of the weight index j of type m."""
+    check of the weight index j of type m, made after that of m
+    (check_type_index)."""
+    check_type_index(m)
     if not _is_integer(j):
         raise ValueError(f"index j must be an integer, got {j}")
     if not -m <= j <= m:
@@ -211,12 +213,24 @@ class Rotation:
 
 
 def tau(rep: Irrep, k: Rotation) -> np.ndarray:
-    """The unitary matrix of the rotation k in the type-m representation.
+    """The unitary matrix of the rotation k in the type-m representation:
+    the one-rotation case of tau_stack."""
+    return tau_stack(rep, [k])[0]
 
-    Computed as exp(angle * dtau(axis)) through the spectral decomposition
-    of the skew-Hermitian argument (eigenvalues are exactly i*j), so no
-    series truncation is involved.
+
+def tau_stack(rep: Irrep, ks) -> np.ndarray:
+    """tau(k) for each rotation k of ``ks``; (n, dim, dim).
+
+    Each is exp(angle * dtau(axis)) through the spectral decomposition of
+    the skew-Hermitian argument (eigenvalues are exactly i*j), so no series
+    truncation is involved: one tensordot of the axes with the generators,
+    one stacked eigh and one stacked product.  The axis matrices have at
+    most one nonzero term per real and imaginary part of an entry, and eigh
+    and the product run per matrix, so a rotation's matrix is the one it
+    gives alone, to the bit.
     """
-    h = -1j * dtau(rep, k.axis)  # Hermitian
+    axes = np.array([k.axis for k in ks], dtype=np.float64).reshape(-1, 3)
+    angles = np.array([k.angle for k in ks], dtype=np.float64)
+    h = -1j * np.tensordot(axes, rep.generators, axes=([1], [0]))  # Hermitian
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * k.angle * w)) @ v.conj().T
+    return (v * np.exp(1j * angles[:, None] * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)

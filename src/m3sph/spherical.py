@@ -26,7 +26,9 @@ by _kernels.q_series.  One evaluator serves them: a stack of specs of one
 m at their own points (_stack), each diagonal formed once per distinct
 (spec, radius) pair in one q_series call; eval_phi_batch,
 apply_dtau_analytic and check_positive_type are its one-element stacks.
-Construction 2's spectral projections pass q_series too.
+Construction 2's spectral projections pass q_series too: a stack of
+draws (s, j, xs) of one m takes the polar projections of every draw from
+one call (phi_method2_stack), and phi_method2_batch is its one-draw case.
 
 Indexing: j is canonically the integer with eigenvalue s*j; the projection
 P_j(xi) projects onto the i*j*|xi| eigenspace of the axis matrix.
@@ -244,11 +246,6 @@ class ProjectionFamily:
         return self.matrices[j + self.m]
 
 
-def _projection_stack(m: int, xis: np.ndarray, j: int) -> np.ndarray:
-    """P_j(xi) = W E_jj W^* for a batch of directions; returns (n, d, d)."""
-    return q_series(lambda rs, _: np.eye(2 * m + 1)[np.full(rs.size, j + m)], xis)
-
-
 def projections(m: int, xi) -> ProjectionFamily:
     """The projection family for the direction xi/|xi| (xi nonzero): each
     E_jj, labelled j, moved to xi by q_series.  xi is scaled by max |xi_k|
@@ -328,32 +325,68 @@ def phi_method2(m: int, s: float, j: int, x) -> np.ndarray:
 
 def phi_method2_batch(m: int, s: float, j: int, xs: np.ndarray) -> np.ndarray:
     """phi_method2 at an (n, 3) batch of points, on the one rule that the
-    largest |x| of the batch needs; (n, d, d).  The rule is a product around
-    e_1, and a turn by phi about e_1 multiplies entry (a, b) of P_j by
-    e^{-i(a-b) phi}, so polar node k adds P_j(theta_k, 0) times G_{a-b}(x, k),
-    the length n_az FFT over the azimuths of the phases e^{-is<x, xi_kl>}
-    (the discrete Jacobi-Anger expansion).  The points go in blocks, so no
-    phase, FFT or gathered array holds more than _PHASE_ENTRIES entries.
-    An empty batch gives an empty stack."""
-    _check_params(m, s, j)
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    rs = radii(xs)
-    if not rs.size:
-        return np.empty((0, 2 * m + 1, 2 * m + 1), dtype=np.complex128)
-    radius = float(np.max(rs))
-    # ceil((band_limit_degree + 1) / 2) <= _MAX_POLAR_NODES, without the ceil of a huge float
-    if not math.e * s * radius <= 2 * _MAX_POLAR_NODES - 2 * m - 11:
-        raise CapabilityError(
-            f"the sphere rule for s*|x| = {s * radius:.3g} at m={m} needs more than "
-            f"{_MAX_POLAR_NODES} polar nodes (degree {2 * _MAX_POLAR_NODES - 1})"
-        )
-    n_polar = math.ceil((band_limit_degree(m, s, radius) + 1) / 2)
-    mu, sin_t, wk, cos_az, sin_az = _polar_factor(n_polar)
-    n_az, d = 2 * n_polar, 2 * m + 1
-    base = np.stack([mu, sin_t, np.zeros(n_polar)], axis=1)  # the nodes at azimuth 0
-    projs = _projection_stack(m, base, j) * wk[:, None, None]
-    diffs = np.subtract.outer(np.arange(d), np.arange(d)) % n_az  # the FFT index of a - b
+    largest |x| of the batch needs; (n, d, d): the one-draw case of
+    phi_method2_stack.  An empty batch gives an empty stack."""
+    return phi_method2_stack(m, [(s, j, xs)])[0]
+
+
+def phi_method2_stack(m: int, draws) -> list[np.ndarray]:
+    """Construction 2 for a stack of draws (s, j, xs) of one type m: for
+    each, phi_method2 at its (n, 3) points xs on the one rule that its
+    largest |x| needs, an (n, d, d) array.
+
+    The rule is a product around e_1, and a turn by phi about e_1 multiplies
+    entry (a, b) of P_j by e^{-i(a-b) phi}, so polar node k adds
+    P_j(theta_k, 0) times G_{a-b}(x, k), the length n_az FFT over the
+    azimuths of the phases e^{-is<x, xi_kl>} (the discrete Jacobi-Anger
+    expansion).  Every draw is checked, its radii formed and its rule
+    sized and refused in draw order first; then the polar projections
+    P_j(theta_k, 0) of every draw come from one q_series call, labelled by
+    j, and each draw does its own phases, FFT and sum.  Its points go in
+    blocks, so no phase, FFT or gathered array holds more than
+    _PHASE_ENTRIES entries.  A draw's value is the one it gives alone, to
+    the bit up to m = 5; above, axis_transport may round a projection in
+    the last bits with the batch around it."""
+    d = 2 * m + 1
+    rules = []
+    for s, j, xs in draws:
+        _check_params(m, s, j)
+        xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+        rs = radii(xs)
+        n_polar = 0
+        if rs.size:
+            radius = float(np.max(rs))
+            # ceil((band_limit_degree + 1) / 2) <= _MAX_POLAR_NODES, without the ceil of a huge float
+            if not math.e * s * radius <= 2 * _MAX_POLAR_NODES - 2 * m - 11:
+                raise CapabilityError(
+                    f"the sphere rule for s*|x| = {s * radius:.3g} at m={m} needs more than "
+                    f"{_MAX_POLAR_NODES} polar nodes (degree {2 * _MAX_POLAR_NODES - 1})"
+                )
+            n_polar = math.ceil((band_limit_degree(m, s, radius) + 1) / 2)
+        rules.append((s, j, xs, n_polar))
+    sizes = [n_polar for *_, n_polar in rules]
+    if not any(sizes):
+        return [np.empty((0, d, d), dtype=np.complex128) for _ in rules]
+    # the nodes of each rule at azimuth 0, labelled by the draw's j
+    base = np.concatenate([np.stack(_polar_factor(n)[:2] + (np.zeros(n),), axis=1)
+                           for n in sizes if n])
+    labels = np.repeat([j + m for _, j, _, _ in rules], sizes)
+    projs = np.split(q_series(lambda rs, js: np.eye(d)[js], base, labels), np.cumsum(sizes)[:-1])
+    return [_method2_sum(m, s, xs, n_polar, p) for (s, _, xs, n_polar), p in zip(rules, projs)]
+
+
+def _method2_sum(m: int, s: float, xs: np.ndarray, n_polar: int, projs: np.ndarray) -> np.ndarray:
+    """(2m+1) sum_k w_k P_j(theta_k, 0) G_{a-b}(x, k) at the (n, 3) points
+    xs, for the rule of n_polar polar nodes and its (n_polar, d, d) polar
+    projections ``projs`` (phi_method2_stack); (n, d, d)."""
+    d = 2 * m + 1
     out = np.empty((xs.shape[0], d, d), dtype=np.complex128)
+    if not n_polar:
+        return out
+    mu, sin_t, wk, cos_az, sin_az = _polar_factor(n_polar)
+    n_az = 2 * n_polar
+    projs = projs * wk[:, None, None]
+    diffs = np.subtract.outer(np.arange(d), np.arange(d)) % n_az  # the FFT index of a - b
     step = max(1, _kernels._PHASE_ENTRIES // (n_polar * max(n_az, d * d)))
     for p0 in range(0, xs.shape[0], step):
         x = xs[p0 : p0 + step]
@@ -363,7 +396,7 @@ def phi_method2_batch(m: int, s: float, j: int, xs: np.ndarray) -> np.ndarray:
         g = g * (-1j * s)
         np.fft.fft(np.exp(g, out=g), axis=2, out=g)
         out[p0 : p0 + step] = np.einsum("pkab,kab->pab", g[:, :, diffs], projs)
-    return (2 * m + 1) * out
+    return d * out
 
 
 # ---------------------------------------------------------------------------

@@ -60,15 +60,22 @@ def test_spherical_suite_evaluates_each_spec_in_one_call(monkeypatch):
     # (s, j) cases and their parity partners, one for every D_tau value and
     # one for every positive-type Gram matrix; none through the one-spec
     # evaluators.  q_series takes those 3 stacks, the 6 projection families
-    # and the 21 polar projection stacks of construction 2
+    # and the polar projections of every construction-2 draw in one call
+    # (one per draw made 21).  Every tau(k) comes from one tau_stack per
+    # run of cases and one for the projection covariance, none from tau
     stacks = _counting(monkeypatch, spherical, "_stack")
     calls = _counting(monkeypatch, spherical, "q_series")
     one_spec = [_counting(monkeypatch, spherical, name)
-                for name in ("eval_phi_batch", "apply_dtau_analytic", "check_positive_type")]
+                for name in ("eval_phi_batch", "apply_dtau_analytic", "check_positive_type",
+                             "phi_method2_batch")]
+    method2 = _counting(monkeypatch, spherical, "phi_method2_stack")
+    taus, tau_stacks = _counting(monkeypatch, checks, "tau"), _counting(monkeypatch, checks, "tau_stack")
     assert checks.suite_spherical([3], np.random.default_rng(0), "quick")["pass"]
     assert len(stacks) == 3
-    assert len(calls) == 3 + 6 + 21
-    assert one_spec == [[], [], []]
+    assert len(calls) == 3 + 6 + 1
+    assert one_spec == [[], [], [], []]
+    assert len(method2) == 1
+    assert (len(taus), len(tau_stacks)) == (0, 2)
 
 
 def test_polyalg_suite_evaluates_each_q_once_for_its_rotation_check(monkeypatch):
@@ -77,6 +84,15 @@ def test_polyalg_suite_evaluates_each_q_once_for_its_rotation_check(monkeypatch)
     abs_evals = _counting(monkeypatch, polyalg.MatPoly, "eval_abs")
     assert checks.suite_polyalg([3], np.random.default_rng(0), "quick")["pass"]
     assert len(evals) == len(abs_evals) == 7
+
+
+def test_polyalg_suite_forms_each_derivative_once(monkeypatch):
+    # at m = 3: the first and the second derivative of each of the 7 Q_j
+    # along each axis, which laplacian, apply_dtau_op and equivariance_defect
+    # share (each forming its own made 105)
+    calls = _counting(monkeypatch, polyalg, "_derivative")
+    assert checks.suite_polyalg([3], np.random.default_rng(0), "quick")["pass"]
+    assert len(calls) == 42
 
 
 def test_spherical_suite_builds_each_projection_family_once(monkeypatch):

@@ -782,6 +782,22 @@ def test_malformed_synth_params_is_usage_error(capsys, tmp_path, kind, params):
     assert not out_path.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_radial_file_whose_spline_leaves_float_range_is_refused(capsys, tmp_path):
+    # 2 sigma^2 = 2.4e-308 is normal, so synth writes the file; its samples
+    # of O(1) over a grid spaced 5e-157 give spline coefficients past float
+    # range, which the reader refuses where every spectral value was NaN
+    src = tmp_path / "g.m3sf"
+    params = '{"sigma": 1.1e-154}'
+    code, _, _ = run_cli(capsys, "synth", "gaussian", "--m", "1", "--out", str(src), "--params", params)
+    assert code == 0
+    out_path = tmp_path / "g.json"
+    code, out, err = run_cli(capsys, "transform", "forward", "--in", str(src), "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert "float range" in err
+    assert not out_path.exists()
+
+
 def test_synth_negative_m_is_usage_error(capsys, tmp_path):
     out_path = tmp_path / "f.m3sf"
     code, out, err = run_cli(capsys, "synth", "gaussian", "--m", "-1", "--out", str(out_path))

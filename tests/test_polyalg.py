@@ -505,6 +505,25 @@ def _same(out: MatPoly, ref: MatPoly) -> bool:
     return out == ref and list(out.terms) == list(ref.terms)
 
 
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_diff_is_formed_once_and_is_the_fresh_derivative(m):
+    # each derivative is kept on its polynomial: a second call returns the
+    # same object, equal in values and term order to one formed afresh, and
+    # its coefficients are those of the term-by-term derivative
+    P = _random_matpoly(np.random.default_rng(90 + m), m)
+    for axis in range(3):
+        dP = P.diff(axis)
+        assert dP is P.diff(axis)
+        assert dP.diff(axis) is P.diff(axis).diff(axis)
+        assert _same(dP, polyalg._derivative(P, axis))
+        ref = {
+            e[:axis] + (e[axis] - 1,) + e[axis + 1:]: [[Fraction(e[axis] * x, P.den) for x in row] for row in n]
+            for e, n in P.terms.items()
+            if e[axis]
+        }
+        assert {e: [[Fraction(x, dP.den) for x in row] for row in n] for e, n in dP.terms.items()} == ref
+
+
 @pytest.mark.parametrize("m", range(7))
 def test_one_pass_families_are_the_pairwise_ones(m, exact_cap_6):
     # every family the package builds from sums, against the pairwise

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from m3sph.so3rep import SO3_GENERATORS, Irrep, Rotation, build_irrep, dtau, tau
+from m3sph.so3rep import SO3_GENERATORS, Irrep, Rotation, build_irrep, dtau, tau, tau_stack
 
 
 def test_trivial_rep():
@@ -179,6 +179,27 @@ def test_indices_must_be_integers():
             check_weight_index(2, j)
     with pytest.raises(ValueError):
         build_irrep(1.0)
+
+
+def test_weight_index_check_takes_m_first():
+    # a list or a negative m is blamed as m, not as a TypeError or a j out of range
+    from m3sph.polyalg import unit_eigvec
+
+    for m in ([1], -1):
+        with pytest.raises(ValueError, match="m must be a non-negative integer"):
+            unit_eigvec(m, 0)
+
+
+def test_tau_stack_is_each_rotation_alone_to_the_bit():
+    rng = np.random.default_rng(31)
+    for m in range(27):
+        rep = build_irrep(m)
+        ks = [Rotation.random(rng) for _ in range(4)] + [Rotation.random(rng).inverse(), Rotation.identity()]
+        stack = tau_stack(rep, ks)
+        assert stack.shape == (len(ks), rep.dim, rep.dim)
+        for k, tk in zip(ks, stack):
+            assert np.array_equal(tk.view(np.uint64), tau(rep, k).view(np.uint64))
+    assert tau_stack(build_irrep(2), []).shape == (0, 5, 5)
 
 
 def test_cached_irrep_still_refuses_a_bool_or_a_float():

@@ -18,10 +18,17 @@ from m3sph.spherical import (
     phi_method1,
     phi_method2,
     phi_method2_batch,
+    phi_method2_stack,
     phi_method3,
     projections,
     sphere_rule,
 )
+
+
+def _projection_stack(m, xis, j):
+    """P_j at each of an (n, 3) batch of directions, through q_series as in
+    construction 2: the row j + m of the identity moved to each direction."""
+    return _kernels.q_series(lambda rs, _: np.eye(2 * m + 1)[np.full(rs.size, j + m)], xis)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +267,7 @@ def test_method1_on_the_axis_against_a_polar_quadrature(m):
     xis = np.stack([mu, np.sqrt(1.0 - mu**2), np.zeros_like(mu)], axis=1)
     for s, t in ((1.0, 40.0), (2.5, 7.0)):
         for j in (-m, 0, 1, m):
-            diag = np.diagonal(spherical._projection_stack(m, xis, j), axis1=1, axis2=2)
+            diag = np.diagonal(_projection_stack(m, xis, j), axis1=1, axis2=2)
             ref = (2 * m + 1) * 0.5 * (w * np.exp(-1j * t * mu)) @ diag
             val = eval_phi(phi_method1(m, s, j), np.array([t / s, 0.0, 0.0]))
             assert np.max(np.abs(np.diagonal(val) - ref)) < 1e-12
@@ -404,7 +411,7 @@ def test_projections_check_m():
 
 @pytest.mark.parametrize("m", [0, 1, 3, 6, 26])
 def test_projections_through_q_series_are_the_direct_transport_bit_for_bit(m):
-    # the family and the polar stacks of construction 2 go through
+    # the family and the polar projections of construction 2 go through
     # q_series; each is axis_transport of the rows of the identity, with
     # the radii of radii(), to the bit
     d = 2 * m + 1
@@ -419,7 +426,7 @@ def test_projections_through_q_series_are_the_direct_transport_bit_for_bit(m):
     for j in (-m, 0, m):
         row = np.broadcast_to(np.eye(d)[j + m], (len(xis), d))
         direct = _kernels.axis_transport(row, xis, _kernels.radii(xis))
-        assert np.array_equal(spherical._projection_stack(m, xis, j), direct)
+        assert np.array_equal(_projection_stack(m, xis, j), direct)
 
 
 def test_projections_take_the_direction_of_any_finite_vector():
@@ -549,7 +556,7 @@ def test_method2_matches_the_product_rule_sum(m):
     for s, j in ((0.5, -m), (1.0, 0), (2.0, m)):
         rule = sphere_rule(spherical.band_limit_degree(m, s, radius))
         phases = np.exp(-1j * s * (xs @ rule.nodes.T)) * rule.weights
-        projs = spherical._projection_stack(m, rule.nodes, j)
+        projs = _projection_stack(m, rule.nodes, j)
         ref = (2 * m + 1) * np.einsum("pa,aij->pij", phases, projs)
         assert np.max(np.abs(phi_method2_batch(m, s, j, xs) - ref)) <= 1e-14
 
@@ -575,6 +582,49 @@ def test_method2_refusal_falls_at_one_polar_node_count(monkeypatch, m):
         phi_method2_batch(m, limit * (1 - 1e-12), 0, x)
     with pytest.raises(CapabilityError, match="more than 2048 polar nodes"):
         phi_method2_batch(m, limit * (1 + 1e-12), 0, x)
+
+
+def _method2_draws(m: int, seed: int) -> list:
+    """The (s, j, xs) draws of construction 2 in a check run of type m, with
+    an empty batch among them."""
+    rng = np.random.default_rng(seed)
+    draws = [(s, j, rng.uniform(-5 / np.sqrt(3), 5 / np.sqrt(3), size=(5, 3)))
+             for s in (0.5, 1.0, 2.0) for j in range(-m, m + 1)]
+    return draws[:1] + [(1.0, 0, np.empty((0, 3)))] + draws[1:]
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_method2_stack_is_each_draw_alone_to_the_bit(m):
+    draws = _method2_draws(m, 70 + m)
+    out = phi_method2_stack(m, draws)
+    assert len(out) == len(draws)
+    for (s, j, xs), v in zip(draws, out):
+        assert np.array_equal(v.view(np.uint64), phi_method2_batch(m, s, j, xs).view(np.uint64))
+    assert phi_method2_stack(m, []) == []
+
+
+@pytest.mark.parametrize("m", [6, 8])
+def test_method2_stack_is_each_draw_alone_to_rounding(m):
+    # above m = 5 axis_transport may round a polar projection in the last
+    # bits with the batch around it
+    draws = _method2_draws(m, 70 + m)
+    for (s, j, xs), v in zip(draws, phi_method2_stack(m, draws)):
+        alone = phi_method2_batch(m, s, j, xs)
+        scale = max(1.0, np.max(np.abs(alone), initial=0.0))
+        assert np.max(np.abs(v - alone), initial=0.0) <= 8 * np.finfo(float).eps * scale
+
+
+def test_method2_stack_refuses_every_draw_before_its_projections(monkeypatch):
+    # a refused draw after a good one raises before the one q_series call
+    def no_projections(*args):
+        raise AssertionError("projections formed before a refusal")
+
+    monkeypatch.setattr(spherical, "q_series", no_projections)
+    good = (1.0, 0, np.ones((2, 3)))
+    with pytest.raises(CapabilityError, match="more than 2048 polar nodes"):
+        phi_method2_stack(1, [good, (1e4, 1, np.ones((1, 3)))])
+    with pytest.raises(ValueError, match="out of range"):
+        phi_method2_stack(1, [good, (1.0, 2, np.ones((1, 3)))])
 
 
 def test_method2_builds_its_phases_in_blocks(monkeypatch):
