@@ -407,8 +407,9 @@ def _phi_cases(rec, rep, run, n_lap: int):
             np.max(np.abs(spherical.build_tridiagonal(m, s).matrix() @ v - s * j * v)),
             1e-9 * max(1.0, s) ** (2 * m),
         )
-        phi0, vals1, valsc, vals_lap = np.split(vals[2 * i][: 1 + 2 * n_x + 13 * n_lap],
-                                                np.cumsum([1, n_x, n_x]))
+        phi0, vals1, valsc, vals_lap, _ = np.split(
+            vals[2 * i], np.cumsum([1, n_x, n_x, 13 * n_lap])
+        )
         rec.case(f"m={m} s={s} j={j} phi(0) = I", np.max(np.abs(phi0[0] - eye)), 1e-12)
         rec.case(
             f"m={m} s={s} j={j} method1 vs method2",
