@@ -82,8 +82,10 @@ def radii(xs: np.ndarray) -> np.ndarray:
 def gauss_legendre(n: int):
     """The n-node Gauss-Legendre rule on [-1, 1], nodes and weights,
     read-only and cached per n: the one place a rule is built (numpy's
-    leggauss, a dense eigenvalue solve of O(n^3) work).  Its callers refuse
-    an n above GL_MAX_ORDER before they call it."""
+    leggauss, a dense eigenvalue solve of O(n^3) work).  An n above
+    GL_MAX_ORDER raises CapabilityError before any work."""
+    if n > GL_MAX_ORDER:
+        raise CapabilityError(f"a Gauss-Legendre rule of {n} nodes is over {GL_MAX_ORDER}")
     rule = np.polynomial.legendre.leggauss(n)
     for a in rule:
         a.setflags(write=False)

@@ -2,11 +2,20 @@
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O or format
 error.  With --json, errors go to stderr as structured JSON lines.
+
+Each command reaches the library by one path: transform and filter declare
+their flags in one block, whose Config overrides carry Config's field
+names; phi evaluates every --method through one table of the three
+constructions; the two CSV tables build their r column in one helper; and
+every output lattice is sampled by MatrixField.sampled, on the input
+field's lattice or on the cube of the config.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import sys
@@ -47,17 +56,13 @@ def _matrix_json(mat: np.ndarray):
 
 
 def _load_config(args) -> Config:
-    cfg = Config.from_file(args.config) if getattr(args, "config", None) else Config.default()
-    flags = {
-        "s_max": "smax",
-        "radial_nodes_per_panel": "nr",
-        "grid_n": "grid_n",
-        "grid_extent": "grid_extent",
-    }
+    """The --config file, or the default config, with every flag given
+    whose dest is a Config field laid over it."""
+    cfg = Config.from_file(args.config) if args.config else Config.default()
     overrides = {
-        key: getattr(args, flag)
-        for key, flag in flags.items()
-        if getattr(args, flag, None) is not None
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(Config)
+        if getattr(args, f.name, None) is not None
     }
     return cfg.replace(**overrides) if overrides else cfg
 
@@ -98,15 +103,23 @@ def cmd_radial(args) -> int:
         raise _Usage("radial currently only emits tables; pass --table")
     if not (math.isfinite(args.s) and math.isfinite(args.rmax)):
         raise _Usage("--s and --rmax must be finite")
-    if args.n < 0:
-        raise _Usage(f"--n must be a non-negative row count, got {args.n}")
     jmax = args.jmax if args.jmax is not None else 2 * args.m
     # the r column is built even for a jmax that f_upto refuses
-    transform.check_array_entries(args.n * max(jmax + 1, 1), f"a table of {args.n} rows")
-    rs = np.linspace(0.0, args.rmax, args.n)
-    cols = f_upto(jmax, args.s * rs)
+    rs = _table_radii(args.n, "--n", args.rmax, max(jmax + 1, 1))
+    with np.errstate(over="ignore"):  # f_upto refuses an s r out of float range
+        sr = args.s * rs
+    cols = f_upto(jmax, sr)
     _print_csv("r," + ",".join(f"f_{j}" for j in range(jmax + 1)), np.column_stack([rs, cols.T]))
     return EXIT_OK
+
+
+# each construction of Phi_{s,j} as its evaluator at one point, from (m, s, j);
+# --method compare is all three, evaluated in this order
+_PHI_METHODS = {
+    "1": lambda m, s, j: functools.partial(spherical.eval_phi, spherical.phi_method1(m, s, j)),
+    "2": lambda m, s, j: functools.partial(spherical.phi_method2, m, s, j),
+    "3": lambda m, s, j: functools.partial(spherical.eval_phi, spherical.phi_method3(m, s, j)),
+}
 
 
 def cmd_phi(args) -> int:
@@ -124,25 +137,15 @@ def cmd_phi(args) -> int:
         return _phi_table(m, s, j, args)
     else:
         raise _Usage("need --at, --points-file, or --table")
-    method = args.method
-    spec1 = spherical.phi_method1(m, s, j) if method in ("1", "compare") else None
-    spec3 = spherical.phi_method3(m, s, j) if method in ("3", "compare") else None
+    methods = "123" if args.method == "compare" else args.method
+    evaluators = [_PHI_METHODS[k](m, s, j) for k in methods]
     records = []  # printed once all points are evaluated, so a refusal prints nothing
     for x in points:
-        record = {"m": m, "s": s, "j": j, "x": list(x)}
-        if method == "1":
-            record["matrix"] = _matrix_json(spherical.eval_phi(spec1, x))
-        elif method == "3":
-            record["matrix"] = _matrix_json(spherical.eval_phi(spec3, x))
-        elif method == "2":
-            record["matrix"] = _matrix_json(spherical.phi_method2(m, s, j, x))
-        else:
-            v1 = spherical.eval_phi(spec1, x)
-            v2 = spherical.phi_method2(m, s, j, x)
-            v3 = spherical.eval_phi(spec3, x)
-            record["matrix"] = _matrix_json(v1)
-            record["max_deviation_12"] = float(np.max(np.abs(v1 - v2)))
-            record["max_deviation_13"] = float(np.max(np.abs(v1 - v3)))
+        v = [evaluate(x) for evaluate in evaluators]
+        record = {"m": m, "s": s, "j": j, "x": list(x), "matrix": _matrix_json(v[0])}
+        if len(v) > 1:
+            record["max_deviation_12"] = float(np.max(np.abs(v[0] - v[1])))
+            record["max_deviation_13"] = float(np.max(np.abs(v[0] - v[2])))
         records.append(json.dumps(record))
     for line in records:
         print(line)
@@ -152,10 +155,7 @@ def cmd_phi(args) -> int:
 def _phi_table(m: int, s: float, j: int, args) -> int:
     if not math.isfinite(args.rmax):
         raise _Usage("--rmax must be finite")
-    if args.table < 0:
-        raise _Usage(f"--table must be a non-negative row count, got {args.table}")
-    transform.check_array_entries(args.table * (2 * m + 1) ** 2, f"a table of {args.table} rows")
-    rs = np.linspace(0.0, args.rmax, args.table)
+    rs = _table_radii(args.table, "--table", args.rmax, (2 * m + 1) ** 2)
     spec = spherical.phi_method1(m, s, j)
     xs = np.zeros((rs.size, 3))
     xs[:, 0] = rs
@@ -167,6 +167,17 @@ def _phi_table(m: int, s: float, j: int, args) -> int:
     return EXIT_OK
 
 
+def _table_radii(rows: int, flag: str, rmax: float, row_entries: int) -> np.ndarray:
+    """The r column of a CSV table, ``rows`` radii from 0 to ``rmax``.  A
+    negative row count is refused naming its ``flag``, and a table of more
+    than MAX_ARRAY_ENTRIES entries at ``row_entries`` a row before the
+    column is built."""
+    if rows < 0:
+        raise _Usage(f"{flag} must be a non-negative row count, got {rows}")
+    transform.check_array_entries(rows * row_entries, f"a table of {rows} rows")
+    return np.linspace(0.0, rmax, rows)
+
+
 def _print_csv(header: str, cols: np.ndarray):
     """The CSV table of ``radial --table`` and ``phi --table``: the header,
     then one row of ``cols`` per line, every float as repr-exact %.17g."""
@@ -174,15 +185,14 @@ def _print_csv(header: str, cols: np.ndarray):
     np.savetxt(sys.stdout, cols, fmt="%.17g", delimiter=",")
 
 
-def _inverse_on_cube(coeffs, cfg: Config):
-    """Inverse transform sampled on the cube [-grid_extent, grid_extent]^3
-    with grid_n nodes per axis, as a grid-form field."""
-    return transform.MatrixField.cube(
-        coeffs.m,
-        cfg.grid_extent,
-        cfg.grid_n,
-        lambda pts: transform.inverse(coeffs, pts, truncation_tol=cfg.truncation_tol),
-    )
+def _inverse_field(coeffs, cfg: Config, lattice=None):
+    """The inverse transform of ``coeffs`` as a grid field, sampled on the
+    lattice of the grid field ``lattice``, or without one on the cube
+    [-grid_extent, grid_extent]^3 of grid_n nodes per axis."""
+    sample = functools.partial(transform.inverse, coeffs, truncation_tol=cfg.truncation_tol)
+    if lattice is None:
+        return transform.MatrixField.cube(coeffs.m, cfg.grid_extent, cfg.grid_n, sample)
+    return lattice.sampled(sample)
 
 
 def cmd_transform(args) -> int:
@@ -193,7 +203,7 @@ def cmd_transform(args) -> int:
     else:
         with open(args.infile) as fh:
             coeffs = transform.SphericalCoefficients.from_json(fh.read())
-        write_field(_inverse_on_cube(coeffs, cfg), args.outfile)
+        write_field(_inverse_field(coeffs, cfg), args.outfile)
     return EXIT_OK
 
 
@@ -254,18 +264,7 @@ def cmd_filter(args) -> int:
     field = read_field(args.infile, ingest_tol=cfg.ingest_tol)
     mu = _multiplier_from_spec(args.multiplier, field.m)
     filtered = transform.apply_multiplier(_forward(field, cfg), mu)
-    if field.form == "grid":
-        pts = field.grid_points()
-        vals = transform.inverse(filtered, pts, truncation_tol=cfg.truncation_tol)
-        out = transform.MatrixField.grid(
-            field.m,
-            field.origin,
-            field.spacing,
-            vals.reshape(*field.shape, field.dim, field.dim),
-        )
-    else:
-        out = _inverse_on_cube(filtered, cfg)
-    write_field(out, args.outfile)
+    write_field(_inverse_field(filtered, cfg, field if field.form == "grid" else None), args.outfile)
     return EXIT_OK
 
 
@@ -290,6 +289,22 @@ def cmd_check(args) -> int:
 
 class _Usage(Exception):
     pass
+
+
+def _add_field_flags(p: argparse.ArgumentParser, *own):
+    """The flags of transform and filter: --in and --out, the command's
+    ``own`` (flag, options) pairs, then the Config overrides, each with
+    the name of the field it sets as its dest (_load_config), and
+    --config."""
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--out", dest="outfile", required=True)
+    for flag, options in own:
+        p.add_argument(flag, **options)
+    p.add_argument("--smax", dest="s_max", metavar="SMAX", type=float)
+    p.add_argument("--nr", dest="radial_nodes_per_panel", metavar="NR", type=int)
+    p.add_argument("--grid-n", type=int)
+    p.add_argument("--grid-extent", type=float)
+    p.add_argument("--config")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,24 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="spherical Fourier transform of a field")
     p.add_argument("direction", choices=["forward", "inverse"])
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--smax", type=float, default=None)
-    p.add_argument("--nr", type=int, default=None)
-    p.add_argument("--grid-n", type=int, default=None)
-    p.add_argument("--grid-extent", type=float, default=None)
-    p.add_argument("--config", type=str, default=None)
+    _add_field_flags(p)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("filter", help="apply a transform-side multiplier to a field")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--multiplier", required=True, help="laplacian | dtau | table.json")
-    p.add_argument("--smax", type=float, default=None)
-    p.add_argument("--nr", type=int, default=None)
-    p.add_argument("--grid-n", type=int, default=None)
-    p.add_argument("--grid-extent", type=float, default=None)
-    p.add_argument("--config", type=str, default=None)
+    _add_field_flags(p, ("--multiplier", {"required": True, "help": "laplacian | dtau | table.json"}))
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("synth", help="write a synthetic test field")
@@ -371,15 +373,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _Usage as exc:
+    except (_Usage, M3sphError, ValueError, OSError) as exc:
         _emit_error(str(exc), args.json)
-        return EXIT_USAGE
-    except (FieldFormatError, OSError, json.JSONDecodeError) as exc:
-        _emit_error(str(exc), args.json)
-        return EXIT_IO
-    except (M3sphError, ValueError) as exc:
-        _emit_error(str(exc), args.json)
-        return EXIT_USAGE
+        io_error = isinstance(exc, (FieldFormatError, OSError, json.JSONDecodeError))
+        return EXIT_IO if io_error else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -51,8 +51,9 @@ class Config:
 
     The environment variable M3S_CONFIG names a default file.  All
     tolerances must be positive, the lattice needs at least two nodes per
-    axis on a positive extent whose spacing is finite, every float must be
-    finite, and an s_max of 0 means "estimate from the field".  A cube of
+    axis on a positive extent whose spacing is finite (the check that
+    transform.MatrixField.cube makes too), every float must be finite, and
+    an s_max of 0 means "estimate from the field".  A cube of
     grid_n^3 nodes holding more than 2^28 matrix entries is refused when
     it is sampled (transform.MatrixField.cube).  radial_nodes_per_panel and
     panel_width size forward()'s s-grid; the r-rule of the radial-form
@@ -78,10 +79,7 @@ class Config:
                 raise ValueError(f"{name} must be positive and finite")
         if self.radial_nodes_per_panel < 4:
             raise ValueError("radial_nodes_per_panel must be at least 4")
-        if self.grid_n < 2:
-            raise ValueError("grid_n must be at least 2")
-        if not math.isfinite(2 * self.grid_extent / (self.grid_n - 1)):
-            raise ValueError("grid_extent must give a finite spacing 2 * grid_extent / (grid_n - 1)")
+        transform._check_lattice(self.grid_n, self.grid_extent)
         if not 0 <= self.s_max < math.inf:
             raise ValueError("s_max must be non-negative and finite (0 = estimate)")
 
@@ -301,8 +299,10 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
 
     m must be a non-negative integer and params a mapping.  sigma and width
     must be positive, with 2 w^2 normal and r_max^2 finite (_width_param),
-    amplitude and s0 finite (s0 >= 0 for the bump), and component an
-    integer; anything else raises ValueError before any sample is formed.
+    amplitude and s0 finite (s0 >= 0 for the bump, s0 r_max finite for the
+    packet), and component an integer; anything else raises ValueError
+    before any sample is formed.  A bump whose inversion sums leave float
+    range raises CapabilityError when it is sampled.
     """
     check_type_index(m)
     if params is not None and not isinstance(params, Mapping):
@@ -342,6 +342,8 @@ def synthesize(kind: str, m: int, params: dict | None = None) -> MatrixField:
     elif kind == "plane-wave-packet":
         sigma, r_max = _width_param(params, "sigma", 1.0, lambda w: 12.0 * w)
         s0 = _finite_param(params, "s0", 2.0)
+        if not math.isfinite(s0 * r_max):
+            raise ValueError(f"s0={s0!r} puts s0 * r on the sample grid out of float range")
         amp = _finite_param(params, "amplitude", 1.0, complex)
         _reject_unknown(kind, params)
         profile = RadialProfile(

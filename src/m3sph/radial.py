@@ -35,12 +35,15 @@ def double_factorial_odd(j: int) -> float:
 
 def f_upto(jmax: int, r) -> np.ndarray:
     """f_0(r)..f_jmax(r) for scalar or array r >= 0, from one kernel call;
-    shape (jmax+1,) + r.shape."""
+    shape (jmax+1,) + r.shape.  A negative, NaN or infinite r raises
+    ValueError."""
     if jmax < 0:
         raise ValueError("order must be non-negative")
     r = np.asarray(r, dtype=np.float64)
     if np.any(r < 0):
         raise ValueError("radius must be non-negative")
+    if not np.isfinite(r).all():
+        raise ValueError("radius must be finite")
     return f_table(jmax, r)
 
 

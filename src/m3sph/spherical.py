@@ -48,7 +48,7 @@ from ._kernels import (M_MAX_NUMERIC, axis_diagonals, check_numeric_m,  # noqa: 
 from .errors import CapabilityError
 from .polyalg import coeff_table, lagrange_unit_eigvec, unit_eigvec
 from .radial import _check_scale
-from .so3rep import _cached_per_type, check_type_index, check_weight_index
+from .so3rep import _cached_per_type, _is_integer, check_type_index, check_weight_index
 
 
 # the most polar nodes construction 2's sphere rule may have (degree 4095), the
@@ -294,11 +294,14 @@ def _polar_factor(n_polar: int):
     return factor
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed: 2.0 and True are refused, not served as 2 and 1
 def sphere_rule(degree: int) -> SphereRule:
-    """The rule of ``degree``, cached per degree with read-only arrays."""
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
+    """The rule of ``degree``, cached per degree with read-only arrays.  A
+    degree that is not a non-negative integer raises ValueError, one whose
+    rule needs more than GL_MAX_ORDER polar nodes (above 4095)
+    CapabilityError."""
+    if not (_is_integer(degree) and degree >= 0):
+        raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
     mu, sin_t, wk, cos_az, sin_az = _polar_factor(max(1, math.ceil((degree + 1) / 2)))
     cols = np.broadcast_arrays(mu[:, None], sin_t[:, None] * cos_az, sin_t[:, None] * sin_az)
     nodes = np.stack(cols, axis=-1).reshape(-1, 3)

@@ -40,7 +40,7 @@ from ._kernels import (
 )
 from .errors import CapabilityError, DecompositionError, MalformedCoefficientsError
 from .radial import RadialProfile, _check_scale, double_factorial_odd
-from .so3rep import Rotation, build_irrep, check_weight_index, tau
+from .so3rep import Rotation, _is_integer, build_irrep, check_weight_index, tau
 
 # default quadrature geometry (overridable per call; Config feeds the CLI)
 DEFAULT_PANEL_WIDTH = 4.0
@@ -69,6 +69,19 @@ def check_array_entries(entries: int, what: str):
     MAX_ARRAY_ENTRIES entries, before it is built."""
     if entries > MAX_ARRAY_ENTRIES:
         raise CapabilityError(f"{what} needs {entries:.3g} entries, over {MAX_ARRAY_ENTRIES}")
+
+
+def _check_lattice(n: int, extent: float):
+    """Raise ValueError unless n nodes per axis on [-extent, extent] make a
+    lattice: extent positive and finite, n at least 2, and a finite
+    spacing 2 extent / (n - 1).  The one check of a cube's size
+    (MatrixField.cube, and Config's grid_n and grid_extent)."""
+    if not 0 < extent < math.inf:
+        raise ValueError("grid_extent must be positive and finite")
+    if n < 2:
+        raise ValueError("grid_n must be at least 2")
+    if not math.isfinite(2 * extent / (n - 1)):
+        raise ValueError("grid_extent must give a finite spacing 2 * grid_extent / (grid_n - 1)")
 
 
 def inversion_constant(m: int) -> float:
@@ -156,21 +169,21 @@ class MatrixField:
 
     @staticmethod
     def cube(m: int, extent: float, n: int, sample) -> "MatrixField":
-        """A grid field on the cube [-extent, extent]^3 with n nodes per axis.
+        """A grid field on the cube [-extent, extent]^3 with n nodes per axis:
+        ``sample`` of that lattice (see sampled()).
 
-        ``sample`` maps the (n^3, 3) grid_points() of that lattice to the
-        (n^3, d, d) field values there.  n should be odd so the lattice
-        contains the origin.  A field of more than MAX_ARRAY_ENTRIES
-        entries raises CapabilityError before any array is built.
+        n should be odd so the lattice contains the origin.  A lattice
+        _check_lattice refuses raises ValueError, and a field of more than
+        MAX_ARRAY_ENTRIES entries CapabilityError, before any array is
+        built.
         """
+        _check_lattice(n, extent)
         check_array_entries(int(n) ** 3 * (2 * m + 1) ** 2, f"a field on a {n}^3 cube")
         ax = np.linspace(-extent, extent, n)
         lattice = MatrixField(
             m=m, form="grid", origin=np.full(3, ax[0]), spacing=float(ax[1] - ax[0]), shape=(n,) * 3
         )
-        vals = sample(lattice.grid_points())
-        d = 2 * m + 1
-        return MatrixField.grid(m, lattice.origin, lattice.spacing, vals.reshape(n, n, n, d, d))
+        return lattice.sampled(sample)
 
     @staticmethod
     def radial(m: int, profile, r_grid, samples: np.ndarray | None = None) -> "MatrixField":
@@ -221,6 +234,18 @@ class MatrixField:
         ax = self.axes()
         g = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1)
         return g.reshape(-1, 3)
+
+    def sampled(self, sample) -> "MatrixField":
+        """The grid field on this field's lattice whose values are
+        ``sample`` of its grid_points(): ``sample`` maps the (n, 3) nodes
+        to the (n, d, d) values there, which are reshaped onto the
+        lattice."""
+        if self.form != "grid":
+            raise ValueError("sampled applies to grid-form fields")
+        vals = sample(self.grid_points())
+        return MatrixField.grid(
+            self.m, self.origin, self.spacing, vals.reshape(*self.shape, self.dim, self.dim)
+        )
 
     def values_flat(self) -> np.ndarray:
         return self.values.reshape(-1, self.dim, self.dim)
@@ -513,8 +538,8 @@ def forward(
     of a smooth decaying field is negligible.  For grid fields s_max is
     capped at the lattice Nyquist frequency pi/spacing: beyond it the
     discrete transform is pure aliasing.  A given s_max and panel_width
-    must be positive and per_panel at least 1, and a given s_max finite
-    (ValueError otherwise).  For a radial field, an s_max whose radial sum
+    must be positive, per_panel an integer of at least 1, and a given s_max
+    finite (ValueError otherwise).  For a radial field, an s_max whose radial sum
     in _radial_ft_coeffs would make more than _MAX_KERNEL_ENTRIES kernel
     evaluations, (2m+1) n_s n_r, or whose r-rule would have more than
     GL_MAX_ORDER nodes per panel, is refused with CapabilityError before
@@ -525,8 +550,8 @@ def forward(
         raise ValueError(f"s_max must be positive and finite, got {s_max}")
     if not panel_width > 0:
         raise ValueError(f"panel_width must be positive, got {panel_width}")
-    if per_panel < 1:
-        raise ValueError(f"per_panel must be at least 1, got {per_panel}")
+    if not (_is_integer(per_panel) and per_panel >= 1):
+        raise ValueError(f"per_panel must be an integer of at least 1, got {per_panel!r}")
     if not requested:
         s_max = 12.0 / estimate_decay_scale(F)
     if F.form == "grid":
@@ -671,9 +696,15 @@ def _barycentric(nodes: np.ndarray, values: np.ndarray, rs: np.ndarray) -> np.nd
 def inverse_profile(coeffs: SphericalCoefficients) -> RadialProfile:
     """The decaying radial profile (g_0..g_{2m}) of the inverse transform,
     F(x) = sum_k g_k(|x|) Q_k(x), with g_k the inversion sum c_k of
-    _radial_sums: one sum gives every k."""
+    _radial_sums: one sum gives every k.  A sum out of float range raises
+    CapabilityError."""
     def ev(rho):
-        return _radial_sums(coeffs, rho.ravel()).reshape(rho.shape + (2 * coeffs.m + 1,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = _radial_sums(coeffs, rho.ravel())
+        if not np.isfinite(c).all():
+            raise CapabilityError("the inverse transform's radial profile is not finite: "
+                                  "it is out of float range")
+        return c.reshape(rho.shape + (2 * coeffs.m + 1,))
 
     return RadialProfile(evaluator=ev, decays=True)
 

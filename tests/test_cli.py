@@ -769,6 +769,9 @@ def test_malformed_field_is_format_error(capsys, tmp_path, breakage):
         ("gaussian", '{"sigma": 1e-300}'),
         ("gaussian", '{"sigma": 1e300}'),
         ("bump", '{"width": 1e-300}'),
+        # samples out of float range, refused before they are written
+        ("plane-wave-packet", '{"s0": 1.7e308}'),
+        ("bump", '{"amplitude": 1.7e308}'),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -846,3 +849,93 @@ def test_malformed_multiplier_table_is_format_error(capsys, tmp_path, table):
     assert code == 3
     assert err
     assert not out_path.exists()
+
+
+# ---------------------------------------------------------------------------
+# every numeric flag at its edge values
+# ---------------------------------------------------------------------------
+
+_EDGE_VALUES = ("0", "-1", "1e-320", "1e300", "1.7e308", "nan", "inf", str(2**31), str(2**63))
+_CONFIG_FLAGS = ("--smax", "--nr", "--grid-n", "--grid-extent")
+_SYNTH_PARAMS = {
+    "gaussian": ("sigma", "amplitude", "component"),
+    "plane-wave-packet": ("sigma", "s0", "amplitude"),
+    "bump": ("s0", "width", "amplitude"),
+}
+# base invocations on small inputs and lattices, and the numeric flags each one varies
+_EDGE_BASES = [
+    ("radial --table --m 1 --n 5", ("--m", "--jmax", "--rmax", "--n", "--s")),
+    ("phi --m 1 --s 1 --j 0 --at 1,0.5,0 --method compare", ("--m", "--s", "--j", "--at")),
+    ("phi --m 1 --s 1 --j 0 --table 5 --rmax 4", ("--table", "--rmax")),
+    ("transform forward --in {radial} --out {out}", _CONFIG_FLAGS),
+    ("transform forward --in {grid} --out {out}", _CONFIG_FLAGS),
+    ("transform inverse --in {coeffs} --out {out} --grid-n 5 --grid-extent 2", _CONFIG_FLAGS),
+    ("filter --in {radial} --out {out} --multiplier laplacian --grid-n 5 --grid-extent 2",
+     _CONFIG_FLAGS),
+    ("filter --in {grid} --out {out} --multiplier laplacian", _CONFIG_FLAGS),
+    ("synth gaussian --m 1 --out {out}", ("--m",)),
+    ("check --m 0", ("--m", "--seed")),
+]
+
+
+def _edge_argv(base: str, flag: str, value: str) -> list:
+    """``base`` split, with ``flag`` set to ``value`` (in place of its base
+    value, if any); the value is attached by '=' so that argparse reads a
+    leading '-' as part of it.  A point flag gets ``value`` in every
+    coordinate."""
+    argv = base.split()
+    if flag in argv:
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    return argv + [f"{flag}={','.join([value] * 3) if flag == '--at' else value}"]
+
+
+def _edge_cases():
+    for base, flags in _EDGE_BASES:
+        for flag in flags:
+            for value in _EDGE_VALUES:
+                argv = _edge_argv(base, flag, value)
+                yield pytest.param(argv, id=" ".join(a for a in argv if a not in ("--out", "{out}")))
+    json_value = {"nan": "NaN", "inf": "Infinity"}
+    for kind, keys in _SYNTH_PARAMS.items():
+        for key in keys:
+            for value in _EDGE_VALUES:
+                params = f'{{"{key}": {json_value.get(value, value)}}}'
+                argv = ["synth", kind, "--m", "1", "--out", "{out}", f"--params={params}"]
+                yield pytest.param(argv, id=f"synth {kind} {key}={value}")
+
+
+@pytest.fixture(scope="module")
+def edge_inputs(tmp_path_factory):
+    """A radial field, a 9^3 grid field and a coefficient file, all at m = 1."""
+    root = tmp_path_factory.mktemp("edges")
+    field = fieldio.synthesize("gaussian", 1)
+    paths = {name: str(root / name) for name in ("radial", "grid", "coeffs")}
+    fieldio.write_field(field, paths["radial"])
+    fieldio.write_field(field.to_grid(extent=3.0, n=9), paths["grid"])
+    coeffs = transform.forward(field, s_max=6.0)
+    with open(paths["coeffs"], "w") as fh:
+        fh.write(coeffs.to_json() + "\n")
+    return paths
+
+
+@pytest.mark.parametrize("argv", _edge_cases())
+def test_numeric_flag_edges_exit_cleanly(capsys, tmp_path, edge_inputs, argv):
+    """Each numeric flag at 0, -1, a subnormal, huge, NaN, infinite and
+    2^31 / 2^63 values: the command succeeds (0), finds a failing check (1,
+    check only) or refuses (2 or 3) without a traceback or a numpy
+    RuntimeWarning, and a refusal prints and writes nothing."""
+    out = tmp_path / "out"
+    for name, path in dict(edge_inputs, out=str(out)).items():
+        argv = [a.replace(f"{{{name}}}", path) for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the value
+            code = exc.code
+    stdout, stderr = capsys.readouterr()
+    assert code in ((0, 1, 2, 3) if argv[0] == "check" else (0, 2, 3)), stderr
+    assert "Traceback" not in stderr
+    if code >= 2:
+        assert stdout == ""
+        assert not out.exists()

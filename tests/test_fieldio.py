@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from m3sph import _kernels, fieldio, spherical, transform
 from m3sph.cli import main
 from m3sph.errors import (
+    CapabilityError,
     ChecksumMismatchError,
     FieldFormatError,
     MalformedHeaderError,
@@ -344,6 +345,28 @@ UNREPRESENTABLE_WIDTHS = [
 def test_synthesize_refuses_a_width_its_formula_cannot_represent(kind, m, params, key):
     with pytest.raises(ValueError, match=f"^{key}[ =]"):
         synthesize(kind, m, params)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s0", [1.7e308, -1.7e308, 1.5e307])
+def test_plane_wave_packet_refuses_an_s0_whose_phase_leaves_float_range(s0):
+    # the samples run to r_max = 12 sigma = 12, where s0 r overflows
+    with pytest.raises(ValueError, match="^s0="):
+        synthesize("plane-wave-packet", 1, {"s0": s0})
+    served = synthesize("plane-wave-packet", 1, {"s0": 1.4e307}).sample_profiles()
+    assert np.isfinite(served).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("amplitude", [1e307, 1.7e308])
+def test_bump_whose_inversion_sums_leave_float_range_is_refused(amplitude):
+    # the bump's profile is the inversion sum of its coefficients, which
+    # overflows in the barycentric interpolant (1e307) or in the inversion
+    # matrix (1.7e308); its samples are refused, not written as NaN
+    B = synthesize("bump", 1, {"amplitude": amplitude})
+    with pytest.raises(CapabilityError, match="float range"):
+        B.sample_profiles()
+    assert np.isfinite(synthesize("bump", 1, {"amplitude": 1e306}).sample_profiles()).all()
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "bump", "plane-wave-packet"])

@@ -153,6 +153,12 @@ def test_input_validation():
         radial.f(2, -0.5)
     with pytest.raises(ValueError):
         radial.f_scaled(1, 0.0, 1.0)
+    # a non-finite radius, such as an s r that overflowed, has no kernel value
+    for r in (np.inf, np.nan, [1.0, np.inf]):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            radial.f_upto(2, r)
+    with pytest.raises(ValueError, match="radius must be finite"):
+        radial.f(0, np.inf)
 
 
 @pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf")])

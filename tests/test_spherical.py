@@ -466,6 +466,36 @@ def test_sphere_rule_basics():
     assert np.allclose(np.linalg.norm(rule.nodes, axis=1), 1.0, atol=1e-14)
     with pytest.raises(ValueError):
         sphere_rule(-1)
+    for degree in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="degree must be a non-negative integer"):
+            sphere_rule(degree)
+
+
+def test_sphere_rule_refuses_more_polar_nodes_than_the_cap(monkeypatch):
+    # degree 4095 takes GL_MAX_ORDER = 2048 polar nodes and 4096 one more,
+    # which is refused before numpy is asked for it; a one-node stand-in
+    # for leggauss keeps the served rule small, and the caches it passes
+    # through are emptied on both sides so no stand-in rule outlives this
+    asked = []
+
+    def leggauss(n):
+        asked.append(n)
+        return np.zeros(1), np.full(1, 2.0)
+
+    caches = (_kernels.gauss_legendre, spherical._polar_factor, sphere_rule)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", leggauss)
+    try:
+        assert sphere_rule(4095).degree == 4095
+        with pytest.raises(CapabilityError, match="2049 nodes is over 2048"):
+            sphere_rule(4096)
+        with pytest.raises(CapabilityError, match="2049 nodes is over 2048"):
+            _kernels.gauss_legendre(2049)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert asked == [2048]
 
 
 def test_sphere_rule_is_cached_per_degree_and_read_only():

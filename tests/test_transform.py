@@ -610,9 +610,37 @@ def test_radial_roundtrip_at_large_s_max(s_max):
 def test_forward_validates_quadrature_geometry(gaussian_m1):
     for bad in ({"s_max": -1.0}, {"s_max": 0.0}, {"s_max": float("nan")},
                 {"panel_width": -4.0}, {"panel_width": 0.0}, {"per_panel": 0},
-                {"s_max": float("inf")}):
+                {"s_max": float("inf")}, {"per_panel": 2.5}, {"per_panel": True}):
         with pytest.raises(ValueError):
             transform.forward(gaussian_m1, **bad)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("extent, n, message", [
+    (8.0, 1, "grid_n must be at least 2"),
+    (8.0, 0, "grid_n must be at least 2"),
+    (0.0, 41, "grid_extent must be positive"),
+    (-2.0, 41, "grid_extent must be positive"),
+    (float("nan"), 41, "grid_extent must be positive"),
+    (1e308, 3, "finite spacing"),
+])
+def test_to_grid_refuses_a_lattice_config_refuses(gaussian_m1, extent, n, message):
+    # the one lattice check of Config and MatrixField.cube, made before any
+    # array is built: no IndexError, no field of spacing 0 or below
+    with pytest.raises(ValueError, match=message):
+        gaussian_m1.to_grid(extent=extent, n=n)
+    with pytest.raises(ValueError, match=message):
+        fieldio.Config(grid_extent=extent, grid_n=n)
+
+
+def test_sampled_is_sample_reshaped_onto_the_lattice(gaussian_m1):
+    G = gaussian_m1.to_grid(extent=2.0, n=5)
+    S = G.sampled(gaussian_m1.eval_points)
+    assert (S.form, S.shape, S.spacing) == ("grid", G.shape, G.spacing)
+    assert np.array_equal(S.origin, G.origin)
+    assert np.array_equal(S.values, G.values)
+    with pytest.raises(ValueError, match="grid-form"):
+        gaussian_m1.sampled(gaussian_m1.eval_points)
 
 
 def test_a_profile_of_the_wrong_width_is_refused():
