@@ -9,7 +9,9 @@ convolution over the lattice axes).  Every
 kernel accumulates in a fixed order, so a call is bit-for-bit reproducible
 for a fixed input shape; the BLAS products round a row differently in a
 block of another size, so a point's value may move in the last bits with
-the batch it is evaluated in.
+the batch it is evaluated in.  Every blocked pass of the package, here and
+in transform, spherical and checks, takes its blocks from _blocks, over
+the one budget BLOCK_ENTRIES.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from .so3rep import _cached_per_type, build_irrep
 
 _MILLER_EXTRA = 25  # extra start orders for the downward recurrence
 F_TABLE_JMAX = 64   # highest order f_table serves (see f_table)
-_PHASE_ENTRIES = int(2e7)  # largest phase array of one block (plane_wave_sum, construction 2)
 GL_MAX_ORDER = 2048  # most nodes per panel of a rule (transform.gl_panels, construction 2)
-# matrix entries per block of the cache-sized passes: the ingest diagnostic
-# (transform.MatrixField.equivariance_diagnostic) and axis_transport
+# the one block budget: the most array entries one block of a blocked pass
+# holds (_blocks); another budget can move the last bits of a BLAS product
 BLOCK_ENTRIES = 2**16
 
 # the largest m the numeric constructions and the inversion sum serve: the top
@@ -42,6 +43,15 @@ def check_numeric_m(m: int):
         raise CapabilityError(
             f"numeric spherical functions support m <= {M_MAX_NUMERIC} (requested m={m})"
         )
+
+
+def _blocks(n: int, per_item: int) -> list[slice]:
+    """Slices of range(n) in order, each of max(1, BLOCK_ENTRIES // per_item)
+    items (the last may be shorter): the blocks of every blocked pass, whose
+    item holds ``per_item`` entries of its largest temporary.  A block is one
+    item at least, however large the item."""
+    step = max(1, BLOCK_ENTRIES // max(1, per_item))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def radii(xs: np.ndarray) -> np.ndarray:
@@ -226,7 +236,7 @@ def axis_transport(lam: np.ndarray, xs: np.ndarray, rs: np.ndarray) -> np.ndarra
     (O(n d^3)), the phi phases, plus diag(lam), so the e_1 ray gives
     diag(lam) to the bit.  The three products are real constant matrices
     times float64 views of the complex stacks, half the multiplies of
-    complex ones.  The points go in blocks of max(1, BLOCK_ENTRIES // d^2),
+    complex ones.  The points go in blocks of d^2 entries a point (_blocks),
     each through one stack allocated once per call and, for the middle
     product, the block's own slab of the (n, d, d) result, so every
     temporary stays cache-sized; each block's transpose is then written
@@ -238,13 +248,12 @@ def axis_transport(lam: np.ndarray, xs: np.ndarray, rs: np.ndarray) -> np.ndarra
         return np.array(lam, dtype=np.complex128).reshape(n, 1, 1)
     r, to_frame = _frame(d)
     out = np.empty((n, d, d), dtype=np.complex128)
-    step = max(1, BLOCK_ENTRIES // (d * d))
-    size = min(step, n)
+    blocks = _blocks(n, d * d)
+    size = blocks[0].stop if blocks else 0
     lam_buf = np.empty(d * size, dtype=np.complex128)
     y_buf = np.empty(d * d * size, dtype=np.complex128)
-    for p0 in range(0, n, step):
-        blk = slice(p0, p0 + step)
-        lb, xb, nb = lam[blk], xs[blk], min(step, n - p0)
+    for blk in blocks:
+        lb, xb, nb = lam[blk], xs[blk], blk.stop - blk.start
         rho = np.hypot(xb[:, 1], xb[:, 2])
         z_theta = _unit_phase(xb[:, 0], -rho, rs[blk])
         z_phi = _unit_phase(xb[:, 2], xb[:, 1], rho)
@@ -317,8 +326,8 @@ def plane_wave_sum(nodes, mats, xs) -> np.ndarray:
     """sum_a exp(-i <x_p, u_a>) M_a at each point x_p; (n, d, d).
 
     ``nodes`` is (N, 3), ``mats`` (N, d, d) and ``xs`` (n, 3).  The points
-    go in blocks, so no (block, N) phase matrix holds more than
-    _PHASE_ENTRIES entries.
+    go in blocks of N phases a point (_blocks), so the (block, N) phase
+    matrix stays cache-sized.
     """
     nodes = np.ascontiguousarray(nodes, dtype=np.float64)
     mats = np.ascontiguousarray(mats, dtype=np.complex128)
@@ -326,9 +335,8 @@ def plane_wave_sum(nodes, mats, xs) -> np.ndarray:
     n_nodes, d = mats.shape[:2]
     flat = mats.reshape(n_nodes, d * d)
     out = np.empty((xs.shape[0], d, d), dtype=np.complex128)
-    step = max(1, _PHASE_ENTRIES // max(1, n_nodes))
-    for p0 in range(0, xs.shape[0], step):
-        out[p0 : p0 + step] = (np.exp(-1j * (xs[p0 : p0 + step] @ nodes.T)) @ flat).reshape(-1, d, d)
+    for blk in _blocks(xs.shape[0], n_nodes):
+        out[blk] = (np.exp(-1j * (xs[blk] @ nodes.T)) @ flat).reshape(-1, d, d)
     return out
 
 

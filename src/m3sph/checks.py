@@ -8,16 +8,16 @@ the spherical suite first draws every random input of its (s, j) cases,
 in case order, then takes every construction-1 value of those cases (and
 of their parity partners), every D_tau Phi value and every positive-type
 Gram matrix from one stacked evaluation each (spherical.eval_phi_stack,
-apply_dtau_stack, positive_type_stack; a stack holds at most
-_STACK_ENTRIES matrix entries) and reads each case from a slice of the
-results.  Construction 2 takes the same runs, with the polar projections
-of every draw from one q_series call (spherical.phi_method2_stack), and
-every tau(k) of a run comes from one so3rep.tau_stack, its equivariance
-residuals from one stacked conjugation.  The polyalg suite evaluates each
-Q_j once at every draw of its rotation check, with every tau(k) from one
-tau_stack, and forms each derivative of a Q_j once (MatPoly.diff keeps
-it); the radial suite reads each of its grids from one kernel table
-(f_upto).
+apply_dtau_stack, positive_type_stack; the cases go in runs of
+_kernels._blocks, n_pts d^2 matrix entries a case) and reads each case
+from a slice of the results.  Construction 2 takes the same runs, with
+the polar projections of every draw from one q_series call
+(spherical.phi_method2_stack), and every tau(k) of a run comes from one
+so3rep.tau_stack, its equivariance residuals from one stacked
+conjugation.  The polyalg suite evaluates each Q_j once at every draw of
+its rotation check, with every tau(k) from one tau_stack, and forms each
+derivative of a Q_j once (MatPoly.diff keeps it); the radial suite reads
+each of its grids from one kernel table (f_upto).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import spherical_jn
 
 from . import polyalg, radial, spherical, transform
-from ._kernels import check_numeric_m
+from ._kernels import _blocks, check_numeric_m
 from .errors import ConsistencyError
 from .fieldio import synthesize
 from .polyalg import M_MAX_EXACT
@@ -256,13 +256,6 @@ def _jacobi_spectrum(op) -> np.ndarray:
     return np.linalg.eigvalsh(off + off.T)
 
 
-# the most matrix entries (4 MB of complex values) of one stacked evaluation
-# of the spherical suite's (s, j) cases; in the quick profile every case of
-# one m up to m = 5 is one stack (m = 3 holds 49 392 entries), and m = 26
-# takes one case at a time
-_STACK_ENTRIES = 2**18
-
-
 def suite_spherical(ms, rng, profile: str) -> dict:
     rec = _Recorder("spherical")
     svals = (0.5, 1.0, 2.0, 7.3)
@@ -304,16 +297,17 @@ def suite_spherical(ms, rng, profile: str) -> dict:
         rep = build_irrep(m)
         eye = np.eye(rep.dim)
         # every random input of the type's (s, j) cases first, in case order,
-        # then the cases in runs of at most _STACK_ENTRIES values
+        # then the cases in runs of _blocks: in the quick profile every case
+        # of one m up to m = 3 is one run (m = 3 holds 49 392 entries), and
+        # m = 26 takes one case at a time
         draws = []
         for s in (0.5, 1.0, 2.0):
             for j in range(-m, m + 1):
                 xs = rng.uniform(-5 / np.sqrt(3), 5 / np.sqrt(3), size=(n_x, 3))
                 ks, ys = zip(*((Rotation.random(rng), rng.normal(size=3)) for _ in range(3)))
                 draws.append((s, j, xs, ks, ys))
-        per_run = max(1, _STACK_ENTRIES // (n_pts * rep.dim**2))
-        for r0 in range(0, len(draws), per_run):
-            _phi_cases(rec, rep, draws[r0 : r0 + per_run], n_lap)
+        for run in _blocks(len(draws), n_pts * rep.dim**2):
+            _phi_cases(rec, rep, draws[run], n_lap)
         # projections: every draw first, then every tau(k) from one stack
         proj_draws = [(_random_unit(rng) * rng.uniform(0.5, 2.0), Rotation.random(rng))
                       for _ in range(2 if profile == "quick" else 4)]

@@ -262,6 +262,8 @@ def _multiplier_from_spec(spec: str, m: int):
 def cmd_filter(args) -> int:
     cfg = _load_config(args)
     field = read_field(args.infile, ingest_tol=cfg.ingest_tol)
+    if field.form == "grid" and (args.grid_n, args.grid_extent) != (None, None):
+        raise _Usage("--grid-n and --grid-extent are for a radial input; a grid keeps its lattice")
     mu = _multiplier_from_spec(args.multiplier, field.m)
     filtered = transform.apply_multiplier(_forward(field, cfg), mu)
     write_field(_inverse_field(filtered, cfg, field if field.form == "grid" else None), args.outfile)
@@ -281,7 +283,12 @@ def cmd_synth(args) -> int:
 def cmd_check(args) -> int:
     from .checks import run_checks  # scipy.special is only needed here
 
-    ms = [int(v) for v in args.m.split(",")] if args.m else [0, 1]
+    try:
+        ms = [int(v) for v in args.m.split(",")] if args.m else [0, 1]
+    except ValueError:
+        raise _Usage(f"--m must be comma-separated integers, got {args.m!r}") from None
+    if args.seed < 0:
+        raise _Usage(f"--seed must be a non-negative integer, got {args.seed}")
     report = run_checks(ms=ms, seed=args.seed, profile=args.profile)
     print(json.dumps(report, sort_keys=True))
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
@@ -302,8 +309,8 @@ def _add_field_flags(p: argparse.ArgumentParser, *own):
         p.add_argument(flag, **options)
     p.add_argument("--smax", dest="s_max", metavar="SMAX", type=float)
     p.add_argument("--nr", dest="radial_nodes_per_panel", metavar="NR", type=int)
-    p.add_argument("--grid-n", type=int)
-    p.add_argument("--grid-extent", type=float)
+    p.add_argument("--grid-n", type=int, help="output cube nodes per axis (filter: radial input only)")
+    p.add_argument("--grid-extent", type=float, help="output cube half-width (filter: radial input only)")
     p.add_argument("--config")
 
 

@@ -346,10 +346,11 @@ def phi_method2_stack(m: int, draws) -> list[np.ndarray]:
     sized and refused in draw order first; then the polar projections
     P_j(theta_k, 0) of every draw come from one q_series call, labelled by
     j, and each draw does its own phases, FFT and sum.  Its points go in
-    blocks, so no phase, FFT or gathered array holds more than
-    _PHASE_ENTRIES entries.  A draw's value is the one it gives alone, to
-    the bit up to m = 5; above, axis_transport may round a projection in
-    the last bits with the batch around it."""
+    blocks of n_polar * max(n_az, d^2) entries a point (_kernels._blocks),
+    so every phase, FFT and gathered array stays cache-sized.  A draw's
+    value is the one it gives alone, to the bit up to m = 5; above,
+    axis_transport may round a projection in the last bits with the batch
+    around it."""
     d = 2 * m + 1
     rules = []
     for s, j, xs in draws:
@@ -390,15 +391,14 @@ def _method2_sum(m: int, s: float, xs: np.ndarray, n_polar: int, projs: np.ndarr
     n_az = 2 * n_polar
     projs = projs * wk[:, None, None]
     diffs = np.subtract.outer(np.arange(d), np.arange(d)) % n_az  # the FFT index of a - b
-    step = max(1, _kernels._PHASE_ENTRIES // (n_polar * max(n_az, d * d)))
-    for p0 in range(0, xs.shape[0], step):
-        x = xs[p0 : p0 + step]
+    for blk in _kernels._blocks(xs.shape[0], n_polar * max(n_az, d * d)):
+        x = xs[blk]
         # <x, xi_kl> = x_1 mu_k + sin_k (x_2 cos phi_l + x_3 sin phi_l); its phase and FFT in place
         g = (x[:, 1:2] * cos_az + x[:, 2:3] * sin_az)[:, None, :] * sin_t[:, None]
         g += (x[:, :1] * mu)[:, :, None]
         g = g * (-1j * s)
         np.fft.fft(np.exp(g, out=g), axis=2, out=g)
-        out[p0 : p0 + step] = np.einsum("pkab,kab->pab", g[:, :, diffs], projs)
+        out[blk] = np.einsum("pkab,kab->pab", g[:, :, diffs], projs)
     return d * out
 
 

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import spherical
 from ._kernels import (
-    BLOCK_ENTRIES,
     GL_MAX_ORDER,
+    _blocks,
     axis_diagonals,
     f_table,
     fourier_grid_sum,
@@ -309,8 +309,8 @@ class MatrixField:
         permutation of the axes, so F(k^-1 x) is ``values`` with axes
         flipped and transposed (no point coordinates are rounded), and the
         transport is a product of the flattened matrices with
-        kron(tau, conj tau)^T, taken over blocks of first-axis slabs (about
-        BLOCK_ENTRIES entries) so that no full-size temporary is made.
+        kron(tau, conj tau)^T, taken over blocks of first-axis slabs
+        (_kernels._blocks) so that no full-size temporary is made.
         The modulus is a hypot, so no finite payload overflows.
         """
         if self.form == "radial":
@@ -333,13 +333,12 @@ class MatrixField:
             flipped = np.flip(self.values, axis=tuple(np.flatnonzero(perm[np.arange(3), p] < 0)))
             tk = tau(rep, rot)
             turns.append((flipped.transpose(*np.argsort(p), 3, 4), np.kron(tk, tk.conj()).T))
-        step = max(1, BLOCK_ENTRIES // (n1 * n2 * d2))
         scale = worst = 0.0
-        for i in range(0, n0, step):
-            flat = self.values[i:i + step].reshape(-1, d2)
+        for blk in _blocks(n0, n1 * n2 * d2):
+            flat = self.values[blk].reshape(-1, d2)
             scale = max(scale, float(np.max(np.abs(flat))))
             for src, transport in turns:
-                moved = src[i:i + step].reshape(-1, d2) @ transport
+                moved = src[blk].reshape(-1, d2) @ transport
                 moved -= flat
                 worst = max(worst, float(np.max(np.abs(moved))))
         worst /= scale or 1.0
@@ -634,8 +633,8 @@ def _direct_sums(G: np.ndarray, s: np.ndarray, rs: np.ndarray, axis: bool = Fals
     l = 0..n_l-1 of G, or with ``axis`` the same sums of the axis kernels
     T_l(s_q r) (f_table); (rs.size, n_l).  The one radial kernel sum: the
     inversion sums, and the radial forward transform with the r-rule as
-    ``s`` and the scales as ``rs``.  Radii go in blocks of about 2e6 kernel
-    values (one radius at least), and a call of more than
+    ``s`` and the scales as ``rs``.  Radii go in blocks of n_l * s.size
+    kernel values a radius (_kernels._blocks), and a call of more than
     _MAX_KERNEL_ENTRIES evaluations in all raises CapabilityError before
     any is made."""
     n_l = G.shape[0]
@@ -643,10 +642,9 @@ def _direct_sums(G: np.ndarray, s: np.ndarray, rs: np.ndarray, axis: bool = Fals
         raise CapabilityError(f"a radial kernel sum of {n_l * s.size * rs.size:.3g} "
                               f"evaluations is over {_MAX_KERNEL_ENTRIES}")
     c = np.empty((rs.size, n_l), dtype=np.complex128)
-    block = max(1, int(2e6) // max(1, n_l * s.size))
-    for b0 in range(0, rs.size, block):
-        fv = f_table(n_l - 1, np.multiply.outer(rs[b0 : b0 + block], s), axis=axis)
-        c[b0 : b0 + block] = np.einsum("lq,lpq->pl", G, fv)  # fv: (n_l, nb, n_s)
+    for blk in _blocks(rs.size, n_l * s.size):
+        fv = f_table(n_l - 1, np.multiply.outer(rs[blk], s), axis=axis)
+        c[blk] = np.einsum("lq,lpq->pl", G, fv)  # fv: (n_l, nb, n_s)
     return c
 
 
@@ -673,8 +671,8 @@ def _barycentric(nodes: np.ndarray, values: np.ndarray, rs: np.ndarray) -> np.nd
     at both ends; a radius equal to a node gets that node's values.  The
     (ascending) nodes a radius equals are found by binary search, and the
     real weight matrix meets the (n, 2L) float view of the complex values
-    in one real product.  Radii go in blocks to bound the (block, n) weight
-    matrix."""
+    in one real product.  Radii go in blocks of n weights a radius
+    (_kernels._blocks), which bounds the (block, n) weight matrix."""
     n = nodes.size
     wts = np.where(np.arange(n) % 2, -1.0, 1.0)
     wts[[0, -1]] *= 0.5
@@ -682,13 +680,12 @@ def _barycentric(nodes: np.ndarray, values: np.ndarray, rs: np.ndarray) -> np.nd
     at = np.minimum(np.searchsorted(nodes, rs), n - 1)
     hit = np.flatnonzero(nodes[at] == rs)
     out = np.empty((rs.size, values.shape[1]), dtype=np.complex128)
-    block = max(1, int(2e6) // n)
-    for b0 in range(0, rs.size, block):
-        kern = rs[b0 : b0 + block, None] - nodes[None, :]
-        h = hit[(hit >= b0) & (hit < b0 + block)]
-        kern[h - b0, at[h]] = 1.0  # any nonzero; those rows are set below
+    for blk in _blocks(rs.size, n):
+        kern = rs[blk, None] - nodes[None, :]
+        h = hit[(hit >= blk.start) & (hit < blk.stop)]
+        kern[h - blk.start, at[h]] = 1.0  # any nonzero; those rows are set below
         np.divide(wts, kern, out=kern)
-        out[b0 : b0 + block] = (kern @ re_im).view(np.complex128) / np.sum(kern, axis=1)[:, None]
+        out[blk] = (kern @ re_im).view(np.complex128) / np.sum(kern, axis=1)[:, None]
     out[hit] = values[at[hit]]
     return out
 
@@ -770,14 +767,12 @@ def schwartz_decompose(F: MatrixField) -> MatrixField:
     if F.form != "grid":
         raise ValueError("schwartz_decompose expects a grid-form field")
     coeffs = forward(F)
-    rho_max = float(np.max(radii(F.grid_points())))
-    r_grid = np.linspace(0.0, rho_max, SCHWARTZ_N_RHO)
+    pts = F.grid_points()
+    r_grid = np.linspace(0.0, float(np.max(radii(pts))), SCHWARTZ_N_RHO)
     out = MatrixField.radial(F.m, inverse_profile(coeffs), r_grid)
 
     # reconstruction residual on a node subsample
-    pts = F.grid_points()
-    stride = max(1, pts.shape[0] // 1500)
-    sub = np.arange(0, pts.shape[0], stride)
+    sub = slice(None, None, max(1, pts.shape[0] // 1500))
     recon = out.eval_points(pts[sub])
     ref = F.values_flat()[sub]
     scale = float(np.max(np.abs(ref))) or 1.0

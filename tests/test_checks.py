@@ -2,6 +2,7 @@
 evaluator calls the suites make for them."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -76,6 +77,29 @@ def test_spherical_suite_evaluates_each_spec_in_one_call(monkeypatch):
     assert one_spec == [[], [], [], []]
     assert len(method2) == 1
     assert (len(taus), len(tau_stacks)) == (0, 2)
+
+
+@pytest.mark.parametrize("budget, runs", [(2**14, [13, 2, 6, 6, 6, 3]),
+                                           (2**13, [6, 6, 3] + [3] * 7)])
+def test_report_is_the_same_in_runs_of_any_size(monkeypatch, budget, runs):
+    # quick, m = 2, 3: 48 points a case, so 1 200 and 2 352 entries; the 15
+    # and 21 cases are one run each under the 2^16 budget and several runs
+    # of many cases under the smaller ones, with every other blocked pass
+    # split too, and the report is byte-identical
+    sizes = []
+    phi_cases = checks._phi_cases
+
+    def recorded(rec, rep, run, n_lap):
+        sizes.append(len(run))
+        phi_cases(rec, rep, run, n_lap)
+
+    monkeypatch.setattr(checks, "_phi_cases", recorded)
+    whole = json.dumps(checks.run_checks([2, 3], seed=0, profile="quick"), sort_keys=True)
+    assert sizes == [15, 21]
+    sizes.clear()
+    monkeypatch.setattr(_kernels, "BLOCK_ENTRIES", budget)
+    assert json.dumps(checks.run_checks([2, 3], seed=0, profile="quick"), sort_keys=True) == whole
+    assert sizes == runs
 
 
 def test_polyalg_suite_evaluates_each_q_once_for_its_rotation_check(monkeypatch):

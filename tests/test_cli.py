@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -923,7 +924,8 @@ def test_numeric_flag_edges_exit_cleanly(capsys, tmp_path, edge_inputs, argv):
     """Each numeric flag at 0, -1, a subnormal, huge, NaN, infinite and
     2^31 / 2^63 values: the command succeeds (0), finds a failing check (1,
     check only) or refuses (2 or 3) without a traceback or a numpy
-    RuntimeWarning, and a refusal prints and writes nothing."""
+    RuntimeWarning, and a refusal prints and writes nothing.  A refusal of
+    check names the flag: as --m or --seed, or as the library's m."""
     out = tmp_path / "out"
     for name, path in dict(edge_inputs, out=str(out)).items():
         argv = [a.replace(f"{{{name}}}", path) for a in argv]
@@ -939,3 +941,31 @@ def test_numeric_flag_edges_exit_cleanly(capsys, tmp_path, edge_inputs, argv):
     if code >= 2:
         assert stdout == ""
         assert not out.exists()
+    if argv[0] == "check" and code == 2:
+        name = argv[-1].split("=")[0].lstrip("-")
+        assert re.search(rf"\b{name}\b", stderr), stderr
+
+
+@pytest.mark.parametrize("flags", [("--grid-n", "5"), ("--grid-extent", "2"),
+                                   ("--grid-n", "9", "--grid-extent", "3")])
+def test_filter_of_a_grid_file_refuses_the_lattice_flags(capsys, tmp_path, edge_inputs, flags):
+    # a grid input is filtered on its own lattice, so a lattice flag is
+    # refused, even one that names that lattice (9 nodes on [-3, 3])
+    out = tmp_path / "out.m3sf"
+    code, stdout, err = run_cli(capsys, "filter", "--in", edge_inputs["grid"], "--out", str(out),
+                                "--multiplier", "laplacian", *flags)
+    assert code == 2
+    assert "--grid-n and --grid-extent are for a radial input" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_config_lattice_keys_apply_to_a_radial_filter_input_only(capsys, tmp_path, edge_inputs):
+    conf = tmp_path / "m3s.conf"
+    conf.write_text("grid_n = 5\ngrid_extent = 2\n")
+    for name, shape in (("grid", (9, 9, 9)), ("radial", (5, 5, 5))):
+        out = tmp_path / f"{name}.m3sf"
+        code, _, err = run_cli(capsys, "filter", "--in", edge_inputs[name], "--out", str(out),
+                               "--multiplier", "laplacian", "--config", str(conf))
+        assert code == 0, err
+        assert fieldio.read_field(str(out)).shape == shape

@@ -548,18 +548,19 @@ def test_plane_wave_sum_against_node_loop():
 
 
 def test_plane_wave_sum_builds_its_phases_in_blocks(monkeypatch):
-    # 4 000 points against 500 nodes: one block of 2e6 phases under the
-    # 2e7-entry bound; under a 1e4-entry bound the sum goes in blocks of 20
-    # points, whose traced peak stays far below the 32 MB of the whole phase
-    # matrix.  BLAS may round a short block's products differently, so the
-    # values agree to rounding, not to the bit
+    # 4 000 points against 500 nodes: one block of 2e6 phases under a
+    # 2e6-entry block budget; under a 1e4-entry budget the sum goes in blocks
+    # of 20 points, whose traced peak stays far below the 32 MB of the whole
+    # phase matrix.  BLAS may round a short block's products differently, so
+    # the values agree to rounding, not to the bit
     rng = np.random.default_rng(3)
     nodes = rng.normal(size=(500, 3))
     mats = rng.normal(size=(500, 3, 3)) + 1j * rng.normal(size=(500, 3, 3))
     xs = rng.uniform(-2, 2, size=(4000, 3))
-    assert _kernels._PHASE_ENTRIES == int(2e7)
+    assert _kernels.BLOCK_ENTRIES == 2**16
+    monkeypatch.setattr(_kernels, "BLOCK_ENTRIES", 4000 * 500)
     whole = _kernels.plane_wave_sum(nodes, mats, xs)
-    monkeypatch.setattr(_kernels, "_PHASE_ENTRIES", 10_000)
+    monkeypatch.setattr(_kernels, "BLOCK_ENTRIES", 10_000)
     tracemalloc.start()
     try:
         blocked = _kernels.plane_wave_sum(nodes, mats, xs)

@@ -658,12 +658,13 @@ def test_method2_stack_refuses_every_draw_before_its_projections(monkeypatch):
 
 
 def test_method2_builds_its_phases_in_blocks(monkeypatch):
-    # under a 2e4-entry bound 200 points at m = 1 go in blocks of one or two
-    # points (n_polar = 10, n_az = 20 for s|x| <= 3.6); the values agree with
-    # one whole block to rounding
+    # 200 points at m = 1 with n_polar = 9, n_az = 18 (s|x| <= 1.6): 162
+    # entries a point, so one block under the 2^16 budget and blocks of 123
+    # under a 2e4-entry one; the values agree with one whole block to rounding
     xs = np.random.default_rng(14).uniform(-2, 2, size=(200, 3)) * 0.5
+    assert len(_kernels._blocks(200, 9 * 18)) == 1
     whole = phi_method2_batch(1, 1.0, 1, xs)
-    monkeypatch.setattr(_kernels, "_PHASE_ENTRIES", 20_000)
+    monkeypatch.setattr(_kernels, "BLOCK_ENTRIES", 20_000)
     tracemalloc.start()
     try:
         blocked = phi_method2_batch(1, 1.0, 1, xs)

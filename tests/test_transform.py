@@ -171,12 +171,12 @@ def test_gl_panels_refuses_a_rule_before_building_it(monkeypatch):
 
 def test_radial_forward_goes_through_the_blocked_sum(monkeypatch, gaussian_m1):
     # one kernel value per (order, scale, r-node), as one unblocked table
-    # held them, but in calls of at most 2e6 values each
+    # held them, but in calls of at most BLOCK_ENTRIES values each
     evals = _counting_f_table(monkeypatch)
     coeffs = transform.forward(gaussian_m1, s_max=300.0)
     n_r = 3 * transform._r_nodes_per_panel(300.0)  # r_grid to 12: three panels
     assert sum(evals) == 3 * coeffs.s_grid.size * n_r
-    assert len(evals) > 1 and max(evals) <= 2e6
+    assert len(evals) > 1 and max(evals) <= _kernels.BLOCK_ENTRIES
 
 
 def test_direct_sums_refuses_more_evaluations_than_its_bound(monkeypatch):
@@ -509,6 +509,33 @@ def test_barycentric_hits_nodes_to_the_bit(n, L):
     for p in np.flatnonzero(is_node):
         assert np.array_equal(out[p], values[np.flatnonzero(nodes == rs[p])[0]])
     assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(values))
+
+
+@pytest.mark.parametrize("budget", [2**12, 2**11])
+def test_blocked_inversion_sums_match_one_block(monkeypatch, budget):
+    # 300 radii under budgets that split _direct_sums (5 x 96 kernel values a
+    # radius) into blocks of 8 or 4 radii and _barycentric (69 weights a
+    # radius) into blocks of 59 or 29, against one block of every radius:
+    # the kernel sums to the bit, the interpolant to rounding of each
+    # column's scale (BLAS rounds a row with the block around it); every
+    # third radius is a node, so some block starts on one
+    F = fieldio.synthesize("plane-wave-packet", 2, {"sigma": 1.1})
+    coeffs = transform.forward(F)
+    G, s = transform._inversion_matrix(coeffs), coeffs.s_grid
+    nodes = transform._cheb_nodes(69, 3.0)
+    rng = np.random.default_rng(7)
+    rs = rng.uniform(0.0, 3.0, 300)
+    rs[::3] = rng.choice(nodes, 100)
+    values = transform._direct_sums(G, s, nodes)
+    monkeypatch.setattr(_kernels, "BLOCK_ENTRIES", 300 * G.shape[0] * s.size)
+    direct, interp = transform._direct_sums(G, s, rs), transform._barycentric(nodes, values, rs)
+    monkeypatch.setattr(_kernels, "BLOCK_ENTRIES", budget)
+    for per_radius in (G.shape[0] * s.size, nodes.size):
+        blocks = _kernels._blocks(rs.size, per_radius)
+        assert len(blocks) > 2 and blocks[0].stop > 2
+    assert np.array_equal(transform._direct_sums(G, s, rs), direct)
+    blocked = transform._barycentric(nodes, values, rs)
+    assert np.all(np.abs(blocked - interp) <= 1e-15 * np.max(np.abs(interp), axis=0))
 
 
 def test_interpolated_sums_keep_the_decayed_orders_accurate():
@@ -921,8 +948,8 @@ def test_blocked_diagnostic_matches_the_whole_array_pass(monkeypatch, m, n, slab
     # still takes one slab per block; every other case ends in a short block
     d = 2 * m + 1
     if slabs is not None:
-        monkeypatch.setattr(transform, "BLOCK_ENTRIES", slabs * n * n * d * d)
-    step = max(1, transform.BLOCK_ENTRIES // (n * n * d * d))
+        monkeypatch.setattr(_kernels, "BLOCK_ENTRIES", slabs * n * n * d * d)
+    step = _kernels._blocks(n, n * n * d * d)[0].stop
     assert step == 1 or n % step != 0
     rng = np.random.default_rng(10 * m + n)
     G = fieldio.synthesize("gaussian", m, {"component": m}).to_grid(extent=3.0, n=n)
